@@ -1,19 +1,21 @@
-"""Exact sparse linear algebra over prime fields and the rationals.
+"""Exact sparse linear algebra over prime fields.
 
 Every degreewise computation in the package bottoms out here.  Matrices are
 stored sparsely (dict keyed by (row, col)); elimination runs on a dense
-numpy array mod p, or on Fractions for characteristic 0.  No floating point
-anywhere.
+numpy int64 array mod p.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+# Residues are multiplied in int64, so p^2 must stay below 2^63; the bound
+# 2^31 (the word-size primes of FFLAS-FFPACK) leaves room for the sums.
+MAX_CHARACTERISTIC = 2 ** 31
 
 
 def _is_prime(n: int) -> bool:
@@ -31,39 +33,41 @@ class ContractViolation(ValueError):
     """Raised when an operation's precondition is violated."""
 
 
+def _check_characteristic(p: int) -> None:
+    if p >= MAX_CHARACTERISTIC:
+        raise ContractViolation(
+            f"characteristic {p} is too large: exact int64 arithmetic needs p < 2^31")
+    if not _is_prime(p):
+        raise ContractViolation(f"characteristic {p} is not prime")
+
+
 @dataclass(frozen=True)
 class FieldScalar:
-    """Canonical scalar: residue in [0, p) for prime p, exact fraction for p = 0."""
+    """Canonical scalar: a residue in [0, p) for a prime p."""
 
     characteristic: int
     value: object
 
     def __post_init__(self):
         p = self.characteristic
-        if p == 0:
-            if not isinstance(self.value, (int, Fraction)):
-                raise ContractViolation("characteristic-0 scalar must be int or Fraction")
-        else:
-            if not _is_prime(p):
-                raise ContractViolation(f"characteristic {p} is not prime")
-            if not isinstance(self.value, int) or not 0 <= self.value < p:
-                raise ContractViolation("residue not reduced to [0, p)")
+        _check_characteristic(p)
+        if not isinstance(self.value, int) or not 0 <= self.value < p:
+            raise ContractViolation("residue not reduced to [0, p)")
 
 
 class Field:
-    """Arithmetic context: GF(p) for prime p, or the rationals for p = 0.
+    """Arithmetic context GF(p) for a prime p < 2^31.
 
-    Raw scalars are ints (reduced residues) resp. Fractions; FieldScalar is
-    the validated boundary type.
+    Raw scalars are ints (reduced residues); FieldScalar is the validated
+    boundary type.
     """
 
     def __init__(self, characteristic: int):
-        if characteristic != 0 and not _is_prime(characteristic):
-            raise ContractViolation(f"characteristic {characteristic} is not prime")
+        _check_characteristic(characteristic)
         self.characteristic = characteristic
 
     def __repr__(self):
-        return f"GF({self.characteristic})" if self.characteristic else "QQ"
+        return f"GF({self.characteristic})"
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.characteristic == self.characteristic
@@ -78,36 +82,30 @@ class Field:
             if x.characteristic != self.characteristic:
                 raise ContractViolation("scalar from wrong field")
             x = x.value
-        if self.characteristic:
-            return int(x) % self.characteristic
-        return Fraction(x)
+        return int(x) % self.characteristic
 
     def zero(self):
-        return 0 if self.characteristic else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.characteristic else Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return (a + b) % self.characteristic if self.characteristic else a + b
+        return (a + b) % self.characteristic
 
     def sub(self, a, b):
-        return (a - b) % self.characteristic if self.characteristic else a - b
+        return (a - b) % self.characteristic
 
     def mul(self, a, b):
-        return (a * b) % self.characteristic if self.characteristic else a * b
+        return (a * b) % self.characteristic
 
     def neg(self, a):
-        return (-a) % self.characteristic if self.characteristic else -a
+        return (-a) % self.characteristic
 
     def inv(self, a):
-        if self.characteristic:
-            if a % self.characteristic == 0:
-                raise ZeroDivisionError
-            return pow(a, self.characteristic - 2, self.characteristic)
-        if a == 0:
+        if a % self.characteristic == 0:
             raise ZeroDivisionError
-        return Fraction(1) / a
+        return pow(a, self.characteristic - 2, self.characteristic)
 
     def scalar(self, x) -> FieldScalar:
         return FieldScalar(self.characteristic, self.normalize(x))
@@ -116,9 +114,6 @@ class Field:
 @lru_cache(maxsize=None)
 def GF(p: int) -> Field:
     return Field(p)
-
-
-QQ = GF(0)
 
 
 class SparseMatrix:
@@ -151,6 +146,24 @@ class SparseMatrix:
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "SparseMatrix":
         return SparseMatrix(field, rows, cols)
+
+    @classmethod
+    def _trusted(cls, field: Field, rows: int, cols: int,
+                 entries: Dict[Tuple[int, int], int]) -> "SparseMatrix":
+        """Wrap entries the engine built itself: in range, reduced, nonzero."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
+    def _from_array(cls, field: Field, a: np.ndarray) -> "SparseMatrix":
+        """Trusted constructor from an int64 array reduced mod p."""
+        r, c = np.nonzero(a)
+        entries = dict(zip(zip(r.tolist(), c.tolist()), a[r, c].tolist()))
+        return cls._trusted(field, a.shape[0], a.shape[1], entries)
 
     @staticmethod
     def from_rows(field: Field, row_list: Iterable[Iterable[object]],
@@ -245,7 +258,25 @@ class SparseMatrix:
         return SparseMatrix(self.field, len(row_idx), len(col_idx), ent)
 
 
-# elimination backends ------------------------------------------------------
+class _Echelon(SparseMatrix):
+    """Output of rref: the reduced matrix, keeping the int64 array it came from."""
+
+    __slots__ = ("array",)
+
+    @classmethod
+    def of(cls, field: Field, a: np.ndarray) -> "_Echelon":
+        m = cls._from_array(field, a)
+        m.array = a
+        return m
+
+    @classmethod
+    def zeros(cls, field: Field, rows: int, cols: int) -> "_Echelon":
+        m = cls._trusted(field, rows, cols, {})
+        m.array = np.zeros((rows, cols), dtype=np.int64)
+        return m
+
+
+# elimination ---------------------------------------------------------------
 
 
 def _to_numpy(m: SparseMatrix) -> np.ndarray:
@@ -283,82 +314,59 @@ def _rref_modp(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return a, pivots
 
 
-def _rref_exact(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays reduced mod p, in partial sums that fit int64."""
+    step = (2 ** 63 - p) // (p - 1) ** 2
+    if a.shape[1] <= step:
+        return (a @ b) % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], step):
+        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
+    return out
 
 
 def rref(m: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
     """Reduced row echelon form and pivot columns (deterministic)."""
-    f = m.field
-    if f.characteristic:
-        a, pivots = _rref_modp(_to_numpy(m), f.characteristic)
-        ent = {(i, j): int(a[i, j]) for i in range(m.rows) for j in np.nonzero(a[i])[0]}
-        return SparseMatrix(f, m.rows, m.cols, ent), pivots
-    dense = [[Fraction(x) for x in row] for row in m.to_dense()]
-    a, pivots = _rref_exact(dense, m.cols)
-    ent = {}
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            if v != 0:
-                ent[(i, j)] = v
-    return SparseMatrix(f, m.rows, m.cols, ent), pivots
+    if not m.entries:
+        return _Echelon.zeros(m.field, m.rows, m.cols), []
+    a, pivots = _rref_modp(_to_numpy(m), m.field.characteristic)
+    return _Echelon.of(m.field, a), pivots
 
 
 def rank(m: SparseMatrix) -> int:
     """Exact rank over the field."""
     if not m.entries:
         return 0
-    f = m.field
-    if f.characteristic:
-        return len(_rref_modp(_to_numpy(m), f.characteristic)[1])
-    dense = [[Fraction(x) for x in row] for row in m.to_dense()]
-    return len(_rref_exact(dense, m.cols)[1])
+    return len(_rref_modp(_to_numpy(m), m.field.characteristic)[1])
 
 
-def kernel_basis(m: SparseMatrix) -> List[List[object]]:
+def kernel_rows(m: SparseMatrix) -> Tuple[np.ndarray, List[int]]:
+    """(K, free): a kernel basis of m as the rows of an int64 array, and the
+    non-pivot columns of rref(m).  Row j of K has 1 at free[j], 0 at the other
+    free columns and minus column free[j] of the pivot rows at the pivot
+    columns."""
+    red, pivots = rref(m)
+    if not pivots:
+        return np.eye(m.cols, dtype=np.int64), list(range(m.cols))
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    k = np.zeros((len(free), m.cols), dtype=np.int64)
+    if free:
+        k[range(len(free)), free] = 1
+        k[:, pivots] = (-red.array[:len(pivots), free].T) % m.field.characteristic
+    return k, free
+
+
+def kernel_basis(m: SparseMatrix) -> List[List[int]]:
     """Basis of the right kernel, one vector per non-pivot column.
 
     Vectors are returned in increasing free-column order; always
     len == cols - rank(m).
     """
-    f = m.field
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    # row index of each pivot column
-    prow = {c: i for i, c in enumerate(pivots)}
-    dense = red.to_dense()
-    basis = []
-    for c in free:
-        v = [f.zero()] * m.cols
-        v[c] = f.one()
-        for pc in pivots:
-            coeff = dense[prow[pc]][c]
-            if coeff != 0:
-                v[pc] = f.neg(coeff)
-        basis.append(v)
-    return basis
+    return kernel_rows(m)[0].tolist()
 
 
-def solve(m: SparseMatrix, b: List[object]) -> Optional[List[object]]:
+def solve(m: SparseMatrix, b: List[object]) -> Optional[List[int]]:
     """Some x with m @ x = b, or None when the system is inconsistent."""
     f = m.field
     if len(b) != m.rows:
@@ -368,41 +376,26 @@ def solve(m: SparseMatrix, b: List[object]) -> Optional[List[object]]:
     red, pivots = rref(aug)
     if m.cols in pivots:
         return None
-    dense = red.to_dense()
-    x = [f.zero()] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = dense[i][m.cols]
+    x = [0] * m.cols
+    for c, v in zip(pivots, red.array[:len(pivots), m.cols].tolist()):
+        x[c] = v
     return x
 
 
 def solve_matrix(m: SparseMatrix, b: SparseMatrix) -> Optional[SparseMatrix]:
     """Some X with m @ X = b, or None.  Solves all columns in one elimination."""
-    f = m.field
     if b.rows != m.rows:
         raise ContractViolation("dimension mismatch in solve_matrix")
     aug = m.hstack(b)
     red, pivots = rref(aug)
     if any(c >= m.cols for c in pivots):
         return None
-    prow = {c: i for i, c in enumerate(pivots)}
     ent = {}
     for (i, j), v in red.entries.items():
         if j >= m.cols:
             # row i corresponds to pivot column pivots[i]
             ent[(pivots[i], j - m.cols)] = v
-    return SparseMatrix(f, m.cols, b.cols, ent)
-
-
-def image_pivot_columns(m: SparseMatrix) -> List[int]:
-    """Deterministic choice of columns spanning the image."""
-    return rref(m)[1]
-
-
-def row_space_matrix(m: SparseMatrix) -> SparseMatrix:
-    """Nonzero rows of the rref: canonical basis of the row space."""
-    red, pivots = rref(m)
-    keep = list(range(len(pivots)))
-    return red.submatrix(keep, list(range(m.cols)))
+    return SparseMatrix._trusted(m.field, m.cols, b.cols, ent)
 
 
 def quotient_projection(span: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
@@ -411,19 +404,57 @@ def quotient_projection(span: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
     Returns (P, free_cols): free_cols index the chosen complement basis
     (non-pivot coordinates) and P maps V coordinates to quotient coordinates,
     i.e. P has shape (len(free_cols), cols) and P restricted to the
-    complement basis is the identity.
+    complement basis is the identity.  In the quotient e_pc = -sum_c v * e_c
+    over the entries v of pivot row pc, so P is the kernel matrix of span.
     """
-    f = span.field
+    k, free = kernel_rows(span)
+    return SparseMatrix._from_array(span.field, k), free
+
+
+def extend_basis(span: SparseMatrix, candidates: np.ndarray) -> np.ndarray:
+    """The candidates that enlarge rowspace(span), reduced, one row each.
+
+    candidates must be linearly independent rows, reduced mod p, whose span
+    contains rowspace(span).  Candidate i is taken when it is not in W_i =
+    rowspace(span) + span(candidates before i); its row is its reduction
+    modulo W_i, the unique vector of candidate + W_i vanishing on the pivot
+    columns of W_i, scaled to leading coefficient 1.  Exactly
+    len(candidates) - rank(span) rows come out.
+    """
+    p = span.field.characteristic
     red, pivots = rref(span)
-    pivot_set = set(pivots)
-    free = [c for c in range(span.cols) if c not in pivot_set]
-    fpos = {c: i for i, c in enumerate(free)}
-    ent = {(fpos[c], c): f.one() for c in free}
-    dense = red.to_dense()
-    for i, pc in enumerate(pivots):
-        for c in free:
-            v = dense[i][c]
-            if v != 0:
-                # e_pc = -sum v * e_c in the quotient
-                ent[(fpos[c], pc)] = f.neg(v)
-    return SparseMatrix(f, len(free), span.cols, ent), free
+    want = len(candidates) - len(pivots)
+    if want <= 0:
+        if want < 0:
+            raise ContractViolation("candidates do not span rowspace(span)")
+        return np.zeros((0, span.cols), dtype=np.int64)
+    v = candidates
+    if pivots:
+        coeff = v[:, pivots]
+        used = np.flatnonzero(coeff.any(axis=0))
+        if used.size:
+            v = (v - _matmul_modp(coeff[:, used], red.array[used], p)) % p
+    # the rows taken so far, kept fully reduced against each other
+    basis = np.zeros((0, span.cols), dtype=np.int64)
+    leads: List[int] = []
+    out = []
+    for row in v[v.any(axis=1)]:
+        if leads:
+            c = row[leads]
+            if c.any():
+                row = (row - _matmul_modp(c[None, :], basis, p)[0]) % p
+        nz = np.flatnonzero(row)
+        if not nz.size:
+            continue
+        lead = int(nz[0])
+        row = row * pow(int(row[lead]), p - 2, p) % p
+        out.append(row)
+        col = basis[:, lead]
+        if col.any():
+            basis = (basis - np.outer(col, row)) % p
+        basis = np.vstack([basis, row])
+        leads.append(lead)
+    if len(out) != want:
+        raise ContractViolation("candidates are not a basis of a space "
+                                "containing rowspace(span)")
+    return np.array(out, dtype=np.int64).reshape(want, span.cols)

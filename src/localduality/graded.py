@@ -15,8 +15,10 @@ import re
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactla import (ContractViolation, Field, GF, SparseMatrix, kernel_basis,
-                      quotient_projection, rank, rref, solve)
+import numpy as np
+
+from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
+                      kernel_basis, kernel_rows, quotient_projection, rank, rref)
 
 Mono = Tuple[int, ...]          # exponent vector over the ring's generators
 Poly = Dict[Mono, int]          # monomial -> nonzero coefficient (raw residue)
@@ -308,7 +310,9 @@ class GradedRing:
         while pairs:
             guard += 1
             if guard > 20000:
-                raise RuntimeError("completion runaway")
+                raise ContractViolation(
+                    f"completion runaway: Buchberger completion up to weight "
+                    f"{weight_bound} exceeded 20000 S-pairs")
             i, j = pairs.pop()
             gi, gj = basis[i], basis[j]
             (lmi, _), (lmj, _) = self.leading(gi), self.leading(gj)
@@ -543,19 +547,20 @@ def poly_matrix_realize(ring: GradedRing, source: FreeModule, target: FreeModule
     sb = source.basis_in_degree(t)
     tb = target.basis_in_degree(t)
     tpos = {bm: i for i, bm in enumerate(tb)}
+    by_source: Dict[int, List[Tuple[int, Poly]]] = {}
+    for (a, b), p in entries.items():
+        if p:
+            by_source.setdefault(b, []).append((a, p))
     ent: Dict[Tuple[int, int], int] = {}
-    cols_by_gen: Dict[int, List[Tuple[int, Mono]]] = {}
     for j, (b, m) in enumerate(sb):
-        for (a, bb), p in entries.items():
-            if bb != b or not p:
-                continue
+        for a, p in by_source.get(b, ()):
             prod = ring.normal_form(ring.poly_mul({m: 1}, p))
             for mm, c in prod.items():
                 key = (a, mm)
                 if key in tpos:
                     ent[(tpos[key], j)] = (ent.get((tpos[key], j), 0) + c) % ring.characteristic
     ent = {k: v for k, v in ent.items() if v}
-    return SparseMatrix(ring.field, len(tb), len(sb), ent)
+    return SparseMatrix._trusted(ring.field, len(tb), len(sb), ent)
 
 
 # finitely presented modules ------------------------------------------------
@@ -629,12 +634,8 @@ class GradedModule:
                             vec[pos[key]] = (vec.get(pos[key], 0) + c) % ring.characteristic
                 if any(vec.values()):
                     rows.append(vec)
-        ent = {}
-        for i, vec in enumerate(rows):
-            for j, c in vec.items():
-                if c:
-                    ent[(i, j)] = c
-        return SparseMatrix(ring.field, len(rows), len(basis), ent)
+        ent = {(i, j): c for i, vec in enumerate(rows) for j, c in vec.items() if c}
+        return SparseMatrix._trusted(ring.field, len(rows), len(basis), ent)
 
     def _realize(self, t: int):
         if t not in self._deg_cache:
@@ -685,22 +686,21 @@ class GradedModule:
         basis, _, free_cols = self._realize(t)
         tgt_basis, tproj, _ = self._realize(t2)
         tpos = {bm: i for i, bm in enumerate(tgt_basis)}
-        cols = []
-        for c in free_cols:
-            i, m = basis[c]
-            prod = ring.normal_form(ring.poly_mul({m: 1}, p))
-            vec = [0] * len(tgt_basis)
-            for mm, cc in prod.items():
-                key = (i, mm)
-                if key in tpos:
-                    vec[tpos[key]] = cc
-            cols.append(tproj.apply(vec))
+        proj_cols: Dict[int, List[Tuple[int, int]]] = {}
+        for (r, c), v in tproj.entries.items():
+            proj_cols.setdefault(c, []).append((r, v))
         ent = {}
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
+        for j, c in enumerate(free_cols):
+            i, m = basis[c]
+            col: Dict[int, int] = {}
+            for mm, cc in ring.normal_form(ring.poly_mul({m: 1}, p)).items():
+                for r, v in proj_cols.get(tpos.get((i, mm)), ()):
+                    col[r] = col.get(r, 0) + cc * v
+            for r in sorted(col):
+                v = col[r] % ring.characteristic
                 if v:
-                    ent[(i, j)] = v
-        return SparseMatrix(ring.field, tproj.rows, len(free_cols), ent)
+                    ent[(r, j)] = v
+        return SparseMatrix._trusted(ring.field, tproj.rows, len(free_cols), ent)
 
     def generator_action(self, gi: int, t: int) -> SparseMatrix:
         return self.element_action(self.ring.gen_poly(gi), t)
@@ -740,55 +740,61 @@ class Resolution:
         return len(self.stages) - 1
 
 
-def _minimal_generators(ring: GradedRing, free: FreeModule,
-                        vectors_by_degree, w: Window) -> List[Tuple[int, List[Poly]]]:
+def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
+                        w: Window) -> Tuple[List[Tuple[int, List[Poly]]],
+                                            Dict[int, SparseMatrix]]:
     """Pick minimal submodule generators from degreewise spans, top degree down.
 
-    vectors_by_degree(t) must return a list of k-vectors (coordinates in
-    free.basis_in_degree(t)) spanning the submodule's degree-t piece.
-    Returns [(degree, poly-row)] for each chosen generator.
+    vectors_by_degree(t) must return an int64 array whose rows (coordinates in
+    free.basis_in_degree(t)) form a basis of the submodule's degree-t piece.
+    In each degree a spanning vector becomes a generator when it is not in
+    the span of the ring multiples of the generators chosen so far; the
+    generator is its canonical reduction modulo that span (see
+    exactla.extend_basis), so the choice does not depend on how the span is
+    stored.
+
+    Returns ([(degree, poly-row)] for each chosen generator, maps): maps[t]
+    realizes, for every visited degree t, the map from the free module on
+    the generators to `free` (as poly_matrix_realize would), read off the
+    multiples built on the way.
     """
     top = max((d for d in free.gen_degrees), default=0)
     chosen: List[Tuple[int, List[Poly]]] = []
+    maps: Dict[int, SparseMatrix] = {}
     for t in range(min(top, w.t_hi), w.t_lo - 1, -1):
         basis = free.basis_in_degree(t)
-        if not basis:
+        span_vectors = vectors_by_degree(t) if basis else []
+        if not len(span_vectors):
+            # the submodule vanishes in degree t, and with it every multiple
+            r = sum(ring.dim_in_degree(t - dg) for dg, _ in chosen)
+            maps[t] = SparseMatrix._trusted(ring.field, len(basis), r, {})
             continue
-        span_vectors = vectors_by_degree(t)
-        if not span_vectors:
-            continue
-        # span of ring multiples of already chosen generators in degree t
-        old_rows: List[List[int]] = []
-        for (dg, row) in chosen:
+        # ring multiples of already chosen generators in degree t, one row
+        # each, in FreeModule.basis_in_degree order; each product is
+        # normal-formed once
+        pos = {bm: i for i, bm in enumerate(basis)}
+        ent: Dict[Tuple[int, int], int] = {}
+        r = 0
+        for dg, row in chosen:
+            terms = [(a, p) for a, p in enumerate(row) if p]
             for mu in ring.basis_in_degree(t - dg):
-                scaled = [ring.normal_form(ring.poly_mul({mu: 1}, p)) if p else {}
-                          for p in row]
-                old_rows.append(free.coords(scaled, t, basis))
-        f = ring.field
-        old = SparseMatrix.from_rows(f, old_rows, cols=len(basis)) if old_rows \
-            else SparseMatrix(f, 0, len(basis))
-        red, pivots = rref(old)
-        pivot_rows = red.to_dense()[:len(pivots)]
-        for v in span_vectors:
-            vv = list(v)
-            # reduce against current row space
-            for prow, pc in zip(pivot_rows, pivots):
-                c = vv[pc]
-                if c:
-                    vv = [(a - c * b) % ring.characteristic for a, b in zip(vv, prow)]
-            if any(vv):
-                # normalize leading coordinate
-                lead = next(i for i, x in enumerate(vv) if x)
-                inv = f.inv(vv[lead])
-                vv = [(x * inv) % ring.characteristic for x in vv]
-                chosen.append((t, free.element_from_coords(vv, t)))
-                # insert into reduced row space
-                pivot_rows.append(vv)
-                pivots.append(lead)
-                order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-                pivot_rows = [pivot_rows[i] for i in order]
-                pivots = [pivots[i] for i in order]
-    return chosen
+                for a, p in terms:
+                    for m, c in ring.normal_form(ring.poly_mul({mu: 1}, p)).items():
+                        try:
+                            ent[(r, pos[(a, m)])] = c
+                        except KeyError:
+                            raise ContractViolation(
+                                "element has support outside basis degree") from None
+                r += 1
+        old = SparseMatrix._trusted(ring.field, r, len(basis), ent)
+        for vv in extend_basis(old, span_vectors):
+            chosen.append((t, free.element_from_coords(vv.tolist(), t)))
+            for c in np.flatnonzero(vv).tolist():
+                ent[(r, c)] = int(vv[c])
+            r += 1
+        maps[t] = SparseMatrix._trusted(ring.field, len(basis), r,
+                                        {(j, i): c for (i, j), c in ent.items()})
+    return chosen, maps
 
 
 def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolution:
@@ -801,15 +807,13 @@ def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolu
     diffs: List[Dict[Tuple[int, int], Poly]] = []
 
     def relation_vectors(t):
-        span = mod._relation_span(t)
-        red, pivots = rref(span)
-        dense = red.to_dense()
-        return [dense[i] for i in range(len(pivots))]
+        red, pivots = rref(mod._relation_span(t))
+        return red.array[:len(pivots)]
 
     prev_vectors = relation_vectors
     prev_free = stages[0]
     for step in range(length):
-        gens = _minimal_generators(ring, prev_free, prev_vectors, w)
+        gens, maps = _minimal_generators(ring, prev_free, prev_vectors, w)
         if not gens:
             stages.append(FreeModule(ring, []))
             diffs.append({})
@@ -825,22 +829,12 @@ def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolu
                     dmat[(a, b)] = p
         stages.append(new_free)
         diffs.append(dmat)
-
-        def kernel_vectors(t, nf=new_free, pf=prev_free, dm=dmat):
-            mat = poly_matrix_realize(ring, nf, pf, dm, t)
-            return kernel_basis(mat)
-
-        prev_vectors = kernel_vectors
+        prev_vectors = lambda t, maps=maps: kernel_rows(maps[t])[0]
         prev_free = new_free
     return Resolution(ring, stages, diffs, w)
 
 
 # Tor / Ext -----------------------------------------------------------------
-
-
-def _complex_homology_dims(mats: List[SparseMatrix]) -> List[int]:
-    """Homology dims of ... -> V_{i+1} --mats[i]--> V_i -> ...; mats[i] maps i+1 to i."""
-    raise NotImplementedError  # kept simple; handled inline where used
 
 
 def tor(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, int], int]:

@@ -2,6 +2,7 @@
 conventions and the bundled corpus."""
 
 import json
+import time
 
 import pytest
 
@@ -143,6 +144,31 @@ def test_main_parse_failure_exit_one(tmp_path, capsys):
     inp = write(tmp_path, "[ring R]\nchar = 6\ngenerators = x:-1\n"
                           "[run]\nhilbert R\n")
     assert main(["--input", inp]) == 1
+
+
+def test_huge_characteristic_is_diagnostic(tmp_path, capsys):
+    # trial division of a characteristic this size would not finish
+    inp = write(tmp_path, "[ring R]\nchar = 1" + "0" * 39 + "1\n"
+                          "generators = x:-1\n[run]\nhilbert R\n")
+    start = time.perf_counter()
+    assert main(["--input", inp]) == 1
+    assert time.perf_counter() - start < 5.0
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert len(diags) == 1 and diags[0]["line"] == 1
+    assert "2^31" in diags[0]["message"]
+
+
+def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
+    # all 210 quadratic monomials in 20 variables: more than 20000 S-pairs
+    names = [f"x{i}" for i in range(20)]
+    rels = ", ".join(f"{a}*{b}" for i, a in enumerate(names) for b in names[i:])
+    inp = write(tmp_path, "[ring R]\nchar = 2\n"
+                          f"generators = {', '.join(n + ':-1' for n in names)}\n"
+                          f"relations = {rels}\n\n[run]\nhilbert R\n")
+    assert main(["--input", inp, "--window", "0:0"]) == 1
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert len(diags) == 1 and diags[0]["line"] == 7
+    assert diags[0]["message"].startswith("completion runaway")
 
 
 # corpus -----------------------------------------------------------------------
