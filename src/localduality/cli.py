@@ -26,7 +26,7 @@ from .torsion import (SpecSubset, check_recollement, delta, gamma,
 from .cohom import (cech_cohomology, collapse_check, local_cohomology,
                     local_homology, oracle_agreement)
 from .duality import (absolute_gorenstein_check, dual_localize,
-                      gorenstein_certificate, injective_hull, maximal_ideal,
+                      gorenstein_certificate, injective_hull,
                       orthogonality_check, twist_check)
 from .relative import (RingMap, compactness_certificate, dualizing_module,
                        theorem_bc_check, transitivity_check)
@@ -364,8 +364,14 @@ class Runner:
         self.seed = seed
         self.s_max = s_max
 
-    def window(self, args: List[str], want: int) -> Tuple[List[str], Window]:
-        """Consume a trailing window argument (name or LO:HI) if present."""
+    def window(self, args: List[str], *names: str) -> Tuple[List[str], Window]:
+        """Check that the positional arguments `names` are present, then
+        consume a trailing window argument (name or LO:HI) if present."""
+        want = len(names)
+        if len(args) < want:
+            raise CommandError("missing argument: expected "
+                               + " ".join(f"<{n}>" for n in names)
+                               + " [window]")
         if len(args) > want:
             tail = args[-1]
             if tail in self.env.spec.windows:
@@ -396,13 +402,13 @@ class Runner:
     # tables ------------------------------------------------------------------
 
     def cmd_hilbert(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
         return {"kind": "hilbert", "name": pos[0],
                 "table": _dim_rows(hilbert_function(m, w))}
 
     def cmd_resolve(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
         length = int(kv.get("length", "4"))
         res = minimal_free_resolution(m, length, w)
@@ -411,7 +417,7 @@ class Runner:
                 "degrees": [list(st.gen_degrees) for st in res.stages]}
 
     def cmd_tor(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "module")
         a = self.env.module_or_ring(pos[0])
         b = self.env.module_or_ring(pos[1])
         tt = tor(a, b, w)
@@ -419,7 +425,7 @@ class Runner:
                                                      for (p, t), v in tt.items()})}
 
     def cmd_ext(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "module")
         a = self.env.module_or_ring(pos[0])
         b = self.env.module_or_ring(pos[1])
         tt = ext(a, b, w)
@@ -427,7 +433,7 @@ class Runner:
                                                      for (p, t), v in tt.items()})}
 
     def cmd_koszul(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "elements")
         m = self.env.module_or_ring(pos[0])
         elems = [x for x in pos[1].split(",") if x]
         C = koszul_object(m, elems, w)
@@ -436,7 +442,7 @@ class Runner:
     # tower functors ----------------------------------------------------------
 
     def _functor(self, fn, pos, kind):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         r = fn(m, SpecSubset.of_ideal(p), w, self.s_max)
@@ -463,28 +469,28 @@ class Runner:
     # local (co)homology ------------------------------------------------------
 
     def cmd_lc(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         return {"kind": "local_cohomology",
                 "table": local_cohomology(m, p, w, self.s_max).to_rows()}
 
     def cmd_lh(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         return {"kind": "local_homology",
                 "table": local_homology(m, p, w, self.s_max).to_rows()}
 
     def cmd_cech(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         return {"kind": "cech",
                 "table": cech_cohomology(m, p, w, self.s_max).to_rows()}
 
     def cmd_collapse_check(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         rep = collapse_check(m, p, w)
@@ -493,14 +499,14 @@ class Runner:
                            if isinstance(v, (bool, int, str))}}
 
     def cmd_oracle_check(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
         rep = oracle_agreement(m, w)
         return {"kind": "oracle-check", "verdict": bool(rep["verdict"]),
                 "stable_entries": rep["stable_entries"]}
 
     def cmd_recollement_check(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         rep = check_recollement(m, SpecSubset.of_ideal(p), w, self.s_max)
@@ -510,7 +516,7 @@ class Runner:
                 "verdict": all(verdicts.values())}
 
     def cmd_l2g_check(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "prime")
         m = self.env.module_or_ring(pos[0])
         primes = []
         for a in pos[1:]:
@@ -527,12 +533,12 @@ class Runner:
     # duality -----------------------------------------------------------------
 
     def cmd_matlis(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
         return {"kind": "matlis", "table": _dim_rows(matlis_dual(m, w).dims)}
 
     def cmd_ihull(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "ideal")
         p = self.env.ideal(pos[0])
         im = injective_hull(p, w, seed=self.seed)
         out = {"kind": "ihull", "route": im.route, "flags": im.flags}
@@ -544,7 +550,7 @@ class Runner:
         return out
 
     def cmd_dual_localize(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
         rep = dual_localize(m, p, w, seed=self.seed)
@@ -554,7 +560,7 @@ class Runner:
                 "flags": rep.get("flags", []), "seed": self.seed}
 
     def cmd_gorenstein(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "ring")
         ring = self.env.ring(pos[0])
         cert = gorenstein_certificate(ring, w, seed=self.seed)
         out = {"kind": "gorenstein", "name": pos[0],
@@ -567,7 +573,7 @@ class Runner:
         return out
 
     def cmd_abs_gorenstein(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "ring", "ideal")
         ring = self.env.ring(pos[0])
         p = self.env.ideal(pos[1])
         rep = absolute_gorenstein_check(ring, p, w, seed=self.seed)
@@ -576,7 +582,7 @@ class Runner:
                 "dimension": rep["dimension"], "seed": self.seed}
 
     def cmd_twist_check(self, pos, kv):
-        pos, w = self.window(pos, 3)
+        pos, w = self.window(pos, "ring", "module", "ideal")
         ring = self.env.ring(pos[0])
         J = None if pos[1] == "0" else self.env.module_or_ring(pos[1])
         p = self.env.ideal(pos[2])
@@ -586,7 +592,7 @@ class Runner:
                 "expected": {str(k): v for k, v in rep["expected"].items()}}
 
     def cmd_orthogonality(self, pos, kv):
-        pos, w = self.window(pos, 3)
+        pos, w = self.window(pos, "ideal", "ideal", "element")
         p = self.env.ideal(pos[0])
         q = self.env.ideal(pos[1])
         rep = orthogonality_check(p, q, pos[2], w)
@@ -596,14 +602,14 @@ class Runner:
     # relative ----------------------------------------------------------------
 
     def cmd_compact_check(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "map")
         f = self.env.ring_map(pos[0])
         rep = compactness_certificate(f, w)
         return {"kind": "compact-check", "verdict": bool(rep["certified"]),
                 "ranks": rep["ranks"], "reason": rep.get("reason")}
 
     def cmd_omega(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "map")
         f = self.env.ring_map(pos[0])
         om = dualizing_module(f, w, seed=self.seed)
         out = {"kind": "omega", "map": pos[0],
@@ -615,7 +621,7 @@ class Runner:
         return out
 
     def cmd_bc_check(self, pos, kv):
-        pos, w = self.window(pos, 2)
+        pos, w = self.window(pos, "map", "ideal")
         f = self.env.ring_map(pos[0])
         p = self.env.ideal(pos[1])
         rep = theorem_bc_check(f, p, w, seed=self.seed)
@@ -625,7 +631,7 @@ class Runner:
                 "seed": self.seed}
 
     def cmd_transitivity_check(self, pos, kv):
-        pos, w = self.window(pos, 1)
+        pos, w = self.window(pos, "map")
         f = self.env.ring_map(pos[0])
         r = RingMap.unit(f.source)
         rep = transitivity_check(r, f, w, seed=self.seed)
@@ -730,9 +736,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--window", default="-8:8", metavar="LO:HI")
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="write the JSON report here (default: stdout)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface stability; commands are "
-                         "executed in declaration order")
     ap.add_argument("--s-max", type=int, default=None,
                     help="tower stage cap (default: window span + 4)")
     args = ap.parse_args(argv)

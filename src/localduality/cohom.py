@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exactla import ContractViolation, SparseMatrix, rank, solve_matrix
-from .graded import (ExtField, GradedModule, GradedRing, HomIdeal, Window,
+from .exactla import ContractViolation
+from .graded import (ExtField, GradedModule, HomIdeal, Window,
                      _eval_poly, _sample_point, hilbert_function,
                      minimal_free_resolution)
-from .complexes import (WindowedComplex, direct_sum, homology, homology_space,
-                        module_complex, shift)
-from .torsion import (SpecSubset, complex_element_action, default_s_max,
-                      gamma, completion, localize_away, _ideal_data)
+from .complexes import (complex_element_action, direct_sum,
+                        induced_on_homology, module_complex, shift)
+from .torsion import (SpecSubset, default_s_max, gamma, completion,
+                      _ideal_data)
 
 import random
 
@@ -47,15 +47,6 @@ class CohomologyTable:
 
     def dim(self, i: int, t: int) -> int:
         return self.entries.get((i, t), 0)
-
-    def totalize(self, n_lo: int, n_hi: int) -> Dict[int, int]:
-        """Totals per homotopy degree n = t - i."""
-        out: Dict[int, int] = {}
-        for (i, t), v in self.entries.items():
-            n = t - i
-            if n_lo <= n <= n_hi:
-                out[n] = out.get(n, 0) + v
-        return out
 
     def max_index(self) -> int:
         return max((i for (i, _t) in self.entries), default=0)
@@ -216,23 +207,9 @@ def torsionness_check(mod: GradedModule, p: HomIdeal, w: Window,
     g = gamma(mod, v, w, s_max)
     model = g.model
     ring = mod.ring
-    fld = ring.field
     checked = 0
     unchecked = 0
     failures: List[Tuple[int, int, str]] = []
-
-    def induced(q, s, t, dq):
-        K1, P1 = homology_space(model, s, t)
-        K2, P2 = homology_space(model, s, t + dq)
-        if P1.rows == 0 or P2.rows == 0:
-            return SparseMatrix(fld, P2.rows, P1.rows)
-        mat = complex_element_action(model, q, s, t, ring)
-        x = solve_matrix(K2, mat @ K1)
-        if x is None:
-            raise ContractViolation("action does not preserve cycles")
-        sec = solve_matrix(P1, SparseMatrix.identity(fld, P1.rows))
-        return P2 @ x @ sec
-
     for q in p.gens:
         if not q:
             continue
@@ -245,7 +222,9 @@ def torsionness_check(mod: GradedModule, p: HomIdeal, w: Window,
             tt = t
             dead = False
             while tt + dq >= w.t_lo:
-                step = induced(q, s, tt, dq)
+                step = induced_on_homology(
+                    model, model, s, tt, tt + dq,
+                    lambda: complex_element_action(model, q, s, tt, ring))
                 comp = step if comp is None else step @ comp
                 tt += dq
                 if not comp.entries:

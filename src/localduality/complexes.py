@@ -2,8 +2,10 @@
 
 Two representations cooperate here.  FreeComplex is a bounded complex of
 finite free modules with ring-element differentials; it supports structural
-operations (shift, cone, tensor, dual) exactly and realizes against any
-module to matrices.  WindowedComplex is the generic degreewise form: one
+operations (shift, cone, tensor, dual) exactly.  free_tensor realizes F (x) X
+for a free complex F and any windowed complex X, and is the one realization
+engine: realizing against a module tensors with the module viewed as a
+complex.  WindowedComplex is the generic degreewise form: one
 k-vector space per bidegree (s, t), differentials lowering s by one, and
 ring-generator action matrices.  Homological degree s is bounded on both
 sides; internal degree t vanishes above a known top and is only known down
@@ -12,13 +14,11 @@ to the window floor.
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactla import (ContractViolation, SparseMatrix, kernel_basis,
-                      quotient_projection, rank, rref, solve_matrix)
-from .graded import (FreeModule, GradedModule, GradedRing, Poly, Window,
-                     poly_matrix_realize)
+from .exactla import (ContractViolation, SparseMatrix, kernel_rows,
+                      quotient_projection, rank, solve_matrix)
+from .graded import FreeModule, GradedModule, GradedRing, Poly, Window
 
 BiDeg = Tuple[int, int]
 
@@ -45,6 +45,7 @@ class WindowedComplex:
         self.t_top = t_top
         self.window = window
         self.flags = dict(flags or {})
+        self._hspaces: Dict[BiDeg, Tuple] = {}
         if validate:
             self.validate()
 
@@ -72,6 +73,12 @@ class WindowedComplex:
 
     def bidegrees(self):
         return sorted(self.dims)
+
+    def hspace(self, s: int, t: int):
+        """homology_space(self, s, t), computed once per bidegree."""
+        if (s, t) not in self._hspaces:
+            self._hspaces[(s, t)] = homology_space(self, s, t)
+        return self._hspaces[(s, t)]
 
     def validate(self):
         for (s, t), m in self.diffs.items():
@@ -252,8 +259,10 @@ def tensor(a: WindowedComplex, b: WindowedComplex) -> WindowedComplex:
             layout[(s, t)] = parts
             raw_dim[(s, t)] = off
 
-    # balancing relation span and quotient projections
+    # balancing relation span, quotient projections and sections of them;
+    # any section works because the maps we conjugate descend to the quotient
     proj: Dict[BiDeg, SparseMatrix] = {}
+    section: Dict[BiDeg, SparseMatrix] = {}
     for (s, t), parts in layout.items():
         pos = {(p[0], p[1]): p for p in parts}
         rows: List[Dict[int, int]] = []
@@ -299,19 +308,10 @@ def tensor(a: WindowedComplex, b: WindowedComplex) -> WindowedComplex:
             for j, v in row.items():
                 ent[(i, j)] = v
         span = SparseMatrix(fld, len(rows), raw_dim[(s, t)], ent)
-        proj[(s, t)], _ = quotient_projection(span)
+        proj[(s, t)], free = quotient_projection(span)
+        section[(s, t)] = _inclusion(fld, span.cols, free)
 
     dims = {k: p.rows for k, p in proj.items() if p.rows}
-
-    # a section of each projection; any preimage works because the maps we
-    # conjugate descend to the quotient
-    section: Dict[BiDeg, SparseMatrix] = {}
-    for key, p in proj.items():
-        ident = SparseMatrix.identity(fld, p.rows)
-        sol = solve_matrix(p, ident)
-        if sol is None:
-            raise ContractViolation("projection without section")
-        section[key] = sol
 
     def raw_map(key_src, key_tgt, block_fn):
         """Assemble a raw-summand level map then conjugate by proj/section."""
@@ -377,15 +377,21 @@ def tensor(a: WindowedComplex, b: WindowedComplex) -> WindowedComplex:
 # homology ------------------------------------------------------------------
 
 
+def _inclusion(fld, cols: int, free: List[int]) -> SparseMatrix:
+    """The section e_i -> e_free[i] of a quotient projection with complement
+    basis free; quotient_projection's matrix is the identity on it."""
+    return SparseMatrix._trusted(fld, cols, len(free),
+                                 {(c, i): 1 for i, c in enumerate(free)})
+
+
 def homology_space(c: WindowedComplex, s: int, t: int):
-    """(cycle basis matrix K, projection P from cycle coords to homology coords)."""
+    """(K, P, sec) for H_{s,t}: the columns of K are a cycle basis, P projects
+    cycle coordinates onto homology coordinates, and sec is a section of P,
+    the inclusion of the complement basis on which P is the identity."""
     fld = c.ring.field
-    d_out = c.diff(s, t)
     d_in = c.diff(s + 1, t)
-    cyc = kernel_basis(d_out)
-    K = SparseMatrix.from_rows(fld, [list(v) for v in cyc],
-                               cols=c.dim(s, t)).transpose() if cyc else \
-        SparseMatrix(fld, c.dim(s, t), 0)
+    k, _ = kernel_rows(c.diff(s, t))
+    K = SparseMatrix._from_array(fld, k.T)
     # image of d_in expressed in cycle coordinates
     if d_in.entries and K.cols:
         img = solve_matrix(K, d_in)
@@ -394,8 +400,8 @@ def homology_space(c: WindowedComplex, s: int, t: int):
         span = img.transpose()
     else:
         span = SparseMatrix(fld, 0, K.cols)
-    P, _ = quotient_projection(span)
-    return K, P
+    P, free = quotient_projection(span)
+    return K, P, _inclusion(fld, K.cols, free)
 
 
 def homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[BiDeg, int]:
@@ -431,37 +437,24 @@ def total_homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[int, 
     return {n: v for n, v in sorted(out.items()) if v}
 
 
-def homology_induced(f: ComplexMap, s: int, t: int) -> SparseMatrix:
-    """Map induced on H_{s,t} by a chain map."""
-    KA, PA = homology_space(f.source, s, t)
-    KB, PB = homology_space(f.target, s, t)
-    fld = f.source.ring.field
-    if PA.rows == 0 or PB.rows == 0:
-        return SparseMatrix(fld, PB.rows, PA.rows)
-    fk = f.comp(s, t) @ KA
-    x = solve_matrix(KB, fk)
+def induced_on_homology(source: WindowedComplex, target: WindowedComplex,
+                        s: int, t: int, t2: int,
+                        chain: Callable[[], SparseMatrix]) -> SparseMatrix:
+    """Map H_{s,t}(source) -> H_{s,t2}(target) induced by a chain-level map.
+
+    chain() returns the matrix source_{s,t} -> target_{s,t2}; it is built
+    only when both homology spaces are nonzero.  The map descends to
+    homology, so pushing the section's cycle representatives through it and
+    projecting gives the induced matrix whichever section is used.
+    """
+    Ks, Ps, sec = source.hspace(s, t)
+    Kt, Pt, _ = target.hspace(s, t2)
+    if Ps.rows == 0 or Pt.rows == 0:
+        return SparseMatrix(source.ring.field, Pt.rows, Ps.rows)
+    x = solve_matrix(Kt, chain() @ (Ks @ sec))
     if x is None:
-        raise ContractViolation("chain map does not preserve cycles")
-    return PB @ x @ solve_matrix(PA, SparseMatrix.identity(fld, PA.rows))
-
-
-def is_quasi_iso(f: ComplexMap, w: Optional[Window] = None) -> bool:
-    """Chain map inducing isomorphisms on homology over the overlap window."""
-    A, B = f.source, f.target
-    w = w or Window(max(A.window.t_lo, B.window.t_lo),
-                    min(A.window.t_hi, B.window.t_hi))
-    for s in range(min(A.s_min, B.s_min), max(A.s_max, B.s_max) + 1):
-        for t in w.t_range():
-            _, PA = homology_space(A, s, t)
-            _, PB = homology_space(B, s, t)
-            if PA.rows != PB.rows:
-                return False
-            if PA.rows == 0:
-                continue
-            m = homology_induced(f, s, t)
-            if rank(m) != PA.rows:
-                return False
-    return True
+        raise ContractViolation("map does not preserve cycles")
+    return Pt @ x
 
 
 # free complexes ------------------------------------------------------------
@@ -612,60 +605,16 @@ class FreeComplex:
                 diffs[-(s - 1)] = ent
         return FreeComplex(ring, stages, diffs)
 
-    def compose_map(self, other: "FreeComplex",
-                    comps: Dict[int, Dict[Tuple[int, int], Poly]]):
-        return comps
-
     def realize(self, mod: Optional[GradedModule], w: Window,
                 validate: bool = True) -> WindowedComplex:
-        """Tensor with a module and realize degreewise."""
-        ring = self.ring
+        """Tensor with a module (the ring when None), realized over w."""
         if mod is None:
-            mod = GradedModule.free_module(ring, [0], name="R")
-        dims: Dict[BiDeg, int] = {}
-        offsets: Dict[Tuple[int, int], List[int]] = {}
-        for s, f in self.stages.items():
-            for t in w.t_range():
-                offs, acc = [], 0
-                for d in f.gen_degrees:
-                    offs.append(acc)
-                    acc += mod.dim_in_degree(t - d)
-                offsets[(s, t)] = offs
-                if acc:
-                    dims[(s, t)] = acc
-        diffs: Dict[BiDeg, SparseMatrix] = {}
-        for s, dmat in self.diffs.items():
-            src, tgt = self.stage(s), self.stage(s - 1)
-            for t in w.t_range():
-                ent: Dict[Tuple[int, int], int] = {}
-                for (a, b), p in dmat.items():
-                    act = mod.element_action(p, t - src.gen_degrees[b])
-                    for (r, c), v in act.entries.items():
-                        key = (offsets[(s - 1, t)][a] + r, offsets[(s, t)][b] + c)
-                        ent[key] = (ent.get(key, 0) + v) % ring.characteristic
-                ent = {k: v for k, v in ent.items() if v}
-                if ent:
-                    diffs[(s, t)] = SparseMatrix(
-                        ring.field, dims.get((s - 1, t), 0), dims.get((s, t), 0), ent)
-        actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
-        for g, gen in enumerate(ring.generators):
-            for s, f in self.stages.items():
-                for t in w.t_range():
-                    t2 = t + gen.degree
-                    if t2 < w.t_lo or t2 > w.t_hi or not dims.get((s, t)):
-                        continue
-                    ent = {}
-                    offs2 = offsets[(s, t2)]
-                    for b, d in enumerate(f.gen_degrees):
-                        act = mod.generator_action(g, t - d)
-                        for (r, c), v in act.entries.items():
-                            ent[(offs2[b] + r, offsets[(s, t)][b] + c)] = v
-                    if ent:
-                        actions[(g, s, t)] = SparseMatrix(
-                            ring.field, dims.get((s, t2), 0), dims[(s, t)], ent)
-        top = self.top_internal() + mod.top_degree
-        out = WindowedComplex(ring, dims, diffs, actions,
-                              self.s_min, self.s_max, top, w)
+            mod = GradedModule.free_module(self.ring, [0], name="R")
+        max_gd = max((max(f.gen_degrees) for f in self.stages.values()),
+                     default=0)
+        X = module_complex(mod, Window(w.t_lo - max(0, max_gd),
+                                       max(w.t_hi, mod.top_degree)))
+        out, _ = free_tensor(self, X, t_floor=w.t_lo)
         if validate:
             out.validate()
         return out
@@ -675,39 +624,190 @@ class FreeComplex:
         """Hom(self, mod) realized degreewise (finite free, so dual @ mod)."""
         return self.dual().realize(mod, w, validate=validate)
 
-    def realize_map(self, other: "FreeComplex",
-                    comps: Dict[int, Dict[Tuple[int, int], Poly]],
-                    mod: Optional[GradedModule], w: Window,
-                    c_self: Optional[WindowedComplex] = None,
-                    c_other: Optional[WindowedComplex] = None) -> ComplexMap:
-        """Realize a ring-entry chain map self -> other against a module."""
-        ring = self.ring
-        if mod is None:
-            mod = GradedModule.free_module(ring, [0], name="R")
-        A = c_self if c_self is not None else self.realize(mod, w, validate=False)
-        B = c_other if c_other is not None else other.realize(mod, w, validate=False)
-        out: Dict[BiDeg, SparseMatrix] = {}
-        for s, cmap in comps.items():
-            src, tgt = self.stage(s), other.stage(s)
-            for t in w.t_range():
-                offs_s, acc = [], 0
-                for d in src.gen_degrees:
-                    offs_s.append(acc)
-                    acc += mod.dim_in_degree(t - d)
-                offs_t, acc2 = [], 0
-                for d in tgt.gen_degrees:
-                    offs_t.append(acc2)
-                    acc2 += mod.dim_in_degree(t - d)
-                ent: Dict[Tuple[int, int], int] = {}
-                for (a, b), p in cmap.items():
-                    act = mod.element_action(p, t - src.gen_degrees[b])
+
+# free (x) windowed realization ----------------------------------------------
+
+
+def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
+                           ring: GradedRing) -> SparseMatrix:
+    """Multiplication by a homogeneous element on a realized complex."""
+    fld = ring.field
+    if not p:
+        return SparseMatrix(fld, 0, X.dim(s, t))
+    dp = ring.poly_degree(p)
+    out = SparseMatrix(fld, X.dim(s, t + dp), X.dim(s, t))
+    for mono, c in p.items():
+        cur = SparseMatrix.identity(fld, X.dim(s, t))
+        tc = t
+        ok = True
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                a = X.action(i, s, tc)
+                if a.cols != cur.rows:
+                    ok = False
+                    break
+                cur = a @ cur
+                tc += ring.generators[i].degree
+            if not ok:
+                break
+        if ok and cur.rows == out.rows:
+            out = out.add(cur.scale(c))
+    return out
+
+
+def free_tensor(F: FreeComplex, X: WindowedComplex,
+                t_floor: Optional[int] = None):
+    """F tensor X for F free; returns (complex, layout).
+
+    layout[(s, t)] is a list of (stage sigma, gen index b, offset, block dim).
+    The valid floor is X's floor plus the largest free generator degree.
+    """
+    ring = F.ring
+    fld = ring.field
+    max_gd = max((max(f.gen_degrees, default=0) for f in F.stages.values()),
+                 default=0)
+    lo = max(t_floor if t_floor is not None else -10 ** 9,
+             X.window.t_lo + max(0, max_gd))
+    t_top = X.t_top + F.top_internal()
+    if lo > t_top:
+        lo = t_top
+    s_lo = F.s_min + X.s_min
+    s_hi = F.s_max + X.s_max
+    layout: Dict[BiDeg, List[Tuple[int, int, int, int]]] = {}
+    dims: Dict[BiDeg, int] = {}
+    for s in range(s_lo, s_hi + 1):
+        for t in range(lo, t_top + 1):
+            entries = []
+            off = 0
+            for sigma in range(F.s_min, F.s_max + 1):
+                f = F.stage(sigma)
+                for b, gd in enumerate(f.gen_degrees):
+                    d = X.dim(s - sigma, t - gd)
+                    if d:
+                        entries.append((sigma, b, off, d))
+                        off += d
+            layout[(s, t)] = entries
+            if off:
+                dims[(s, t)] = off
+    diffs: Dict[BiDeg, SparseMatrix] = {}
+    actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
+    for (s, t), parts in layout.items():
+        tgt = layout.get((s - 1, t))
+        if tgt is not None:
+            tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
+            ent: Dict[Tuple[int, int], int] = {}
+            for sigma, b, off, d in parts:
+                f = F.stage(sigma)
+                gd = f.gen_degrees[b]
+                # free-side differential
+                for (a, bb), q in F.diff_entries(sigma).items():
+                    if bb != b:
+                        continue
+                    key = (sigma - 1, a)
+                    if key not in tpos:
+                        continue
+                    toff, td = tpos[key]
+                    act = complex_element_action(X, q, s - sigma, t - gd, ring)
                     for (r, c), v in act.entries.items():
-                        key = (offs_t[a] + r, offs_s[b] + c)
-                        ent[key] = (ent.get(key, 0) + v) % ring.characteristic
-                ent = {k: v for k, v in ent.items() if v}
-                if ent:
-                    out[(s, t)] = SparseMatrix(ring.field, acc2, acc, ent)
-        return ComplexMap(A, B, out)
+                        k = (toff + r, off + c)
+                        ent[k] = (ent.get(k, 0) + v) % ring.characteristic
+                # inner differential with homological sign
+                key = (sigma, b)
+                if key in tpos:
+                    toff, td = tpos[key]
+                    dx = X.diff(s - sigma, t - gd)
+                    sgn = -1 if sigma % 2 else 1
+                    for (r, c), v in dx.entries.items():
+                        k = (toff + r, off + c)
+                        ent[k] = (ent.get(k, 0) + sgn * v) % ring.characteristic
+            ent = {k: v for k, v in ent.items() if v}
+            if ent:
+                diffs[(s, t)] = SparseMatrix(fld, dims.get((s - 1, t), 0),
+                                             dims.get((s, t), 0), ent)
+        for g, gen in enumerate(ring.generators):
+            tgt = layout.get((s, t + gen.degree))
+            if tgt is None:
+                continue
+            tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
+            ent = {}
+            for sigma, b, off, d in parts:
+                gd = F.stage(sigma).gen_degrees[b]
+                if (sigma, b) not in tpos:
+                    continue
+                toff, td = tpos[(sigma, b)]
+                act = X.action(g, s - sigma, t - gd)
+                for (r, c), v in act.entries.items():
+                    ent[(toff + r, off + c)] = v
+            if ent:
+                actions[(g, s, t)] = SparseMatrix(
+                    fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
+    C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
+                        Window(lo, max(lo, t_top)), flags=dict(X.flags))
+    return C, layout
+
+
+def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
+                    comps: Dict[int, Dict[Tuple[int, int], Poly]],
+                    X: WindowedComplex, Cs: WindowedComplex, Ls,
+                    Ct: WindowedComplex, Lt) -> ComplexMap:
+    """Realize a free-side chain map against a fixed second factor."""
+    ring = Fsrc.ring
+    out: Dict[BiDeg, SparseMatrix] = {}
+    for (s, t), parts in Ls.items():
+        tgt = Lt.get((s, t))
+        if tgt is None:
+            continue
+        tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
+        ent: Dict[Tuple[int, int], int] = {}
+        for sigma, b, off, d in parts:
+            gd = Fsrc.stage(sigma).gen_degrees[b]
+            for (a, bb), q in comps.get(sigma, {}).items():
+                if bb != b:
+                    continue
+                key = (sigma, a)
+                if key not in tpos:
+                    continue
+                toff, td = tpos[key]
+                act = complex_element_action(X, q, s - sigma, t - gd, ring)
+                for (r, c), v in act.entries.items():
+                    k = (toff + r, off + c)
+                    ent[k] = (ent.get(k, 0) + v) % ring.characteristic
+        ent = {k: v for k, v in ent.items() if v}
+        if ent:
+            out[(s, t)] = SparseMatrix(ring.field, Ct.dim(s, t), Cs.dim(s, t), ent)
+    return ComplexMap(Cs, Ct, out)
+
+
+def projection_to_unit(F: FreeComplex, C: WindowedComplex, L,
+                       X: WindowedComplex, unit_stage: int = 0) -> ComplexMap:
+    """Project F tensor X onto the block of F's degree-0 rank-1 unit generator."""
+    ring = F.ring
+    f0 = F.stage(unit_stage)
+    unit_idx = next(i for i, d in enumerate(f0.gen_degrees) if d == 0)
+    out: Dict[BiDeg, SparseMatrix] = {}
+    for (s, t), parts in L.items():
+        for sigma, b, off, d in parts:
+            if sigma == unit_stage and b == unit_idx:
+                ent = {(r, off + r): 1 for r in range(d)}
+                out[(s - unit_stage, t)] = SparseMatrix(
+                    ring.field, X.dim(s - unit_stage, t), C.dim(s, t), ent)
+    return ComplexMap(C, X, out)
+
+
+def inclusion_of_unit(F: FreeComplex, C: WindowedComplex, L,
+                      X: WindowedComplex, unit_stage: int = 0) -> ComplexMap:
+    """Include X as the unit-generator block of F tensor X."""
+    ring = F.ring
+    f0 = F.stage(unit_stage)
+    unit_idx = next(i for i, d in enumerate(f0.gen_degrees) if d == 0)
+    out: Dict[BiDeg, SparseMatrix] = {}
+    for (s, t), parts in L.items():
+        for sigma, b, off, d in parts:
+            if sigma == unit_stage and b == unit_idx:
+                ent = {(off + r, r): 1 for r in range(d)}
+                out[(s - unit_stage, t)] = SparseMatrix(
+                    ring.field, C.dim(s, t), X.dim(s - unit_stage, t), ent)
+    return ComplexMap(X, C, out)
 
 
 def resolution_complex(res, w: Window) -> FreeComplex:

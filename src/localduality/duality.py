@@ -6,13 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .exactla import ContractViolation, SparseMatrix, rank, solve_matrix
+from .exactla import ContractViolation, SparseMatrix
 from .graded import (DegreewiseModel, GradedModule, GradedRing, HomIdeal,
-                     Window, hilbert_function, matlis_dual, models_isomorphic)
-from .complexes import (WindowedComplex, homology, homology_space,
-                        module_complex, tensor, total_homology)
-from .torsion import (SpecSubset, complex_element_action, default_s_max,
-                      gamma, telescope_invert)
+                     Window, matlis_dual, models_isomorphic)
+from .complexes import (WindowedComplex, complex_element_action, free_tensor,
+                        homology, induced_on_homology, module_complex, tensor)
+from .torsion import SpecSubset, gamma, koszul_free, telescope_invert
 from .cohom import (CohomologyTable, generic_ext_ranks, local_cohomology)
 
 
@@ -89,31 +88,17 @@ def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
 def homology_model(model: WindowedComplex, s: int, w: Window) -> DegreewiseModel:
     """Generator actions induced on the homology of one homological block."""
     ring = model.ring
-    fld = ring.field
-    dims: Dict[int, int] = {}
-    spaces = {}
-    for t in w.t_range():
-        K, P = homology_space(model, s, t)
-        spaces[t] = (K, P)
-        if P.rows:
-            dims[t] = P.rows
+    dims = {t: model.hspace(s, t)[1].rows for t in w.t_range()}
+    dims = {t: d for t, d in dims.items() if d}
     actions: Dict[Tuple[int, int], SparseMatrix] = {}
     for gi, g in enumerate(ring.generators):
         q = ring.gen_poly(gi)
-        for t in w.t_range():
+        for t in dims:
             t2 = t + g.degree
-            if t2 < w.t_lo or t2 > w.t_hi:
-                continue
-            K1, P1 = spaces[t]
-            K2, P2 = spaces[t2]
-            if P1.rows == 0 or P2.rows == 0:
-                continue
-            mat = complex_element_action(model, q, s, t, ring)
-            x = solve_matrix(K2, mat @ K1)
-            if x is None:
-                raise ContractViolation("action does not preserve cycles")
-            sec = solve_matrix(P1, SparseMatrix.identity(fld, P1.rows))
-            actions[(gi, t)] = P2 @ x @ sec
+            if t2 in dims:
+                actions[(gi, t)] = induced_on_homology(
+                    model, model, s, t, t2,
+                    lambda: complex_element_action(model, q, s, t, ring))
     return DegreewiseModel(ring, dims, actions)
 
 
@@ -355,7 +340,6 @@ def orthogonality_check(p: HomIdeal, q: HomIdeal, u, w: Window,
     if in_p == in_q:
         raise ContractViolation(
             "witness element must lie in exactly one of the two ideals")
-    from .torsion import koszul_free, free_tensor
     Fp = koszul_free(ring, [g for g in p.gens if g])
     Fq = koszul_free(ring, [g for g in q.gens if g])
     F = Fp.tensor(Fq)

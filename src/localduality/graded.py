@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,12 +130,6 @@ class GradedRing:
     def mono_divides(self, a: Mono, b: Mono) -> bool:
         return all(x <= y for x, y in zip(a, b))
 
-    def element_parity(self, p: Poly) -> int:
-        """Parity of a homogeneous element (0 even, 1 odd)."""
-        for m in p:
-            return sum(e * eps for e, eps in zip(m, self.parity)) % 2
-        return 0
-
     # polynomial layer ------------------------------------------------------
 
     def poly_add(self, a: Poly, b: Poly) -> Poly:
@@ -170,10 +164,6 @@ class GradedRing:
                 else:
                     out.pop(m, None)
         return out
-
-    def mono_poly(self, m: Mono, c: int = 1) -> Poly:
-        c %= self.characteristic
-        return {m: c} if c else {}
 
     def one(self) -> Poly:
         return {(0,) * self.n: 1}
@@ -470,15 +460,6 @@ class HomIdeal:
         return self.dim_of_quotient == 0 and all(
             any(m != (0,) * self.ring.n for m in g) for g in self.gens)
 
-    def power_gens(self, s: int) -> List[Poly]:
-        out = []
-        for g in self.gens:
-            p = self.ring.one()
-            for _ in range(s):
-                p = self.ring.poly_mul(p, g)
-            out.append(p)
-        return out
-
     def __repr__(self):
         return f"HomIdeal({self.name}: {[self.ring.poly_str(g) for g in self.gens]})"
 
@@ -661,17 +642,6 @@ class GradedModule:
             gen = self.generators[i][0]
             out.append(gen if mono == "1" else f"{mono}*{gen}")
         return out
-
-    def project(self, t: int, free_vec: Sequence[int]) -> List[int]:
-        _, proj, _ = self._realize(t)
-        return [x % self.ring.characteristic for x in proj.apply(list(free_vec))]
-
-    def lift_basis_element(self, t: int, idx: int) -> List[Poly]:
-        basis, _, free_cols = self._realize(t)
-        i, m = basis[free_cols[idx]]
-        row: List[Poly] = [{} for _ in self.generators]
-        row[i] = {m: 1}
-        return row
 
     def element_action(self, p, t: int) -> SparseMatrix:
         """Matrix of multiplication by homogeneous element p: deg t -> t + |p|."""
@@ -1221,42 +1191,3 @@ def _sample_point(ring: GradedRing, ideal: HomIdeal, ext: ExtField,
             if any(any(x) for x in point) or ring.n == len(odd):
                 return point
     return None
-
-
-def generic_residue_rank(mod: GradedModule, p: HomIdeal, seed: int = 0,
-                         trials: int = 5) -> Tuple[int, bool]:
-    """Fiber rank of the module at the generic point of V(p).
-
-    Evaluates the presentation matrix at sampled points of the variety over
-    field extensions; majority vote over `trials` seeded samples.  Returns
-    (rank, warning) where warning flags an unverifiable primality assertion
-    or sampling trouble.
-    """
-    ring = mod.ring
-    warning = not p.is_prime_asserted
-    votes: List[int] = []
-    rng = random.Random(seed)
-    for trial in range(max(trials, 5)):
-        found = None
-        for e in (2, 3, 4):
-            ext = ExtField(ring.characteristic, e)
-            pt = _sample_point(ring, p, ext, rng)
-            if pt is not None:
-                found = (ext, pt)
-                break
-        if found is None:
-            warning = True
-            continue
-        ext, pt = found
-        rows = []
-        for row in mod.relations:
-            rows.append([_eval_poly(ring, ext, q, pt) if q else ext.zero()
-                         for q in row])
-        r = ext.rank(rows) if rows else 0
-        votes.append(len(mod.generators) - r)
-    if not votes:
-        return 0, True
-    best = max(set(votes), key=votes.count)
-    if votes.count(best) <= len(votes) // 2:
-        warning = True
-    return best, warning

@@ -6,15 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactla import ContractViolation, SparseMatrix, kernel_basis, rank, \
-    solve, solve_matrix, quotient_projection
+from .exactla import ContractViolation, SparseMatrix, kernel_basis, solve
 from .graded import (DegreewiseModel, FreeModule, GradedModule, GradedRing,
                      HomIdeal, Mono, Poly, Window, hilbert_function,
                      matlis_dual, minimal_free_resolution, models_isomorphic,
                      tor)
-from .complexes import (WindowedComplex, homology, homology_space,
+from .complexes import (WindowedComplex, homology, induced_on_homology,
                         module_complex, resolution_complex, tensor)
-from .torsion import SpecSubset, default_s_max, gamma
+from .torsion import SpecSubset, gamma
 from .duality import (GorensteinCertificate, dual_localize,
                       gorenstein_certificate, homology_model, injective_hull,
                       maximal_ideal, shift_model, _is_maximal)
@@ -85,11 +84,6 @@ class RingMap:
                     term = tgt.poly_mul(self.images[i], term)
             out = tgt.poly_add(out, term)
         return tgt.normal_form(out)
-
-    def push_ideal(self, q: HomIdeal, name: Optional[str] = None) -> HomIdeal:
-        gens = [self.push(g) for g in q.gens]
-        gens = [g for g in gens if g]
-        return HomIdeal(self.target, gens, name=name or f"{self.name}({q.name})")
 
     def __repr__(self):
         ims = ", ".join(self.target.poly_str(p) for p in self.images)
@@ -509,34 +503,18 @@ def _omega_homology_model(f: RingMap, wC: WindowedComplex,
                           stage: int, w: Window) -> DegreewiseModel:
     """Target-module structure on the concentrated homology of omega_f."""
     R, S = f.source, f.target
-    fld = R.field
     j0 = -stage
-    dims: Dict[int, int] = {}
-    spaces = {}
-    for t in w.t_range():
-        K, P = homology_space(wC, stage, t)
-        spaces[t] = (K, P)
-        if P.rows:
-            dims[t] = P.rows
+    dims = {t: wC.hspace(stage, t)[1].rows for t in w.t_range()}
+    dims = {t: d for t, d in dims.items() if d}
     actions: Dict[Tuple[int, int], SparseMatrix] = {}
     for j in range(S.n):
         dj = S.generators[j].degree
         mu = mus[j][j0] if j0 < len(mus[j]) else {}
-        for t in w.t_range():
-            t2 = t + dj
-            if t2 < w.t_lo or t2 > w.t_hi:
-                continue
-            K1, P1 = spaces[t]
-            K2, P2 = spaces[t2]
-            if P1.rows == 0 or P2.rows == 0:
-                continue
-            mat = _dual_action_matrix(R, dual_free, mu, t, dj)
-            x = solve_matrix(K2, mat @ K1)
-            if x is None:
-                raise ContractViolation("lifted action does not preserve "
-                                        "cycles")
-            sec = solve_matrix(P1, SparseMatrix.identity(fld, P1.rows))
-            actions[(j, t)] = P2 @ x @ sec
+        for t in dims:
+            if t + dj in dims:
+                actions[(j, t)] = induced_on_homology(
+                    wC, wC, stage, t, t + dj,
+                    lambda: _dual_action_matrix(R, dual_free, mu, t, dj))
     return DegreewiseModel(S, dims, actions)
 
 

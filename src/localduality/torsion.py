@@ -19,8 +19,10 @@ from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Poly,
                      Window)
 from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
-                        cone, homology, homology_induced, homology_space,
-                        module_complex, shift, total_homology)
+                        complex_element_action, cone, free_tensor,
+                        free_tensor_map, homology, inclusion_of_unit,
+                        induced_on_homology, module_complex,
+                        projection_to_unit, shift)
 
 
 @dataclass
@@ -181,227 +183,11 @@ def _subset_chain_map(ring: GradedRing, elems: Sequence[Poly],
 def koszul_object(m, elems: Sequence, w: Window,
                   ring: Optional[GradedRing] = None) -> WindowedComplex:
     """M // (a_1, ..., a_n): tensor of M with the Koszul free complex."""
-    if isinstance(m, GradedModule):
-        ring = m.ring
-    elif ring is None:
-        ring = m.ring
+    ring = ring or m.ring
     polys = [ring.parse(a) if isinstance(a, str) else dict(a) for a in elems]
     F = koszul_free(ring, polys) if polys else FreeComplex.unit(ring)
-    if isinstance(m, GradedModule):
-        return F.realize(m, w, validate=False)
-    C, _ = free_tensor(F, m)
+    C, _ = free_tensor(F, _materialize(ring, m, w, w.t_lo), t_floor=w.t_lo)
     return C
-
-
-# free (x) generic tensor ---------------------------------------------------
-
-
-def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
-                           ring: GradedRing) -> SparseMatrix:
-    """Multiplication by a homogeneous element on a realized complex."""
-    fld = ring.field
-    if not p:
-        return SparseMatrix(fld, 0, X.dim(s, t))
-    dp = ring.poly_degree(p)
-    out = SparseMatrix(fld, X.dim(s, t + dp), X.dim(s, t))
-    for mono, c in p.items():
-        cur = SparseMatrix.identity(fld, X.dim(s, t))
-        tc = t
-        ok = True
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                a = X.action(i, s, tc)
-                if a.cols != cur.rows:
-                    ok = False
-                    break
-                cur = a @ cur
-                tc += ring.generators[i].degree
-            if not ok:
-                break
-        if ok and cur.rows == out.rows:
-            out = out.add(cur.scale(c))
-    return out
-
-
-def free_tensor(F: FreeComplex, X: WindowedComplex,
-                t_floor: Optional[int] = None):
-    """F tensor X for F free; returns (complex, layout).
-
-    layout[(s, t)] is a list of (stage sigma, gen index b, offset, block dim).
-    The valid floor is X's floor plus the largest free generator degree.
-    """
-    ring = F.ring
-    fld = ring.field
-    max_gd = max((max(f.gen_degrees, default=0) for f in F.stages.values()),
-                 default=0)
-    lo = max(t_floor if t_floor is not None else -10 ** 9,
-             X.window.t_lo + max(0, max_gd))
-    t_top = X.t_top + F.top_internal()
-    if lo > t_top:
-        lo = t_top
-    s_lo = F.s_min + X.s_min
-    s_hi = F.s_max + X.s_max
-    layout: Dict[BiDeg, List[Tuple[int, int, int, int]]] = {}
-    dims: Dict[BiDeg, int] = {}
-    for s in range(s_lo, s_hi + 1):
-        for t in range(lo, t_top + 1):
-            entries = []
-            off = 0
-            for sigma in range(F.s_min, F.s_max + 1):
-                f = F.stage(sigma)
-                for b, gd in enumerate(f.gen_degrees):
-                    d = X.dim(s - sigma, t - gd)
-                    if d:
-                        entries.append((sigma, b, off, d))
-                        off += d
-            layout[(s, t)] = entries
-            if off:
-                dims[(s, t)] = off
-    diffs: Dict[BiDeg, SparseMatrix] = {}
-    actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
-    for (s, t), parts in layout.items():
-        tgt = layout.get((s - 1, t))
-        if tgt is not None:
-            tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
-            ent: Dict[Tuple[int, int], int] = {}
-            for sigma, b, off, d in parts:
-                f = F.stage(sigma)
-                gd = f.gen_degrees[b]
-                # free-side differential
-                for (a, bb), q in F.diff_entries(sigma).items():
-                    if bb != b:
-                        continue
-                    key = (sigma - 1, a)
-                    if key not in tpos:
-                        continue
-                    toff, td = tpos[key]
-                    act = complex_element_action(X, q, s - sigma, t - gd, ring)
-                    for (r, c), v in act.entries.items():
-                        k = (toff + r, off + c)
-                        ent[k] = (ent.get(k, 0) + v) % ring.characteristic
-                # inner differential with homological sign
-                key = (sigma, b)
-                if key in tpos:
-                    toff, td = tpos[key]
-                    dx = X.diff(s - sigma, t - gd)
-                    sgn = -1 if sigma % 2 else 1
-                    for (r, c), v in dx.entries.items():
-                        k = (toff + r, off + c)
-                        ent[k] = (ent.get(k, 0) + sgn * v) % ring.characteristic
-            ent = {k: v for k, v in ent.items() if v}
-            if ent:
-                diffs[(s, t)] = SparseMatrix(fld, dims.get((s - 1, t), 0),
-                                             dims.get((s, t), 0), ent)
-        for g, gen in enumerate(ring.generators):
-            tgt = layout.get((s, t + gen.degree))
-            if tgt is None:
-                continue
-            tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
-            ent = {}
-            for sigma, b, off, d in parts:
-                gd = F.stage(sigma).gen_degrees[b]
-                if (sigma, b) not in tpos:
-                    continue
-                toff, td = tpos[(sigma, b)]
-                act = X.action(g, s - sigma, t - gd)
-                for (r, c), v in act.entries.items():
-                    ent[(toff + r, off + c)] = v
-            if ent:
-                actions[(g, s, t)] = SparseMatrix(
-                    fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
-    C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
-                        Window(lo, max(lo, t_top)), flags=dict(X.flags))
-    return C, layout
-
-
-def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
-                    comps: Dict[int, Dict[Tuple[int, int], Poly]],
-                    X: WindowedComplex, Cs: WindowedComplex, Ls,
-                    Ct: WindowedComplex, Lt) -> ComplexMap:
-    """Realize a free-side chain map against a fixed second factor."""
-    ring = Fsrc.ring
-    out: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t), parts in Ls.items():
-        tgt = Lt.get((s, t))
-        if tgt is None:
-            continue
-        tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
-        ent: Dict[Tuple[int, int], int] = {}
-        for sigma, b, off, d in parts:
-            gd = Fsrc.stage(sigma).gen_degrees[b]
-            for (a, bb), q in comps.get(sigma, {}).items():
-                if bb != b:
-                    continue
-                key = (sigma, a)
-                if key not in tpos:
-                    continue
-                toff, td = tpos[key]
-                act = complex_element_action(X, q, s - sigma, t - gd, ring)
-                for (r, c), v in act.entries.items():
-                    k = (toff + r, off + c)
-                    ent[k] = (ent.get(k, 0) + v) % ring.characteristic
-        ent = {k: v for k, v in ent.items() if v}
-        if ent:
-            out[(s, t)] = SparseMatrix(ring.field, Ct.dim(s, t), Cs.dim(s, t), ent)
-    return ComplexMap(Cs, Ct, out)
-
-
-def free_tensor_map_right(F: FreeComplex, f: ComplexMap,
-                          Cs: WindowedComplex, Ls,
-                          Ct: WindowedComplex, Lt) -> ComplexMap:
-    """id_F tensor f for a map f between second factors."""
-    ring = F.ring
-    out: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t), parts in Ls.items():
-        tgt = Lt.get((s, t))
-        if tgt is None:
-            continue
-        tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
-        ent: Dict[Tuple[int, int], int] = {}
-        for sigma, b, off, d in parts:
-            gd = F.stage(sigma).gen_degrees[b]
-            if (sigma, b) not in tpos:
-                continue
-            toff, td = tpos[(sigma, b)]
-            fm = f.comp(s - sigma, t - gd)
-            for (r, c), v in fm.entries.items():
-                ent[(toff + r, off + c)] = v
-        ent = {k: v for k, v in ent.items() if v}
-        if ent:
-            out[(s, t)] = SparseMatrix(ring.field, Ct.dim(s, t), Cs.dim(s, t), ent)
-    return ComplexMap(Cs, Ct, out)
-
-
-def projection_to_unit(F: FreeComplex, C: WindowedComplex, L,
-                       X: WindowedComplex, unit_stage: int = 0) -> ComplexMap:
-    """Project F tensor X onto the block of F's degree-0 rank-1 unit generator."""
-    ring = F.ring
-    f0 = F.stage(unit_stage)
-    unit_idx = next(i for i, d in enumerate(f0.gen_degrees) if d == 0)
-    out: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t), parts in L.items():
-        for sigma, b, off, d in parts:
-            if sigma == unit_stage and b == unit_idx:
-                ent = {(r, off + r): 1 for r in range(d)}
-                out[(s - unit_stage, t)] = SparseMatrix(
-                    ring.field, X.dim(s - unit_stage, t), C.dim(s, t), ent)
-    return ComplexMap(C, X, out)
-
-
-def inclusion_of_unit(F: FreeComplex, C: WindowedComplex, L,
-                      X: WindowedComplex, unit_stage: int = 0) -> ComplexMap:
-    """Include X as the unit-generator block of F tensor X."""
-    ring = F.ring
-    f0 = F.stage(unit_stage)
-    unit_idx = next(i for i, d in enumerate(f0.gen_degrees) if d == 0)
-    out: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t), parts in L.items():
-        for sigma, b, off, d in parts:
-            if sigma == unit_stage and b == unit_idx:
-                ent = {(off + r, r): 1 for r in range(d)}
-                out[(s - unit_stage, t)] = SparseMatrix(
-                    ring.field, C.dim(s, t), X.dim(s - unit_stage, t), ent)
-    return ComplexMap(X, C, out)
 
 
 # towers with stabilization -------------------------------------------------
@@ -423,33 +209,16 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
     stab: Dict[BiDeg, Optional[int]] = {}
     s_lo = min(c.s_min for c in stages)
     s_hi = max(c.s_max for c in stages)
-    cache: Dict[Tuple[int, BiDeg], Tuple] = {}
-    fld = stages[0].ring.field
 
-    def hspace(i, key):
-        if (i, key) not in cache:
-            cache[(i, key)] = homology_space(stages[i], key[0], key[1])
-        return cache[(i, key)]
-
-    def induced(f, src_i, tgt_i, key):
-        from .exactla import solve_matrix
-        Ks, Ps = hspace(src_i, key)
-        Kt, Pt = hspace(tgt_i, key)
-        if Ps.rows == 0 or Pt.rows == 0:
-            return SparseMatrix(fld, Pt.rows, Ps.rows)
-        x = solve_matrix(Kt, f.comp(key[0], key[1]) @ Ks)
-        if x is None:
-            raise ContractViolation("tower map does not preserve cycles")
-        sec = solve_matrix(Ps, SparseMatrix.identity(fld, Ps.rows))
-        return Pt @ x @ sec
+    def hdim(i, key):
+        return stages[i].hspace(*key)[1].rows
 
     last = len(stages) - 1
     tail = min(consec, len(maps))
     for sh in range(s_lo, s_hi + 1):
         for t in w.t_range():
             key = (sh, t)
-            _, Pend = hspace(last, key)
-            end_dim = Pend.rows
+            end_dim = hdim(last, key)
             if not maps:
                 stab[key] = None
                 flags.add(key)
@@ -461,10 +230,10 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
             for step in range(tail):
                 i = len(maps) - 1 - step
                 src_i, tgt_i = (i, i + 1) if direction == "colim" else (i + 1, i)
-                _, Ps = hspace(src_i, key)
-                _, Pt = hspace(tgt_i, key)
-                ind = induced(maps[i], src_i, tgt_i, key)
-                if Ps.rows != Pt.rows or (Ps.rows and rank(ind) != Ps.rows):
+                ind = induced_on_homology(
+                    stages[src_i], stages[tgt_i], sh, t, t,
+                    lambda: maps[i].comp(sh, t))
+                if ind.rows != ind.cols or (ind.cols and rank(ind) != ind.cols):
                     all_iso = False
                 if composite is None:
                     composite = ind
@@ -472,8 +241,7 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
                     # extend the composite one stage further from the tower
                     composite = (composite @ ind) if direction == "colim" \
                         else (ind @ composite)
-            tail_dims = {hspace(i, key)[1].rows
-                         for i in range(last - tail, last + 1)}
+            tail_dims = {hdim(i, key) for i in range(last - tail, last + 1)}
             if all_iso and tail >= consec:
                 stab[key] = last - tail
                 if end_dim:
@@ -574,7 +342,6 @@ def completion(m, v: Union[SpecSubset, HomIdeal], w: Window,
         return FunctorResult(X, homology(X, w), set(), {
             "functor": "completion", "ideal": p.name, "stage": 0},
             to_input=ident, from_input=ident)
-    floor = w.t_lo + min(0, -1) * 1  # stages only lower degrees; floor = w floor
     X = _materialize(ring, m, w, w.t_lo - 1)
     stages: List[WindowedComplex] = []
     layouts = []
@@ -649,21 +416,23 @@ def tate(m, v: Union[SpecSubset, HomIdeal], w: Window,
         v = SpecSubset.of_ideal(v)
     s_max = s_max or default_s_max(w)
     g = gamma(m, v, w, s_max)
-    X = g.provenance["input"]
-    lam = completion(X, v, w, s_max)
+    lam = completion(g.provenance["input"], v, w, s_max)
+    model = _tate_model(g, lam)
+    return FunctorResult(model, homology(model, w),
+                         set(g.flags) | set(lam.flags),
+                         {"functor": "tate",
+                          "ideal": g.provenance.get("ideal"),
+                          "stage": s_max})
+
+
+def _tate_model(g: FunctorResult, lam: FunctorResult) -> WindowedComplex:
+    """cone(Gamma m -> m -> Lambda m); models both L Lambda and Sigma Delta Gamma."""
     comps: Dict[BiDeg, SparseMatrix] = {}
     for (s, t) in g.model.dims:
         c = lam.from_input.comp(s, t) @ g.to_input.comp(s, t)
         if c.entries:
             comps[(s, t)] = c
-    composite = ComplexMap(g.model, lam.model, comps)
-    model = cone(composite)
-    table = homology(model, w)
-    flags = set(g.flags) | set(lam.flags)
-    return FunctorResult(model, table, flags,
-                         {"functor": "tate",
-                          "ideal": g.provenance.get("ideal"),
-                          "stage": s_max})
+    return cone(ComplexMap(g.model, lam.model, comps))
 
 
 def telescope_invert(m, u, w: Window, ring: Optional[GradedRing] = None,
@@ -687,51 +456,29 @@ def telescope_invert(m, u, w: Window, ring: Optional[GradedRing] = None,
         raise ContractViolation("inverting element must have negative degree")
     table: Dict[BiDeg, int] = {}
     flags: Set[BiDeg] = set()
-    # induced u-action on homology per bidegree
-    hcache: Dict[BiDeg, Tuple] = {}
-
-    def hsp(s, t):
-        if (s, t) not in hcache:
-            hcache[(s, t)] = homology_space(m, s, t)
-        return hcache[(s, t)]
-
-    def induced_u(s, t):
-        K, P = hsp(s, t)
-        K2, P2 = hsp(s, t + du)
-        fld = ring.field
-        if P.rows == 0 or P2.rows == 0:
-            return SparseMatrix(fld, P2.rows, P.rows)
-        act = complex_element_action(m, u, s, t, ring)
-        from .exactla import solve_matrix
-        img = act @ K
-        x = solve_matrix(K2, img)
-        if x is None:
-            raise ContractViolation("u-action does not preserve cycles")
-        sec = solve_matrix(P, SparseMatrix.identity(fld, P.rows))
-        return P2 @ x @ sec
-
     for s in range(m.s_min, m.s_max + 1):
         for t in w.t_range():
-            _, P = hsp(s, t)
-            if P.rows == 0:
+            d = m.hspace(s, t)[1].rows
+            if d == 0:
                 continue
             # follow t, t+du, t+2du, ... within the window
             run = 0
-            cur = SparseMatrix.identity(ring.field, P.rows)
+            cur = SparseMatrix.identity(ring.field, d)
             tc = t
             verdict = None
             while tc + du >= w.t_lo:
-                step = induced_u(s, tc)
+                step = induced_on_homology(
+                    m, m, s, tc, tc + du,
+                    lambda: complex_element_action(m, u, s, tc, ring))
                 cur = step @ cur
                 if not cur.entries:
                     verdict = 0
                     break
-                _, Pa = hsp(s, tc)
-                _, Pb = hsp(s, tc + du)
-                if Pa.rows == Pb.rows and Pa.rows > 0 and rank(step) == Pa.rows:
+                da, db = step.cols, step.rows
+                if da == db and da > 0 and rank(step) == da:
                     run += 1
                     if run >= consec:
-                        verdict = Pb.rows
+                        verdict = db
                         break
                 else:
                     run = 0
@@ -771,8 +518,6 @@ def koszul_tower(m, p: HomIdeal, s_max: int, w: Window) -> Tower:
         layouts.append(L)
         if s > 1:
             prev = frees[-2]
-            comps_raw = _subset_chain_map(
-                ring, [g for g in elems], prev, F, dual=False)
             # replace prod over S by prod over complement of S
             comps: Dict[int, Dict[Tuple[int, int], Poly]] = {}
             subsets = {sz: sorted(itertools.combinations(range(n), sz))
@@ -802,16 +547,6 @@ def _tables_equal(a: Dict[BiDeg, int], b: Dict[BiDeg, int], w: Window,
     keys = {k for k in set(a) | set(b)
             if w.t_lo <= k[1] <= w.t_hi and k not in excluded}
     return all(a.get(k, 0) == b.get(k, 0) for k in keys)
-
-
-def _tate_model(g: FunctorResult, lam: FunctorResult) -> WindowedComplex:
-    """cone(Gamma m -> m -> Lambda m); models both L Lambda and Sigma Delta Gamma."""
-    comps: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t) in g.model.dims:
-        c = lam.from_input.comp(s, t) @ g.to_input.comp(s, t)
-        if c.entries:
-            comps[(s, t)] = c
-    return cone(ComplexMap(g.model, lam.model, comps))
 
 
 def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
@@ -1020,9 +755,9 @@ def fracture_check(m, v: Union[SpecSubset, HomIdeal], w: Window,
         for s in range(c.s_min, c.s_max + 1):
             t = n - s
             if w.t_lo <= t <= w.t_hi + 1 and (s, t) not in flags:
-                _, P = homology_space(c, s, t)
-                if P.rows:
-                    out.append(((s, t), P.rows))
+                d = c.hspace(s, t)[1].rows
+                if d:
+                    out.append(((s, t), d))
         return out
 
     def assemble(fmaps, src, tgt, n):
@@ -1040,7 +775,9 @@ def fracture_check(m, v: Union[SpecSubset, HomIdeal], w: Window,
         ent = {}
         for key, (soff, sd) in spos.items():
             if key in tpos:
-                ind = homology_induced(fmaps, key[0], key[1])
+                ind = induced_on_homology(
+                    src, tgt, key[0], key[1], key[1],
+                    lambda: fmaps.comp(key[0], key[1]))
                 toff, td = tpos[key]
                 for (i, j), valx in ind.entries.items():
                     ent[(toff + i, soff + j)] = valx

@@ -92,6 +92,22 @@ def test_failed_assertion_exit_two():
     assert rep["verdicts"][0]["verdict"] is False
 
 
+def test_missing_argument_names_expected_arguments():
+    text = ("[ring R]\nchar = 2\ngenerators = x:-1\n"
+            "[module M]\nring = R\ngenerators = a:0\n"
+            "[run]\ngamma M\ntor M\ngorenstein\n")
+    spec, diags = parse(text)
+    assert spec is not None and not diags, diags
+    rep, code = run(spec)
+    assert code == 1 and not rep["results"]
+    messages = [d["message"] for d in rep["diagnostics"]]
+    assert messages == [
+        "missing argument: expected <module> <ideal> [window]",
+        "missing argument: expected <module> <module> [window]",
+        "missing argument: expected <ring> [window]"]
+    assert [d["line"] for d in rep["diagnostics"]] == [8, 9, 10]
+
+
 def test_cohomological_convention():
     coh = ("convention = cohomological\n[ring R]\nchar = 2\n"
            "generators = x:1\n[run]\nhilbert R\ngorenstein R\n")

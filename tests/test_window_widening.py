@@ -1,0 +1,57 @@
+"""Window monotonicity: values a wider window could change must be flagged.
+
+Every entry a functor reports without a flag at window (-4, 4) must come out
+the same at the deeper window (-6, 4), which adds internal degrees below the
+floor and runs the towers for more stages.
+"""
+
+import random
+
+import pytest
+
+from localduality.cohom import local_cohomology
+from localduality.graded import GradedModule, GradedRing, Window
+from localduality.torsion import completion, gamma, tate
+from conftest import max_ideal
+
+NARROW = Window(-4, 4)
+WIDE = Window(-6, 4)
+
+
+def _seeded_cyclic_modules(count=8, seed=4242):
+    plane = GradedRing(2, [("x", -1), ("y", -1)], [], name="P")
+    hyp = plane.quotient([plane.parse("y^2")], name="H")
+    monos = ["x^2", "x*y", "y^2", "x^3", "y^3", "x^2*y"]
+    rng = random.Random(seed)
+    mods = []
+    for i in range(count):
+        ring = (plane, hyp)[i % 2]
+        rels = sorted(rng.sample(monos, rng.randint(0, 2)))
+        rels = [[r] for r in rels if ring.normal_form(ring.parse(r))]
+        mods.append(GradedModule(ring, [("a", -rng.randint(0, 1))], rels,
+                                 name=f"{ring.name}/{rels}"))
+    return mods
+
+
+def _table(functor, mod, w):
+    """(values, flagged keys) of a functor at window w."""
+    if functor is local_cohomology:
+        t = local_cohomology(mod, max_ideal(mod.ring), w)
+        return t.entries, set(t.flags)
+    r = functor(mod, max_ideal(mod.ring), w)
+    return r.homotopy, set(r.flags)
+
+
+@pytest.mark.parametrize("functor", [gamma, completion, tate, local_cohomology],
+                         ids=lambda f: f.__name__)
+def test_unflagged_entries_survive_widening(functor):
+    checked = 0
+    for mod in _seeded_cyclic_modules():
+        narrow, flags = _table(functor, mod, NARROW)
+        wide, _ = _table(functor, mod, WIDE)
+        keys = {k for k in set(narrow) | set(wide)
+                if NARROW.t_lo <= k[1] <= NARROW.t_hi and k not in flags}
+        for k in sorted(keys):
+            assert narrow.get(k, 0) == wide.get(k, 0), (mod.name, k)
+        checked += sum(1 for k in keys if narrow.get(k, 0))
+    assert checked, "no unflagged nonzero entry was compared"
