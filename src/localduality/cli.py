@@ -220,6 +220,10 @@ def parse(text: str) -> Tuple[Optional[SessionSpec], List[Diagnostic]]:
 # environment -----------------------------------------------------------------
 
 
+class CommandError(Exception):
+    """A session command the user got wrong; reported as a diagnostic."""
+
+
 class Environment:
     """Spec names resolved to live objects, with positioned diagnostics."""
 
@@ -301,21 +305,21 @@ class Environment:
         if name in self.rings:
             ring = self.rings[name]
             return GradedModule.free_module(ring, [0], name=name)
-        raise KeyError(f"undefined module {name}")
+        raise CommandError(f"undefined module {name}")
 
     def ideal(self, name: str) -> HomIdeal:
         if name not in self.ideals:
-            raise KeyError(f"undefined ideal {name}")
+            raise CommandError(f"undefined ideal {name}")
         return self.ideals[name]
 
     def ring(self, name: str) -> GradedRing:
         if name not in self.rings:
-            raise KeyError(f"undefined ring {name}")
+            raise CommandError(f"undefined ring {name}")
         return self.rings[name]
 
     def ring_map(self, name: str) -> RingMap:
         if name not in self.maps:
-            raise KeyError(f"undefined map {name}")
+            raise CommandError(f"undefined map {name}")
         return self.maps[name]
 
 
@@ -339,10 +343,6 @@ def _dim_rows(dims: Dict[int, int]) -> List[Dict[str, object]]:
 
 
 # command dispatch ------------------------------------------------------------
-
-
-class CommandError(Exception):
-    pass
 
 
 def _parse_kv(args: List[str]) -> Tuple[List[str], Dict[str, str]]:
@@ -410,7 +410,11 @@ class Runner:
     def cmd_resolve(self, pos, kv):
         pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
-        length = int(kv.get("length", "4"))
+        try:
+            length = int(kv.get("length", "4"))
+        except ValueError:
+            raise CommandError(f"bad length {kv['length']!r}, "
+                               "expected an integer") from None
         res = minimal_free_resolution(m, length, w)
         return {"kind": "resolution", "name": pos[0],
                 "ranks": [st.rank for st in res.stages],
@@ -661,10 +665,8 @@ def run(spec: SessionSpec, seed: int = 0,
     for ln, words in spec.commands:
         try:
             result = runner.run_command(words)
-        except (CommandError, KeyError, ContractViolation, IndexError,
-                ValueError) as e:
-            msg = e.args[0] if e.args else str(e)
-            report["diagnostics"].append({"line": ln, "message": str(msg)})
+        except (CommandError, ContractViolation) as e:
+            report["diagnostics"].append({"line": ln, "message": str(e)})
             exit_code = max(exit_code, 1)
             continue
         report["results"].append(result)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .exactla import ContractViolation
 from .graded import (ExtField, GradedModule, HomIdeal, Window,
                      _eval_poly, _sample_point, hilbert_function,
-                     minimal_free_resolution)
+                     maximal_ideal, minimal_free_resolution)
 from .complexes import (complex_element_action, direct_sum,
                         induced_on_homology, module_complex, shift)
 from .torsion import (SpecSubset, default_s_max, gamma, completion,
@@ -155,7 +155,7 @@ def collapse_check(m: Formal, p: HomIdeal, w: Window,
     ring = parts[0][0].ring
     v = SpecSubset.of_ideal(p)
     s_max = s_max or default_s_max(w)
-    _, tw = _ideal_data(v.normalized_ideal)
+    _, tw = _ideal_data(p)
     c = len([q for q in p.gens if q])
     floor = w.t_lo - s_max * tw - 1
 
@@ -284,10 +284,7 @@ def grothendieck_oracle(mod: GradedModule, w: Window,
 def oracle_agreement(mod: GradedModule, w: Window,
                      certificate=None) -> Dict[str, object]:
     """Tower pipeline vs Ext-duality oracle at every stable bidegree."""
-    ring = mod.ring
-    mx = HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)],
-                  is_prime_asserted=True, name="m")
-    lc = local_cohomology(mod, mx, w)
+    lc = local_cohomology(mod, maximal_ideal(mod.ring), w)
     oracle = grothendieck_oracle(mod, w, certificate)
     keys = {k for k in set(lc.entries) | set(oracle.entries)
             if w.t_lo <= k[1] <= w.t_hi and k not in lc.flags}

@@ -5,11 +5,12 @@ finite free modules with ring-element differentials; it supports structural
 operations (shift, cone, tensor, dual) exactly.  free_tensor realizes F (x) X
 for a free complex F and any windowed complex X, and is the one realization
 engine: realizing against a module tensors with the module viewed as a
-complex.  WindowedComplex is the generic degreewise form: one
-k-vector space per bidegree (s, t), differentials lowering s by one, and
-ring-generator action matrices.  Homological degree s is bounded on both
-sides; internal degree t vanishes above a known top and is only known down
-to the window floor.
+complex, so Tor(M, N) and Ext(M, N) are the homology of resolution (x) N and
+of Hom(resolution, N) = dual (x) N for a free resolution of M.
+WindowedComplex is the generic degreewise form: one k-vector space per
+bidegree (s, t), differentials lowering s by one, and ring-generator action
+matrices.  Homological degree s is bounded on both sides; internal degree t
+vanishes above a known top and is only known down to the window floor.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix
 from .graded import (DegreewiseModel, GradedModule, GradedRing, HomIdeal,
-                     Window, matlis_dual, models_isomorphic)
+                     Window, matlis_dual, maximal_ideal, models_isomorphic)
 from .complexes import (WindowedComplex, complex_element_action, free_tensor,
                         homology, induced_on_homology, module_complex, tensor)
 from .torsion import SpecSubset, gamma, koszul_free, telescope_invert
@@ -31,11 +31,6 @@ class InjectiveModel:
 
     def dim(self, t: int) -> int:
         return (self.hilbert or {}).get(t, 0)
-
-
-def maximal_ideal(ring: GradedRing) -> HomIdeal:
-    return HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)],
-                    is_prime_asserted=True, name="m")
 
 
 def _is_maximal(p: HomIdeal) -> bool:

@@ -464,6 +464,12 @@ class HomIdeal:
         return f"HomIdeal({self.name}: {[self.ring.poly_str(g) for g in self.gens]})"
 
 
+def maximal_ideal(ring: GradedRing) -> HomIdeal:
+    """The homogeneous maximal ideal, generated by the ring's generators."""
+    return HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)],
+                    is_prime_asserted=True, name="m")
+
+
 # free modules over the ring -----------------------------------------------
 
 
@@ -808,87 +814,34 @@ def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolu
 
 
 def tor(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, int], int]:
-    """dim_k Tor_p(mod1, mod2)_t for p in [0, s_hi], t in the window."""
+    """dim_k Tor_p(mod1, mod2)_t for p in [s_lo, s_hi], t in the window.
+
+    The homology of F (x) mod2 for a minimal free resolution F of mod1,
+    realized by complexes.free_tensor.
+    """
+    from .complexes import homology, resolution_complex
     if mod1.ring is not mod2.ring:
         raise ContractViolation("modules over different rings")
-    ring = mod1.ring
-    length = max(w.s_hi, 0) + 1
-    res = minimal_free_resolution(mod1, length, w)
-    out: Dict[Tuple[int, int], int] = {}
-    for t in w.t_range():
-        # realized complex: stage p has ⊕_b mod2_{t - deg_b}
-        dims = []
-        offsets = []
-        for st in res.stages:
-            offs = []
-            acc = 0
-            for d in st.gen_degrees:
-                offs.append(acc)
-                acc += mod2.dim_in_degree(t - d)
-            offsets.append(offs)
-            dims.append(acc)
-        mats = []
-        for i in range(len(res.stages) - 1):
-            src, tgt = res.stages[i + 1], res.stages[i]
-            ent: Dict[Tuple[int, int], int] = {}
-            for (a, b), p in res.diffs[i].items():
-                # action of p: mod2_{t - deg_src_b} -> mod2_{t - deg_tgt_a}
-                act = mod2.element_action(p, t - src.gen_degrees[b])
-                for (r, c), v in act.entries.items():
-                    ent[(offsets[i][a] + r, offsets[i + 1][b] + c)] = v
-            mats.append(SparseMatrix(ring.field, dims[i], dims[i + 1], ent))
-        for p in range(max(w.s_hi, 0) + 1):
-            if p >= len(dims):
-                continue
-            d_in = rank(mats[p]) if p < len(mats) else 0
-            d_out = rank(mats[p - 1]) if p >= 1 else 0
-            h = dims[p] - d_in - d_out
-            if h and w.s_lo <= p <= w.s_hi:
-                out[(p, t)] = h
-    return out
+    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1, w)
+    C = resolution_complex(res, w).realize(mod2, w, validate=False)
+    return {(p, t): h for (p, t), h in homology(C, w).items()
+            if w.s_lo <= p <= w.s_hi}
 
 
 def ext(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, int], int]:
-    """dim_k Ext^p(mod1, mod2)_t for p in [0, s_hi], t in the window."""
+    """dim_k Ext^p(mod1, mod2)_t for p in [s_lo, s_hi], t in the window.
+
+    The homology of Hom(F, mod2) for a minimal free resolution F of mod1,
+    read at homological degree s = -p.
+    """
+    from .complexes import homology, resolution_complex
     if mod1.ring is not mod2.ring:
         raise ContractViolation("modules over different rings")
-    ring = mod1.ring
-    length = max(w.s_hi, 0) + 1
-    # the resolution must be exact low enough for Hom(F_p, N)_t to be right:
-    # Hom components live at t + deg_b, degrees deg_b <= 0 so widen downward
-    res_w = Window(w.t_lo - 1, w.t_hi - min(0, w.t_lo) + 1, w.s_lo, w.s_hi)
-    res = minimal_free_resolution(mod1, length, Window(
-        min(w.t_lo, res_w.t_lo), w.t_hi, w.s_lo, w.s_hi))
-    out: Dict[Tuple[int, int], int] = {}
-    for t in w.t_range():
-        dims = []
-        offsets = []
-        for st in res.stages:
-            offs = []
-            acc = 0
-            for d in st.gen_degrees:
-                offs.append(acc)
-                acc += mod2.dim_in_degree(t + d)
-            offsets.append(offs)
-            dims.append(acc)
-        mats = []  # mats[i]: Hom(F_i, N)_t -> Hom(F_{i+1}, N)_t
-        for i in range(len(res.stages) - 1):
-            src, tgt = res.stages[i + 1], res.stages[i]
-            ent: Dict[Tuple[int, int], int] = {}
-            for (a, b), p in res.diffs[i].items():
-                act = mod2.element_action(p, t + tgt.gen_degrees[a])
-                for (r, c), v in act.entries.items():
-                    ent[(offsets[i + 1][b] + r, offsets[i][a] + c)] = v
-            mats.append(SparseMatrix(ring.field, dims[i + 1], dims[i], ent))
-        for p in range(max(w.s_hi, 0) + 1):
-            if p >= len(dims):
-                continue
-            d_out = rank(mats[p]) if p < len(mats) else 0
-            d_in = rank(mats[p - 1]) if p >= 1 else 0
-            h = dims[p] - d_out - d_in
-            if h and w.s_lo <= p <= w.s_hi:
-                out[(p, t)] = h
-    return out
+    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1,
+                                  Window(w.t_lo - 1, w.t_hi, w.s_lo, w.s_hi))
+    C = resolution_complex(res, w).hom_into(mod2, w, validate=False)
+    return {(-s, t): h for (s, t), h in homology(C, w).items()
+            if w.s_lo <= -s <= w.s_hi}
 
 
 # Matlis duality ------------------------------------------------------------

@@ -17,12 +17,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Poly,
-                     Window)
+                     Window, minimal_free_resolution)
 from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
                         complex_element_action, cone, free_tensor,
                         free_tensor_map, homology, inclusion_of_unit,
                         induced_on_homology, module_complex,
-                        projection_to_unit, shift)
+                        projection_to_unit, resolution_complex, shift)
 
 
 @dataclass
@@ -156,8 +156,7 @@ def dual_koszul_free(ring: GradedRing, elems: Sequence[Poly],
     return koszul_free(ring, elems, power).dual()
 
 
-def _subset_chain_map(ring: GradedRing, elems: Sequence[Poly],
-                      src: FreeComplex, tgt: FreeComplex, dual: bool
+def _subset_chain_map(ring: GradedRing, elems: Sequence[Poly], dual: bool
                       ) -> Dict[int, Dict[Tuple[int, int], Poly]]:
     """The (product-of-elements, identity) map between consecutive Koszul
     stages: e_S goes to (prod over S of a_i) e'_S; stage indices are |S|
@@ -263,6 +262,11 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
     return table, flags, stab
 
 
+def _ideal(v: Union[SpecSubset, HomIdeal]) -> HomIdeal:
+    """The single ideal cutting out v."""
+    return v.normalized_ideal if isinstance(v, SpecSubset) else v
+
+
 def _ideal_data(p: HomIdeal):
     ring = p.ring
     elems = [g for g in p.gens if g]
@@ -281,92 +285,73 @@ def default_s_max(w: Window) -> int:
     return w.span + 4
 
 
-def gamma(m, v: Union[SpecSubset, HomIdeal], w: Window,
-          s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
-    """Torsion functor: directed colimit of dual Koszul stages tensored in."""
-    if isinstance(v, HomIdeal):
-        v = SpecSubset.of_ideal(v)
-    p = v.normalized_ideal
+def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
+                   s_max: Optional[int], keep_tower: bool) -> FunctorResult:
+    """Gamma ("gamma") or Lambda ("completion") as a stabilized Koszul tower.
+
+    Gamma is the directed colimit of dual Kos(p^s) (x) m, whose generators
+    sit up to s * weight above m, so m is materialized that much deeper;
+    Lambda is the inverse limit of Kos(p^s) (x) m.  Consecutive stages are
+    joined by the (product-of-elements, identity) map of Koszul objects.
+    """
+    p = _ideal(v)
     ring = p.ring
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
     if not elems:
-        # V(0) is the whole spectrum: Gamma is the identity
+        # V(0) is the whole spectrum: both functors are the identity
         X = _materialize(ring, m, w, w.t_lo)
         ident = ComplexMap(X, X, {k: SparseMatrix.identity(ring.field, d)
                                   for k, d in X.dims.items()})
         return FunctorResult(X, homology(X, w), set(), {
-            "functor": "gamma", "ideal": p.name, "stage": 0},
+            "functor": functor, "ideal": p.name, "stage": 0},
             to_input=ident, from_input=ident)
-    floor = w.t_lo - s_max * total_weight - 1
+    colim = functor == "gamma"
+    floor = w.t_lo - s_max * total_weight - 1 if colim else w.t_lo - 1
     X = _materialize(ring, m, w, floor)
+    koszul = dual_koszul_free if colim else koszul_free
+    comps = _subset_chain_map(ring, elems, dual=colim)
+    # maps[i] joins stages i and i+1, in the tower's direction
+    src, tgt = (-2, -1) if colim else (-1, -2)
     stages: List[WindowedComplex] = []
     layouts = []
     frees: List[FreeComplex] = []
     maps: List[ComplexMap] = []
     for s in range(1, s_max + 1):
-        F = dual_koszul_free(ring, elems, s)
+        F = koszul(ring, elems, s)
         C, L = free_tensor(F, X, t_floor=w.t_lo)
         frees.append(F)
         stages.append(C)
         layouts.append(L)
         if s > 1:
-            comps = _subset_chain_map(ring, elems, frees[-2], F, dual=True)
-            maps.append(free_tensor_map(frees[-2], F, comps, X,
-                                        stages[-2], layouts[-2], C, L))
-    table, flags, stab = _homology_tower(stages, maps, "colim", w)
+            maps.append(free_tensor_map(frees[src], frees[tgt], comps, X,
+                                        stages[src], layouts[src],
+                                        stages[tgt], layouts[tgt]))
+    direction = "colim" if colim else "lim"
+    table, flags, stab = _homology_tower(stages, maps, direction, w)
     model = stages[-1]
-    to_input = projection_to_unit(frees[-1], model, layouts[-1], X)
     res = FunctorResult(model, table, flags,
-                        {"functor": "gamma", "ideal": p.name, "stage": s_max},
-                        to_input=to_input)
+                        {"functor": functor, "ideal": p.name, "stage": s_max})
+    if colim:
+        res.to_input = projection_to_unit(frees[-1], model, layouts[-1], X)
+    else:
+        res.from_input = inclusion_of_unit(frees[-1], model, layouts[-1], X)
     if keep_tower:
-        res.provenance["tower"] = Tower(stages, maps, "colim", stab)
+        res.provenance["tower"] = Tower(stages, maps, direction, stab)
     res.provenance["input"] = X
     return res
+
+
+def gamma(m, v: Union[SpecSubset, HomIdeal], w: Window,
+          s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
+    """Torsion functor: directed colimit of dual Koszul stages tensored in."""
+    return _tower_functor("gamma", m, v, w, s_max, keep_tower)
 
 
 def completion(m, v: Union[SpecSubset, HomIdeal], w: Window,
                s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
     """Completion functor: inverse limit of the Koszul tower."""
-    if isinstance(v, HomIdeal):
-        v = SpecSubset.of_ideal(v)
-    p = v.normalized_ideal
-    ring = p.ring
-    s_max = s_max or default_s_max(w)
-    elems, total_weight = _ideal_data(p)
-    if not elems:
-        X = _materialize(ring, m, w, w.t_lo)
-        ident = ComplexMap(X, X, {k: SparseMatrix.identity(ring.field, d)
-                                  for k, d in X.dims.items()})
-        return FunctorResult(X, homology(X, w), set(), {
-            "functor": "completion", "ideal": p.name, "stage": 0},
-            to_input=ident, from_input=ident)
-    X = _materialize(ring, m, w, w.t_lo - 1)
-    stages: List[WindowedComplex] = []
-    layouts = []
-    frees: List[FreeComplex] = []
-    maps: List[ComplexMap] = []   # maps[i]: stage i+2 -> stage i+1 (1-based s)
-    for s in range(1, s_max + 1):
-        F = koszul_free(ring, elems, s)
-        C, L = free_tensor(F, X, t_floor=w.t_lo)
-        frees.append(F)
-        stages.append(C)
-        layouts.append(L)
-        if s > 1:
-            comps = _subset_chain_map(ring, elems, F, frees[-2], dual=False)
-            maps.append(free_tensor_map(F, frees[-2], comps, X,
-                                        C, L, stages[-2], layouts[-2]))
-    table, flags, stab = _homology_tower(stages, maps, "lim", w)
-    model = stages[-1]
-    from_input = inclusion_of_unit(frees[-1], model, layouts[-1], X)
-    res = FunctorResult(model, table, flags,
-                        {"functor": "completion", "ideal": p.name, "stage": s_max},
-                        from_input=from_input)
-    if keep_tower:
-        res.provenance["tower"] = Tower(stages, maps, "lim", stab)
-    res.provenance["input"] = X
-    return res
+    return _tower_functor("completion", m, v, w, s_max, keep_tower)
 
 
 def localize_away(m, v: Union[SpecSubset, HomIdeal], w: Window,
@@ -398,8 +383,7 @@ def delta(m, v: Union[SpecSubset, HomIdeal], w: Window,
 def extended_window(w: Window, v: Union[SpecSubset, HomIdeal],
                     s_max: int) -> Window:
     """Deepen the floor so a second functor application still covers w."""
-    p = v.normalized_ideal if isinstance(v, SpecSubset) else v
-    _, tw = _ideal_data(p)
+    _, tw = _ideal_data(_ideal(v))
     return Window(w.t_lo - s_max * tw - 1, w.t_hi)
 
 
@@ -412,8 +396,6 @@ def tate(m, v: Union[SpecSubset, HomIdeal], w: Window,
     naive composition it never mistakes the (torsion) final tower stage of
     Lambda for the completion itself.
     """
-    if isinstance(v, HomIdeal):
-        v = SpecSubset.of_ideal(v)
     s_max = s_max or default_s_max(w)
     g = gamma(m, v, w, s_max)
     lam = completion(g.provenance["input"], v, w, s_max)
@@ -493,52 +475,6 @@ def telescope_invert(m, u, w: Window, ring: Optional[GradedRing] = None,
                           "element": ring.poly_str(u)})
 
 
-def koszul_tower(m, p: HomIdeal, s_max: int, w: Window) -> Tower:
-    """The directed Koszul tower: stage s is Kos(m; p^s) with
-    generator degrees drifting upward, maps act by the elements on the
-    stage-0 parts and the identity on the stage-1 parts."""
-    if s_max < 1:
-        raise ContractViolation("s_max must be >= 1")
-    ring = p.ring
-    elems, total_weight = _ideal_data(p)
-    X = _materialize(ring, m, w, w.t_lo - 1)
-    stages, layouts, frees, maps = [], [], [], []
-    n = len(elems)
-    for s in range(1, s_max + 1):
-        # cofiber(M -> Sigma^{s d_i} M) per factor: e_S at stage |S| and
-        # internal degree sum over i NOT in S of s * weight_i
-        base = koszul_free(ring, elems, s)
-        F = base.shift(0, s * total_weight)
-        # correction: generator degrees should drop only by used factors;
-        # shifting everything by s*total_weight sends e_S from
-        # s*sum_{i in S}(-w_i) to s*(total - sum_{S} w_i) as required
-        C, L = free_tensor(F, X, t_floor=w.t_lo)
-        frees.append(F)
-        stages.append(C)
-        layouts.append(L)
-        if s > 1:
-            prev = frees[-2]
-            # replace prod over S by prod over complement of S
-            comps: Dict[int, Dict[Tuple[int, int], Poly]] = {}
-            subsets = {sz: sorted(itertools.combinations(range(n), sz))
-                       for sz in range(n + 1)}
-            for sz, subs in subsets.items():
-                ent: Dict[Tuple[int, int], Poly] = {}
-                for k, S in enumerate(subs):
-                    q = ring.one()
-                    for i in range(n):
-                        if i not in S:
-                            q = ring.poly_mul(q, elems[i])
-                    if q:
-                        ent[(k, k)] = q
-                if ent:
-                    comps[sz] = ent
-            maps.append(free_tensor_map(prev, F, comps, X,
-                                        stages[-2], layouts[-2], C, L))
-    table, flags, stab = _homology_tower(stages, maps, "colim", w)
-    return Tower(stages, maps, "colim", stab)
-
-
 # recollement and acyclicity checks -----------------------------------------
 
 
@@ -565,9 +501,7 @@ def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
     free complex); adjunction_module supplies the second argument m' and
     defaults to m.
     """
-    if isinstance(v, HomIdeal):
-        v = SpecSubset.of_ideal(v)
-    p = v.normalized_ideal
+    p = _ideal(v)
     ring = p.ring
     s_max = s_max or default_s_max(w)
     w_ext = extended_window(w, v, s_max)
@@ -641,18 +575,14 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     m; the right side the stabilized completion of m'.  Stages are detected
     independently, so agreement is contentful.
     """
-    from .graded import minimal_free_resolution
-    if isinstance(v, HomIdeal):
-        v = SpecSubset.of_ideal(v)
-    p = v.normalized_ideal
+    p = _ideal(v)
     ring = p.ring
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
     res_w = Window(w.t_lo - s_max * total_weight - length * max(ring.weights) - 2,
                    max(0, w.t_hi))
     res = minimal_free_resolution(m, length, res_w)
-    F = FreeComplex(ring, {i: f for i, f in enumerate(res.stages)},
-                    {i + 1: dd for i, dd in enumerate(res.diffs)})
+    F = resolution_complex(res, res_w)
 
     # the resolution's generator degrees bound how far the windows must
     # extend: dual generators reach up to `deepest` above the module
@@ -698,9 +628,7 @@ def fracture_check(m, v: Union[SpecSubset, HomIdeal], w: Window,
                    lam: Optional[FunctorResult] = None,
                    L: Optional[FunctorResult] = None) -> Dict[str, object]:
     """Mayer-Vietoris exactness of pi m -> pi Lm + pi Lambda m -> pi L Lambda m."""
-    if isinstance(v, HomIdeal):
-        v = SpecSubset.of_ideal(v)
-    p = v.normalized_ideal
+    p = _ideal(v)
     ring = p.ring
     fld = ring.field
     s_max = s_max or default_s_max(w)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from localduality.cli import corpus, main, parse, run
+from localduality.cli import Runner, corpus, main, parse, run
 from localduality.graded import Window
 
 
@@ -106,6 +106,30 @@ def test_missing_argument_names_expected_arguments():
         "missing argument: expected <module> <module> [window]",
         "missing argument: expected <ring> [window]"]
     assert [d["line"] for d in rep["diagnostics"]] == [8, 9, 10]
+
+
+def test_undefined_names_keep_their_diagnostics():
+    text = ("[ring R]\nchar = 2\ngenerators = x:-1\n"
+            "[run]\nhilbert Q\ngamma R p\ngorenstein S\nomega f\n"
+            "resolve R length=two\n")
+    spec, diags = parse(text)
+    assert spec is not None and not diags, diags
+    rep, code = run(spec)
+    assert code == 1 and not rep["results"]
+    assert [d["message"] for d in rep["diagnostics"]] == [
+        "undefined module Q", "undefined ideal p", "undefined ring S",
+        "undefined map f", "bad length 'two', expected an integer"]
+    assert [d["line"] for d in rep["diagnostics"]] == [5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("error", [IndexError, KeyError])
+def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, error):
+    # an engine fault is not a user error, whatever its exception type
+    def broken(self, pos, kv):
+        raise error("engine fault")
+    monkeypatch.setattr(Runner, "cmd_hilbert", broken)
+    assert main(["--input", write(tmp_path, LINE)]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_cohomological_convention():

@@ -8,7 +8,7 @@ import pytest
 from localduality.graded import GradedModule, GradedRing, HomIdeal, Window
 from localduality.torsion import (SpecSubset, adjunction_check,
                                   check_recollement, completion, delta,
-                                  fracture_check, gamma, koszul_tower,
+                                  fracture_check, gamma,
                                   local_to_global_acyclicity, localize_away,
                                   tate, telescope_invert)
 from localduality.complexes import module_complex
