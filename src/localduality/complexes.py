@@ -11,6 +11,10 @@ WindowedComplex is the generic degreewise form: one k-vector space per
 bidegree (s, t), differentials lowering s by one, and ring-generator action
 matrices.  Homological degree s is bounded on both sides; internal degree t
 vanishes above a known top and is only known down to the window floor.
+Monomial actions on a windowed complex are memoised on it, each built from
+the action of its prefix; a Koszul tower ages the memo of its input stage by
+stage and clears it when the tower is built, so the memo does not live as
+long as the tower's result.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactla import (ContractViolation, SparseMatrix, kernel_rows,
                       quotient_projection, rank, solve_matrix)
-from .graded import FreeModule, GradedModule, GradedRing, Poly, Window
+from .graded import FreeModule, GradedModule, GradedRing, Mono, Poly, Window
 
 BiDeg = Tuple[int, int]
 
@@ -47,6 +51,9 @@ class WindowedComplex:
         self.window = window
         self.flags = dict(flags or {})
         self._hspaces: Dict[BiDeg, Tuple] = {}
+        # monomial actions of the current and of the previous age
+        self._monomials: Dict[Tuple[Mono, int, int], Optional[SparseMatrix]] = {}
+        self._monomials_old: Dict[Tuple[Mono, int, int], Optional[SparseMatrix]] = {}
         if validate:
             self.validate()
 
@@ -56,14 +63,16 @@ class WindowedComplex:
     def diff(self, s: int, t: int) -> SparseMatrix:
         m = self.diffs.get((s, t))
         if m is None:
-            m = SparseMatrix(self.ring.field, self.dim(s - 1, t), self.dim(s, t))
+            m = SparseMatrix._trusted(self.ring.field, self.dim(s - 1, t),
+                                      self.dim(s, t), {})
         return m
 
     def action(self, g: int, s: int, t: int) -> SparseMatrix:
         m = self.actions.get((g, s, t))
         if m is None:
             dg = self.ring.generators[g].degree
-            m = SparseMatrix(self.ring.field, self.dim(s, t + dg), self.dim(s, t))
+            m = SparseMatrix._trusted(self.ring.field, self.dim(s, t + dg),
+                                      self.dim(s, t), {})
         return m
 
     def known(self, s: int, t: int) -> bool:
@@ -80,6 +89,46 @@ class WindowedComplex:
         if (s, t) not in self._hspaces:
             self._hspaces[(s, t)] = homology_space(self, s, t)
         return self._hspaces[(s, t)]
+
+    def monomial_action(self, mono: Mono, s: int, t: int) -> Optional[SparseMatrix]:
+        """Multiplication by a monomial from (s, t), or None when it is zero
+        or the generator actions along the way do not compose.
+
+        The generators are applied in index order, so the action of mono is
+        the action of its last generator after the action of the prefix;
+        each result is memoised, and one used in the previous age is kept.
+        A zero prefix makes every extension zero, so zero is kept as None.
+        """
+        key = (mono, s, t)
+        if key in self._monomials:
+            return self._monomials[key]
+        if key in self._monomials_old:
+            m = self._monomials_old[key]
+        elif not any(mono):
+            m = SparseMatrix.identity(self.ring.field, self.dim(s, t))
+        else:
+            last = max(i for i, e in enumerate(mono) if e)
+            rest = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+            a = self.action(last, s, t + self.ring.mono_degree(rest))
+            if any(rest):
+                m = self.monomial_action(rest, s, t)
+                m = a @ m if m is not None and a.cols == m.rows else None
+            else:
+                # a after the identity is a itself
+                m = a if a.cols == self.dim(s, t) else None
+        if m is not None and not m.entries:
+            m = None
+        self._monomials[key] = m
+        return m
+
+    def age_monomial_actions(self):
+        """Start a new age of the memo, dropping the monomial actions not used
+        in the age just ended."""
+        self._monomials_old, self._monomials = self._monomials, {}
+
+    def clear_monomial_actions(self):
+        """Drop every memoised monomial action."""
+        self._monomials_old, self._monomials = {}, {}
 
     def validate(self):
         for (s, t), m in self.diffs.items():
@@ -115,8 +164,8 @@ class ComplexMap:
     def comp(self, s: int, t: int) -> SparseMatrix:
         m = self.comps.get((s, t))
         if m is None:
-            m = SparseMatrix(self.source.ring.field,
-                             self.target.dim(s, t), self.source.dim(s, t))
+            m = SparseMatrix._trusted(self.source.ring.field,
+                                      self.target.dim(s, t), self.source.dim(s, t), {})
         return m
 
     def validate(self):
@@ -631,37 +680,43 @@ class FreeComplex:
 
 def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
                            ring: GradedRing) -> SparseMatrix:
-    """Multiplication by a homogeneous element on a realized complex."""
+    """Multiplication by a homogeneous element on a realized complex, summed
+    from X's memoised monomial actions; a monomial whose generator actions do
+    not compose, or land in the wrong dimension, is skipped."""
     fld = ring.field
     if not p:
-        return SparseMatrix(fld, 0, X.dim(s, t))
+        return SparseMatrix._trusted(fld, 0, X.dim(s, t), {})
     dp = ring.poly_degree(p)
-    out = SparseMatrix(fld, X.dim(s, t + dp), X.dim(s, t))
+    out = SparseMatrix._trusted(fld, X.dim(s, t + dp), X.dim(s, t), {})
     for mono, c in p.items():
-        cur = SparseMatrix.identity(fld, X.dim(s, t))
-        tc = t
-        ok = True
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                a = X.action(i, s, tc)
-                if a.cols != cur.rows:
-                    ok = False
-                    break
-                cur = a @ cur
-                tc += ring.generators[i].degree
-            if not ok:
-                break
-        if ok and cur.rows == out.rows:
+        cur = X.monomial_action(mono, s, t)
+        if cur is not None and cur.rows == out.rows:
             out = out.add(cur.scale(c))
     return out
+
+
+def _by_source(entries: Dict[Tuple[int, int], Poly]) -> Dict[int, List[Tuple[int, Poly]]]:
+    """Free-side entries {(target gen, source gen): poly} grouped by source
+    generator, keeping their order."""
+    out: Dict[int, List[Tuple[int, Poly]]] = {}
+    for (a, b), q in entries.items():
+        out.setdefault(b, []).append((a, q))
+    return out
+
+
+def _positions(layout) -> Dict[BiDeg, Dict[Tuple[int, int], Tuple[int, int]]]:
+    """(stage, gen) -> (offset, block dim) in each bidegree of a layout."""
+    return {key: {(sigma, b): (off, d) for sigma, b, off, d in parts}
+            for key, parts in layout.items()}
 
 
 def free_tensor(F: FreeComplex, X: WindowedComplex,
                 t_floor: Optional[int] = None):
     """F tensor X for F free; returns (complex, layout).
 
-    layout[(s, t)] is a list of (stage sigma, gen index b, offset, block dim).
-    The valid floor is X's floor plus the largest free generator degree.
+    layout[(s, t)] is a list of (stage sigma, gen index b, offset, block dim)
+    for each nonzero bidegree.  The valid floor is X's floor plus the largest
+    free generator degree.
     """
     ring = F.ring
     fld = ring.field
@@ -674,36 +729,35 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
         lo = t_top
     s_lo = F.s_min + X.s_min
     s_hi = F.s_max + X.s_max
+    gens = [(sigma, b, gd) for sigma in range(F.s_min, F.s_max + 1)
+            for b, gd in enumerate(F.stage(sigma).gen_degrees)]
     layout: Dict[BiDeg, List[Tuple[int, int, int, int]]] = {}
     dims: Dict[BiDeg, int] = {}
     for s in range(s_lo, s_hi + 1):
         for t in range(lo, t_top + 1):
             entries = []
             off = 0
-            for sigma in range(F.s_min, F.s_max + 1):
-                f = F.stage(sigma)
-                for b, gd in enumerate(f.gen_degrees):
-                    d = X.dim(s - sigma, t - gd)
-                    if d:
-                        entries.append((sigma, b, off, d))
-                        off += d
-            layout[(s, t)] = entries
+            for sigma, b, gd in gens:
+                d = X.dims.get((s - sigma, t - gd))
+                if d:
+                    entries.append((sigma, b, off, d))
+                    off += d
             if off:
+                layout[(s, t)] = entries
                 dims[(s, t)] = off
+    char = ring.characteristic
+    positions = _positions(layout)
+    free_diffs = {sigma: _by_source(F.diff_entries(sigma)) for sigma in F.stages}
     diffs: Dict[BiDeg, SparseMatrix] = {}
     actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
     for (s, t), parts in layout.items():
-        tgt = layout.get((s - 1, t))
-        if tgt is not None:
-            tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
+        tpos = positions.get((s - 1, t))
+        if tpos is not None:
             ent: Dict[Tuple[int, int], int] = {}
             for sigma, b, off, d in parts:
-                f = F.stage(sigma)
-                gd = f.gen_degrees[b]
+                gd = F.stages[sigma].gen_degrees[b]
                 # free-side differential
-                for (a, bb), q in F.diff_entries(sigma).items():
-                    if bb != b:
-                        continue
+                for a, q in free_diffs[sigma].get(b, ()):
                     key = (sigma - 1, a)
                     if key not in tpos:
                         continue
@@ -711,36 +765,34 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
                     act = complex_element_action(X, q, s - sigma, t - gd, ring)
                     for (r, c), v in act.entries.items():
                         k = (toff + r, off + c)
-                        ent[k] = (ent.get(k, 0) + v) % ring.characteristic
+                        ent[k] = (ent.get(k, 0) + v) % char
                 # inner differential with homological sign
                 key = (sigma, b)
-                if key in tpos:
+                dx = X.diffs.get((s - sigma, t - gd))
+                if dx is not None and key in tpos:
                     toff, td = tpos[key]
-                    dx = X.diff(s - sigma, t - gd)
                     sgn = -1 if sigma % 2 else 1
                     for (r, c), v in dx.entries.items():
                         k = (toff + r, off + c)
-                        ent[k] = (ent.get(k, 0) + sgn * v) % ring.characteristic
+                        ent[k] = (ent.get(k, 0) + sgn * v) % char
             ent = {k: v for k, v in ent.items() if v}
             if ent:
-                diffs[(s, t)] = SparseMatrix(fld, dims.get((s - 1, t), 0),
-                                             dims.get((s, t), 0), ent)
+                diffs[(s, t)] = SparseMatrix._trusted(
+                    fld, dims.get((s - 1, t), 0), dims.get((s, t), 0), ent)
         for g, gen in enumerate(ring.generators):
-            tgt = layout.get((s, t + gen.degree))
-            if tgt is None:
+            tpos = positions.get((s, t + gen.degree))
+            if tpos is None:
                 continue
-            tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
             ent = {}
             for sigma, b, off, d in parts:
-                gd = F.stage(sigma).gen_degrees[b]
-                if (sigma, b) not in tpos:
+                act = X.actions.get((g, s - sigma, t - F.stages[sigma].gen_degrees[b]))
+                if act is None or (sigma, b) not in tpos:
                     continue
                 toff, td = tpos[(sigma, b)]
-                act = X.action(g, s - sigma, t - gd)
                 for (r, c), v in act.entries.items():
                     ent[(toff + r, off + c)] = v
             if ent:
-                actions[(g, s, t)] = SparseMatrix(
+                actions[(g, s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
     C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
                         Window(lo, max(lo, t_top)), flags=dict(X.flags))
@@ -753,18 +805,18 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
                     Ct: WindowedComplex, Lt) -> ComplexMap:
     """Realize a free-side chain map against a fixed second factor."""
     ring = Fsrc.ring
+    char = ring.characteristic
+    positions = _positions(Lt)
+    by_source = {sigma: _by_source(c) for sigma, c in comps.items()}
     out: Dict[BiDeg, SparseMatrix] = {}
     for (s, t), parts in Ls.items():
-        tgt = Lt.get((s, t))
-        if tgt is None:
+        tpos = positions.get((s, t))
+        if tpos is None:
             continue
-        tpos = {(sigma, b): (off, d) for sigma, b, off, d in tgt}
         ent: Dict[Tuple[int, int], int] = {}
         for sigma, b, off, d in parts:
             gd = Fsrc.stage(sigma).gen_degrees[b]
-            for (a, bb), q in comps.get(sigma, {}).items():
-                if bb != b:
-                    continue
+            for a, q in by_source.get(sigma, {}).get(b, ()):
                 key = (sigma, a)
                 if key not in tpos:
                     continue
@@ -772,10 +824,11 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
                 act = complex_element_action(X, q, s - sigma, t - gd, ring)
                 for (r, c), v in act.entries.items():
                     k = (toff + r, off + c)
-                    ent[k] = (ent.get(k, 0) + v) % ring.characteristic
+                    ent[k] = (ent.get(k, 0) + v) % char
         ent = {k: v for k, v in ent.items() if v}
         if ent:
-            out[(s, t)] = SparseMatrix(ring.field, Ct.dim(s, t), Cs.dim(s, t), ent)
+            out[(s, t)] = SparseMatrix._trusted(ring.field, Ct.dim(s, t),
+                                                Cs.dim(s, t), ent)
     return ComplexMap(Cs, Ct, out)
 
 

@@ -141,7 +141,8 @@ class SparseMatrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "SparseMatrix":
-        return SparseMatrix(field, n, n, {(i, i): field.one() for i in range(n)})
+        one = field.one()
+        return SparseMatrix._trusted(field, n, n, {(i, i): one for i in range(n)})
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "SparseMatrix":
@@ -197,36 +198,51 @@ class SparseMatrix:
         return SparseMatrix(self.field, self.cols, self.rows,
                             {(j, i): v for (i, j), v in self.entries.items()})
 
+    # The results below are built from reduced, in-range entries, so they are
+    # wrapped without a second validation; zeros from cancellation are dropped.
+    # Matrices are immutable, so an operand may be returned as the result.
+
     def scale(self, c) -> "SparseMatrix":
         c = self.field.normalize(c)
-        return SparseMatrix(self.field, self.rows, self.cols,
-                            {k: self.field.mul(v, c) for k, v in self.entries.items()})
+        if c == 1:
+            return self
+        p = self.field.characteristic
+        ent = {k: v * c % p for k, v in self.entries.items()} if c else {}
+        return SparseMatrix._trusted(self.field, self.rows, self.cols, ent)
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ContractViolation("dimension mismatch in add")
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
+        p = self.field.characteristic
         ent = dict(self.entries)
-        f = self.field
         for k, v in other.entries.items():
-            ent[k] = f.add(ent.get(k, f.zero()), v)
-        return SparseMatrix(f, self.rows, self.cols, ent)
+            ent[k] = (ent.get(k, 0) + v) % p
+        return SparseMatrix._trusted(self.field, self.rows, self.cols,
+                                     {k: v for k, v in ent.items() if v})
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ContractViolation("dimension mismatch in matmul")
-        f = self.field
-        by_row: Dict[int, Dict[int, object]] = {}
+        if not self.entries or not other.entries:
+            return SparseMatrix._trusted(self.field, self.rows, other.cols, {})
+        p = self.field.characteristic
+        by_row: Dict[int, Dict[int, int]] = {}
         for (i, k), v in other.entries.items():
             by_row.setdefault(i, {})[k] = v
-        ent: Dict[Tuple[int, int], object] = {}
+        ent: Dict[Tuple[int, int], int] = {}
         for (i, j), a in self.entries.items():
             row = by_row.get(j)
             if not row:
                 continue
             for k, b in row.items():
                 key = (i, k)
-                ent[key] = f.add(ent.get(key, f.zero()), f.mul(a, b))
-        return SparseMatrix(f, self.rows, other.cols, ent)
+                ent[key] = (ent.get(key, 0) + a * b) % p
+        return SparseMatrix._trusted(self.field, self.rows, other.cols,
+                                     {k: v for k, v in ent.items() if v})
 
     __matmul__ = matmul
 

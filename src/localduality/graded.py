@@ -567,7 +567,7 @@ class GradedModule:
         self.free = FreeModule(ring, [d for _, d in generators], [n for n, _ in generators])
         self.name = name
         rel_rows: List[List[Poly]] = []
-        for row in relations:
+        for k, row in enumerate(relations, 1):
             prow = []
             for e in row:
                 p = ring.parse(e) if isinstance(e, str) else dict(e)
@@ -577,9 +577,40 @@ class GradedModule:
                         for j, p in enumerate(prow) if p}
                 if len(degs) > 1:
                     raise ContractViolation("non-homogeneous relation row")
+                self._check_parity(k, prow)
                 rel_rows.append(prow)
         self.relations = rel_rows
         self._deg_cache: Dict[int, Tuple[List[Tuple[int, Mono]], SparseMatrix, List[int]]] = {}
+
+    def _check_parity(self, k: int, row: List[Poly]):
+        """Reject relation row k when its terms differ in parity.
+
+        Module generators carry no parity, so every term of a relation must
+        have the parity of its ring monomial alike.  With two odd generators
+        in odd characteristic a mixed row makes multiplying by a*b and
+        multiplying by a then by b disagree; with fewer, no product of ring
+        elements carries a sign and any row is consistent.
+        """
+        ring = self.ring
+        if sum(ring.parity) < 2:
+            return
+        terms = [(j, m, c) for j, p in enumerate(row) for m, c in p.items()]
+        parities = [sum(e for e, odd in zip(m, ring.parity) if odd) % 2
+                    for _, m, _ in terms]
+        if len(set(parities)) < 2:
+            return
+
+        def name(term):
+            j, m, c = term
+            mono = ring.poly_str({m: c})
+            gen = self.generators[j][0]
+            return gen if mono == "1" else f"{mono}*{gen}"
+
+        other = parities.index(1 - parities[0])
+        raise ContractViolation(
+            f"relation row {k} mixes parities: {name(terms[0])} is "
+            f"{'odd' if parities[0] else 'even'} but {name(terms[other])} is "
+            f"{'odd' if parities[other] else 'even'}")
 
     @classmethod
     def free_module(cls, ring: GradedRing, degrees: Sequence[int], name: str = "F"):

@@ -317,16 +317,22 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     layouts = []
     frees: List[FreeComplex] = []
     maps: List[ComplexMap] = []
-    for s in range(1, s_max + 1):
-        F = koszul(ring, elems, s)
-        C, L = free_tensor(F, X, t_floor=w.t_lo)
-        frees.append(F)
-        stages.append(C)
-        layouts.append(L)
-        if s > 1:
-            maps.append(free_tensor_map(frees[src], frees[tgt], comps, X,
-                                        stages[src], layouts[src],
-                                        stages[tgt], layouts[tgt]))
+    try:
+        for s in range(1, s_max + 1):
+            F = koszul(ring, elems, s)
+            C, L = free_tensor(F, X, t_floor=w.t_lo)
+            frees.append(F)
+            stages.append(C)
+            layouts.append(L)
+            if s > 1:
+                maps.append(free_tensor_map(frees[src], frees[tgt], comps, X,
+                                            stages[src], layouts[src],
+                                            stages[tgt], layouts[tgt]))
+            # stage s + 1 builds each a^(s+1) from stage s's a^s and reuses
+            # the map's products; actions stage s did not use are dropped
+            X.age_monomial_actions()
+    finally:
+        X.clear_monomial_actions()
     direction = "colim" if colim else "lim"
     table, flags, stab = _homology_tower(stages, maps, direction, w)
     model = stages[-1]

@@ -83,6 +83,19 @@ def test_undefined_name_is_diagnostic_exit_one():
     assert rep["diagnostics"]
 
 
+def test_mixed_parity_module_is_diagnostic_exit_one(tmp_path, capsys):
+    inp = write(tmp_path, "[ring R]\nchar = 3\n"
+                          "generators = a:-1:odd, b:-1:odd, c:-2\n\n"
+                          "[module M]\nring = R\ngenerators = u:0, v:-1\n"
+                          "relation = a | 2\nrelation = c | b\n\n"
+                          "[run]\nhilbert M\n")
+    assert main(["--input", inp, "--window=-4:0"]) == 1
+    diags = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert len(diags) == 1 and diags[0]["line"] == 5
+    assert diags[0]["message"] == ("module M: relation row 1 mixes parities: "
+                                   "a*u is odd but 2*v is even")
+
+
 def test_failed_assertion_exit_two():
     text = ("[ring R]\nchar = 2\ngenerators = x:-1, y:-1\n"
             "relations = x^2, x*y\n[run]\nassert-gorenstein R\n")

@@ -220,3 +220,114 @@ def test_extend_basis_matches_one_at_a_time_reduction(problem):
     span_m = dense(f, span) if span else SparseMatrix(f, 0, n)
     got = extend_basis(span_m, np.array(cands, dtype=np.int64))
     assert got.tolist() == python_extend_basis(span, cands, n, p)
+
+
+# trusted arithmetic ------------------------------------------------------------
+#
+# matmul, add, scale and identity wrap their results without validation; each
+# must equal the same operation with raw integer sums rebuilt through the
+# validating constructor, which reduces every entry and drops zeros.
+
+ARITHMETIC_PRIMES = [2, 3, 5, LARGEST_PRIME_BELOW_BOUND]
+
+
+def reference_matmul(a, b):
+    ent = {}
+    for (i, j), v in a.entries.items():
+        for (jj, k), w in b.entries.items():
+            if j == jj:
+                ent[(i, k)] = ent.get((i, k), 0) + v * w
+    return SparseMatrix(a.field, a.rows, b.cols, ent)
+
+
+def reference_add(a, b):
+    ent = dict(a.entries)
+    for k, v in b.entries.items():
+        ent[k] = ent.get(k, 0) + v
+    return SparseMatrix(a.field, a.rows, a.cols, ent)
+
+
+def reference_scale(a, c):
+    return SparseMatrix(a.field, a.rows, a.cols,
+                        {k: v * c for k, v in a.entries.items()})
+
+
+def assert_trusted_equal(got, want):
+    assert got == want
+    assert all(0 < v < got.field.characteristic and 0 <= i < got.rows
+               and 0 <= j < got.cols for (i, j), v in got.entries.items())
+
+
+@st.composite
+def sparse_matrices(draw, p, rows, cols):
+    """Entries drawn sparse, often from {1, p - 1} so sums cancel."""
+    if not rows or not cols or draw(st.integers(0, 5)) == 0:
+        return SparseMatrix(GF(p), rows, cols)
+    values = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+    ent = draw(st.dictionaries(st.tuples(st.integers(0, rows - 1),
+                                         st.integers(0, cols - 1)),
+                               values, max_size=rows * cols))
+    return SparseMatrix(GF(p), rows, cols, ent)
+
+
+@st.composite
+def operands(draw, matmul):
+    p = draw(st.sampled_from(ARITHMETIC_PRIMES))
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(sparse_matrices(p, r, k))
+    b = draw(sparse_matrices(p, k, c) if matmul else sparse_matrices(p, r, k))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(matmul=True))
+def test_trusted_matmul_matches_validated(ab):
+    a, b = ab
+    assert_trusted_equal(a @ b, reference_matmul(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(matmul=False), st.booleans())
+def test_trusted_add_matches_validated(ab, negate):
+    a, b = ab
+    if negate:       # a + (-a) cancels everywhere
+        b = reference_scale(a, -1)
+    assert_trusted_equal(a.add(b), reference_add(a, b))
+    assert_trusted_equal(b.add(a), reference_add(b, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(matmul=False), st.data())
+def test_trusted_scale_matches_validated(ab, data):
+    a, _ = ab
+    p = a.field.characteristic
+    c = data.draw(st.one_of(st.sampled_from([0, 1, p - 1, -1, p, p + 1]),
+                            st.integers(-2 * p, 2 * p)))
+    assert_trusted_equal(a.scale(c), reference_scale(a, c))
+
+
+@pytest.mark.parametrize("p", ARITHMETIC_PRIMES)
+def test_trusted_arithmetic_edge_cases(p):
+    f = GF(p)
+    for n in range(4):
+        assert_trusted_equal(SparseMatrix.identity(f, n),
+                             SparseMatrix(f, n, n, {(i, i): 1 for i in range(n)}))
+    # a product whose every entry cancels
+    a = SparseMatrix(f, 2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 2 % p, (1, 1): 2 % p})
+    b = SparseMatrix(f, 2, 3, {(0, 0): 3 % p, (1, 0): p - 3 % p,
+                               (0, 2): 1, (1, 2): p - 1})
+    assert (a @ b).entries == {}
+    assert (a @ b).rows == 2 and (a @ b).cols == 3
+    # empty operands keep their shapes
+    z = SparseMatrix(f, 3, 2)
+    assert_trusted_equal(z @ b, SparseMatrix(f, 3, 3))
+    assert_trusted_equal(a @ SparseMatrix(f, 2, 0), SparseMatrix(f, 2, 0))
+    assert_trusted_equal(a.add(SparseMatrix(f, 2, 2)), a)
+    assert_trusted_equal(SparseMatrix(f, 2, 2).add(a), a)
+    assert_trusted_equal(a.scale(0), SparseMatrix(f, 2, 2))
+    assert_trusted_equal(a.scale(1), a)
+    assert_trusted_equal(a.scale(p - 1).add(a), SparseMatrix(f, 2, 2))
+    with pytest.raises(ContractViolation):
+        z.add(a)
+    with pytest.raises(ContractViolation):
+        z @ z

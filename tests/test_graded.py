@@ -95,6 +95,36 @@ def test_element_action_squares(poly_line):
     assert a2.to_dense() == step.to_dense()
 
 
+def test_mixed_parity_relation_row_is_refused():
+    # F3[a, b odd, c]: a*u is odd, 2*v is even; with generators carrying no
+    # parity, multiplying by a*b and by a then b would disagree on this module
+    ring = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -2)], [])
+    with pytest.raises(ContractViolation) as err:
+        GradedModule(ring, [("u", 0), ("v", -1)], [["a", "2"], ["c", "b"]])
+    assert str(err.value) == "relation row 1 mixes parities: a*u is odd but 2*v is even"
+    with pytest.raises(ContractViolation, match="row 2 .* c\\*u is even but b\\*v is odd"):
+        GradedModule(ring, [("u", 0), ("v", -1)], [["c^2", "0"], ["c", "b"]])
+    # within one entry, too, where an even generator has odd degree
+    ring_x = GradedRing(3, [("a", -1, True), ("b", -1, True), ("x", -1)], [])
+    with pytest.raises(ContractViolation, match="row 2 mixes parities"):
+        GradedModule(ring_x, [("u", 0)], [["a*b"], ["a + x"]])
+    # parity-homogeneous rows are accepted, odd rows included
+    GradedModule(ring, [("u", 0), ("v", 0)], [["a", "b"], ["c", "a*b"]])
+
+
+def test_mixed_parity_is_harmless_with_one_odd_generator():
+    # no product carries a sign, so a mixed row presents a consistent module
+    ring = GradedRing(5, [("x", -1), ("e", -1, True)], [])
+    mod = GradedModule(ring, [("u", 0), ("v", 0)], [["e", "x"], ["x^2", "3*x*e"]])
+    for t in range(0, -6, -1):
+        xe = mod.element_action("x*e", t)
+        assert xe == mod.generator_action(1, t - 1) @ mod.generator_action(0, t)
+        assert xe == mod.generator_action(0, t - 1) @ mod.generator_action(1, t)
+    # parity is invisible in characteristic 2
+    GradedModule(GradedRing(2, [("a", -1, True), ("b", -1, True)], []),
+                 [("u", 0), ("v", -1)], [["a", "1"]])
+
+
 # resolutions ----------------------------------------------------------------
 
 

@@ -4,15 +4,22 @@
 module that `FreeComplex.realize` used before it became a wrapper around
 `free_tensor`; `reference_induced` is the solve-based map induced on
 homology (a section of the homology projection found by elimination) that
-several modules carried before `induced_on_homology` replaced them.  Both
-paths must agree matrix for matrix.
+several modules carried before `induced_on_homology` replaced them;
+`reference_element_action` builds every monomial action as a fresh chain of
+generator-action products, as `complex_element_action` did before monomial
+actions were memoised on each complex.  Both paths must agree matrix for
+matrix.
 """
+
+import random
 
 import pytest
 
 from localduality.cli import Environment, corpus, parse
-from localduality.complexes import (complex_element_action, homology_space,
-                                    induced_on_homology, resolution_complex)
+from localduality.complexes import (WindowedComplex, complex_element_action,
+                                    free_tensor, homology_space,
+                                    induced_on_homology, module_complex,
+                                    resolution_complex)
 from localduality.exactla import (SparseMatrix, kernel_basis,
                                   quotient_projection, solve_matrix)
 from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
@@ -67,6 +74,32 @@ def reference_realize(F, mod, w):
                     actions[(g, s, t)] = SparseMatrix(
                         ring.field, dims.get((s, t2), 0), dims[(s, t)], ent)
     return dims, diffs, actions
+
+
+def reference_element_action(X, p, s, t, ring):
+    """Multiplication by a homogeneous element, monomial by monomial."""
+    fld = ring.field
+    if not p:
+        return SparseMatrix(fld, 0, X.dim(s, t))
+    dp = ring.poly_degree(p)
+    out = SparseMatrix(fld, X.dim(s, t + dp), X.dim(s, t))
+    for mono, c in p.items():
+        cur = SparseMatrix.identity(fld, X.dim(s, t))
+        tc = t
+        ok = True
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                a = X.action(i, s, tc)
+                if a.cols != cur.rows:
+                    ok = False
+                    break
+                cur = a @ cur
+                tc += ring.generators[i].degree
+            if not ok:
+                break
+        if ok and cur.rows == out.rows:
+            out = out.add(cur.scale(c))
+    return out
 
 
 def reference_homology_space(c, s, t):
@@ -146,6 +179,95 @@ def test_realize_matches_reference(F, mod, w):
            if inside(t) and inside(t + ring.generators[g].degree)}
     assert got == actions
     assert C.window.t_lo == w.t_lo
+
+
+# memoised monomial actions ----------------------------------------------------
+
+
+def _mismatched_complex():
+    """A module-like complex over F2[x, y] whose stored actions do not compose:
+    x from degree 0 has 3 columns on a 2-dimensional space, y from -1 lands
+    in 2 rows over a 1-dimensional space, and x from -1 expects 2 columns."""
+    ring = GradedRing(2, [("x", -1), ("y", -1)], [], name="F2[x,y]")
+    fld = ring.field
+    dims = {(0, 0): 2, (0, -1): 1, (0, -2): 1, (0, -3): 1}
+    actions = {(0, 0, 0): SparseMatrix(fld, 1, 3, {(0, 2): 1}),
+               (1, 0, 0): SparseMatrix(fld, 1, 2, {(0, 0): 1, (0, 1): 1}),
+               (0, 0, -1): SparseMatrix(fld, 1, 2, {(0, 1): 1}),
+               (1, 0, -1): SparseMatrix(fld, 2, 1, {(1, 0): 1}),
+               (0, 0, -2): SparseMatrix(fld, 1, 1, {(0, 0): 1}),
+               (1, 0, -2): SparseMatrix(fld, 1, 1, {(0, 0): 1})}
+    return ring, WindowedComplex(ring, dims, {}, actions, 0, 0, 0, Window(-3, 0))
+
+
+def _memo_cases():
+    w = Window(-5, 2)
+    odd = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -2)], [],
+                     name="F3[a',b',c]")
+    odd_mod = GradedModule(odd, [("u", 0), ("v", 0)], [["a", "b"], ["c", "a*b"]],
+                           name="two")
+    for ring in _rings()[:2] + [odd]:
+        elems = [ring.gen_poly(i) for i in range(ring.n)]
+        mods = _modules(ring) + ([odd_mod] if ring is odd else [])
+        for mod in mods:
+            X = module_complex(mod, Window(w.t_lo - 6, mod.top_degree))
+            yield pytest.param(ring, X, id=f"{ring.name}-{mod.name}")
+            for power in (1, 2):
+                C, _ = free_tensor(koszul_free(ring, elems, power), X,
+                                   t_floor=w.t_lo)
+                yield pytest.param(ring, C, id=f"{ring.name}-{mod.name}-kos{power}")
+    yield pytest.param(*_mismatched_complex(), id="mismatched")
+
+
+def _random_poly(rng, ring, degree):
+    """Up to three monomials of one internal degree, with random coefficients."""
+    monos = set()
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * ring.n
+        left = -degree
+        for i in rng.sample(range(ring.n), ring.n):
+            w = -ring.generators[i].degree
+            mono[i] = rng.randint(0, left // w)
+            left -= mono[i] * w
+        if left == 0:
+            monos.add(tuple(mono))
+    return {m: rng.randint(1, ring.characteristic - 1) for m in monos}
+
+
+@pytest.mark.parametrize("ring,X", list(_memo_cases()))
+def test_memoised_element_action_matches_reference(ring, X):
+    rng = random.Random(f"{ring.name}-{len(X.dims)}")
+    ts = range(X.window.t_lo, X.t_top + 1)
+    queries = []
+    while len(queries) < 60:
+        p = _random_poly(rng, ring, -rng.randint(0, 4))
+        if p or rng.random() < 0.1:
+            queries.append((p, rng.randint(X.s_min, X.s_max), rng.choice(ts)))
+    nonzero = 0
+    # repeat the queries within an age and across ages of the memo
+    for age in range(3):
+        for p, s, t in rng.sample(queries, len(queries)) + queries:
+            got = complex_element_action(X, p, s, t, ring)
+            assert got == reference_element_action(X, p, s, t, ring)
+            nonzero += bool(got.entries)
+        if age == 1:
+            X.age_monomial_actions()
+    assert nonzero
+
+
+def test_mismatched_monomials_are_skipped():
+    ring, X = _mismatched_complex()
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    # generators apply in index order: x*y from 0 starts with x, 3 columns on
+    # a 2-dimensional space, and is skipped
+    assert complex_element_action(X, {(1, 1): 1}, 0, 0, ring).entries == {}
+    assert complex_element_action(X, y, 0, 0, ring).entries == {(0, 0): 1, (0, 1): 1}
+    # y from -1 lands in 2 rows over a 1-dimensional degree
+    assert complex_element_action(X, y, 0, -1, ring).entries == {}
+    # x from -1 expects 2 columns; y^2 from -1 fails at its second factor
+    assert complex_element_action(X, x, 0, -1, ring).entries == {}
+    assert complex_element_action(X, {(0, 2): 1}, 0, -1, ring).entries == {}
+    assert complex_element_action(X, x, 0, -2, ring).entries == {(0, 0): 1}
 
 
 # induced maps on the corpus ----------------------------------------------------

@@ -165,9 +165,10 @@ def test_same_as_reference_odd_characteristic_graded_commutative():
     assert_same_as_reference(GradedModule.residue_field(ring), 4, w)
     assert_same_as_reference(
         GradedModule(ring, [("u", 0)], [["a*b + c"], ["c^2"]]), 4, w)
-    # two generators, a relation mixing them
+    # two generators, relations mixing them; every row is homogeneous in
+    # parity, as GradedModule requires with two odd generators
     assert_same_as_reference(
-        GradedModule(ring, [("u", 0), ("v", -1)], [["a", "2"], ["c", "b"]]), 4, w)
+        GradedModule(ring, [("u", 0), ("v", 0)], [["a", "b"], ["c", "a*b"]]), 4, w)
     ring5 = GradedRing(5, [("x", -1), ("e", -1, True)], [], name="F5")
     assert_same_as_reference(
         GradedModule(ring5, [("u", 0)], [["x^2 + 2*x*e"]]), 4, w)

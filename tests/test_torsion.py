@@ -11,7 +11,7 @@ from localduality.torsion import (SpecSubset, adjunction_check,
                                   fracture_check, gamma,
                                   local_to_global_acyclicity, localize_away,
                                   tate, telescope_invert)
-from localduality.complexes import module_complex
+from localduality.complexes import WindowedComplex, module_complex
 from conftest import free, max_ideal
 
 
@@ -94,6 +94,27 @@ def test_telescope_inversion_of_free(poly_line, window):
     # the telescope certifies one class per stable degree; not acyclic
     assert stable
     assert all(s == 0 and v == 1 for (s, _), v in stable.items())
+
+
+@pytest.mark.parametrize("functor", [gamma, completion])
+def test_tower_clears_memoised_actions_of_its_input(poly_plane, functor,
+                                                    monkeypatch):
+    # the result keeps its input alive through provenance["input"], so the
+    # monomial actions memoised on the input while the tower is built must
+    # not outlive the tower
+    cleared = []
+    clear = WindowedComplex.clear_monomial_actions
+
+    def recording_clear(self):
+        cleared.append(len(self._monomials) + len(self._monomials_old))
+        clear(self)
+
+    monkeypatch.setattr(WindowedComplex, "clear_monomial_actions", recording_clear)
+    mod = GradedModule(poly_plane, [("u", 0)], [["x^2"]])
+    res = functor(mod, max_ideal(poly_plane), Window(-4, 4))
+    X = res.provenance["input"]
+    assert cleared and cleared[-1] > 0
+    assert not X._monomials and not X._monomials_old
 
 
 # property suites ------------------------------------------------------------
