@@ -7,7 +7,6 @@ numpy int64 array mod p.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -41,25 +40,10 @@ def _check_characteristic(p: int) -> None:
         raise ContractViolation(f"characteristic {p} is not prime")
 
 
-@dataclass(frozen=True)
-class FieldScalar:
-    """Canonical scalar: a residue in [0, p) for a prime p."""
-
-    characteristic: int
-    value: object
-
-    def __post_init__(self):
-        p = self.characteristic
-        _check_characteristic(p)
-        if not isinstance(self.value, int) or not 0 <= self.value < p:
-            raise ContractViolation("residue not reduced to [0, p)")
-
-
 class Field:
     """Arithmetic context GF(p) for a prime p < 2^31.
 
-    Raw scalars are ints (reduced residues); FieldScalar is the validated
-    boundary type.
+    Scalars are ints (reduced residues).
     """
 
     def __init__(self, characteristic: int):
@@ -78,10 +62,6 @@ class Field:
     # raw-scalar arithmetic -------------------------------------------------
 
     def normalize(self, x):
-        if isinstance(x, FieldScalar):
-            if x.characteristic != self.characteristic:
-                raise ContractViolation("scalar from wrong field")
-            x = x.value
         return int(x) % self.characteristic
 
     def zero(self):
@@ -106,9 +86,6 @@ class Field:
         if a % self.characteristic == 0:
             raise ZeroDivisionError
         return pow(a, self.characteristic - 2, self.characteristic)
-
-    def scalar(self, x) -> FieldScalar:
-        return FieldScalar(self.characteristic, self.normalize(x))
 
 
 @lru_cache(maxsize=None)
@@ -246,16 +223,6 @@ class SparseMatrix:
 
     __matmul__ = matmul
 
-    def apply(self, vec: List[object]) -> List[object]:
-        if len(vec) != self.cols:
-            raise ContractViolation("dimension mismatch in apply")
-        f = self.field
-        vec = [f.normalize(x) for x in vec]
-        out = [f.zero()] * self.rows
-        for (i, j), v in self.entries.items():
-            out[i] = f.add(out[i], f.mul(v, vec[j]))
-        return out
-
     def hstack(self, other: "SparseMatrix") -> "SparseMatrix":
         if other.rows != self.rows:
             raise ContractViolation("dimension mismatch in hstack")
@@ -263,15 +230,6 @@ class SparseMatrix:
         for (i, j), v in other.entries.items():
             ent[(i, j + self.cols)] = v
         return SparseMatrix(self.field, self.rows, self.cols + other.cols, ent)
-
-    def submatrix(self, row_idx: List[int], col_idx: List[int]) -> "SparseMatrix":
-        rmap = {r: i for i, r in enumerate(row_idx)}
-        cmap = {c: j for j, c in enumerate(col_idx)}
-        ent = {}
-        for (i, j), v in self.entries.items():
-            if i in rmap and j in cmap:
-                ent[(rmap[i], cmap[j])] = v
-        return SparseMatrix(self.field, len(row_idx), len(col_idx), ent)
 
 
 class _Echelon(SparseMatrix):

@@ -348,24 +348,40 @@ class GradedRing:
             return self._basis_cache[t]
         weight = -t
         basis = self.complete(weight)
-        leads = [self.leading(g)[0] for g in basis if g]
+        # each leading monomial is tested once the last generator of its
+        # support is assigned: it divides every completion of a prefix it
+        # divides, so the branch is cut there
+        ending: List[List[Mono]] = [[] for _ in range(self.n)]
+        unit = False
+        for g in basis:
+            if g:
+                lm = self.leading(g)[0]
+                support = [i for i, e in enumerate(lm) if e]
+                if support:
+                    ending[support[-1]].append(lm)
+                else:
+                    unit = True
         out: List[Mono] = []
 
         def rec(i: int, remaining: int, acc: List[int]):
             if i == self.n:
                 if remaining == 0:
-                    m = tuple(acc)
-                    if not any(self.mono_divides(lm, m) for lm in leads):
-                        out.append(m)
+                    out.append(tuple(acc))
                 return
             w = self.weights[i]
             top = remaining // w
             if self.parity[i]:
                 top = min(top, 1)
             for e in range(top + 1):
-                rec(i + 1, remaining - e * w, acc + [e])
+                prefix = acc + [e]
+                # divisibility only grows with e, so no larger e survives
+                if any(all(lm[j] <= prefix[j] for j in range(i + 1))
+                       for lm in ending[i]):
+                    break
+                rec(i + 1, remaining - e * w, prefix)
 
-        rec(0, weight, [])
+        if not unit:
+            rec(0, weight, [])
         out.sort(key=self.order_key)
         self._basis_cache[t] = out
         return out

@@ -6,7 +6,10 @@ objects tensored with the input; the completion functor as the inverse limit
 of the Koszul tower itself.  Both are computed bidegree by bidegree with
 stabilization detection: a bidegree is declared stable when three
 consecutive tower maps induce isomorphisms on homology there, up to a hard
-stage cap.  Uncertified bidegrees are flagged, never silently reported.
+stage cap s_max.  Stage s depends on no other stage, so only the tail that
+certification reads is built: stages max(1, s_max - 3) .. s_max and the
+maps between them, numbered as in the whole tower 1 .. s_max.
+Uncertified bidegrees are flagged, never silently reported.
 """
 
 from __future__ import annotations
@@ -64,16 +67,22 @@ class SpecSubset:
 
 @dataclass
 class Tower:
-    """Stages of realized complexes joined by chain maps.
+    """The certified tail of a Koszul tower: realized stages joined by chain
+    maps.
 
-    direction "colim" means maps go stage s -> s+1; "lim" means s+1 -> s.
-    stabilization maps each bidegree to the stage from which three
-    consecutive maps are homology isomorphisms, or None when undetected.
+    stages[i] is stage first + i (the power of the Koszul object) and
+    maps[i] joins stages[i] and stages[i + 1]; the stages below first are
+    never built.  direction "colim" means maps go stage s -> s+1; "lim"
+    means s+1 -> s.  stabilization maps each bidegree to the position in the
+    whole tower 1 .. s_max (stage number minus one) of the stage from which
+    three consecutive maps are homology isomorphisms, or None when
+    undetected.
     """
 
     stages: List[WindowedComplex]
     maps: List[ComplexMap]
     direction: str
+    first: int
     stabilization: Dict[BiDeg, Optional[int]] = dc_field(default_factory=dict)
 
 
@@ -192,16 +201,22 @@ def koszul_object(m, elems: Sequence, w: Window,
 # towers with stabilization -------------------------------------------------
 
 
+# consecutive tower maps that certify a bidegree; the tower builds only the
+# stages these maps join
+CONSEC = 3
+
+
 def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
-                    direction: str, w: Window, consec: int = 3):
+                    direction: str, w: Window, first: int):
     """Stabilized values of a homology tower per bidegree in the window.
 
     Returns (table, flags, stabilization).  Certification works from the
-    tail of the tower: a bidegree is stable when the last `consec` maps
+    tail of the tower: a bidegree is stable when the last CONSEC maps
     induce isomorphisms on homology there (value = last-stage dimension),
     or certified zero when the composite of the tail maps vanishes
     (nilpotence, sound in both directions).  Anything else is flagged and
-    reported with the last-stage value.
+    reported with the last-stage value.  stages[0] is stage `first`, and
+    stabilization holds positions in the whole tower (stage number - 1).
     """
     table: Dict[BiDeg, int] = {}
     flags: Set[BiDeg] = set()
@@ -213,7 +228,7 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
         return stages[i].hspace(*key)[1].rows
 
     last = len(stages) - 1
-    tail = min(consec, len(maps))
+    tail = min(CONSEC, len(maps))
     for sh in range(s_lo, s_hi + 1):
         for t in w.t_range():
             key = (sh, t)
@@ -241,18 +256,18 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
                     composite = (composite @ ind) if direction == "colim" \
                         else (ind @ composite)
             tail_dims = {hdim(i, key) for i in range(last - tail, last + 1)}
-            if all_iso and tail >= consec:
-                stab[key] = last - tail
+            if all_iso and tail >= CONSEC:
+                stab[key] = first - 1 + last - tail
                 if end_dim:
                     table[key] = end_dim
             elif composite is not None and not composite.entries \
-                    and len(tail_dims) == 1 and tail >= consec:
+                    and len(tail_dims) == 1 and tail >= CONSEC:
                 # a constant-rank tail whose composite vanishes: classes die
                 # at a steady rate, so nothing survives.  (A growing tail
                 # with zero composite is just an unstabilized wave front and
                 # falls through to the flagged branch.)
                 # every class dies along the tail: certified zero
-                stab[key] = last - tail
+                stab[key] = first - 1 + last - tail
             else:
                 stab[key] = None
                 flags.add(key)
@@ -293,6 +308,8 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     sit up to s * weight above m, so m is materialized that much deeper;
     Lambda is the inverse limit of Kos(p^s) (x) m.  Consecutive stages are
     joined by the (product-of-elements, identity) map of Koszul objects.
+    Stage s is Kos(p^s) (x) m on its own, so only the stages from
+    max(1, s_max - CONSEC) up, which certification reads, are built.
     """
     p = _ideal(v)
     ring = p.ring
@@ -317,14 +334,15 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     layouts = []
     frees: List[FreeComplex] = []
     maps: List[ComplexMap] = []
+    first = max(1, s_max - CONSEC)
     try:
-        for s in range(1, s_max + 1):
+        for s in range(first, s_max + 1):
             F = koszul(ring, elems, s)
             C, L = free_tensor(F, X, t_floor=w.t_lo)
             frees.append(F)
             stages.append(C)
             layouts.append(L)
-            if s > 1:
+            if s > first:
                 maps.append(free_tensor_map(frees[src], frees[tgt], comps, X,
                                             stages[src], layouts[src],
                                             stages[tgt], layouts[tgt]))
@@ -334,7 +352,7 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     finally:
         X.clear_monomial_actions()
     direction = "colim" if colim else "lim"
-    table, flags, stab = _homology_tower(stages, maps, direction, w)
+    table, flags, stab = _homology_tower(stages, maps, direction, w, first)
     model = stages[-1]
     res = FunctorResult(model, table, flags,
                         {"functor": functor, "ideal": p.name, "stage": s_max})
@@ -343,7 +361,7 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     else:
         res.from_input = inclusion_of_unit(frees[-1], model, layouts[-1], X)
     if keep_tower:
-        res.provenance["tower"] = Tower(stages, maps, direction, stab)
+        res.provenance["tower"] = Tower(stages, maps, direction, first, stab)
     res.provenance["input"] = X
     return res
 

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localduality.cli import Environment, corpus, parse
 from localduality.exactla import ContractViolation
 from localduality.graded import (DegreewiseModel, GradedModule, GradedRing,
                                  HomIdeal, Window, ext, hilbert_function,
@@ -61,6 +62,64 @@ def test_krull_dim():
     art = plane.quotient([plane.parse("x^2"), plane.parse("x*y"),
                           plane.parse("y^2")])
     assert art.krull_dim() == 0
+
+
+def reference_basis_in_degree(ring, t):
+    """Standard monomials of degree t as `basis_in_degree` found them before
+    it pruned: every exponent vector of weight -t, then those no leading
+    monomial divides, sorted."""
+    if t > 0:
+        return []
+    weight = -t
+    leads = [ring.leading(g)[0] for g in ring.complete(weight) if g]
+    out = []
+
+    def rec(i, remaining, acc):
+        if i == ring.n:
+            if remaining == 0:
+                m = tuple(acc)
+                if not any(ring.mono_divides(lm, m) for lm in leads):
+                    out.append(m)
+            return
+        w = ring.weights[i]
+        top = remaining // w
+        if ring.parity[i]:
+            top = min(top, 1)
+        for e in range(top + 1):
+            rec(i + 1, remaining - e * w, acc + [e])
+
+    rec(0, weight, [])
+    out.sort(key=ring.order_key)
+    return out
+
+
+def test_basis_in_degree_matches_reference_on_corpus():
+    for entry in corpus():
+        spec, _ = parse(entry.text)
+        ring = Environment(spec).ring("R")
+        for t in range(1, -41, -1):
+            assert ring.basis_in_degree(t) == reference_basis_in_degree(ring, t), \
+                (entry.name, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=4),
+       st.data())
+def test_basis_in_degree_matches_reference_on_monomial_quotients(p, gens, data):
+    n = len(gens)
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    rels = data.draw(st.lists(exps, max_size=4))
+    ring = GradedRing(p, [(f"x{i}", -w, odd) for i, (w, odd) in enumerate(gens)],
+                      [{tuple(e): 1} for e in rels])
+    for t in range(0, -17, -1):
+        assert ring.basis_in_degree(t) == reference_basis_in_degree(ring, t)
+
+
+def test_basis_in_degree_of_unit_quotient_is_empty():
+    ring = GradedRing(2, [("x", -1), ("y", -2)], [{(0, 0): 1}])
+    for t in range(0, -5, -1):
+        assert ring.basis_in_degree(t) == reference_basis_in_degree(ring, t) == []
 
 
 @settings(max_examples=30, deadline=None)

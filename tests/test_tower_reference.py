@@ -1,0 +1,99 @@
+"""Differential test of the tail-only Koszul tower against the whole tower.
+
+`reference_tower` is the loop `torsion._tower_functor` ran before it built
+only the certified tail: every stage 1..s_max is realized and joined to the
+next, and the whole tower is handed to `_homology_tower` from stage 1.  The
+tail-only tower must give the same homotopy, flags, stabilization stages,
+model and maps to and from the input.
+"""
+
+import pytest
+
+from localduality.cli import Environment, corpus, parse
+from localduality.complexes import (free_tensor, free_tensor_map,
+                                    inclusion_of_unit, projection_to_unit)
+from localduality.graded import GradedModule, HomIdeal, Window
+from localduality.torsion import (CONSEC, _homology_tower, _ideal_data,
+                                  _materialize, _subset_chain_map, completion,
+                                  dual_koszul_free, gamma, koszul_free)
+
+
+def reference_tower(functor, m, p, w, s_max):
+    """Every stage 1..s_max of the tower; returns the tower's certification,
+    its stages and maps, and the map between the last stage and the input."""
+    ring = p.ring
+    elems, total_weight = _ideal_data(p)
+    colim = functor == "gamma"
+    floor = w.t_lo - s_max * total_weight - 1 if colim else w.t_lo - 1
+    X = _materialize(ring, m, w, floor)
+    koszul = dual_koszul_free if colim else koszul_free
+    comps = _subset_chain_map(ring, elems, dual=colim)
+    src, tgt = (-2, -1) if colim else (-1, -2)
+    stages, layouts, frees, maps = [], [], [], []
+    try:
+        for s in range(1, s_max + 1):
+            F = koszul(ring, elems, s)
+            C, L = free_tensor(F, X, t_floor=w.t_lo)
+            frees.append(F)
+            stages.append(C)
+            layouts.append(L)
+            if s > 1:
+                maps.append(free_tensor_map(frees[src], frees[tgt], comps, X,
+                                            stages[src], layouts[src],
+                                            stages[tgt], layouts[tgt]))
+            X.age_monomial_actions()
+    finally:
+        X.clear_monomial_actions()
+    direction = "colim" if colim else "lim"
+    table, flags, stab = _homology_tower(stages, maps, direction, w, 1)
+    unit = projection_to_unit if colim else inclusion_of_unit
+    edge = unit(frees[-1], stages[-1], layouts[-1], X)
+    return table, flags, stab, stages, maps, edge
+
+
+def _corpus_cases():
+    for entry in corpus():
+        spec, _ = parse(entry.text)
+        ring = Environment(spec).ring("R")
+        ideal = HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)],
+                         is_prime_asserted=True, name="m")
+        g0 = ring.gen_poly(0)
+        for mod in (GradedModule.free_module(ring, [0], name="R"),
+                    GradedModule.residue_field(ring),
+                    GradedModule(ring, [("u", 0)], [[ring.poly_mul(g0, g0) or g0]],
+                                 name="cyclic")):
+            yield pytest.param(ring, mod, ideal, id=f"{entry.name}-{mod.name}")
+
+
+def _same_complex(a, b):
+    assert a.dims == b.dims
+    assert a.diffs == b.diffs
+    assert a.actions == b.actions
+    assert (a.s_min, a.s_max, a.t_top, a.window) == \
+        (b.s_min, b.s_max, b.t_top, b.window)
+
+
+@pytest.mark.parametrize("ring,mod,ideal", list(_corpus_cases()))
+def test_tail_matches_whole_tower(ring, mod, ideal):
+    w = Window(-3, 3)
+    for functor, run in (("gamma", gamma), ("completion", completion)):
+        for s_max in range(1, 6):
+            res = run(mod, ideal, w, s_max=s_max, keep_tower=True)
+            table, flags, stab, stages, maps, edge = reference_tower(
+                functor, mod, ideal, w, s_max)
+            tower = res.provenance["tower"]
+            first = max(1, s_max - CONSEC)
+            assert tower.first == first
+            assert len(tower.stages) == s_max - first + 1
+            assert len(tower.maps) == s_max - first
+            assert res.provenance["stage"] == s_max
+            assert res.homotopy == table
+            assert res.flags == flags
+            assert tower.stabilization == stab
+            for i, c in enumerate(tower.stages):
+                _same_complex(c, stages[first - 1 + i])
+            for i, f in enumerate(tower.maps):
+                assert f.comps == maps[first - 1 + i].comps
+            _same_complex(res.model, stages[-1])
+            got = res.to_input if functor == "gamma" else res.from_input
+            assert got.comps == edge.comps
