@@ -679,16 +679,14 @@ class FreeComplex:
 
 
 def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
-                           ring: GradedRing,
-                           degree: Optional[int] = None) -> SparseMatrix:
+                           ring: GradedRing) -> SparseMatrix:
     """Multiplication by a homogeneous element on a realized complex, summed
     from X's memoised monomial actions; a monomial whose generator actions do
-    not compose, or land in the wrong dimension, is skipped.  degree, when
-    given, is p's degree, known to callers that act by one element often."""
+    not compose, or land in the wrong dimension, is skipped."""
     fld = ring.field
     if not p:
         return SparseMatrix._trusted(fld, 0, X.dim(s, t), {})
-    dp = ring.poly_degree(p) if degree is None else degree
+    dp = ring.poly_degree(p)
     out = SparseMatrix._trusted(fld, X.dim(s, t + dp), X.dim(s, t), {})
     for mono, c in p.items():
         cur = X.monomial_action(mono, s, t)
@@ -697,13 +695,12 @@ def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
     return out
 
 
-def _by_source(ring: GradedRing, entries: Dict[Tuple[int, int], Poly]
-               ) -> Dict[int, List[Tuple[int, Poly, Optional[int]]]]:
+def _by_source(entries: Dict[Tuple[int, int], Poly]) -> Dict[int, List[Tuple[int, Poly]]]:
     """Free-side entries {(target gen, source gen): poly} grouped by source
-    generator as (target gen, poly, degree of poly), keeping their order."""
-    out: Dict[int, List[Tuple[int, Poly, Optional[int]]]] = {}
+    generator, keeping their order."""
+    out: Dict[int, List[Tuple[int, Poly]]] = {}
     for (a, b), q in entries.items():
-        out.setdefault(b, []).append((a, q, ring.poly_degree(q)))
+        out.setdefault(b, []).append((a, q))
     return out
 
 
@@ -750,8 +747,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
                 dims[(s, t)] = off
     char = ring.characteristic
     positions = _positions(layout)
-    free_diffs = {sigma: _by_source(ring, F.diff_entries(sigma))
-                  for sigma in F.stages}
+    free_diffs = {sigma: _by_source(F.diff_entries(sigma)) for sigma in F.stages}
     diffs: Dict[BiDeg, SparseMatrix] = {}
     actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
     for (s, t), parts in layout.items():
@@ -761,13 +757,12 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
             for sigma, b, off, d in parts:
                 gd = F.stages[sigma].gen_degrees[b]
                 # free-side differential
-                for a, q, dq in free_diffs[sigma].get(b, ()):
+                for a, q in free_diffs[sigma].get(b, ()):
                     key = (sigma - 1, a)
                     if key not in tpos:
                         continue
                     toff, td = tpos[key]
-                    act = complex_element_action(X, q, s - sigma, t - gd, ring,
-                                                 dq)
+                    act = complex_element_action(X, q, s - sigma, t - gd, ring)
                     for (r, c), v in act.entries.items():
                         k = (toff + r, off + c)
                         ent[k] = (ent.get(k, 0) + v) % char
@@ -812,7 +807,7 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
     ring = Fsrc.ring
     char = ring.characteristic
     positions = _positions(Lt)
-    by_source = {sigma: _by_source(ring, c) for sigma, c in comps.items()}
+    by_source = {sigma: _by_source(c) for sigma, c in comps.items()}
     out: Dict[BiDeg, SparseMatrix] = {}
     for (s, t), parts in Ls.items():
         tpos = positions.get((s, t))
@@ -821,12 +816,12 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
         ent: Dict[Tuple[int, int], int] = {}
         for sigma, b, off, d in parts:
             gd = Fsrc.stage(sigma).gen_degrees[b]
-            for a, q, dq in by_source.get(sigma, {}).get(b, ()):
+            for a, q in by_source.get(sigma, {}).get(b, ()):
                 key = (sigma, a)
                 if key not in tpos:
                     continue
                 toff, td = tpos[key]
-                act = complex_element_action(X, q, s - sigma, t - gd, ring, dq)
+                act = complex_element_action(X, q, s - sigma, t - gd, ring)
                 for (r, c), v in act.entries.items():
                     k = (toff + r, off + c)
                     ent[k] = (ent.get(k, 0) + v) % char

@@ -360,6 +360,8 @@ class GradedRing:
                 if support:
                     ending[support[-1]].append(lm)
                 else:
+                    # a unit leaves no standard monomial; it is not filed,
+                    # since a ring without generators has no generator 0
                     unit = True
         out: List[Mono] = []
 
@@ -375,8 +377,7 @@ class GradedRing:
             for e in range(top + 1):
                 prefix = acc + [e]
                 # divisibility only grows with e, so no larger e survives
-                if any(all(lm[j] <= prefix[j] for j in range(i + 1))
-                       for lm in ending[i]):
+                if any(self.mono_divides(lm, prefix) for lm in ending[i]):
                     break
                 rec(i + 1, remaining - e * w, prefix)
 

@@ -120,6 +120,8 @@ def test_basis_in_degree_of_unit_quotient_is_empty():
     ring = GradedRing(2, [("x", -1), ("y", -2)], [{(0, 0): 1}])
     for t in range(0, -5, -1):
         assert ring.basis_in_degree(t) == reference_basis_in_degree(ring, t) == []
+    field = GradedRing(2, [], ["1"])
+    assert field.basis_in_degree(0) == reference_basis_in_degree(field, 0) == []
 
 
 @settings(max_examples=30, deadline=None)
