@@ -236,8 +236,8 @@ def cone(f: ComplexMap) -> WindowedComplex:
         for t in range(w.t_lo, max(A.t_top, B.t_top) + 1):
             da, db = A.dim(s - 1, t), B.dim(s, t)
             ta, tb = A.dim(s - 2, t), B.dim(s - 1, t)
-            if da + db == 0 or ta + tb == 0:
-                pass
+            # every entry is an engine entry or its negative, and the three
+            # blocks of d and the two blocks of each action do not overlap
             ent: Dict[Tuple[int, int], int] = {}
             dA = A.diff(s - 1, t)
             for (i, j), v in dA.entries.items():
@@ -249,7 +249,7 @@ def cone(f: ComplexMap) -> WindowedComplex:
             for (i, j), v in dB.entries.items():
                 ent[(ta + i, da + j)] = v
             if ent:
-                diffs[(s, t)] = SparseMatrix(fld, ta + tb, da + db, ent)
+                diffs[(s, t)] = SparseMatrix._trusted(fld, ta + tb, da + db, ent)
             for g, gen in enumerate(ring.generators):
                 t2 = t + gen.degree
                 aent: Dict[Tuple[int, int], int] = {}
@@ -259,7 +259,7 @@ def cone(f: ComplexMap) -> WindowedComplex:
                 for (i, j), v in B.action(g, s, t).entries.items():
                     aent[(da2 + i, da + j)] = v
                 if aent:
-                    actions[(g, s, t)] = SparseMatrix(
+                    actions[(g, s, t)] = SparseMatrix._trusted(
                         fld, da2 + B.dim(s, t2), da + db, aent)
     return WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi,
                            max(A.t_top, B.t_top), w)

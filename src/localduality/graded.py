@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
-                      kernel_basis, kernel_rows, quotient_projection, rank, rref)
+                      kernel_basis, kernel_rows, quotient_projection, rank)
 
 Mono = Tuple[int, ...]          # exponent vector over the ring's generators
 Poly = Dict[Mono, int]          # monomial -> nonzero coefficient (raw residue)
@@ -598,6 +598,11 @@ class GradedModule:
                 rel_rows.append(prow)
         self.relations = rel_rows
         self._deg_cache: Dict[int, Tuple[List[Tuple[int, Mono]], SparseMatrix, List[int]]] = {}
+        # the top-down walk of _realize: degrees _walked and above are
+        # realized, and the last _zero_run of them are zero
+        self._lowest = min((d for _, d in self.generators), default=0)
+        self._walked = self.top_degree + 1
+        self._zero_run = 0
 
     def _check_parity(self, k: int, row: List[Poly]):
         """Reject relation row k when its terms differ in parity.
@@ -673,12 +678,70 @@ class GradedModule:
         return SparseMatrix._trusted(ring.field, len(rows), len(basis), ent)
 
     def _realize(self, t: int):
-        if t not in self._deg_cache:
-            basis = self.free.basis_in_degree(t)
-            span = self._relation_span(t)
-            proj, free_cols = quotient_projection(span)
-            self._deg_cache[t] = (basis, proj, free_cols)
-        return self._deg_cache[t]
+        """(free basis, projection P, free columns) of degree t, cached.
+
+        P maps free-module coordinates onto the quotient basis, the free
+        columns (see exactla.quotient_projection).  Below the lowest
+        generator degree every element of M_t is a sum of x_i * M_{t + w_i},
+        so M_t = 0 once the W = max w_i degrees above t are zero, and then
+        every lower degree is zero too.  To find the first such t whatever
+        degree is asked first, the degrees are realized top-down from the
+        top generator degree.  Below the first such t the relation span is
+        all of the free module, so none is built: P is 0 x n and no column
+        is free.
+        """
+        cache = self._deg_cache
+        if t not in cache:
+            if t >= self._lowest:
+                cache[t] = self._eliminate(t)
+            else:
+                self._walk_down(t)
+                if t not in cache:
+                    basis = self.free.basis_in_degree(t)
+                    cache[t] = (basis, SparseMatrix._trusted(
+                        self.ring.field, 0, len(basis), {}), [])
+        return cache[t]
+
+    def _eliminate(self, t: int):
+        proj, free_cols = quotient_projection(self._relation_span(t))
+        return self.free.basis_in_degree(t), proj, free_cols
+
+    def _walk_down(self, t: int):
+        """Realize the degrees from the top generator degree down to t, or
+        down to the first one that the vanishing rule shows to be zero."""
+        run_needed = max(self.ring.weights, default=0)
+        cache = self._deg_cache
+        if self._walked > t:
+            # degree t needs ring weights up to top_degree - t; completing
+            # to that bound first spares a restarted completion per degree
+            self.ring.complete(self.top_degree - t)
+        while self._walked > t:
+            d = self._walked - 1
+            if d < self._lowest and self._zero_run >= run_needed:
+                return
+            if d not in cache:
+                cache[d] = self._eliminate(d)
+            self._zero_run = 0 if cache[d][2] else self._zero_run + 1
+            self._walked = d
+
+    def relation_vectors(self, t: int) -> np.ndarray:
+        """The nonzero rows of rref(_relation_span(t)), as an int64 array.
+
+        The echelon form is unique, so it is read off _realize(t) rather
+        than eliminated again: the row of pivot column c has 1 at c and
+        -P[:, c] at the free columns.  Where M_t = 0 it is the identity.
+        """
+        basis, proj, free_cols = self._realize(t)
+        free_set = set(free_cols)
+        pivots = [c for c in range(len(basis)) if c not in free_set]
+        out = np.zeros((len(pivots), len(basis)), dtype=np.int64)
+        out[range(len(pivots)), pivots] = 1
+        if free_cols and pivots:
+            P = np.zeros((proj.rows, proj.cols), dtype=np.int64)
+            for (r, c), v in proj.entries.items():
+                P[r, c] = v
+            out[:, free_cols] = (-P[:, pivots].T) % self.ring.characteristic
+        return out
 
     def dim_in_degree(self, t: int) -> int:
         if t > self.top_degree:
@@ -830,11 +893,7 @@ def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolu
                          [n for n, _ in mod.generators])]
     diffs: List[Dict[Tuple[int, int], Poly]] = []
 
-    def relation_vectors(t):
-        red, pivots = rref(mod._relation_span(t))
-        return red.array[:len(pivots)]
-
-    prev_vectors = relation_vectors
+    prev_vectors = mod.relation_vectors
     prev_free = stages[0]
     for step in range(length):
         gens, maps = _minimal_generators(ring, prev_free, prev_vectors, w)
