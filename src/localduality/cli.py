@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import ContractViolation
 from .graded import (GradedModule, GradedRing, HomIdeal, Window,
-                     hilbert_function, matlis_dual, minimal_free_resolution,
-                     tor, ext)
+                     dual_hilbert_function, hilbert_function,
+                     minimal_free_resolution, tor, ext)
 from .complexes import homology
 from .torsion import (SpecSubset, check_recollement, delta, gamma,
                       completion, koszul_object, localize_away,
@@ -539,12 +539,12 @@ class Runner:
     def cmd_matlis(self, pos, kv):
         pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
-        return {"kind": "matlis", "table": _dim_rows(matlis_dual(m, w).dims)}
+        return {"kind": "matlis", "table": _dim_rows(dual_hilbert_function(m, w))}
 
     def cmd_ihull(self, pos, kv):
         pos, w = self.window(pos, "ideal")
         p = self.env.ideal(pos[0])
-        im = injective_hull(p, w, seed=self.seed)
+        im = injective_hull(p, w)
         out = {"kind": "ihull", "route": im.route, "flags": im.flags}
         if im.hilbert is not None:
             out["table"] = _dim_rows(im.hilbert)
@@ -566,7 +566,7 @@ class Runner:
     def cmd_gorenstein(self, pos, kv):
         pos, w = self.window(pos, "ring")
         ring = self.env.ring(pos[0])
-        cert = gorenstein_certificate(ring, w, seed=self.seed)
+        cert = gorenstein_certificate(ring, w)
         out = {"kind": "gorenstein", "name": pos[0],
                "verdict": cert.verdict, "krull_dim": cert.krull_dim,
                "shift": cert.shift}
@@ -590,7 +590,7 @@ class Runner:
         ring = self.env.ring(pos[0])
         J = None if pos[1] == "0" else self.env.module_or_ring(pos[1])
         p = self.env.ideal(pos[2])
-        rep = twist_check(ring, J, p, w, seed=self.seed)
+        rep = twist_check(ring, J, p, w)
         return {"kind": "twist-check", "verdict": bool(rep["verdict"]),
                 "totals": {str(k): v for k, v in rep["totals"].items()},
                 "expected": {str(k): v for k, v in rep["expected"].items()}}
@@ -615,7 +615,7 @@ class Runner:
     def cmd_omega(self, pos, kv):
         pos, w = self.window(pos, "map")
         f = self.env.ring_map(pos[0])
-        om = dualizing_module(f, w, seed=self.seed)
+        om = dualizing_module(f, w)
         out = {"kind": "omega", "map": pos[0],
                "stage": om.stage, "gen_degree": om.gen_degree,
                "invertible": om.invertible, "flags": om.flags}
@@ -638,7 +638,7 @@ class Runner:
         pos, w = self.window(pos, "map")
         f = self.env.ring_map(pos[0])
         r = RingMap.unit(f.source)
-        rep = transitivity_check(r, f, w, seed=self.seed)
+        rep = transitivity_check(r, f, w)
         return {"kind": "transitivity-check", "verdict": bool(rep["verdict"]),
                 "lhs": {str(k): v for k, v in rep["lhs"].items()},
                 "rhs": {str(k): v for k, v in rep["rhs"].items()}}

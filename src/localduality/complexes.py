@@ -179,18 +179,33 @@ class ComplexMap:
                 raise ContractViolation(f"not a chain map at ({s}, {t})")
 
 
+def module_slice(ring: GradedRing, dims: Dict[int, int],
+                 action: Callable[[int, int], SparseMatrix], w: Window,
+                 t_top: int, s: int = 0) -> WindowedComplex:
+    """A module known degreewise on w as a complex concentrated in
+    homological degree s.
+
+    dims[t] is the dimension in degree t, for t in w; action(g, t) is the
+    matrix of generator g from degree t, asked only where both degrees are
+    nonzero.  Every module on a window is kept this way, so its monomial
+    actions come from the complex's memo and its dual from brown_comenetz.
+    """
+    dims = {t: d for t, d in dims.items() if d}
+    actions = {}
+    for g, gen in enumerate(ring.generators):
+        for t in dims:
+            if t + gen.degree in dims:
+                actions[(g, s, t)] = action(g, t)
+    return WindowedComplex(ring, {(s, t): d for t, d in dims.items()}, {},
+                           actions, s, s, t_top, w)
+
+
 def module_complex(mod: GradedModule, w: Window, t_top: Optional[int] = None,
                    s: int = 0) -> WindowedComplex:
     """A module viewed as a complex concentrated in homological degree s."""
-    ring = mod.ring
-    dims = {(s, t): mod.dim_in_degree(t) for t in w.t_range()}
-    actions = {}
-    for g, gen in enumerate(ring.generators):
-        for t in w.t_range():
-            if w.t_lo <= t + gen.degree <= w.t_hi and dims.get((s, t)):
-                actions[(g, s, t)] = mod.generator_action(g, t)
+    dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
     top = t_top if t_top is not None else mod.top_degree
-    return WindowedComplex(ring, dims, {}, actions, s, s, top, w)
+    return module_slice(mod.ring, dims, mod.generator_action, w, top, s)
 
 
 def shift(c: WindowedComplex, s_shift: int, t_shift: int = 0) -> WindowedComplex:

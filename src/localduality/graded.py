@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
-                      kernel_basis, kernel_rows, quotient_projection, rank)
+                      kernel_rows, quotient_projection)
 
 Mono = Tuple[int, ...]          # exponent vector over the ring's generators
 Poly = Dict[Mono, int]          # monomial -> nonzero coefficient (raw residue)
@@ -801,6 +801,13 @@ def hilbert_function(mod: GradedModule, w: Window) -> Dict[int, int]:
     return {t: mod.dim_in_degree(t) for t in w.t_range()}
 
 
+def dual_hilbert_function(mod: GradedModule, w: Window) -> Dict[int, int]:
+    """The nonzero dims of the Matlis dual Hom_k(mod, k) on w: its degree t
+    piece is dual to the degree -t piece of mod."""
+    dims = {t: mod.dim_in_degree(-t) for t in range(w.t_hi, w.t_lo - 1, -1)}
+    return {t: d for t, d in dims.items() if d}
+
+
 # resolutions ---------------------------------------------------------------
 
 
@@ -949,145 +956,6 @@ def ext(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, in
     C = resolution_complex(res, w).hom_into(mod2, w, validate=False)
     return {(-s, t): h for (s, t), h in homology(C, w).items()
             if w.s_lo <= -s <= w.s_hi}
-
-
-# Matlis duality ------------------------------------------------------------
-
-
-class DegreewiseModel:
-    """Degreewise dims plus generator-action matrices; the common currency for
-    window-level isomorphism checks."""
-
-    def __init__(self, ring: GradedRing, dims: Dict[int, int],
-                 actions: Dict[Tuple[int, int], SparseMatrix]):
-        self.ring = ring
-        self.dims = {t: d for t, d in dims.items() if d}
-        self.actions = actions  # (gen index, t) -> matrix deg t -> t + deg_g
-
-    def dim(self, t: int) -> int:
-        return self.dims.get(t, 0)
-
-    def action(self, gi: int, t: int) -> SparseMatrix:
-        key = (gi, t)
-        if key in self.actions:
-            return self.actions[key]
-        g = self.ring.generators[gi]
-        return SparseMatrix(self.ring.field, self.dim(t + g.degree), self.dim(t))
-
-    @classmethod
-    def of_module(cls, mod: GradedModule, w: Window) -> "DegreewiseModel":
-        dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
-        actions = {}
-        for gi, g in enumerate(mod.ring.generators):
-            for t in w.t_range():
-                if w.t_lo <= t + g.degree <= w.t_hi and dims.get(t):
-                    actions[(gi, t)] = mod.generator_action(gi, t)
-        return cls(mod.ring, dims, actions)
-
-
-def matlis_dual(model, w: Window) -> DegreewiseModel:
-    """Degreewise k-linear dual with transposed generator actions.
-
-    Accepts a GradedModule or a DegreewiseModel; the dual of degree t is the
-    dual of the input's degree -t piece.
-    """
-    if isinstance(model, GradedModule):
-        inner = Window(-w.t_hi, -w.t_lo, w.s_lo, w.s_hi)
-        model = DegreewiseModel.of_module(model, inner)
-    ring = model.ring
-    dims = {-t: d for t, d in model.dims.items() if -w.t_hi <= -t <= w.t_hi}
-    dims = {t: d for t, d in dims.items() if w.t_lo <= t <= w.t_hi}
-    actions = {}
-    for gi, g in enumerate(ring.generators):
-        for t in range(w.t_lo, w.t_hi + 1):
-            # action deg t -> t + deg_g on the dual = transpose of
-            # action deg -t - deg_g -> -t on the input
-            src = -t - g.degree
-            if (gi, src) in model.actions:
-                actions[(gi, t)] = model.actions[(gi, src)].transpose()
-    return DegreewiseModel(ring, dims, actions)
-
-
-def models_isomorphic(a: DegreewiseModel, b: DegreewiseModel, w: Window,
-                      seed: int = 0, tries: int = 8) -> bool:
-    """Hilbert equality + action rank profiles + window intertwiner solve."""
-    ts = [t for t in w.t_range()]
-    for t in ts:
-        if a.dim(t) != b.dim(t):
-            return False
-    ring = a.ring
-    f = ring.field
-    # unknowns: phi_t entries for each t with dim > 0
-    var_index: Dict[Tuple[int, int, int], int] = {}
-    nvars = 0
-    for t in ts:
-        d = a.dim(t)
-        for i in range(d):
-            for j in range(d):
-                var_index[(t, i, j)] = nvars
-                nvars += 1
-    if nvars == 0:
-        return True
-    rows: List[Dict[int, int]] = []
-    for gi, g in enumerate(ring.generators):
-        for t in ts:
-            t2 = t + g.degree
-            if t2 < w.t_lo or t2 > w.t_hi:
-                continue
-            if a.dim(t) == 0 and b.dim(t) == 0:
-                continue
-            A = a.action(gi, t)
-            B = b.action(gi, t)
-            # constraint: phi_{t2} ∘ A = B ∘ phi_t
-            d2, d1 = a.dim(t2), a.dim(t)
-            for r in range(d2):
-                for c in range(d1):
-                    row: Dict[int, int] = {}
-                    for k in range(d2):
-                        v = A.entries.get((k, c), 0)
-                        if v:
-                            idx = var_index[(t2, r, k)]
-                            row[idx] = (row.get(idx, 0) + v) % ring.characteristic
-                    for k in range(d1):
-                        v = B.entries.get((r, k), 0)
-                        if v:
-                            idx = var_index[(t, k, c)]
-                            row[idx] = (row.get(idx, 0) - v) % ring.characteristic
-                    if row:
-                        rows.append(row)
-    ent = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if v:
-                ent[(i, j)] = v
-    sys = SparseMatrix(f, len(rows), nvars, ent)
-    sol_space = kernel_basis(sys)
-    if not sol_space:
-        return False
-    rng = random.Random(seed)
-    p = ring.characteristic
-    for _ in range(tries):
-        coeffs = [rng.randrange(p) for _ in sol_space]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(coeffs))] = 1 + rng.randrange(p - 1)
-        phi = [0] * nvars
-        for c, vec in zip(coeffs, sol_space):
-            if c:
-                phi = [(x + c * y) % p for x, y in zip(phi, vec)]
-        ok = True
-        for t in ts:
-            d = a.dim(t)
-            if d == 0:
-                continue
-            mat = SparseMatrix(f, d, d,
-                               {(i, j): phi[var_index[(t, i, j)]]
-                                for i in range(d) for j in range(d)})
-            if rank(mat) != d:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # residue ranks at non-maximal primes ---------------------------------------

@@ -6,17 +6,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactla import ContractViolation, SparseMatrix, kernel_basis, solve
-from .graded import (DegreewiseModel, FreeModule, GradedModule, GradedRing,
-                     HomIdeal, Mono, Poly, Window, hilbert_function,
-                     matlis_dual, minimal_free_resolution, models_isomorphic,
-                     tor)
+from .exactla import (ContractViolation, SparseMatrix, extend_basis,
+                      kernel_rows, rref, solve)
+from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Mono,
+                     Poly, Window, dual_hilbert_function, hilbert_function,
+                     minimal_free_resolution, tor)
 from .complexes import (WindowedComplex, homology, induced_on_homology,
-                        module_complex, resolution_complex, tensor)
+                        module_complex, module_slice, resolution_complex,
+                        tensor)
 from .torsion import SpecSubset, gamma
 from .duality import (GorensteinCertificate, dual_localize,
                       gorenstein_certificate, homology_model, injective_hull,
-                      maximal_ideal, shift_model, _is_maximal)
+                      is_free_rank_one, is_shifted_hull, maximal_ideal,
+                      _is_maximal)
 
 
 # ring maps -------------------------------------------------------------------
@@ -93,80 +95,40 @@ class RingMap:
 # presentation extraction -----------------------------------------------------
 
 
-class _IncSpan:
-    """Incremental row-reduced span of vectors over F_p."""
-
-    def __init__(self, p: int, cols: int):
-        self.p = p
-        self.cols = cols
-        self.rows: List[List[int]] = []
-        self.pivots: List[int] = []
-
-    def reduce(self, v: Sequence[int]) -> List[int]:
-        p = self.p
-        v = [x % p for x in v]
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Insert v; returns True iff the rank grew."""
-        v = self.reduce(v)
-        if not any(v):
-            return False
-        lead = next(i for i, x in enumerate(v) if x)
-        inv = pow(v[lead], self.p - 2, self.p)
-        v = [(x * inv) % self.p for x in v]
-        self.rows.append(v)
-        self.pivots.append(lead)
-        return True
-
-
-def _mono_action(model: DegreewiseModel, mono: Mono, t: int) -> SparseMatrix:
-    """Matrix of the monomial action, degree t -> t + deg(mono).
-
-    Generator factors are applied right-to-left in canonical monomial order,
-    matching the substitution convention of `RingMap.push`.
-    """
-    ring = model.ring
-    mat = SparseMatrix.identity(ring.field, model.dim(t))
-    cur = t
-    for i in range(ring.n - 1, -1, -1):
-        for _ in range(mono[i]):
-            mat = model.action(i, cur) @ mat
-            cur += ring.generators[i].degree
-    return mat
+def _evaluate(model: WindowedComplex, units: List[Tuple[int, int]],
+              basis: List[Tuple[int, Mono]], t: int) -> SparseMatrix:
+    """Evaluation at degree t of the free module on the generators `units`
+    (degree, index of a unit vector of the model in that degree): the
+    column of basis element (i, mono) is mono times generator i, through the
+    model's memoised monomial actions."""
+    ent: Dict[Tuple[int, int], int] = {}
+    for c, (i, mono) in enumerate(basis):
+        dg, r = units[i]
+        act = model.monomial_action(mono, 0, dg)
+        if act is not None:
+            ent.update(((row, c), v) for (row, col), v in act.entries.items()
+                       if col == r)
+    return SparseMatrix._trusted(model.ring.field, model.dim(0, t),
+                                 len(basis), ent)
 
 
 @dataclass
 class Presented:
-    """A degreewise model cut down to a finite presentation on a window."""
+    """A module on a window (an s = 0 slice) cut down to a finite
+    presentation; units[i] = (degree, r) says that generator i is the r-th
+    unit vector of the model in that degree."""
 
     module: GradedModule
-    model: DegreewiseModel
-    gen_vectors: List[Tuple[int, List[int]]]  # (degree, model coords)
+    model: WindowedComplex
+    units: List[Tuple[int, int]]
     finite: bool
     guard: int
     flags: List[str] = field(default_factory=list)
 
     def eval_matrix(self, t: int) -> SparseMatrix:
         """Evaluation free(gens) coords at t -> model coords at t."""
-        ring = self.module.ring
-        free = self.module.free
-        basis = free.basis_in_degree(t)
-        d = self.model.dim(t)
-        ent: Dict[Tuple[int, int], int] = {}
-        for c, (i, mono) in enumerate(basis):
-            dg, vec = self.gen_vectors[i]
-            mat = _mono_action(self.model, mono, dg)
-            for r in range(d):
-                val = sum(mat.entries.get((r, j), 0) * vec[j]
-                          for j in range(len(vec))) % ring.characteristic
-                if val:
-                    ent[(r, c)] = val
-        return SparseMatrix(ring.field, d, len(basis), ent)
+        return _evaluate(self.model, self.units,
+                         self.module.free.basis_in_degree(t), t)
 
     def lift(self, vec: Sequence[int], t: int) -> Optional[List[Poly]]:
         """Preimage of a model vector under the evaluation map, as a free row."""
@@ -176,71 +138,62 @@ class Presented:
         return self.module.free.element_from_coords(x, t)
 
 
-def present_model(model: DegreewiseModel, w: Window, name: str = "M",
+def present_model(model: WindowedComplex, w: Window, name: str = "M",
                   guard: Optional[int] = None) -> Presented:
-    """Extract a finite presentation from a degreewise model, top degree down.
+    """Extract a finite presentation from a module on a window (an s = 0
+    slice), top degree down.
 
-    Generators are added for cokernel deficits and relations for evaluation
-    kernels not already implied.  `finite` certifies that no generator or
+    In each degree the unit vectors outside the evaluated image become new
+    generators, chosen greedily in index order: e_r is taken iff r is not a
+    pivot of the column-reversed echelon form of the image.  The kernel of
+    the evaluation map, modulo the relations already implied, gives new
+    relations (exactla.extend_basis, which refuses implied relations that
+    do not evaluate to zero).  `finite` certifies that no generator or
     fresh relation appeared within `guard` degrees of the window floor, so
     the presentation plausibly describes the module below the window too.
     """
     ring = model.ring
     if guard is None:
         guard = 2 * max((-g.degree for g in ring.generators), default=1)
-    p = ring.characteristic
+    fld = ring.field
     gens: List[Tuple[str, int]] = []
-    gvecs: List[Tuple[int, List[int]]] = []
+    units: List[Tuple[int, int]] = []
     rels: List[List[Poly]] = []
     last_event = w.t_hi + 1
-    top = max((t for t, d in model.dims.items() if d), default=w.t_lo - 1)
+    top = max((t for (_s, t) in model.dims), default=w.t_lo - 1)
     for t in range(min(top, w.t_hi), w.t_lo - 1, -1):
-        d = model.dim(t)
-        free = FreeModule(ring, [dg for _, dg in gens])
-        basis = free.basis_in_degree(t)
-        cols: List[List[int]] = []
-        for (i, mono) in basis:
-            dg, vec = gvecs[i]
-            mat = _mono_action(model, mono, dg)
-            col = [sum(mat.entries.get((r, j), 0) * vec[j]
-                       for j in range(len(vec))) % p for r in range(d)]
-            cols.append(col)
-        span = _IncSpan(p, d)
-        for col in cols:
-            span.add(col)
-        # new generators: complement of the evaluated image
+        d = model.dim(0, t)
+        basis = FreeModule(ring, [dg for dg, _ in units]).basis_in_degree(t)
+        image = _evaluate(model, units, basis, t)
+        reversed_image = SparseMatrix._trusted(
+            fld, len(basis), d,
+            {(c, d - 1 - r): v for (r, c), v in image.entries.items()})
+        pivots = set(rref(reversed_image)[1])
+        ent = dict(image.entries)
+        cols = len(basis)
         for r in range(d):
-            e = [0] * d
-            e[r] = 1
-            if span.add(e):
+            if d - 1 - r not in pivots:
+                ent[(r, cols)] = 1
+                cols += 1
                 gens.append((f"g{len(gens)}", t))
-                gvecs.append((t, e))
-                cols.append(e)
+                units.append((t, r))
                 last_event = t
         if not cols:
             continue
-        # relations: kernel of the evaluation map, modulo known consequences
-        ent = {(r, c): v for c, col in enumerate(cols)
-               for r, v in enumerate(col) if v}
-        phi = SparseMatrix(ring.field, d, len(cols), ent)
-        ker = kernel_basis(phi)
-        if ker:
-            free = FreeModule(ring, [dg for _, dg in gens])
-            trial = GradedModule(ring, gens, rels, name=name)
-            known = _IncSpan(p, len(cols))
-            for row in trial._relation_span(t).to_dense():
-                known.add(row)
-            for v in ker:
-                if known.add(v):
-                    rels.append(free.element_from_coords(list(v), t))
-                    last_event = t
+        ker, _ = kernel_rows(SparseMatrix._trusted(fld, d, cols, ent))
+        if len(ker):
+            free = FreeModule(ring, [dg for dg, _ in units])
+            known = GradedModule(ring, gens, rels, name=name)._relation_span(t)
+            for row in extend_basis(known, ker):
+                rels.append(free.element_from_coords(row.tolist(), t))
+                last_event = t
     module = GradedModule(ring, gens, rels, name=name)
     flags: List[str] = []
     for t in range(w.t_lo, min(top, w.t_hi) + 1):
-        if module.dim_in_degree(t) != model.dim(t):
+        if module.dim_in_degree(t) != model.dim(0, t):
             flags.append(f"presentation mismatch at degree {t}")
     finite = last_event >= w.t_lo + guard and not flags
-    return Presented(module, model, gvecs, finite, guard, flags)
+    return Presented(module, model, units, finite, guard, flags)
 
 
 # restriction / extension of scalars ------------------------------------------
@@ -252,15 +205,11 @@ def restrict(f: RingMap, mod: GradedModule, w: Window,
     if mod.ring is not f.target and mod.ring.name != f.target.name:
         raise ContractViolation("module is not over the target ring")
     R = f.source
+    pushed = [f.push(R.gen_poly(gi)) for gi in range(R.n)]
     dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
-    actions: Dict[Tuple[int, int], SparseMatrix] = {}
-    for gi in range(R.n):
-        q = f.push(R.gen_poly(gi))
-        dgi = R.generators[gi].degree
-        for t in w.t_range():
-            if dims.get(t) and w.t_lo <= t + dgi <= w.t_hi:
-                actions[(gi, t)] = mod.element_action(q, t)
-    model = DegreewiseModel(R, dims, actions)
+    model = module_slice(R, dims,
+                         lambda gi, t: mod.element_action(pushed[gi], t),
+                         w, mod.top_degree)
     return present_model(model, w, name=name or f"res_{mod.name}")
 
 
@@ -316,7 +265,7 @@ class DualizingModule:
     stage: Optional[int]                # homological stage -j0 of concentration
     gen_degree: Optional[int]           # internal degree of the generator
     module: Optional[GradedModule]      # over the target ring, if concentrated
-    homology: Optional[DegreewiseModel]
+    homology: Optional[WindowedComplex]  # over the target, in s = 0
     invertible: Optional[bool]
     certificate: Dict[str, object]
     flags: List[str] = field(default_factory=list)
@@ -344,11 +293,9 @@ def _lift_multiplications(f: RingMap, rst: Presented, res,
             if t2 < w.t_lo:
                 flags.append(f"mu[{j}] stage 0 gen {b} below window floor")
                 continue
-            dg, vec = rst.gen_vectors[b]
+            dg, unit = rst.units[b]
             act = tgt.generator_action(j, dg)
-            target = [sum(act.entries.get((r, c), 0) * vec[c]
-                          for c in range(len(vec))) % R.characteristic
-                      for r in range(act.rows)]
+            target = [act.entries.get((r, unit), 0) for r in range(act.rows)]
             row = rst.lift(target, t2)
             if row is None:
                 raise ContractViolation("multiplication does not lift at "
@@ -420,8 +367,8 @@ def _dual_action_matrix(ring: GradedRing, dual_free: FreeModule,
 
 
 def dualizing_module(f: RingMap, w: Window,
-                     compactness: Optional[Dict[str, object]] = None,
-                     seed: int = 0) -> DualizingModule:
+                     compactness: Optional[Dict[str, object]] = None
+                     ) -> DualizingModule:
     """omega_f as a windowed complex over the source plus, when its homology
     is concentrated in one stage, a presented module over the target."""
     R, S = f.source, f.target
@@ -468,12 +415,10 @@ def dualizing_module(f: RingMap, w: Window,
         flags.extend(pres.flags)
         if not pres.finite:
             flags.append("omega presentation near window floor")
-        tops = [t for t, d in hmodel.dims.items() if d]
+        tops = [t for (_s, t) in hmodel.dims]
         if tops:
             gen_degree = max(tops)
-            free_target = DegreewiseModel.of_module(
-                GradedModule.free_module(S, [gen_degree]), hw)
-            iso = models_isomorphic(hmodel, free_target, hw, seed=seed)
+            iso = is_free_rank_one(hmodel, gen_degree, hw)
             certificate["rank_one_free"] = iso
             if iso:
                 dmod = GradedModule.free_module(S, [-gen_degree], name="Dw")
@@ -500,22 +445,21 @@ def dualizing_module(f: RingMap, w: Window,
 def _omega_homology_model(f: RingMap, wC: WindowedComplex,
                           dual_free: FreeModule,
                           mus: List[List[Dict[Tuple[int, int], Poly]]],
-                          stage: int, w: Window) -> DegreewiseModel:
-    """Target-module structure on the concentrated homology of omega_f."""
+                          stage: int, w: Window) -> WindowedComplex:
+    """Target-module structure on the concentrated homology of omega_f, as
+    a module in s = 0."""
     R, S = f.source, f.target
     j0 = -stage
-    dims = {t: wC.hspace(stage, t)[1].rows for t in w.t_range()}
-    dims = {t: d for t, d in dims.items() if d}
-    actions: Dict[Tuple[int, int], SparseMatrix] = {}
-    for j in range(S.n):
+
+    def act(j: int, t: int) -> SparseMatrix:
         dj = S.generators[j].degree
         mu = mus[j][j0] if j0 < len(mus[j]) else {}
-        for t in dims:
-            if t + dj in dims:
-                actions[(j, t)] = induced_on_homology(
-                    wC, wC, stage, t, t + dj,
-                    lambda: _dual_action_matrix(R, dual_free, mu, t, dj))
-    return DegreewiseModel(S, dims, actions)
+        return induced_on_homology(
+            wC, wC, stage, t, t + dj,
+            lambda: _dual_action_matrix(R, dual_free, mu, t, dj))
+
+    dims = {t: wC.hspace(stage, t)[1].rows for t in w.t_range()}
+    return module_slice(S, dims, act, w, wC.t_top)
 
 
 # coinduction -----------------------------------------------------------------
@@ -617,7 +561,7 @@ def coinduction_split_check(f: RingMap, q: HomIdeal,
     exact = _is_maximal(q) and all(_is_maximal(p) for p in fiber)
     if exact:
         rst = restrict(f, Smod, w)
-        dual_dims = dict(matlis_dual(rst.module, w).dims)
+        dual_dims = dual_hilbert_function(rst.module, w)
         want: Dict[int, int] = {}
         for p in fiber:
             ih = injective_hull(p, w)
@@ -654,7 +598,7 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window, seed: int = 0,
     if p.ring is not S and p.ring.name != S.name:
         raise ContractViolation("p must be an ideal of the target")
     if source_certificate is None:
-        source_certificate = gorenstein_certificate(R, w, seed=seed)
+        source_certificate = gorenstein_certificate(R, w)
     if not source_certificate.verdict:
         raise ContractViolation(
             "condition (1) fails: source is not certified Gorenstein"
@@ -665,7 +609,7 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window, seed: int = 0,
     if not compactness["certified"]:
         raise ContractViolation(
             f"condition (2) fails: {compactness.get('reason')}")
-    omega = dualizing_module(f, w, compactness=compactness, seed=seed)
+    omega = dualizing_module(f, w, compactness=compactness)
     if not omega.invertible or omega.module is None:
         raise ContractViolation(
             "condition (3) fails: omega_f is not certified invertible")
@@ -688,24 +632,22 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window, seed: int = 0,
         T = tensor(g.model, oc)
         shift1 = nu + nS + j0
         h1 = homology_model(T, -(nS + j0), w)
-        target1 = shift_model(im.model, shift1)
         flagged = {t for (s, t) in g.flags if s == -nS}
         lo1 = max(w.t_lo, w.t_lo + guard + max(a, 0) + nS + j0,
                   w.t_lo + shift1)
         hi1 = min(w.t_hi - c + nS + j0, w.t_hi,
                   min(flagged, default=w.t_hi + 1) - 1)
         cw1 = Window(lo1, max(lo1, hi1))
-        cmp1 = models_isomorphic(h1, target1, cw1, seed=seed)
+        cmp1 = is_shifted_hull(h1, im.hilbert, shift1, cw1)
         # comparison 2: Gamma_p(omega) against the (nu + d)-shifted hull
         go = gamma(omega.module, SpecSubset.of_ideal(p), w)
         shift2 = nu + d + nS
         h2 = homology_model(go.model, -nS, w)
-        target2 = shift_model(im.model, shift2)
         flagged2 = {t for (s, t) in go.flags if s == -nS}
         lo2 = max(w.t_lo, w.t_lo + shift2 + max(a, 0))
         hi2 = min(w.t_hi, min(flagged2, default=w.t_hi + 1) - 1)
         cw2 = Window(lo2, max(lo2, hi2))
-        cmp2 = models_isomorphic(h2, target2, cw2, seed=seed)
+        cmp2 = is_shifted_hull(h2, im.hilbert, shift2, cw2)
         report.update({"verdict": cmp1 and cmp2, "mode": "exact",
                        "dimension": d,
                        "twisted_comparison": cmp1,
@@ -726,8 +668,7 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window, seed: int = 0,
 # transitivity ----------------------------------------------------------------
 
 
-def transitivity_check(r: RingMap, f: RingMap, w: Window,
-                       seed: int = 0) -> Dict[str, object]:
+def transitivity_check(r: RingMap, f: RingMap, w: Window) -> Dict[str, object]:
     """omega of the source (over the field) extended and twisted by omega_f
     against omega of the target."""
     if r.source.n != 0:
@@ -744,8 +685,8 @@ def transitivity_check(r: RingMap, f: RingMap, w: Window,
         raise ContractViolation(
             f"source-to-target compactness not certified: "
             f"{comp_f.get('reason')}")
-    omega_r = dualizing_module(r, w, compactness=comp_r, seed=seed)
-    omega_f = dualizing_module(f, w, compactness=comp_f, seed=seed)
+    omega_r = dualizing_module(r, w, compactness=comp_r)
+    omega_f = dualizing_module(f, w, compactness=comp_f)
     if omega_r.module is None or omega_f.module is None:
         raise ContractViolation("a dualizing module is not concentrated")
     unit_s = RingMap(r.source, f.target,
@@ -755,7 +696,7 @@ def transitivity_check(r: RingMap, f: RingMap, w: Window,
         raise ContractViolation(
             f"field-to-target compactness not certified: "
             f"{comp_s.get('reason')}")
-    omega_s = dualizing_module(unit_s, w, compactness=comp_s, seed=seed)
+    omega_s = dualizing_module(unit_s, w, compactness=comp_s)
     if omega_s.module is None:
         raise ContractViolation("composite dualizing module not concentrated")
     pushed = induce(f, omega_r.module)
@@ -767,9 +708,8 @@ def transitivity_check(r: RingMap, f: RingMap, w: Window,
             n = t - pp + omega_r.stage + omega_f.stage
             lhs[n] = lhs.get(n, 0) + v
     rhs: Dict[int, int] = {}
-    for t, v in (omega_s.homology.dims if omega_s.homology else {}).items():
-        if v:
-            rhs[t + omega_s.stage] = rhs.get(t + omega_s.stage, 0) + v
+    for (_s, t), v in (omega_s.homology.dims if omega_s.homology else {}).items():
+        rhs[t + omega_s.stage] = rhs.get(t + omega_s.stage, 0) + v
     lo = w.t_lo + max(comp_r["restricted"].guard,
                       comp_f["restricted"].guard)
     keys = set(lhs) | set(rhs)

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from localduality.cli import Environment, corpus, parse
 from localduality.exactla import ContractViolation
-from localduality.graded import (DegreewiseModel, GradedModule, GradedRing,
-                                 HomIdeal, Window, ext, hilbert_function,
-                                 matlis_dual, minimal_free_resolution,
-                                 models_isomorphic, tor)
+from localduality.complexes import module_complex
+from localduality.duality import (brown_comenetz, is_free_rank_one,
+                                  is_shifted_hull)
+from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
+                                 dual_hilbert_function, ext, hilbert_function,
+                                 minimal_free_resolution, tor)
 from conftest import free, max_ideal
 
 
@@ -248,27 +250,30 @@ def test_tor_symmetry(hypersurface, window):
 
 
 def test_matlis_dual_dims(poly_line, window):
-    d = matlis_dual(free(poly_line), window)
-    assert all(d.dim(t) == 1 for t in range(0, window.t_hi + 1))
-    assert all(d.dim(t) == 0 for t in range(window.t_lo, 0))
+    d = dual_hilbert_function(free(poly_line), window)
+    assert all(d.get(t, 0) == 1 for t in range(0, window.t_hi + 1))
+    assert all(d.get(t, 0) == 0 for t in range(window.t_lo, 0))
 
 
 def test_matlis_involution_on_finite_module(window):
     ring = GradedRing(2, [("x", -1)], [])
     m = GradedModule(ring, [("a", 0)], [["x^3"]])
-    dd = matlis_dual(matlis_dual(m, window), window)
-    target = DegreewiseModel.of_module(m, window)
-    assert dict(dd.dims) == dict(target.dims)
-    assert models_isomorphic(dd, target, window)
+    c = module_complex(m, window)
+    dd = brown_comenetz(brown_comenetz(c, window), window)
+    assert dd.dims == c.dims
+    assert {k: a.entries for k, a in dd.actions.items()} == \
+        {k: a.entries for k, a in c.actions.items()}
+    # F2[x]/(x^3) is its own hull, socle x^2 in degree -2
+    hull = dual_hilbert_function(free(ring), window)
+    assert is_shifted_hull(c, hull, -2, Window(-2, 0)) is True
+    assert is_shifted_hull(dd, hull, -2, Window(-2, 0)) is True
 
 
-def test_models_isomorphic_negative(poly_line, window):
-    a = DegreewiseModel.of_module(free(poly_line, [0]), window)
-    b = DegreewiseModel.of_module(
-        GradedModule(poly_line, [("a", 0)],
-                     [["x^20"]]), window)
-    # same dims in window but the relation is invisible: still isomorphic
-    assert models_isomorphic(a, b, Window(-8, 0))
-    c = DegreewiseModel.of_module(
-        GradedModule(poly_line, [("a", 0)], [["x^3"]]), window)
-    assert not models_isomorphic(a, c, window)
+def test_free_rank_one_negative(poly_line, window):
+    b = module_complex(GradedModule(poly_line, [("a", 0)], [["x^20"]]),
+                       window)
+    # same dims in window but the relation is invisible: still free
+    assert is_free_rank_one(b, 0, Window(-8, 0)) is True
+    c = module_complex(GradedModule(poly_line, [("a", 0)], [["x^3"]]),
+                       window)
+    assert is_free_rank_one(c, 0, window) is False

@@ -65,6 +65,42 @@ def test_restrict_residue_field(finite_flat, window):
     assert dims == {0: 1, -1: 0, -2: 0, -3: 0}
 
 
+def test_restrict_keeps_signs_of_odd_products():
+    # E = F3[a, b odd; c]: a*b and b*a differ by a sign, so the presentation
+    # must multiply by a monomial's factors in the order the module does
+    E = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -2)],
+                   name="E")
+    mod = GradedModule(E, [("u", 0)], [["a*b - c"]], name="M")
+    w = Window(-6, 0)
+    rst = restrict(RingMap.identity(E), mod, w)
+    assert rst.finite and not rst.flags
+    P = rst.module
+    for t in w.t_range():
+        # the evaluation of P's basis in M's basis; an isomorphism
+        iso_t = rst.eval_matrix(t).to_dense()
+        _, _, free_cols = P._realize(t)
+        iso_t = [[row[c] for c in free_cols] for row in iso_t]
+        assert len(iso_t) == mod.dim_in_degree(t) == len(free_cols)
+        for deg in range(-4, 0):
+            t2 = t + deg
+            if t2 < w.t_lo:
+                continue
+            iso_t2 = rst.eval_matrix(t2).to_dense()
+            _, _, free2 = P._realize(t2)
+            iso_t2 = [[row[c] for c in free2] for row in iso_t2]
+            for mono in E.basis_in_degree(deg):
+                p_act = P.element_action({mono: 1}, t).to_dense()
+                m_act = mod.element_action({mono: 1}, t).to_dense()
+                lhs = _matmul(iso_t2, p_act, 3, len(free_cols))
+                rhs = _matmul(m_act, iso_t, 3, len(free_cols))
+                assert lhs == rhs, (E.poly_str({mono: 1}), t)
+
+
+def _matmul(a, b, p, cols):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) % p
+             for j in range(cols)] for row in a]
+
+
 def test_induce_pushes_relations(finite_flat):
     m = GradedModule(finite_flat.source, [("a", 0)], [["x^2"]])
     fm = induce(finite_flat, m)
