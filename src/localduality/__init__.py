@@ -20,4 +20,4 @@ from .relative import (DualizingModule, RingMap, coinduction_split_check,
                        compactness_certificate, dualizing_module, induce,
                        restrict, theorem_bc_check, transitivity_check)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

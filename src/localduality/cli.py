@@ -31,7 +31,7 @@ from .duality import (absolute_gorenstein_check, dual_localize,
 from .relative import (RingMap, compactness_certificate, dualizing_module,
                        theorem_bc_check, transitivity_check)
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 
 # parsing ---------------------------------------------------------------------
@@ -358,10 +358,9 @@ def _parse_kv(args: List[str]) -> Tuple[List[str], Dict[str, str]]:
 
 class Runner:
     def __init__(self, env: Environment, default_window: Window,
-                 seed: int, s_max: Optional[int] = None):
+                 s_max: Optional[int] = None):
         self.env = env
         self.default_window = default_window
-        self.seed = seed
         self.s_max = s_max
 
     def window(self, args: List[str], *names: str) -> Tuple[List[str], Window]:
@@ -545,23 +544,21 @@ class Runner:
         pos, w = self.window(pos, "ideal")
         p = self.env.ideal(pos[0])
         im = injective_hull(p, w)
-        out = {"kind": "ihull", "route": im.route, "flags": im.flags}
+        out = {"kind": "ihull", "route": im.route}
         if im.hilbert is not None:
             out["table"] = _dim_rows(im.hilbert)
         if im.kappa_rank is not None:
             out["kappa_rank"] = im.kappa_rank
-            out["seed"] = self.seed
         return out
 
     def cmd_dual_localize(self, pos, kv):
         pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
-        rep = dual_localize(m, p, w, seed=self.seed)
+        rep = dual_localize(m, p, w)
         return {"kind": "dual-localize",
                 "ranks": {str(k): v for k, v in rep["ranks"].items()},
-                "dimension": rep.get("dimension"),
-                "flags": rep.get("flags", []), "seed": self.seed}
+                "dimension": rep["dimension_drop"]}
 
     def cmd_gorenstein(self, pos, kv):
         pos, w = self.window(pos, "ring")
@@ -580,10 +577,10 @@ class Runner:
         pos, w = self.window(pos, "ring", "ideal")
         ring = self.env.ring(pos[0])
         p = self.env.ideal(pos[1])
-        rep = absolute_gorenstein_check(ring, p, w, seed=self.seed)
+        rep = absolute_gorenstein_check(ring, p, w)
         return {"kind": "abs-gorenstein", "verdict": bool(rep["verdict"]),
                 "mode": rep["mode"], "shift": rep["shift"],
-                "dimension": rep["dimension"], "seed": self.seed}
+                "dimension": rep["dimension"]}
 
     def cmd_twist_check(self, pos, kv):
         pos, w = self.window(pos, "ring", "module", "ideal")
@@ -628,11 +625,10 @@ class Runner:
         pos, w = self.window(pos, "map", "ideal")
         f = self.env.ring_map(pos[0])
         p = self.env.ideal(pos[1])
-        rep = theorem_bc_check(f, p, w, seed=self.seed)
+        rep = theorem_bc_check(f, p, w)
         return {"kind": "bc-check", "verdict": bool(rep["verdict"]),
                 "mode": rep["mode"], "nu": rep["nu"],
-                "gen_degree": rep["gen_degree"], "dimension": rep["dimension"],
-                "seed": self.seed}
+                "gen_degree": rep["gen_degree"], "dimension": rep["dimension"]}
 
     def cmd_transitivity_check(self, pos, kv):
         pos, w = self.window(pos, "map")
@@ -660,7 +656,7 @@ def run(spec: SessionSpec, seed: int = 0,
     if env.diags:
         report["diagnostics"] = [d.as_dict() for d in env.diags]
         return report, 1
-    runner = Runner(env, default_window, seed, s_max)
+    runner = Runner(env, default_window, s_max)
     exit_code = 0
     for ln, words in spec.commands:
         try:

@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactla import ContractViolation
-from .graded import (ExtField, GradedModule, HomIdeal, Window,
-                     _eval_poly, _sample_point, hilbert_function,
+from .graded import (GradedModule, HomIdeal, Window, hilbert_function,
                      maximal_ideal, minimal_free_resolution)
 from .complexes import (complex_element_action, direct_sum,
                         induced_on_homology, module_complex, shift)
 from .torsion import (SpecSubset, default_s_max, gamma, completion,
                       _ideal_data)
-
-import random
 
 Entry = Tuple[int, int]  # (cohomological index i, internal degree t)
 
@@ -295,57 +292,25 @@ def oracle_agreement(mod: GradedModule, w: Window,
 
 
 def generic_ext_ranks(mod: GradedModule, p: HomIdeal, length: int,
-                      w: Window, seed: int = 0,
-                      trials: int = 5) -> Tuple[Dict[int, int], bool]:
+                      w: Window) -> Dict[int, int]:
     """kappa(p)-ranks of Ext^j(mod, R) at the generic point of V(p).
 
-    Evaluates the polynomial differentials of a minimal free resolution at
-    sampled points of the variety over field extensions and takes homology
-    ranks over the extension field; majority vote per index.
+    Read off Hom(F, R) (x) kappa(p) for a minimal free resolution F of mod:
+    in index j, dim F_j minus the ranks over Frac(R/p) of the differentials
+    out of and into F_j (HomIdeal.generic_rank).  Exact: no point of V(p)
+    is chosen.
     """
-    ring = mod.ring
     res = minimal_free_resolution(mod, length + 1, w)
-    warning = not p.is_prime_asserted
-    votes: Dict[int, List[int]] = {j: [] for j in range(length + 1)}
-    rng = random.Random(seed)
-    for _ in range(max(trials, 5)):
-        found = None
-        for e in (2, 3, 4):
-            extf = ExtField(ring.characteristic, e)
-            pt = _sample_point(ring, p, extf, rng)
-            if pt is not None:
-                found = (extf, pt)
-                break
-        if found is None:
-            warning = True
-            continue
-        extf, pt = found
-        # Hom(F_., kappa(p)): transposed evaluated differentials
-        mats = []
-        for i, diff in enumerate(res.diffs):
-            rows_n = res.stages[i + 1].rank
-            cols_n = res.stages[i].rank
-            rows = [[extf.zero()] * cols_n for _ in range(rows_n)]
-            for (a, b), q in diff.items():
-                rows[b][a] = _eval_poly(ring, extf, q, pt)
-            mats.append(rows)
-        ranks = [extf.rank(mt) if mt else 0 for mt in mats]
-        for j in range(length + 1):
-            if j >= len(res.stages):
-                votes[j].append(0)
-                continue
-            dim_j = res.stages[j].rank
-            r_out = ranks[j] if j < len(ranks) else 0
-            r_in = ranks[j - 1] if j >= 1 else 0
-            votes[j].append(dim_j - r_out - r_in)
+    ranks = []
+    for i, diff in enumerate(res.diffs):
+        rows = [[{} for _ in range(res.stages[i + 1].rank)]
+                for _ in range(res.stages[i].rank)]
+        for (a, b), q in diff.items():
+            rows[a][b] = q
+        ranks.append(p.generic_rank(rows))
     out: Dict[int, int] = {}
-    for j, vs in votes.items():
-        if not vs:
-            warning = True
-            continue
-        best = max(set(vs), key=vs.count)
-        if vs.count(best) <= len(vs) // 2:
-            warning = True
-        if best:
-            out[j] = best
-    return out, warning
+    for j in range(length + 1):
+        r = res.stages[j].rank - ranks[j] - (ranks[j - 1] if j else 0)
+        if r:
+            out[j] = r
+    return out

@@ -4,7 +4,7 @@ localization, and Gorenstein certification."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (GradedModule, GradedRing, HomIdeal, Window,
@@ -27,7 +27,6 @@ class InjectiveModel:
     hilbert: Optional[Dict[int, int]] = None       # exact, at p = m
     kappa_rank: Optional[int] = None               # at p != m
     route: str = "matlis"
-    flags: List[str] = field(default_factory=list)
 
     def dim(self, t: int) -> int:
         return (self.hilbert or {}).get(t, 0)
@@ -47,8 +46,7 @@ def injective_hull(p: HomIdeal, w: Window) -> InjectiveModel:
         return InjectiveModel(p, hilbert=hilbert, route="matlis")
     # L_p(I_m): D_m(I_m) = R, localize at p, re-dual; the rank at the
     # generic point of a ring is 1
-    return InjectiveModel(p, kappa_rank=1, route="dual_localize",
-                          flags=["probabilistic"])
+    return InjectiveModel(p, kappa_rank=1, route="dual_localize")
 
 
 def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
@@ -250,21 +248,20 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
 
 
 def dual_localize(x: Union[GradedModule, CohomologyTable], p: HomIdeal,
-                  w: Window, seed: int = 0,
-                  certificate: Optional[GorensteinCertificate] = None,
-                  trials: int = 5) -> Dict[str, object]:
+                  w: Window,
+                  certificate: Optional[GorensteinCertificate] = None
+                  ) -> Dict[str, object]:
     """L_p = D_p . localize . D_m applied to m-torsion local cohomology.
 
     For a module M over a certified Gorenstein ring, D_m H^i_m(M) is
     identified with Ext^{n-i}(M, R) (finitely generated), the localization
-    rank is read off at a generic point of V(p), and the final dual
+    rank is its exact rank at the generic point of V(p), and the final dual
     preserves kappa(p)-ranks.  Output ranks are keyed by the original
     cohomological index i; the transported table lives in index i - d.
     """
     if isinstance(x, CohomologyTable):
         if not x.entries:
-            return {"ranks": {}, "dimension_drop": p.dim_of_quotient,
-                    "flags": [], "seed": seed}
+            return {"ranks": {}, "dimension_drop": p.dim_of_quotient}
         raise ContractViolation(
             "dual_localize needs the underlying module for a nonzero table")
     mod = x
@@ -275,28 +272,22 @@ def dual_localize(x: Union[GradedModule, CohomologyTable], p: HomIdeal,
         for (i, _t), v in lc.entries.items():
             ranks[i] = ranks.get(i, 0) + v
         return {"ranks": {i: 1 for i in ranks}, "table": lc,
-                "dimension_drop": 0, "flags": [], "seed": seed,
-                "identity": True}
+                "dimension_drop": 0, "identity": True}
     if certificate is None:
         certificate = gorenstein_certificate(ring, w)
     if not certificate.verdict:
         raise ContractViolation(
             "dual_localize needs a Gorenstein ring for the Ext route")
     n = certificate.krull_dim
-    d = p.dim_of_quotient
-    ext_ranks, warning = generic_ext_ranks(mod, p, n, w, seed=seed,
-                                           trials=trials)
+    ext_ranks = generic_ext_ranks(mod, p, n, w)
     ranks = {n - j: r for j, r in ext_ranks.items() if n - j >= 0}
-    flags = ["probabilistic"] + (["warning"] if warning else [])
-    return {"ranks": ranks, "dimension_drop": d, "flags": flags,
-            "seed": seed}
+    return {"ranks": ranks, "dimension_drop": p.dim_of_quotient}
 
 
 # absolute Gorenstein / twists -------------------------------------------------
 
 
 def absolute_gorenstein_check(ring: GradedRing, p: HomIdeal, w: Window,
-                              seed: int = 0,
                               certificate: Optional[GorensteinCertificate]
                               = None) -> Dict[str, object]:
     """Gamma_p R against the (nu + d)-shifted injective model."""
@@ -321,13 +312,12 @@ def absolute_gorenstein_check(ring: GradedRing, p: HomIdeal, w: Window,
         return {"verdict": ok, "shift": nu, "dimension": 0,
                 "mode": "exact", "comparison_window": (cw.t_lo, cw.t_hi)}
     d = p.dim_of_quotient
-    loc = dual_localize(Rmod, p, w, seed=seed, certificate=certificate)
+    loc = dual_localize(Rmod, p, w, certificate=certificate)
     ip = injective_hull(p, w)
     ok = loc["ranks"] == {n: ip.kappa_rank}
     return {"verdict": ok, "shift": nu, "dimension": d,
             "mode": "kappa(p)-rank", "ranks": loc["ranks"],
-            "expected_index": n, "offset": nu + d,
-            "flags": loc["flags"], "seed": seed}
+            "expected_index": n, "offset": nu + d}
 
 
 def twist_check(ring: GradedRing, J: Optional[GradedModule], p: HomIdeal,
@@ -372,16 +362,8 @@ def twist_check(ring: GradedRing, J: Optional[GradedModule], p: HomIdeal,
 # orthogonality ---------------------------------------------------------------
 
 
-def _ideal_member(ring: GradedRing, p: HomIdeal, u) -> bool:
-    gens = [g for g in p.gens if g]
-    if not gens:
-        return not ring.normal_form(u)
-    q = ring.quotient(gens, name="_mem")
-    return not q.normal_form(u)
-
-
-def orthogonality_check(p: HomIdeal, q: HomIdeal, u, w: Window,
-                        consec: int = 3) -> Dict[str, object]:
+def orthogonality_check(p: HomIdeal, q: HomIdeal, u,
+                        w: Window) -> Dict[str, object]:
     """Kos(R; p) tensor Kos(R; q) is acyclic after inverting a witness
     element lying in one ideal but not the other."""
     ring = p.ring
@@ -391,9 +373,7 @@ def orthogonality_check(p: HomIdeal, q: HomIdeal, u, w: Window,
     qg = sorted(ring.poly_str(g) for g in q.gens if g)
     if pg == qg:
         raise ContractViolation("orthogonality needs two distinct primes")
-    in_p = _ideal_member(ring, p, u)
-    in_q = _ideal_member(ring, q, u)
-    if in_p == in_q:
+    if p.contains(u) == q.contains(u):
         raise ContractViolation(
             "witness element must lie in exactly one of the two ideals")
     Fp = koszul_free(ring, [g for g in p.gens if g])
@@ -404,7 +384,7 @@ def orthogonality_check(p: HomIdeal, q: HomIdeal, u, w: Window,
                     if g)
     X = module_complex(Rmod, Window(w.t_lo - span_room - 1, w.t_hi))
     C, _ = free_tensor(F, X, t_floor=w.t_lo - span_room - 1)
-    inv = telescope_invert(C, u, w, ring=ring, consec=consec)
+    inv = telescope_invert(C, u, w, ring=ring)
     acyclic = not inv.homotopy and not inv.flags
     return {"verdict": acyclic, "flags": sorted(inv.flags),
             "residual": dict(inv.homotopy)}

@@ -10,7 +10,6 @@ prime field and delegated to exactla.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -96,8 +95,11 @@ class GradedRing:
                     sq = tuple(2 if j == i else 0 for j in range(self.n))
                     rels.append({sq: 1})
         self.relations: List[Poly] = rels
-        self._gb: List[Poly] = []
+        # the resumable completion: its basis, the bound it is complete to,
+        # and the S-pairs still to do
+        self._gb: List[Poly] = list(rels)
         self._gb_bound = -1
+        self._pending = list(itertools.combinations(range(len(rels)), 2))
         self._basis_cache: Dict[int, List[Mono]] = {}
         self._krull: Optional[int] = None
 
@@ -290,16 +292,23 @@ class GradedRing:
         return out
 
     def complete(self, weight_bound: int) -> List[Poly]:
-        """Buchberger completion keeping everything of weight <= weight_bound."""
+        """Buchberger completion keeping everything of weight <= weight_bound.
+
+        A larger bound resumes the last completion: its basis stays, and the
+        S-pairs it deferred as too heavy are taken up again.  Relations are
+        homogeneous, so an S-polynomial and its remainder have the weight of
+        the pair's lcm, and only whole pairs are ever deferred.
+        """
         if weight_bound <= self._gb_bound:
             return self._gb
-        basis = [dict(r) for r in self.relations if r]
-        basis = [b for b in basis if b]
-        pairs = list(itertools.combinations(range(len(basis)), 2))
+        basis = self._gb
+        limit = weight_bound + max(self.weights, default=0)
+        pairs, deferred = self._pending, []
         guard = 0
         while pairs:
             guard += 1
             if guard > 20000:
+                self._pending = pairs + deferred
                 raise ContractViolation(
                     f"completion runaway: Buchberger completion up to weight "
                     f"{weight_bound} exceeded 20000 S-pairs")
@@ -307,7 +316,8 @@ class GradedRing:
             gi, gj = basis[i], basis[j]
             (lmi, _), (lmj, _) = self.leading(gi), self.leading(gj)
             lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            if self.mono_weight(lcm) > weight_bound + max(self.weights):
+            if self.mono_weight(lcm) > limit:
+                deferred.append((i, j))
                 continue
             qi = tuple(a - b for a, b in zip(lcm, lmi))
             qj = tuple(a - b for a, b in zip(lcm, lmj))
@@ -321,12 +331,10 @@ class GradedRing:
                 spol = self.poly_add(self.poly_scale(pi, cj), self.poly_scale(pj, -ci))
             nf = self._reduce(spol, basis)
             if nf:
-                if self.mono_weight(self.leading(nf)[0]) <= weight_bound + max(self.weights):
-                    basis.append(nf)
-                    pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-        self._gb = basis
+                basis.append(nf)
+                pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        self._pending = deferred
         self._gb_bound = weight_bound
-        self._basis_cache.clear()
         return basis
 
     def normal_form(self, p, weight_bound: Optional[int] = None) -> Poly:
@@ -452,7 +460,7 @@ class GradedRing:
 
 
 class HomIdeal:
-    """Finitely generated homogeneous ideal with cached quotient dimension."""
+    """Finitely generated homogeneous ideal with its cached quotient ring."""
 
     def __init__(self, ring: GradedRing, gens: Sequence, is_prime_asserted: bool = False,
                  name: str = "p"):
@@ -465,17 +473,86 @@ class HomIdeal:
                 self.gens.append(p)
         self.is_prime_asserted = is_prime_asserted
         self.name = name
+        self._quotient: Optional[GradedRing] = None
         self._dim: Optional[int] = None
+
+    @property
+    def quotient_ring(self) -> GradedRing:
+        """R/p, built once."""
+        if self._quotient is None:
+            self._quotient = self.ring.quotient(self.gens,
+                                                name=f"{self.ring.name}/{self.name}")
+        return self._quotient
 
     @property
     def dim_of_quotient(self) -> int:
         if self._dim is None:
-            self._dim = self.ring.quotient(self.gens).krull_dim()
+            self._dim = self.quotient_ring.krull_dim()
         return self._dim
 
     def is_maximal(self) -> bool:
         return self.dim_of_quotient == 0 and all(
             any(m != (0,) * self.ring.n for m in g) for g in self.gens)
+
+    def contains(self, u) -> bool:
+        """Whether the homogeneous element u lies in the ideal."""
+        return not self.quotient_ring.normal_form(u)
+
+    def generic_rank(self, rows: Sequence[Sequence[Poly]]) -> int:
+        """Rank over Frac(R/p) of a graded matrix of ring elements.
+
+        Fraction-free elimination on normal forms in R/p: a nonzero entry of
+        least weight is the pivot a, and every other row r with b in the
+        pivot column becomes a*r - b*(pivot row).  Scaling a row by a nonzero
+        element keeps the rank because R/p is a domain, and the rows stay
+        homogeneous because the matrix is graded.  The ideal must be declared
+        prime; an odd generator outside it, or two nonzero normal forms with
+        a zero product, refute that and are refused with the witness.
+        """
+        ring = self.ring
+        if not self.is_prime_asserted:
+            raise ContractViolation(
+                f"ideal {self.name} is not declared prime; kappa(p)-ranks "
+                f"need a prime")
+        Q = self.quotient_ring
+        for i, g in enumerate(ring.generators):
+            if ring.parity[i] and not self.contains(ring.gen_poly(i)):
+                raise ContractViolation(
+                    f"ideal {self.name} is not prime: the odd generator "
+                    f"{g.name} squares to zero but lies outside it")
+
+        def times(a: Poly, b: Poly) -> Poly:
+            if not a or not b:
+                return {}
+            ab = Q.normal_form(Q.poly_mul(a, b))
+            if not ab:
+                raise ContractViolation(
+                    f"ideal {self.name} is not prime: "
+                    f"({Q.poly_str(a)})*({Q.poly_str(b)}) lies in it, "
+                    f"neither factor does")
+            return ab
+
+        rows = [[Q.normal_form(e) for e in row] for row in rows]
+        rows = [row for row in rows if any(row)]
+        rank = 0
+        while rows:
+            # the nonzero entry of least weight, the first in row order
+            _, i, c = min((Q.mono_weight(next(iter(e))), i, c)
+                          for i, row in enumerate(rows)
+                          for c, e in enumerate(row) if e)
+            pivot = rows.pop(i)
+            a = pivot[c]
+            rest = []
+            for row in rows:
+                b = row[c]
+                if b:
+                    row = [Q.poly_add(times(a, x), Q.poly_scale(times(b, y), -1))
+                           for x, y in zip(row, pivot)]
+                if any(row):
+                    rest.append(row)
+            rows = rest
+            rank += 1
+        return rank
 
     def __repr__(self):
         return f"HomIdeal({self.name}: {[self.ring.poly_str(g) for g in self.gens]})"
@@ -711,10 +788,6 @@ class GradedModule:
         down to the first one that the vanishing rule shows to be zero."""
         run_needed = max(self.ring.weights, default=0)
         cache = self._deg_cache
-        if self._walked > t:
-            # degree t needs ring weights up to top_degree - t; completing
-            # to that bound first spares a restarted completion per degree
-            self.ring.complete(self.top_degree - t)
         while self._walked > t:
             d = self._walked - 1
             if d < self._lowest and self._zero_run >= run_needed:
@@ -956,166 +1029,3 @@ def ext(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, in
     C = resolution_complex(res, w).hom_into(mod2, w, validate=False)
     return {(-s, t): h for (s, t), h in homology(C, w).items()
             if w.s_lo <= -s <= w.s_hi}
-
-
-# residue ranks at non-maximal primes ---------------------------------------
-
-
-class ExtField:
-    """GF(p^e) as polynomials mod a found irreducible; element = int tuple."""
-
-    def __init__(self, p: int, e: int):
-        self.p = p
-        self.e = e
-        self.modpoly = self._find_irreducible()
-
-    def _poly_mulmod(self, a, b):
-        p, e = self.p, self.e
-        res = [0] * (2 * e)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    res[i + j] = (res[i + j] + x * y) % p
-        for i in range(2 * e - 1, e - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j, m in enumerate(self.modpoly):
-                    res[i - e + j] = (res[i - e + j] - c * m) % p
-        return tuple(res[:e])
-
-    def _find_irreducible(self):
-        p, e = self.p, self.e
-        if e == 1:
-            return (0,)
-        # brute force: monic x^e + lower terms with no roots and not a product
-        # of lower-degree monics (checked by trial division over all monics)
-        lower = []
-        for d in range(1, e):
-            for coeffs in itertools.product(range(p), repeat=d):
-                lower.append(tuple(coeffs) + (1,))  # monic of degree d
-        for coeffs in itertools.product(range(p), repeat=e):
-            cand = list(coeffs) + [1]
-            if cand[0] == 0:
-                continue
-            ok = True
-            for g in lower:
-                if len(g) - 1 > e // 2 + 1:
-                    continue
-                if self._poly_divides(g, cand):
-                    ok = False
-                    break
-            if ok:
-                return tuple(coeffs)
-        raise RuntimeError("no irreducible found")
-
-    def _poly_divides(self, g, f):
-        p = self.p
-        f = list(f)
-        dg = len(g) - 1
-        for i in range(len(f) - 1, dg - 1, -1):
-            c = f[i]
-            if c:
-                inv = pow(g[dg], p - 2, p)
-                q = (c * inv) % p
-                for j in range(dg + 1):
-                    f[i - dg + j] = (f[i - dg + j] - q * g[j]) % p
-        return not any(f)
-
-    def zero(self):
-        return (0,) * self.e
-
-    def one(self):
-        return (1,) + (0,) * (self.e - 1)
-
-    def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.e - 1)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return self._poly_mulmod(a, b)
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def inv(self, a):
-        # a^(p^e - 2)
-        n = self.p ** self.e - 2
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def random(self, rng):
-        return tuple(rng.randrange(self.p) for _ in range(self.e))
-
-    def rank(self, rows: List[List[tuple]]) -> int:
-        rows = [list(r) for r in rows]
-        if not rows:
-            return 0
-        ncols = len(rows[0])
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if any(rows[i][c])), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = self.inv(rows[r][c])
-            rows[r] = [self.mul(x, inv) for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and any(rows[i][c]):
-                    fct = rows[i][c]
-                    rows[i] = [self.add(x, self.neg(self.mul(fct, y)))
-                               for x, y in zip(rows[i], rows[r])]
-            r += 1
-            if r == len(rows):
-                break
-        return r
-
-
-def _eval_poly(ring: GradedRing, ext: ExtField, p: Poly, point: List[tuple]) -> tuple:
-    acc = ext.zero()
-    for m, c in p.items():
-        term = ext.from_int(c)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                term = ext.mul(term, point[i])
-        acc = ext.add(acc, term)
-    return acc
-
-
-def _sample_point(ring: GradedRing, ideal: HomIdeal, ext: ExtField,
-                  rng: random.Random, tries: int = 400) -> Optional[List[tuple]]:
-    """Random point on V(ideal): ring relations and ideal generators vanish."""
-    # variables forced to zero: any variable occurring in every monomial of
-    # some ideal generator is a cheap candidate
-    forced = set()
-    for g in ideal.gens:
-        common = None
-        for m in g:
-            sup = {i for i, e in enumerate(m) if e}
-            common = sup if common is None else (common & sup)
-        if common and len(common) == 1:
-            forced |= common
-    odd = {i for i in range(ring.n) if ring.parity[i]}
-    constraints = [ring.normal_form(r) if r else {} for r in ring.relations] + ideal.gens
-    for attempt in range(tries):
-        point = []
-        for i in range(ring.n):
-            if i in odd or (i in forced and attempt % 3 != 2):
-                point.append(ext.zero())
-            else:
-                v = ext.random(rng)
-                if not any(v) and attempt % 2 == 0:
-                    v = ext.one()
-                point.append(v)
-        if all(not any(_eval_poly(ring, ext, c, point)) for c in constraints if c):
-            if any(any(x) for x in point) or ring.n == len(odd):
-                return point
-    return None

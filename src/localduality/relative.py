@@ -515,15 +515,6 @@ def grothendieck_neeman_check(f: RingMap, x: GradedModule, w: Window,
 # coinduction splitting -------------------------------------------------------
 
 
-def _contains(p: HomIdeal, elem: Poly) -> bool:
-    ring = p.ring
-    gens = [g for g in p.gens if g]
-    if not gens:
-        return not ring.normal_form(elem)
-    q = ring.quotient(gens, name="_mem")
-    return not q.normal_form(elem)
-
-
 def coinduction_split_check(f: RingMap, q: HomIdeal,
                             fiber: Sequence[HomIdeal], w: Window,
                             s_max: Optional[int] = None) -> Dict[str, object]:
@@ -538,7 +529,7 @@ def coinduction_split_check(f: RingMap, q: HomIdeal,
         if p.ring is not S and p.ring.name != S.name:
             raise ContractViolation("fiber primes must live in the target")
         for g in pushed:
-            if not _contains(p, g):
+            if not p.contains(g):
                 raise ContractViolation(
                     f"fiber prime {p.name} does not lie over {q.name}")
     flags: List[str] = []
@@ -586,7 +577,7 @@ def coinduction_split_check(f: RingMap, q: HomIdeal,
 # the relative duality comparison ---------------------------------------------
 
 
-def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window, seed: int = 0,
+def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window,
                      source_certificate: Optional[GorensteinCertificate]
                      = None) -> Dict[str, object]:
     """Twisted local cohomology of the target against the shifted injective.
@@ -657,11 +648,11 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window, seed: int = 0,
         return report
     d = p.dim_of_quotient
     ip = injective_hull(p, w)
-    loc = dual_localize(omega.module, p, w, seed=seed)
+    loc = dual_localize(omega.module, p, w)
     ok = loc["ranks"] == {nS: ip.kappa_rank}
     report.update({"verdict": ok, "mode": "kappa(p)-rank", "dimension": d,
                    "ranks": loc["ranks"], "expected_index": nS,
-                   "offset": nu + d, "flags": loc["flags"], "seed": seed})
+                   "offset": nu + d})
     return report
 
 

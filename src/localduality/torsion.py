@@ -201,8 +201,8 @@ def koszul_object(m, elems: Sequence, w: Window,
 # towers with stabilization -------------------------------------------------
 
 
-# consecutive tower maps that certify a bidegree; the tower builds only the
-# stages these maps join
+# consecutive isomorphisms that certify a bidegree, tower maps or steps of
+# telescope_invert; the tower builds only the stages these maps join
 CONSEC = 3
 
 
@@ -441,12 +441,12 @@ def _tate_model(g: FunctorResult, lam: FunctorResult) -> WindowedComplex:
     return cone(ComplexMap(g.model, lam.model, comps))
 
 
-def telescope_invert(m, u, w: Window, ring: Optional[GradedRing] = None,
-                     consec: int = 3) -> FunctorResult:
+def telescope_invert(m, u, w: Window,
+                     ring: Optional[GradedRing] = None) -> FunctorResult:
     """Invert a homogeneous element on windowed homology.
 
     Follows the multiplication-by-u chain on each homology bidegree down the
-    window; a bidegree is stable when `consec` consecutive steps are
+    window; a bidegree is stable when CONSEC consecutive steps are
     isomorphisms before leaving the window, certified zero when the composite
     vanishes (nilpotence), flagged otherwise.
     """
@@ -483,7 +483,7 @@ def telescope_invert(m, u, w: Window, ring: Optional[GradedRing] = None,
                 da, db = step.cols, step.rows
                 if da == db and da > 0 and rank(step) == da:
                     run += 1
-                    if run >= consec:
+                    if run >= CONSEC:
                         verdict = db
                         break
                 else:

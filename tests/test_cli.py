@@ -163,6 +163,84 @@ def test_report_has_no_timing_keys():
         assert word not in payload
 
 
+PLANE = """\
+[ring P]
+char = 2
+generators = x:-1, y:-1
+
+[ideal xP]
+ring = P
+generators = x
+prime = {prime}
+
+[run]
+dual-localize P xP
+"""
+
+
+def test_dual_localize_reports_the_dimension_drop():
+    spec, _ = parse(PLANE.format(prime="yes"))
+    rep, code = run(spec)
+    assert code == 0, rep["diagnostics"]
+    assert rep["results"][0]["ranks"] == {"2": 1}
+    assert rep["results"][0]["dimension"] == 1
+
+
+def test_dual_localize_at_an_undeclared_prime_is_diagnostic():
+    spec, _ = parse(PLANE.format(prime="no"))
+    rep, code = run(spec)
+    assert code == 1 and not rep["results"]
+    assert rep["diagnostics"] == [{
+        "line": 11, "message": "ideal xP is not declared prime; "
+                               "kappa(p)-ranks need a prime"}]
+
+
+# x^4*y + x*y^4 vanishes at every point over F_4; it is still a unit at the
+# generic point of z = 0 in F2[x,y,z] and of the plane F2[x,y]
+OFF_SUPPORT = """\
+[ring R]
+char = 2
+generators = x:-1, y:-1, z:-1
+
+[ring P]
+char = 2
+generators = x:-1, y:-1
+
+[module M]
+ring = R
+generators = a:0
+relation = x^4*y + x*y^4
+
+[module N]
+ring = P
+generators = a:0
+relation = x^4*y + x*y^4
+
+[ideal zR]
+ring = R
+generators = z
+prime = yes
+
+[ideal zeroP]
+ring = P
+generators =
+prime = yes
+
+[run]
+dual-localize M zR
+dual-localize N zeroP
+"""
+
+
+def test_dual_localize_off_the_support_is_zero():
+    spec, diags = parse(OFF_SUPPORT)
+    assert spec is not None and not diags, diags
+    rep, code = run(spec, default_window=Window(-5, 3))
+    assert code == 0, rep["diagnostics"]
+    assert [(r["ranks"], r["dimension"]) for r in rep["results"]] == [
+        ({}, 2), ({}, 2)]
+
+
 def test_determinism_byte_identical():
     spec1, _ = parse(LINE)
     spec2, _ = parse(LINE)

@@ -71,7 +71,7 @@ def test_injective_hull_at_generic(poly_line, window):
     generic = HomIdeal(poly_line, [], is_prime_asserted=True, name="(0)")
     ip = injective_hull(generic, window)
     assert ip.kappa_rank == 1
-    assert "probabilistic" in ip.flags
+    assert ip.route == "dual_localize"
 
 
 def test_brown_comenetz_involution(poly_line, window):
@@ -102,7 +102,6 @@ def test_dual_localize_at_height_one(poly_plane, window):
     rep = dual_localize(free(poly_plane), p, window)
     assert rep["ranks"] == {2: 1}
     assert rep["dimension_drop"] == 1
-    assert "probabilistic" in rep["flags"]
 
 
 def test_dual_localize_refuses_non_gorenstein(poly_plane, window):

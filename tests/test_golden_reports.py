@@ -1,8 +1,9 @@
 """Golden JSON reports: sessions whose reports must not change byte for byte.
 
 The files under tests/data/golden/ hold the reports of the acceptance
-SESSION, of every corpus entry and of one desk session that runs the tower
-functors, the checks and the relative-duality commands, all at seed 7 and
+SESSION, of every corpus entry, of one desk session that runs the tower
+functors, the checks and the relative-duality commands, and of one session
+that reads exact kappa(p)-ranks at non-maximal primes, all at seed 7 and
 window (-6, 6).  A refactor that changes a single table entry, flag or
 verdict shows up here.
 
@@ -91,8 +92,59 @@ bc-check f mS
 """
 
 
+# dual localization, the absolute check and bc-check at non-maximal declared
+# primes; M is zero at the generic point of the plane and nonzero along x = 0
+KAPPA = """\
+[ring P]
+char = 2
+generators = x:-1, y:-1
+
+[ring L]
+char = 2
+generators = x:-1
+
+[ring S]
+char = 2
+generators = x:-1, y:-1
+relations = y^2
+
+[module M]
+ring = P
+generators = a:0
+relation = x^4*y + x*y^4
+
+[ideal xP]
+ring = P
+generators = x
+prime = yes
+
+[ideal zeroP]
+ring = P
+generators =
+prime = yes
+
+[ideal yS]
+ring = S
+generators = y
+prime = yes
+
+[map f]
+source = L
+target = S
+images = x -> x
+
+[run]
+ihull xP
+dual-localize M xP
+dual-localize M zeroP
+dual-localize P xP
+abs-gorenstein P xP
+bc-check f yS
+"""
+
+
 def sessions():
-    out = {"acceptance": ACCEPTANCE, "desk": DESK}
+    out = {"acceptance": ACCEPTANCE, "desk": DESK, "kappa": KAPPA}
     for entry in corpus():
         out[f"corpus_{entry.name}"] = entry.text
     return out
@@ -111,38 +163,16 @@ def test_report_matches_golden(name):
     assert report_bytes(sessions()[name]) == want
 
 
-def _without_seed(report: dict) -> dict:
-    """The report less what a seed may change: meta.seed, every "seed" key,
-    and the results (with their verdicts) of dual localization, whose ranks
-    are read at sampled points."""
-    sampled = {r["command"] for r in report["results"]
-               if r.get("kind") == "dual-localize"
-               or r.get("mode") == "kappa(p)-rank"}
-
-    def strip(x):
-        if isinstance(x, dict):
-            return {k: strip(v) for k, v in x.items() if k != "seed"}
-        if isinstance(x, list):
-            return [strip(v) for v in x]
-        return x
-
-    out = strip(report)
-    out["results"] = [r for r in out["results"]
-                      if r["command"] not in sampled]
-    out["verdicts"] = [v for v in out["verdicts"]
-                       if v["command"] not in sampled]
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(sessions()))
 def test_report_does_not_depend_on_the_seed(name):
-    # the golden report is the seed-7 report (test_report_matches_golden)
+    # the golden report is the seed-7 report (test_report_matches_golden);
+    # no computation reads the seed, so only meta.seed may differ
     spec, _diags = parse(sessions()[name])
     report, _code = run(spec, seed=0, default_window=WINDOW)
     report = json.loads(json.dumps(report))
     want = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert report["meta"]["seed"] == 0 and want["meta"]["seed"] == SEED
-    assert _without_seed(report) == _without_seed(want)
+    assert report["meta"].pop("seed") == 0 and want["meta"].pop("seed") == SEED
+    assert report == want
 
 
 def test_golden_set_is_complete():

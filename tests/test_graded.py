@@ -126,6 +126,43 @@ def test_basis_in_degree_of_unit_quotient_is_empty():
     assert field.basis_in_degree(0) == reference_basis_in_degree(field, 0) == []
 
 
+@st.composite
+def presented_rings(draw):
+    """(characteristic, generators, 1-3 homogeneous relations)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    gens = [(f"x{i}", -draw(st.integers(1, 2)), draw(st.booleans()))
+            for i in range(draw(st.integers(2, 3)))]
+    free_ring = GradedRing(p, gens, [])
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = free_ring.basis_in_degree(-draw(st.integers(2, 4)))
+        rel = {m: c for m in monos if (c := draw(st.integers(0, p - 1)))}
+        if rel:
+            rels.append(rel)
+    return p, gens, rels
+
+
+@settings(max_examples=60, deadline=None)
+@given(presented_rings(), st.lists(st.integers(0, 8), min_size=1, max_size=3),
+       st.data())
+def test_resumed_completion_matches_fresh_completion(presented, bounds, data):
+    # one ring completed to rising bounds, its bases and normal forms read
+    # in between, against a ring completed from scratch to each bound
+    p, gens, rels = presented
+    resumed = GradedRing(p, gens, rels)
+    free_ring = GradedRing(p, gens, [])
+    for bound in sorted(set(bounds)):
+        resumed.complete(bound)
+        fresh = GradedRing(p, gens, rels)
+        fresh.complete(bound)
+        for t in range(0, -bound - 1, -1):
+            assert resumed.basis_in_degree(t) == fresh.basis_in_degree(t)
+            monos = free_ring.basis_in_degree(t)
+            q = {m: c for m in monos
+                 if (c := data.draw(st.integers(0, p - 1)))}
+            assert resumed.normal_form(q) == fresh.normal_form(q)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_poly_mul_degree_additive(a, b):
