@@ -11,7 +11,7 @@ from .graded import (GradedModule, GradedRing, HomIdeal, Window,
                      dual_hilbert_function, maximal_ideal)
 from .complexes import (WindowedComplex, complex_element_action, free_tensor,
                         homology, induced_on_homology, module_complex,
-                        module_slice, tensor)
+                        module_slice)
 from .torsion import SpecSubset, gamma, koszul_free, telescope_invert
 from .cohom import (CohomologyTable, generic_ext_ranks, local_cohomology)
 
@@ -32,20 +32,17 @@ class InjectiveModel:
         return (self.hilbert or {}).get(t, 0)
 
 
-def _is_maximal(p: HomIdeal) -> bool:
-    return p.is_maximal() if hasattr(p, "is_maximal") else False
-
-
 def injective_hull(p: HomIdeal, w: Window) -> InjectiveModel:
     """I_p: the Hilbert function of the Matlis dual of the ring at the
     maximal ideal (socle in degree 0), kappa(p)-rank data through dual
-    localization otherwise."""
+    localization otherwise, where p must be declared prime."""
     ring = p.ring
-    if _is_maximal(p):
+    if p.is_maximal():
         hilbert = dual_hilbert_function(GradedModule.free_module(ring, [0]), w)
         return InjectiveModel(p, hilbert=hilbert, route="matlis")
     # L_p(I_m): D_m(I_m) = R, localize at p, re-dual; the rank at the
     # generic point of a ring is 1
+    p.require_declared_prime()
     return InjectiveModel(p, kappa_rank=1, route="dual_localize")
 
 
@@ -266,7 +263,7 @@ def dual_localize(x: Union[GradedModule, CohomologyTable], p: HomIdeal,
             "dual_localize needs the underlying module for a nonzero table")
     mod = x
     ring = mod.ring
-    if _is_maximal(p):
+    if p.is_maximal():
         lc = local_cohomology(mod, p, w)
         ranks = {}
         for (i, _t), v in lc.entries.items():
@@ -299,7 +296,7 @@ def absolute_gorenstein_check(ring: GradedRing, p: HomIdeal, w: Window,
     n = certificate.krull_dim
     nu = certificate.shift
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
-    if _is_maximal(p):
+    if p.is_maximal():
         g = gamma(Rmod, SpecSubset.of_ideal(p), w)
         hmodel = homology_model(g.model, -n, w)
         im = injective_hull(p, w)
@@ -323,12 +320,10 @@ def absolute_gorenstein_check(ring: GradedRing, p: HomIdeal, w: Window,
 def twist_check(ring: GradedRing, J: Optional[GradedModule], p: HomIdeal,
                 w: Window) -> Dict[str, object]:
     """Gamma_p R tensor J against Sigma^d T_R(I_p) on total homology."""
-    if not _is_maximal(p):
+    if not p.is_maximal():
         raise ContractViolation("twist_check is exact only at the maximal "
                                 "ideal; use absolute_gorenstein_check with "
                                 "dual localization at other primes")
-    Rmod = GradedModule.free_module(ring, [0], name=ring.name)
-    g = gamma(Rmod, SpecSubset.of_ideal(p), w)
     c = ring.n
     im = injective_hull(p, w)
     if J is None or all(J.dim_in_degree(t) == 0 for t in
@@ -337,9 +332,9 @@ def twist_check(ring: GradedRing, J: Optional[GradedModule], p: HomIdeal,
         totals = {}
     else:
         j_top = J.top_degree
-        floor_j = w.t_lo - max(0, g.model.t_top - w.t_lo) - 1
-        Jc = module_complex(J, Window(floor_j, max(w.t_hi, j_top)))
-        T = tensor(g.model, Jc)
+        # Gamma_p is smashing, Gamma_p R (x) J = Gamma_p J, so the torsion
+        # tower on J realizes the product
+        T = gamma(J, SpecSubset.of_ideal(p), w).model
         trusted_lo = w.t_lo + max(j_top, 0)
         totals = {}
         for (s, t), v in homology(T).items():

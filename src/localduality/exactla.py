@@ -73,12 +73,6 @@ class Field:
     def add(self, a, b):
         return (a + b) % self.characteristic
 
-    def sub(self, a, b):
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return (a * b) % self.characteristic
-
     def neg(self, a):
         return (-a) % self.characteristic
 

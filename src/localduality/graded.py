@@ -498,6 +498,13 @@ class HomIdeal:
         """Whether the homogeneous element u lies in the ideal."""
         return not self.quotient_ring.normal_form(u)
 
+    def require_declared_prime(self):
+        """Refuse an ideal not declared prime: kappa(p) needs a prime."""
+        if not self.is_prime_asserted:
+            raise ContractViolation(
+                f"ideal {self.name} is not declared prime; kappa(p)-ranks "
+                f"need a prime")
+
     def generic_rank(self, rows: Sequence[Sequence[Poly]]) -> int:
         """Rank over Frac(R/p) of a graded matrix of ring elements.
 
@@ -510,10 +517,7 @@ class HomIdeal:
         a zero product, refute that and are refused with the witness.
         """
         ring = self.ring
-        if not self.is_prime_asserted:
-            raise ContractViolation(
-                f"ideal {self.name} is not declared prime; kappa(p)-ranks "
-                f"need a prime")
+        self.require_declared_prime()
         Q = self.quotient_ring
         for i, g in enumerate(ring.generators):
             if ring.parity[i] and not self.contains(ring.gen_poly(i)):

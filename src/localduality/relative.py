@@ -12,13 +12,11 @@ from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Mono,
                      Poly, Window, dual_hilbert_function, hilbert_function,
                      minimal_free_resolution, tor)
 from .complexes import (WindowedComplex, homology, induced_on_homology,
-                        module_complex, module_slice, resolution_complex,
-                        tensor)
+                        module_slice, resolution_complex)
 from .torsion import SpecSubset, gamma
 from .duality import (GorensteinCertificate, dual_localize,
                       gorenstein_certificate, homology_model, injective_hull,
-                      is_free_rank_one, is_shifted_hull, maximal_ideal,
-                      _is_maximal)
+                      is_free_rank_one, is_shifted_hull, maximal_ideal)
 
 
 # ring maps -------------------------------------------------------------------
@@ -549,7 +547,7 @@ def coinduction_split_check(f: RingMap, q: HomIdeal,
                       for k in keys if k not in excluded)
     report: Dict[str, object] = {"gamma_route": gamma_route,
                                  "excluded": sorted(excluded)}
-    exact = _is_maximal(q) and all(_is_maximal(p) for p in fiber)
+    exact = q.is_maximal() and all(p.is_maximal() for p in fiber)
     if exact:
         rst = restrict(f, Smod, w)
         dual_dims = dual_hilbert_function(rst.module, w)
@@ -611,18 +609,16 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window,
     Smod = target_module(f)
     report: Dict[str, object] = {"nu": nu, "j0": j0, "gen_degree": a,
                                  "krull_dim": nS}
-    if _is_maximal(p):
+    if p.is_maximal():
         d = 0
         im = injective_hull(maximal_ideal(S), w)
         c = S.n
-        # comparison 1: Gamma_p(target) tensor omega against the shifted hull
+        go = gamma(omega.module, SpecSubset.of_ideal(p), w)
+        # comparison 1: Gamma_p(target) tensor omega = Gamma_p(omega) against
+        # the shifted hull; the flags of Gamma_p(target) bound its window
         g = gamma(Smod, SpecSubset.of_ideal(p), w)
-        floor_j = w.t_lo - max(0, g.model.t_top - w.t_lo) - 1
-        oc = module_complex(omega.module,
-                            Window(floor_j, max(w.t_hi, max(a, 0))))
-        T = tensor(g.model, oc)
         shift1 = nu + nS + j0
-        h1 = homology_model(T, -(nS + j0), w)
+        h1 = homology_model(go.model, -(nS + j0), w)
         flagged = {t for (s, t) in g.flags if s == -nS}
         lo1 = max(w.t_lo, w.t_lo + guard + max(a, 0) + nS + j0,
                   w.t_lo + shift1)
@@ -631,7 +627,6 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window,
         cw1 = Window(lo1, max(lo1, hi1))
         cmp1 = is_shifted_hull(h1, im.hilbert, shift1, cw1)
         # comparison 2: Gamma_p(omega) against the (nu + d)-shifted hull
-        go = gamma(omega.module, SpecSubset.of_ideal(p), w)
         shift2 = nu + d + nS
         h2 = homology_model(go.model, -nS, w)
         flagged2 = {t for (s, t) in go.flags if s == -nS}

@@ -100,16 +100,6 @@ class FunctorResult:
     def table(self) -> Dict[BiDeg, int]:
         return dict(self.homotopy)
 
-    def total(self, w: Window) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        lo = w.t_lo + self.model.s_max
-        hi = w.t_hi + self.model.s_min
-        for (s, t), v in self.homotopy.items():
-            n = s + t
-            if lo <= n <= hi:
-                out[n] = out.get(n, 0) + v
-        return dict(sorted(out.items()))
-
 
 # Koszul free complexes -----------------------------------------------------
 

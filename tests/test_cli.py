@@ -174,12 +174,12 @@ generators = x
 prime = {prime}
 
 [run]
-dual-localize P xP
+{command} xP
 """
 
 
 def test_dual_localize_reports_the_dimension_drop():
-    spec, _ = parse(PLANE.format(prime="yes"))
+    spec, _ = parse(PLANE.format(prime="yes", command="dual-localize P"))
     rep, code = run(spec)
     assert code == 0, rep["diagnostics"]
     assert rep["results"][0]["ranks"] == {"2": 1}
@@ -187,7 +187,16 @@ def test_dual_localize_reports_the_dimension_drop():
 
 
 def test_dual_localize_at_an_undeclared_prime_is_diagnostic():
-    spec, _ = parse(PLANE.format(prime="no"))
+    spec, _ = parse(PLANE.format(prime="no", command="dual-localize P"))
+    rep, code = run(spec)
+    assert code == 1 and not rep["results"]
+    assert rep["diagnostics"] == [{
+        "line": 11, "message": "ideal xP is not declared prime; "
+                               "kappa(p)-ranks need a prime"}]
+
+
+def test_ihull_at_an_undeclared_prime_is_diagnostic():
+    spec, _ = parse(PLANE.format(prime="no", command="ihull"))
     rep, code = run(spec)
     assert code == 1 and not rep["results"]
     assert rep["diagnostics"] == [{

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from localduality.graded import GradedModule, GradedRing, Window, tor
 from localduality.complexes import (FreeComplex, homology, module_complex,
-                                    shift, tensor, total_homology)
+                                    shift, total_homology)
 from localduality.torsion import koszul_free, koszul_object
 from conftest import free
 

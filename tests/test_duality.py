@@ -74,6 +74,12 @@ def test_injective_hull_at_generic(poly_line, window):
     assert ip.route == "dual_localize"
 
 
+def test_injective_hull_refuses_an_undeclared_ideal(poly_plane, window):
+    xy = HomIdeal(poly_plane, [poly_plane.parse("x*y")], name="(xy)")
+    with pytest.raises(ContractViolation, match="not declared prime"):
+        injective_hull(xy, window)
+
+
 def test_brown_comenetz_involution(poly_line, window):
     mod = GradedModule(poly_line, [("a", 0)], [["x^3"]])
     c = module_complex(mod, window)
@@ -149,6 +155,13 @@ def test_twist_with_shifted_module(poly_line, window):
 def test_twist_with_zero_module(poly_line, window):
     rep = twist_check(poly_line, None, max_ideal(poly_line), window)
     assert not rep["verdict"]  # I_m is nonzero in range
+
+
+def test_twist_with_unit_module_on_the_plane(poly_plane, window):
+    rep = twist_check(poly_plane, free(poly_plane), max_ideal(poly_plane),
+                      window)
+    assert rep["verdict"] is True
+    assert rep["totals"] == {n: n + 1 for n in range(7)}
 
 
 def test_twist_refuses_nonmaximal(poly_plane, window):
