@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from localduality.cli import corpus, parse, run
+from localduality.cli import corpus, parse, parse_window_args, run
 from localduality.graded import Window
 
 
@@ -17,7 +17,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--window", default="-10:10", metavar="LO:HI")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = parse_window_args(ap)
     lo, hi = (int(x) for x in args.window.split(":"))
     w = Window(min(lo, hi), max(lo, hi))
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 
+from localduality.cli import parse_window_args
 from localduality.graded import GradedRing, Window
 from localduality.duality import maximal_ideal
 from localduality.relative import (RingMap, compactness_certificate,
@@ -22,7 +23,7 @@ from localduality.relative import (RingMap, compactness_certificate,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--window", default="-10:10", metavar="LO:HI")
-    args = ap.parse_args()
+    args = parse_window_args(ap)
     lo, hi = (int(x) for x in args.window.split(":"))
     w = Window(min(lo, hi), max(lo, hi))
 

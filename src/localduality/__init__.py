@@ -7,7 +7,7 @@ from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Window,
                      minimal_free_resolution, tor, ext)
 from .complexes import (FreeComplex, WindowedComplex, homology,
                         module_complex, total_homology)
-from .torsion import (SpecSubset, check_recollement, completion, delta,
+from .torsion import (check_recollement, completion, delta,
                       fracture_check, gamma, koszul_object, localize_away,
                       local_to_global_acyclicity, tate, telescope_invert)
 from .cohom import (CohomologyTable, cech_cohomology, collapse_check,

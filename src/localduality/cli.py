@@ -20,7 +20,7 @@ from .graded import (GradedModule, GradedRing, HomIdeal, Window,
                      dual_hilbert_function, hilbert_function,
                      minimal_free_resolution, tor, ext)
 from .complexes import homology
-from .torsion import (SpecSubset, check_recollement, delta, gamma,
+from .torsion import (check_recollement, delta, gamma,
                       completion, koszul_object, localize_away,
                       local_to_global_acyclicity, tate)
 from .cohom import (cech_cohomology, collapse_check, local_cohomology,
@@ -448,7 +448,7 @@ class Runner:
         pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
-        r = fn(m, SpecSubset.of_ideal(p), w, self.s_max)
+        r = fn(m, p, w, self.s_max)
         return {"kind": kind, "name": pos[0], "ideal": pos[1],
                 "table": _table_rows(r.table(), r.flags),
                 "provenance": {k: v for k, v in r.provenance.items()
@@ -512,7 +512,7 @@ class Runner:
         pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
-        rep = check_recollement(m, SpecSubset.of_ideal(p), w, self.s_max)
+        rep = check_recollement(m, p, w, self.s_max)
         verdicts = {k: bool(v) for k, v in rep.items()
                     if isinstance(v, bool)}
         return {"kind": "recollement-check", "checks": verdicts,
@@ -723,6 +723,26 @@ def corpus() -> List[CorpusEntry]:
 # entry point -----------------------------------------------------------------
 
 
+def parse_window_args(ap: argparse.ArgumentParser,
+                      argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """ap.parse_args(argv), also for "--window LO:HI" with LO < 0.
+
+    argparse takes a word starting with "-" for an option, not for the value
+    of --window, so each "--window" is joined with the word after it first.
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
+    joined: List[str] = []
+    i = 0
+    while i < len(args):
+        if args[i] == "--window" and i + 1 < len(args):
+            joined.append("--window=" + args[i + 1])
+            i += 2
+        else:
+            joined.append(args[i])
+            i += 1
+    return ap.parse_args(joined)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="localduality",
@@ -736,7 +756,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="write the JSON report here (default: stdout)")
     ap.add_argument("--s-max", type=int, default=None,
                     help="tower stage cap (default: window span + 4)")
-    args = ap.parse_args(argv)
+    args = parse_window_args(ap, argv)
     try:
         lo, hi = [int(x) for x in args.window.split(":")]
         w = Window(min(lo, hi), max(lo, hi))

@@ -16,8 +16,7 @@ from .graded import (GradedModule, HomIdeal, Window, hilbert_function,
                      maximal_ideal, minimal_free_resolution)
 from .complexes import (complex_element_action, direct_sum,
                         induced_on_homology, module_complex, shift)
-from .torsion import (SpecSubset, default_s_max, gamma, completion,
-                      _ideal_data)
+from .torsion import default_s_max, gamma, completion, _ideal_data
 
 Entry = Tuple[int, int]  # (cohomological index i, internal degree t)
 
@@ -59,8 +58,8 @@ class CohomologyTable:
 def local_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
                      s_max: Optional[int] = None) -> CohomologyTable:
     """H^i_p(mod)_t via the stabilized torsion tower."""
-    g = gamma(mod, SpecSubset.of_ideal(p), w, s_max)
-    bound = len([q for q in p.gens if q])
+    g = gamma(mod, p, w, s_max)
+    bound = len(p.gens)
     entries = {(-s, t): v for (s, t), v in g.homotopy.items()}
     flags = {(-s, t): "unstable" for (s, t) in g.flags}
     return CohomologyTable(entries, flags, {
@@ -71,8 +70,8 @@ def local_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
 def local_homology(mod: GradedModule, p: HomIdeal, w: Window,
                    s_max: Optional[int] = None) -> CohomologyTable:
     """H^p_s(mod)_t via the stabilized completion tower (s stored as i)."""
-    lam = completion(mod, SpecSubset.of_ideal(p), w, s_max)
-    bound = len([q for q in p.gens if q])
+    lam = completion(mod, p, w, s_max)
+    bound = len(p.gens)
     entries = {(s, t): v for (s, t), v in lam.homotopy.items() if s >= 0}
     flags = {(s, t): "unstable" for (s, t) in lam.flags if s >= 0}
     return CohomologyTable(entries, flags, {
@@ -103,7 +102,7 @@ def cech_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
     for (i, t), f in lc.flags.items():
         if i >= 2:
             flags[(i - 1, t)] = f
-    bound = max(0, len([q for q in p.gens if q]) - 1)
+    bound = max(0, len(p.gens) - 1)
     return CohomologyTable(entries, flags, {
         "functor": "cech_cohomology", "ideal": p.name,
         "koszul_bound": max(bound, lc.max_index())})
@@ -149,11 +148,9 @@ def collapse_check(m: Formal, p: HomIdeal, w: Window,
     computes module-level local cohomology summand by summand.
     """
     parts = _parts(m)
-    ring = parts[0][0].ring
-    v = SpecSubset.of_ideal(p)
     s_max = s_max or default_s_max(w)
     _, tw = _ideal_data(p)
-    c = len([q for q in p.gens if q])
+    c = len(p.gens)
     floor = w.t_lo - s_max * tw - 1
 
     pieces = []
@@ -165,7 +162,7 @@ def collapse_check(m: Formal, p: HomIdeal, w: Window,
     for piece in pieces[1:]:
         X = direct_sum(X, piece)
 
-    g = gamma(X, v, w, s_max)
+    g = gamma(X, p, w, s_max)
     left = {}
     for (s, t), val in g.homotopy.items():
         n = s + t
@@ -200,16 +197,13 @@ def torsionness_check(mod: GradedModule, p: HomIdeal, w: Window,
     window must die before leaving it.  Classes without enough window room
     are reported as unchecked rather than asserted.
     """
-    v = SpecSubset.of_ideal(p)
-    g = gamma(mod, v, w, s_max)
+    g = gamma(mod, p, w, s_max)
     model = g.model
     ring = mod.ring
     checked = 0
     unchecked = 0
     failures: List[Tuple[int, int, str]] = []
     for q in p.gens:
-        if not q:
-            continue
         dq = ring.poly_degree(q)
         qname = ring.poly_str(q)
         for (s, t), val in g.homotopy.items():

@@ -1,12 +1,14 @@
 """Windowed chain complexes of graded modules.
 
 Two representations cooperate here.  FreeComplex is a bounded complex of
-finite free modules with ring-element differentials; it supports structural
-operations (cone, tensor, dual) exactly.  free_tensor realizes F (x) X for a
-free complex F and any windowed complex X, and is the only realization of a
-tensor product: realizing against a module tensors with the module viewed as
-a complex, so Tor(M, N) and Ext(M, N) are the homology of resolution (x) N
-and of Hom(resolution, N) = dual (x) N for a free resolution of M.
+finite free modules with ring-element differentials; its one structural
+operation is the dual.  free_tensor realizes F (x) X for a free complex F
+and any windowed complex X, and is the only tensor product: realizing
+against a module tensors with the module viewed as a complex, so Tor(M, N)
+and Ext(M, N) are the homology of resolution (x) N and of Hom(resolution, N)
+= dual (x) N for a free resolution of M.  A product of two free complexes is
+nested instead, F (x) (G (x) X), and Koszul complexes multiply by
+concatenating their elements.
 WindowedComplex is the generic degreewise form: one k-vector space per
 bidegree (s, t), differentials lowering s by one, and ring-generator action
 matrices.  Homological degree s is bounded on both sides; internal degree t
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactla import (ContractViolation, SparseMatrix, kernel_rows,
-                      quotient_projection, rank, solve_matrix)
+                      quotient_projection, rank)
 from .graded import FreeModule, GradedModule, GradedRing, Mono, Poly, Window
 
 BiDeg = Tuple[int, int]
@@ -287,24 +289,34 @@ def _inclusion(fld, cols: int, free: List[int]) -> SparseMatrix:
                                  {(c, i): 1 for i, c in enumerate(free)})
 
 
+def _cycle_coordinates(d: SparseMatrix, z: SparseMatrix, free: List[int],
+                       what: str) -> SparseMatrix:
+    """Coordinates of the columns of z, cycles of d, in the kernel basis of d
+    whose vector j is 1 at free[j] and 0 at the other free columns: rows
+    free of z.  Raises ContractViolation(what) when d z != 0."""
+    if (d @ z).entries:
+        raise ContractViolation(what)
+    pos = {c: i for i, c in enumerate(free)}
+    return SparseMatrix._trusted(z.field, len(free), z.cols,
+                                 {(pos[r], c): v for (r, c), v in z.entries.items()
+                                  if r in pos})
+
+
 def homology_space(c: WindowedComplex, s: int, t: int):
-    """(K, P, sec) for H_{s,t}: the columns of K are a cycle basis, P projects
-    cycle coordinates onto homology coordinates, and sec is a section of P,
-    the inclusion of the complement basis on which P is the identity."""
+    """(K, P, sec, free) for H_{s,t}: the columns of K are a cycle basis,
+    column j being 1 at free[j] and 0 at the other columns in free, P
+    projects cycle coordinates onto homology coordinates, and sec is a
+    section of P, the inclusion of the complement basis on which P is the
+    identity."""
     fld = c.ring.field
-    d_in = c.diff(s + 1, t)
-    k, _ = kernel_rows(c.diff(s, t))
+    d = c.diff(s, t)
+    k, free = kernel_rows(d)
     K = SparseMatrix._from_array(fld, k.T)
     # image of d_in expressed in cycle coordinates
-    if d_in.entries and K.cols:
-        img = solve_matrix(K, d_in)
-        if img is None:
-            raise ContractViolation("boundary not a cycle")
-        span = img.transpose()
-    else:
-        span = SparseMatrix(fld, 0, K.cols)
-    P, free = quotient_projection(span)
-    return K, P, _inclusion(fld, K.cols, free)
+    span = _cycle_coordinates(d, c.diff(s + 1, t), free,
+                              "boundary not a cycle").transpose()
+    P, hfree = quotient_projection(span)
+    return K, P, _inclusion(fld, K.cols, hfree), free
 
 
 def homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[BiDeg, int]:
@@ -350,13 +362,12 @@ def induced_on_homology(source: WindowedComplex, target: WindowedComplex,
     homology, so pushing the section's cycle representatives through it and
     projecting gives the induced matrix whichever section is used.
     """
-    Ks, Ps, sec = source.hspace(s, t)
-    Kt, Pt, _ = target.hspace(s, t2)
+    Ks, Ps, sec, _ = source.hspace(s, t)
+    _, Pt, _, free = target.hspace(s, t2)
     if Ps.rows == 0 or Pt.rows == 0:
         return SparseMatrix(source.ring.field, Pt.rows, Ps.rows)
-    x = solve_matrix(Kt, chain() @ (Ks @ sec))
-    if x is None:
-        raise ContractViolation("map does not preserve cycles")
+    x = _cycle_coordinates(target.diff(s, t2), chain() @ (Ks @ sec), free,
+                           "map does not preserve cycles")
     return Pt @ x
 
 
@@ -368,9 +379,9 @@ class FreeComplex:
 
     stages[s] is a FreeModule; diffs[s] maps stage s to stage s-1, stored as
     {(target_gen, source_gen): poly}.  Strictly R-linear differentials;
-    homological-parity Koszul signs in tensor products (differential entries
-    of odd internal parity must not meet across tensor factors, which the
-    d^2 = 0 validation at realization enforces).
+    free_tensor gives the second factor the homological-parity Koszul sign
+    (differential entries of odd internal parity must not meet across tensor
+    factors, which the d^2 = 0 validation at realization enforces).
     """
 
     def __init__(self, ring: GradedRing, stages: Dict[int, FreeModule],
@@ -401,83 +412,6 @@ class FreeComplex:
 
     def top_internal(self) -> int:
         return max((max(f.gen_degrees) for f in self.stages.values()), default=0)
-
-    def cone(self, other: "FreeComplex",
-             chain_map: Dict[int, Dict[Tuple[int, int], Poly]]) -> "FreeComplex":
-        """Cone of a chain map self -> other; stage s = self_{s-1} + other_s."""
-        ring = self.ring
-        stages: Dict[int, FreeModule] = {}
-        offA: Dict[int, int] = {}
-        lo = min(self.s_min + 1, other.s_min)
-        hi = max(self.s_max + 1, other.s_max)
-        for s in range(lo, hi + 1):
-            fa = self.stage(s - 1)
-            fb = other.stage(s)
-            if fa.rank + fb.rank == 0:
-                continue
-            offA[s] = fa.rank
-            stages[s] = FreeModule(ring, fa.gen_degrees + fb.gen_degrees,
-                                   [f"a.{l}" for l in fa.labels] +
-                                   [f"b.{l}" for l in fb.labels])
-        diffs: Dict[int, Dict[Tuple[int, int], Poly]] = {}
-        for s in range(lo, hi + 1):
-            if s not in stages or (s - 1) not in stages:
-                continue
-            ent: Dict[Tuple[int, int], Poly] = {}
-            ra = self.stage(s - 1).rank
-            ta = self.stage(s - 2).rank
-            for (i, j), p in self.diff_entries(s - 1).items():
-                ent[(i, j)] = ring.poly_scale(p, -1)
-            for (i, j), p in chain_map.get(s - 1, {}).items():
-                ent[(ta + i, j)] = p
-            for (i, j), p in other.diff_entries(s).items():
-                ent[(ta + i, ra + j)] = p
-            if ent:
-                diffs[s] = ent
-        return FreeComplex(ring, stages, diffs)
-
-    def tensor(self, other: "FreeComplex") -> "FreeComplex":
-        """Structural tensor; d(x@y) = dx@y + (-1)^{s1} x@dy."""
-        ring = self.ring
-        stages: Dict[int, FreeModule] = {}
-        index: Dict[int, List[Tuple[int, int, int]]] = {}
-        for s in range(self.s_min + other.s_min, self.s_max + other.s_max + 1):
-            degs, labels, idx = [], [], []
-            for s1 in range(self.s_min, self.s_max + 1):
-                s2 = s - s1
-                f1, f2 = self.stage(s1), other.stage(s2)
-                for b1 in range(f1.rank):
-                    for b2 in range(f2.rank):
-                        idx.append((s1, b1, b2))
-                        degs.append(f1.gen_degrees[b1] + f2.gen_degrees[b2])
-                        labels.append(f"{f1.labels[b1]}@{f2.labels[b2]}")
-            if degs:
-                stages[s] = FreeModule(ring, degs, labels)
-                index[s] = idx
-        pos: Dict[int, Dict[Tuple[int, int, int], int]] = {
-            s: {key: i for i, key in enumerate(idx)} for s, idx in index.items()}
-        diffs: Dict[int, Dict[Tuple[int, int], Poly]] = {}
-        for s, idx in index.items():
-            if (s - 1) not in pos:
-                continue
-            ent: Dict[Tuple[int, int], Poly] = {}
-            tgt = pos[s - 1]
-            for j, (s1, b1, b2) in enumerate(idx):
-                s2 = s - s1
-                for (a1, bb1), p in self.diff_entries(s1).items():
-                    if bb1 == b1 and (s1 - 1, a1, b2) in tgt:
-                        i = tgt[(s1 - 1, a1, b2)]
-                        ent[(i, j)] = ring.poly_add(ent.get((i, j), {}), p)
-                sgn = -1 if s1 % 2 else 1
-                for (a2, bb2), p in other.diff_entries(s2).items():
-                    if bb2 == b2 and (s1, b1, a2) in tgt:
-                        i = tgt[(s1, b1, a2)]
-                        q = ring.poly_scale(p, sgn)
-                        ent[(i, j)] = ring.poly_add(ent.get((i, j), {}), q)
-            ent = {k: p for k, p in ent.items() if p}
-            if ent:
-                diffs[s] = ent
-        return FreeComplex(ring, stages, diffs)
 
     def dual(self) -> "FreeComplex":
         """Hom into the ring: stage s -> -s, transposed entries, sign (-1)^s."""

@@ -9,10 +9,9 @@ from typing import Dict, Optional, Union
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (GradedModule, GradedRing, HomIdeal, Window,
                      dual_hilbert_function, maximal_ideal)
-from .complexes import (WindowedComplex, complex_element_action, free_tensor,
-                        homology, induced_on_homology, module_complex,
-                        module_slice)
-from .torsion import SpecSubset, gamma, koszul_free, telescope_invert
+from .complexes import (WindowedComplex, complex_element_action, homology,
+                        induced_on_homology, module_slice)
+from .torsion import gamma, koszul_free, telescope_invert
 from .cohom import (CohomologyTable, generic_ext_ranks, local_cohomology)
 
 
@@ -180,7 +179,7 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
     n = ring.krull_dim()
     mx = maximal_ideal(ring)
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
-    g = gamma(Rmod, SpecSubset.of_ideal(mx), w)
+    g = gamma(Rmod, mx, w)
     lc_entries = {(-s, t): v for (s, t), v in g.homotopy.items()}
     lc_flags = {(-s, t) for (s, t) in g.flags}
     stray = {k: v for k, v in lc_entries.items()
@@ -297,7 +296,7 @@ def absolute_gorenstein_check(ring: GradedRing, p: HomIdeal, w: Window,
     nu = certificate.shift
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
     if p.is_maximal():
-        g = gamma(Rmod, SpecSubset.of_ideal(p), w)
+        g = gamma(Rmod, p, w)
         hmodel = homology_model(g.model, -n, w)
         im = injective_hull(p, w)
         cmp_lo = max(w.t_lo, w.t_lo + nu + n)
@@ -334,7 +333,7 @@ def twist_check(ring: GradedRing, J: Optional[GradedModule], p: HomIdeal,
         j_top = J.top_degree
         # Gamma_p is smashing, Gamma_p R (x) J = Gamma_p J, so the torsion
         # tower on J realizes the product
-        T = gamma(J, SpecSubset.of_ideal(p), w).model
+        T = gamma(J, p, w).model
         trusted_lo = w.t_lo + max(j_top, 0)
         totals = {}
         for (s, t), v in homology(T).items():
@@ -364,21 +363,20 @@ def orthogonality_check(p: HomIdeal, q: HomIdeal, u,
     ring = p.ring
     if isinstance(u, str):
         u = ring.parse(u)
-    pg = sorted(ring.poly_str(g) for g in p.gens if g)
-    qg = sorted(ring.poly_str(g) for g in q.gens if g)
+    pg = sorted(ring.poly_str(g) for g in p.gens)
+    qg = sorted(ring.poly_str(g) for g in q.gens)
     if pg == qg:
         raise ContractViolation("orthogonality needs two distinct primes")
     if p.contains(u) == q.contains(u):
         raise ContractViolation(
             "witness element must lie in exactly one of the two ideals")
-    Fp = koszul_free(ring, [g for g in p.gens if g])
-    Fq = koszul_free(ring, [g for g in q.gens if g])
-    F = Fp.tensor(Fq)
+    # Kos(p) (x) Kos(q) is the Koszul complex on the concatenated generators
+    gens = p.gens + q.gens
+    F = koszul_free(ring, gens)
     Rmod = GradedModule.free_module(ring, [0])
-    span_room = sum(-ring.poly_degree(g) for g in list(p.gens) + list(q.gens)
-                    if g)
-    X = module_complex(Rmod, Window(w.t_lo - span_room - 1, w.t_hi))
-    C, _ = free_tensor(F, X, t_floor=w.t_lo - span_room - 1)
+    span_room = sum(-ring.poly_degree(g) for g in gens)
+    # realized through R's top degree 0, also when the window ends below it
+    C = F.realize(Rmod, Window(w.t_lo - span_room - 1, w.t_hi), validate=False)
     inv = telescope_invert(C, u, w, ring=ring)
     acyclic = not inv.homotopy and not inv.flags
     return {"verdict": acyclic, "flags": sorted(inv.flags),

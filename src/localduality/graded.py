@@ -230,7 +230,6 @@ class GradedRing:
             # one term
             coeff = sign
             mono = self.one()
-            expecting_factor = True
             while i < len(tokens) and tokens[i] not in ("+", "-"):
                 tok = tokens[i]
                 if tok == "*":
@@ -245,20 +244,17 @@ class GradedRing:
                         raise ContractViolation(f"unknown generator {name!r}")
                     exp = 1
                     i += 1
-                    if i + 1 < len(tokens) + 1 and i < len(tokens) and tokens[i] == "^":
+                    if i < len(tokens) and tokens[i] == "^":
                         exp = int(tokens[i + 1])
                         i += 2
                     gp = self.gen_poly(self.gen_index[name])
                     for _ in range(exp):
                         mono = self.poly_mul(mono, gp)
-                expecting_factor = False
             term = self.poly_scale(mono, coeff)
             result = self.poly_add(result, term)
             if i < len(tokens):
                 sign = 1 if tokens[i] == "+" else -1
                 i += 1
-                if expecting_factor and not result and sign:
-                    pass
         return result
 
     # normal forms ----------------------------------------------------------

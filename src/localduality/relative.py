@@ -13,7 +13,7 @@ from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Mono,
                      minimal_free_resolution, tor)
 from .complexes import (WindowedComplex, homology, induced_on_homology,
                         module_slice, resolution_complex)
-from .torsion import SpecSubset, gamma
+from .torsion import gamma
 from .duality import (GorensteinCertificate, dual_localize,
                       gorenstein_certificate, homology_model, injective_hull,
                       is_free_rank_one, is_shifted_hull, maximal_ideal)
@@ -377,10 +377,6 @@ def dualizing_module(f: RingMap, w: Window,
             f"compactness not certified: {compactness.get('reason')}")
     rst: Presented = compactness["restricted"]
     res = compactness["resolution"]
-    # drop trailing zero stages
-    length = max((i for i, st in enumerate(res.stages) if st.rank), default=0)
-    res.stages = res.stages[:length + 1]
-    res.diffs = res.diffs[:length]
     Fc = resolution_complex(res, w)
     dualFc = Fc.dual()
     Rmod = GradedModule.free_module(R, [0], name=R.name)
@@ -404,7 +400,6 @@ def dualizing_module(f: RingMap, w: Window,
     certificate: Dict[str, object] = {"concentrated": concentrated,
                                       "stages": stages_seen}
     if concentrated:
-        j0 = -stage
         dual_free = dualFc.stage(stage)
         hw = Window(w.t_lo + guard, w.t_hi)
         hmodel = _omega_homology_model(f, wC, dual_free, mus, stage, hw)
@@ -522,7 +517,7 @@ def coinduction_split_check(f: RingMap, q: HomIdeal,
         raise ContractViolation("q must be an ideal of the source")
     if not fiber:
         raise ContractViolation("at least one fiber prime is required")
-    pushed = [f.push(g) for g in q.gens if g]
+    pushed = [f.push(g) for g in q.gens]
     for p in fiber:
         if p.ring is not S and p.ring.name != S.name:
             raise ContractViolation("fiber primes must live in the target")
@@ -613,10 +608,10 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window,
         d = 0
         im = injective_hull(maximal_ideal(S), w)
         c = S.n
-        go = gamma(omega.module, SpecSubset.of_ideal(p), w)
+        go = gamma(omega.module, p, w)
         # comparison 1: Gamma_p(target) tensor omega = Gamma_p(omega) against
         # the shifted hull; the flags of Gamma_p(target) bound its window
-        g = gamma(Smod, SpecSubset.of_ideal(p), w)
+        g = gamma(Smod, p, w)
         shift1 = nu + nS + j0
         h1 = homology_model(go.model, -(nS + j0), w)
         flagged = {t for (s, t) in g.flags if s == -nS}

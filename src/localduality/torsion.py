@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Poly,
@@ -26,43 +26,6 @@ from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
                         free_tensor_map, homology, inclusion_of_unit,
                         induced_on_homology, module_complex,
                         projection_to_unit, resolution_complex, shift)
-
-
-@dataclass
-class SpecSubset:
-    """Finite union of closed pieces V(p_1) | ... | V(p_r), normalized to a
-    single product ideal: V(p_1) | V(p_2) = V(p_1 * p_2)."""
-
-    closed_pieces: List[HomIdeal]
-
-    def __post_init__(self):
-        if not self.closed_pieces:
-            raise ContractViolation("empty specialization closed subset spec")
-        ring = self.closed_pieces[0].ring
-        for p in self.closed_pieces:
-            if p.ring is not ring:
-                raise ContractViolation("pieces over different rings")
-
-    @classmethod
-    def of_ideal(cls, p: HomIdeal) -> "SpecSubset":
-        return cls([p])
-
-    @property
-    def ring(self) -> GradedRing:
-        return self.closed_pieces[0].ring
-
-    @property
-    def normalized_ideal(self) -> HomIdeal:
-        if len(self.closed_pieces) == 1:
-            return self.closed_pieces[0]
-        ring = self.ring
-        gens = [g for g in self.closed_pieces[0].gens]
-        name = self.closed_pieces[0].name
-        for p in self.closed_pieces[1:]:
-            gens = [ring.poly_mul(a, b) for a in gens for b in p.gens]
-            gens = [g for g in gens if g]
-            name = f"{name}*{p.name}"
-        return HomIdeal(ring, gens, name=name)
 
 
 @dataclass
@@ -267,16 +230,8 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
     return table, flags, stab
 
 
-def _ideal(v: Union[SpecSubset, HomIdeal]) -> HomIdeal:
-    """The single ideal cutting out v."""
-    return v.normalized_ideal if isinstance(v, SpecSubset) else v
-
-
 def _ideal_data(p: HomIdeal):
-    ring = p.ring
-    elems = [g for g in p.gens if g]
-    weights = [-ring.poly_degree(g) for g in elems]
-    return elems, sum(weights)
+    return p.gens, sum(-p.ring.poly_degree(g) for g in p.gens)
 
 
 def _materialize(ring: GradedRing, m, w: Window, floor: int) -> WindowedComplex:
@@ -290,7 +245,7 @@ def default_s_max(w: Window) -> int:
     return w.span + 4
 
 
-def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
+def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
                    s_max: Optional[int], keep_tower: bool) -> FunctorResult:
     """Gamma ("gamma") or Lambda ("completion") as a stabilized Koszul tower.
 
@@ -301,7 +256,6 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     Stage s is Kos(p^s) (x) m on its own, so only the stages from
     max(1, s_max - CONSEC) up, which certification reads, are built.
     """
-    p = _ideal(v)
     ring = p.ring
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
@@ -356,23 +310,23 @@ def _tower_functor(functor: str, m, v: Union[SpecSubset, HomIdeal], w: Window,
     return res
 
 
-def gamma(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def gamma(m, p: HomIdeal, w: Window,
           s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
     """Torsion functor: directed colimit of dual Koszul stages tensored in."""
-    return _tower_functor("gamma", m, v, w, s_max, keep_tower)
+    return _tower_functor("gamma", m, p, w, s_max, keep_tower)
 
 
-def completion(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def completion(m, p: HomIdeal, w: Window,
                s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
     """Completion functor: inverse limit of the Koszul tower."""
-    return _tower_functor("completion", m, v, w, s_max, keep_tower)
+    return _tower_functor("completion", m, p, w, s_max, keep_tower)
 
 
-def localize_away(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def localize_away(m, p: HomIdeal, w: Window,
                   s_max: Optional[int] = None,
                   gamma_res: Optional[FunctorResult] = None) -> FunctorResult:
     """L_V m = cone(Gamma_V m -> m)."""
-    g = gamma_res or gamma(m, v, w, s_max)
+    g = gamma_res or gamma(m, p, w, s_max)
     model = cone(g.to_input)
     table = homology(model, w)
     return FunctorResult(model, table, set(g.flags),
@@ -381,11 +335,11 @@ def localize_away(m, v: Union[SpecSubset, HomIdeal], w: Window,
                           "stage": g.provenance.get("stage")})
 
 
-def delta(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def delta(m, p: HomIdeal, w: Window,
           s_max: Optional[int] = None,
           completion_res: Optional[FunctorResult] = None) -> FunctorResult:
     """Delta^V m = fiber(m -> Lambda^V m) = shift(cone, -1)."""
-    lam = completion_res or completion(m, v, w, s_max)
+    lam = completion_res or completion(m, p, w, s_max)
     model = shift(cone(lam.from_input), -1)
     table = homology(model, w)
     return FunctorResult(model, table, set(lam.flags),
@@ -394,14 +348,14 @@ def delta(m, v: Union[SpecSubset, HomIdeal], w: Window,
                           "stage": lam.provenance.get("stage")})
 
 
-def extended_window(w: Window, v: Union[SpecSubset, HomIdeal],
+def extended_window(w: Window, p: HomIdeal,
                     s_max: int) -> Window:
     """Deepen the floor so a second functor application still covers w."""
-    _, tw = _ideal_data(_ideal(v))
+    _, tw = _ideal_data(p)
     return Window(w.t_lo - s_max * tw - 1, w.t_hi)
 
 
-def tate(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def tate(m, p: HomIdeal, w: Window,
          s_max: Optional[int] = None) -> FunctorResult:
     """Tate construction t = L Lambda.
 
@@ -411,8 +365,8 @@ def tate(m, v: Union[SpecSubset, HomIdeal], w: Window,
     Lambda for the completion itself.
     """
     s_max = s_max or default_s_max(w)
-    g = gamma(m, v, w, s_max)
-    lam = completion(g.provenance["input"], v, w, s_max)
+    g = gamma(m, p, w, s_max)
+    lam = completion(g.provenance["input"], p, w, s_max)
     model = _tate_model(g, lam)
     return FunctorResult(model, homology(model, w),
                          set(g.flags) | set(lam.flags),
@@ -499,7 +453,7 @@ def _tables_equal(a: Dict[BiDeg, int], b: Dict[BiDeg, int], w: Window,
     return all(a.get(k, 0) == b.get(k, 0) for k in keys)
 
 
-def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def check_recollement(m, p: HomIdeal, w: Window,
                       s_max: Optional[int] = None,
                       adjunction_module=None,
                       resolution_length: int = 5) -> Dict[str, object]:
@@ -515,33 +469,31 @@ def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
     free complex); adjunction_module supplies the second argument m' and
     defaults to m.
     """
-    p = _ideal(v)
     ring = p.ring
     s_max = s_max or default_s_max(w)
-    w_ext = extended_window(w, v, s_max)
-    g = gamma(m, v, w_ext, s_max)
+    w_ext = extended_window(w, p, s_max)
+    g = gamma(m, p, w_ext, s_max)
     X = g.provenance["input"]
-    lam = completion(X, v, w_ext, s_max)
-    L = localize_away(m, v, w_ext, s_max, gamma_res=g)
+    lam = completion(X, p, w_ext, s_max)
+    L = localize_away(m, p, w_ext, s_max, gamma_res=g)
     excluded: Set[BiDeg] = set(g.flags) | set(lam.flags)
     report: Dict[str, object] = {"excluded_bidegrees": sorted(excluded)}
 
-    gg = gamma(g.model, v, w, s_max)
+    gg = gamma(g.model, p, w, s_max)
     report["gamma_idempotent"] = _tables_equal(gg.homotopy, g.homotopy, w,
                                                excluded | gg.flags)
-    ll = localize_away(L.model, v, w, s_max)
+    ll = localize_away(L.model, p, w, s_max)
     report["localization_idempotent"] = _tables_equal(
         ll.homotopy, L.homotopy, w, excluded | ll.flags)
 
-    elems = [q for q in p.gens if q]
     # Kos(p) (x) L acyclic <=> every completion stage of Gamma m -> m is a
     # quasi-iso <=> Lambda Gamma = Lambda on tables
-    KL, _ = free_tensor(koszul_free(ring, elems), L.model, t_floor=w.t_lo)
+    KL, _ = free_tensor(koszul_free(ring, p.gens), L.model, t_floor=w.t_lo)
     report["lambda_gamma_is_lambda"] = not any(homology(KL, w).values())
     # dual Kos(p) (x) Delta acyclic <=> every torsion stage of m -> Lambda m
     # is a quasi-iso <=> Gamma Lambda = Gamma on tables
     dmod = shift(cone(lam.from_input), -1)
-    DD, _ = free_tensor(dual_koszul_free(ring, elems), dmod, t_floor=w.t_lo)
+    DD, _ = free_tensor(dual_koszul_free(ring, p.gens), dmod, t_floor=w.t_lo)
     report["gamma_lambda_is_gamma"] = not any(homology(DD, w).values())
 
     # The Tate identity: the composite localization-of-completion equals
@@ -556,8 +508,8 @@ def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
     # ceiling-extended window before taking its fiber into the completion
     _, tw = _ideal_data(p)
     w_big = Window(w.t_lo, w.t_hi + s_max * tw + 1)
-    g_big = gamma(m, v, w_big, default_s_max(w_big))
-    dg = delta(g_big.model, v, w, s_max)
+    g_big = gamma(m, p, w_big, default_s_max(w_big))
+    dg = delta(g_big.model, p, w, s_max)
     sdg_table = homology(shift(dg.model, 1), w)
     sdg_flags = {(s + 1, t) for (s, t) in (dg.flags | g_big.flags)}
     report["lambda_L_is_shift_delta_gamma"] = _tables_equal(
@@ -567,11 +519,11 @@ def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
     if isinstance(m, GradedModule):
         m2 = adjunction_module if adjunction_module is not None else m
         report["adjunction"] = adjunction_check(
-            m, m2, v, w, s_max, resolution_length)
+            m, m2, p, w, s_max, resolution_length)
     else:
         report["adjunction"] = None
 
-    report["fracture"] = fracture_check(m, v, w, s_max, g=g, lam=lam, L=L)
+    report["fracture"] = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L)
     verdicts = [val for key, val in report.items()
                 if isinstance(val, bool)]
     report["all"] = all(verdicts) and report["fracture"]["exact"] and \
@@ -580,7 +532,7 @@ def check_recollement(m, v: Union[SpecSubset, HomIdeal], w: Window,
 
 
 def adjunction_check(m: GradedModule, m2: GradedModule,
-                     v: Union[SpecSubset, HomIdeal], w: Window,
+                     p: HomIdeal, w: Window,
                      s_max: Optional[int] = None,
                      length: int = 5) -> bool:
     """dim pi Hom(Gamma m, m') = dim pi Hom(m, Lambda m') bidegree-wise.
@@ -589,7 +541,6 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     m; the right side the stabilized completion of m'.  Stages are detected
     independently, so agreement is contentful.
     """
-    p = _ideal(v)
     ring = p.ring
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
@@ -602,55 +553,59 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     # extend: dual generators reach up to `deepest` above the module
     deepest = -min((d for f in res.stages for d in f.gen_degrees), default=0)
 
-    # left side: stabilize Hom(D_s (x) F, m2) as s grows
-    n = len(elems)
-    left_tables = []
+    # left side: stabilize Hom(D_s (x) F, m2) as s grows.  D_s is the dual
+    # of the finite free Kos_s, so Hom(D_s (x) F, m2) = Kos_s (x) Hom(F, m2),
+    # and Hom(F, m2) is realized once
     hom_w = Window(w.t_lo, w.t_hi + s_max * total_weight + deepest + 1)
+    Y = F.hom_into(m2, hom_w, validate=False)
     stable_left = None
     prev = None
     run = 0
-    for s in range(1, s_max + 1):
-        G = dual_koszul_free(ring, elems, s).tensor(F)
-        H = G.hom_into(m2, hom_w, validate=False)
-        tab = homology(H, w)
-        if prev is not None and tab == prev:
-            run += 1
-            if run >= 2:
-                stable_left = tab
-                break
-        else:
-            run = 0
-        prev = tab
+    try:
+        for s in range(1, s_max + 1):
+            H, _ = free_tensor(koszul_free(ring, elems, s), Y, t_floor=w.t_lo)
+            # stage s + 1 builds each a^(s+1) from stage s's a^s
+            Y.age_monomial_actions()
+            tab = homology(H, w)
+            if prev is not None and tab == prev:
+                run += 1
+                if run >= 2:
+                    stable_left = tab
+                    break
+            else:
+                run = 0
+            prev = tab
+    finally:
+        Y.clear_monomial_actions()
     left = stable_left if stable_left is not None else prev
 
     # right side; the dual resolution generators raise the tensor floor, so
     # complete over a window deep enough that the product still covers w
     lam_w = Window(w.t_lo - deepest - 1, w.t_hi)
-    lam = completion(m2, v, lam_w, s_max)
+    lam = completion(m2, p, lam_w, s_max)
     RH, _ = free_tensor(F.dual(), lam.model)
     right = homology(RH, w)
 
     safe_s_lo = -(length - 2)
     keys = {k for k in set(left) | set(right)
-            if w.t_lo <= k[1] <= w.t_hi and safe_s_lo <= k[0] <= n}
+            if w.t_lo <= k[1] <= w.t_hi and safe_s_lo <= k[0] <= len(elems)}
     return all(left.get(k, 0) == right.get(k, 0) for k in keys)
 
 
-def fracture_check(m, v: Union[SpecSubset, HomIdeal], w: Window,
+def fracture_check(m, p: HomIdeal, w: Window,
                    s_max: Optional[int] = None,
                    g: Optional[FunctorResult] = None,
                    lam: Optional[FunctorResult] = None,
                    L: Optional[FunctorResult] = None) -> Dict[str, object]:
     """Mayer-Vietoris exactness of pi m -> pi Lm + pi Lambda m -> pi L Lambda m."""
-    p = _ideal(v)
     ring = p.ring
     fld = ring.field
     s_max = s_max or default_s_max(w)
-    w_ext = extended_window(w, v, s_max)
-    g = g or gamma(m, v, w_ext, s_max)
+    w_ext = extended_window(w, p, s_max)
+    g = g or gamma(m, p, w_ext, s_max)
     X = g.provenance["input"]
-    lam = lam or completion(X, v, w_ext, s_max)
-    L = L or localize_away(m, v, w_ext, s_max, gamma_res=g)
+    lam = lam or completion(X, p, w_ext, s_max)
+    L = L or localize_away(m, p, w_ext, s_max, gamma_res=g)
     G = g.model
     Y = lam.model
     lam_map = lam.from_input            # m -> Lambda m
@@ -775,7 +730,7 @@ def local_to_global_acyclicity(m, primes: Sequence[Tuple[HomIdeal, object]],
     per_prime = []
     all_acyclic = True
     for p, u in primes:
-        K = koszul_free(ring, [g for g in p.gens if g])
+        K = koszul_free(ring, p.gens)
         C, _ = free_tensor(K, m, t_floor=w.t_lo)
         if u is None:
             tab = homology(C, w)

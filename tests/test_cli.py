@@ -2,13 +2,18 @@
 conventions and the bundled corpus."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from localduality.cli import Runner, corpus, main, parse, run
 from localduality.graded import Window
 
+ROOT = Path(__file__).resolve().parent.parent
 
 LINE = """\
 [ring R]
@@ -274,6 +279,23 @@ def test_main_writes_json(tmp_path, capsys):
 def test_main_bad_window(tmp_path, capsys):
     inp = write(tmp_path, LINE)
     assert main(["--input", inp, "--window", "oops"]) == 1
+
+
+def test_main_reads_a_space_separated_negative_window(tmp_path, capsys):
+    inp = write(tmp_path, LINE)
+    assert main(["--input", inp, "--window", "-4:0"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["window"] == [-4, 0]
+
+
+@pytest.mark.parametrize("script", ["certify_corpus.py",
+                                    "relative_duality_demo.py"])
+def test_script_runs_at_a_negative_window(script):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           "--window", "-4:4"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_main_missing_file(capsys):

@@ -3,8 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from localduality.graded import GradedModule, GradedRing, Window, tor
-from localduality.complexes import (FreeComplex, homology, module_complex,
-                                    shift, total_homology)
+from localduality.complexes import (ComplexMap, FreeComplex, cone, homology,
+                                    module_complex, shift, total_homology)
+from localduality.exactla import SparseMatrix
 from localduality.torsion import koszul_free, koszul_object
 from conftest import free
 
@@ -65,11 +66,13 @@ def test_tensor_balancing_against_tor(poly_plane):
         assert got.get(n, 0) == want.get(n, 0)
 
 
-def test_free_complex_cone_kills_identity(poly_line, window):
-    F = FreeComplex.unit(poly_line)
-    cone = F.cone(F, {0: {(0, 0): poly_line.one()}})
-    c = cone.realize(free(poly_line), window, validate=True)
-    assert not any(homology(c, window).values())
+def test_cone_kills_identity(poly_line, window):
+    c = FreeComplex.unit(poly_line).realize(free(poly_line), window)
+    ident = ComplexMap(c, c, {k: SparseMatrix.identity(poly_line.field, d)
+                              for k, d in c.dims.items()}, validate=True)
+    cc = cone(ident)
+    cc.validate()
+    assert cc.dims and not any(homology(cc, window).values())
 
 
 def test_total_homology_totals(poly_plane, window):

@@ -182,6 +182,15 @@ def test_orthogonality_distinct_primes(poly_plane, window):
     assert rep["verdict"], rep
 
 
+def test_orthogonality_with_a_window_ending_below_zero(poly_plane):
+    # R is realized through its top degree 0 even when the window ends lower
+    m = max_ideal(poly_plane)
+    q = HomIdeal(poly_plane, ["x^2"], name="(x^2)")
+    for w in (Window(-6, -2), Window(-6, 0)):
+        rep = orthogonality_check(m, q, "x*y", w)
+        assert rep == {"verdict": True, "flags": [], "residual": {}}, w
+
+
 def test_orthogonality_refuses_same_prime(poly_plane, window):
     m1 = max_ideal(poly_plane)
     m2 = max_ideal(poly_plane)

@@ -154,8 +154,7 @@ def _complexes(ring, w):
     cyc = _modules(ring)[2]
     res = resolution_complex(
         minimal_free_resolution(cyc, 3, Window(w.t_lo - 6, w.t_hi)), w)
-    out += [("res", res), ("dres", res.dual()),
-            ("dkos_res", dual_koszul_free(ring, elems, 1).tensor(res))]
+    out += [("res", res), ("dres", res.dual())]
     return out
 
 
@@ -288,8 +287,11 @@ def _corpus_modules():
 
 
 def _assert_spaces_match(c, s, t):
-    K, P, sec = homology_space(c, s, t)
+    K, P, sec, free = homology_space(c, s, t)
     assert (K, P) == reference_homology_space(c, s, t)
+    # cycle j is 1 at free[j] and 0 at the other free columns
+    assert {k: v for k, v in K.entries.items() if k[0] in free} == \
+        {(r, j): 1 for j, r in enumerate(free)}
     assert P @ sec == SparseMatrix.identity(c.ring.field, P.rows)
 
 

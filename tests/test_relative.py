@@ -147,6 +147,20 @@ def test_omega_finite_flat(finite_flat, window):
     assert not om.flags
 
 
+def test_omega_leaves_the_compactness_certificate_alone(finite_flat, window):
+    comp = compactness_certificate(finite_flat, window)
+    res = comp["resolution"]
+    stages, diffs = list(res.stages), list(res.diffs)
+    assert stages[-1].rank == 0     # a certified resolution ends in zero
+    om = dualizing_module(finite_flat, window, compactness=comp)
+    assert res.stages == stages and res.diffs == diffs
+    fresh = dualizing_module(finite_flat, window)
+    assert (om.ext_table, om.stage, om.gen_degree, om.invertible,
+            om.certificate, om.flags) == \
+        (fresh.ext_table, fresh.stage, fresh.gen_degree, fresh.invertible,
+         fresh.certificate, fresh.flags)
+
+
 def test_omega_of_identity(poly_line, window):
     om = dualizing_module(RingMap.identity(poly_line), window)
     assert om.invertible and om.stage == 0 and om.gen_degree == 0

@@ -15,7 +15,7 @@ from localduality.complexes import (BiDeg, WindowedComplex, _inclusion,
                                     homology, module_complex)
 from localduality.exactla import SparseMatrix, quotient_projection
 from localduality.graded import GradedModule, GradedRing, Window
-from localduality.torsion import SpecSubset, gamma
+from localduality.torsion import gamma
 from conftest import max_ideal
 
 
@@ -198,7 +198,7 @@ def _modules(ring):
 @pytest.mark.parametrize("ring", _rings(), ids=lambda r: r.name)
 def test_torsion_tower_on_j_matches_gamma_r_tensor_j(ring):
     w = Window(-5, 3)
-    m = SpecSubset.of_ideal(max_ideal(ring))
+    m = max_ideal(ring)
     g = gamma(GradedModule.free_module(ring, [0], name="R"), m, w)
     for J in _modules(ring):
         floor_j = w.t_lo - max(0, g.model.t_top - w.t_lo) - 1

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from localduality.graded import GradedModule, GradedRing, HomIdeal, Window
-from localduality.torsion import (SpecSubset, adjunction_check,
-                                  check_recollement, completion, delta,
-                                  fracture_check, gamma,
-                                  local_to_global_acyclicity, localize_away,
-                                  tate, telescope_invert)
-from localduality.complexes import WindowedComplex, module_complex
+from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
+                                 minimal_free_resolution)
+from localduality.torsion import (adjunction_check, check_recollement,
+                                  completion, delta, fracture_check, gamma,
+                                  koszul_free, local_to_global_acyclicity,
+                                  localize_away, tate, telescope_invert)
+from localduality.complexes import (WindowedComplex, free_tensor, homology,
+                                    module_complex, resolution_complex)
 from conftest import free, max_ideal
 
 
@@ -140,6 +141,37 @@ def test_adjunction(poly_line):
     w = Window(-6, 6)
     m = GradedModule(poly_line, [("a", 0)], [["x^3"]])
     assert adjunction_check(m, free(poly_line), max_ideal(poly_line), w)
+
+
+def _adjunction_rings():
+    plane = GradedRing(2, [("x", -1), ("y", -1)], [], name="F2[x,y]")
+    hyp = plane.quotient([plane.parse("y^2")], name="F2[x,y]/(y^2)")
+    odd = GradedRing(3, [("a", -1, True), ("b", -2)], [], name="F3[a',b]")
+    return [plane, hyp, odd]
+
+
+@pytest.mark.parametrize("ring", _adjunction_rings(), ids=lambda r: r.name)
+def test_adjunction_left_stages_in_either_nesting_order(ring):
+    # adjunction_check realizes Hom(D_s (x) F, m') as Kos_s (x) Hom(F, m');
+    # F^v (x) (Kos_s (x) m') nests the same product the other way round
+    w = Window(-4, 3)
+    g0 = ring.gen_poly(0)
+    cyclic = GradedModule(ring, [("u", -1)], [[ring.poly_mul(g0, g0) or g0]],
+                          name="cyclic")
+    m = max_ideal(ring)
+    for mod, mod2 in [(cyclic, free(ring)),
+                      (GradedModule.residue_field(ring), cyclic)]:
+        F = resolution_complex(
+            minimal_free_resolution(mod, 3, Window(w.t_lo - 8, w.t_hi)), w)
+        deepest = max(F.dual().top_internal(), 0)
+        Y = F.hom_into(mod2, Window(w.t_lo, w.t_hi + 8), validate=False)
+        for s in (1, 2, 3):
+            K = koszul_free(ring, m.gens, s)
+            got, _ = free_tensor(K, Y, t_floor=w.t_lo)
+            Z = K.realize(mod2, Window(w.t_lo - deepest, w.t_hi),
+                          validate=False)
+            want, _ = free_tensor(F.dual(), Z, t_floor=w.t_lo)
+            assert homology(got, w) == homology(want, w), (mod.name, s)
 
 
 def test_local_to_global_detector(poly_line):
