@@ -16,14 +16,14 @@ import random
 import pytest
 
 from localduality.cli import Environment, corpus, parse
-from localduality.complexes import (WindowedComplex, complex_element_action,
-                                    free_tensor, homology_space,
+from localduality.complexes import (FreeComplex, WindowedComplex,
+                                    complex_element_action, free_tensor, homology_space,
                                     induced_on_homology, module_complex,
                                     resolution_complex)
 from localduality.exactla import (SparseMatrix, kernel_basis,
                                   quotient_projection, solve_matrix)
-from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
-                                 minimal_free_resolution)
+from localduality.graded import (FreeModule, GradedModule, GradedRing,
+                                 HomIdeal, Window, minimal_free_resolution)
 from localduality.torsion import (completion, dual_koszul_free, gamma,
                                   koszul_free)
 
@@ -145,6 +145,39 @@ def _modules(ring):
                          name="cyclic")]
 
 
+def _free_product(F, G):
+    """F (x) G as one free complex, d(x@y) = dx@y + (-1)^{s1} x@dy: a free
+    input with stages on both sides of 0 and mixed differential signs."""
+    ring = F.ring
+    stages, pos = {}, {}
+    for s in range(F.s_min + G.s_min, F.s_max + G.s_max + 1):
+        idx = [(s1, b1, b2) for s1 in range(F.s_min, F.s_max + 1)
+               for b1 in range(F.stage(s1).rank)
+               for b2 in range(G.stage(s - s1).rank)]
+        if idx:
+            stages[s] = FreeModule(ring, [F.stage(s1).gen_degrees[b1] +
+                                          G.stage(s - s1).gen_degrees[b2]
+                                          for s1, b1, b2 in idx])
+            pos[s] = {key: i for i, key in enumerate(idx)}
+    diffs = {}
+    for s, src in pos.items():
+        tgt = pos.get(s - 1, {})
+        ent = {}
+        for (s1, b1, b2), j in src.items():
+            terms = [((s1 - 1, a, b2), p) for (a, b), p
+                     in F.diff_entries(s1).items() if b == b1]
+            terms += [((s1, b1, a), ring.poly_scale(p, -1 if s1 % 2 else 1))
+                      for (a, b), p in G.diff_entries(s - s1).items() if b == b2]
+            for key, p in terms:
+                if key in tgt:
+                    i = tgt[key]
+                    ent[(i, j)] = ring.poly_add(ent.get((i, j), {}), p)
+        ent = {k: p for k, p in ent.items() if p}
+        if ent:
+            diffs[s] = ent
+    return FreeComplex(ring, stages, diffs)
+
+
 def _complexes(ring, w):
     elems = [ring.gen_poly(i) for i in range(ring.n)]
     out = []
@@ -154,7 +187,8 @@ def _complexes(ring, w):
     cyc = _modules(ring)[2]
     res = resolution_complex(
         minimal_free_resolution(cyc, 3, Window(w.t_lo - 6, w.t_hi)), w)
-    out += [("res", res), ("dres", res.dual())]
+    out += [("res", res), ("dres", res.dual()),
+            ("dkos_res", _free_product(dual_koszul_free(ring, elems, 1), res))]
     return out
 
 
