@@ -10,16 +10,15 @@ import sys
 import time
 
 from localduality.cli import corpus, parse, parse_window_args, run
-from localduality.graded import Window
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--window", default="-10:10", metavar="LO:HI")
     ap.add_argument("--seed", type=int, default=0)
-    args = parse_window_args(ap)
-    lo, hi = (int(x) for x in args.window.split(":"))
-    w = Window(min(lo, hi), max(lo, hi))
+    args, w = parse_window_args(ap)
+    if w is None:
+        return 1
 
     rows = []
     for entry in corpus():

@@ -14,7 +14,7 @@ import json
 import sys
 
 from localduality.cli import parse_window_args
-from localduality.graded import GradedRing, Window
+from localduality.graded import GradedRing
 from localduality.duality import maximal_ideal
 from localduality.relative import (RingMap, compactness_certificate,
                                    dualizing_module, theorem_bc_check)
@@ -23,9 +23,9 @@ from localduality.relative import (RingMap, compactness_certificate,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--window", default="-10:10", metavar="LO:HI")
-    args = parse_window_args(ap)
-    lo, hi = (int(x) for x in args.window.split(":"))
-    w = Window(min(lo, hi), max(lo, hi))
+    args, w = parse_window_args(ap)
+    if w is None:
+        return 1
 
     line = GradedRing(2, [("x", -1)], [], name="R")
     plane = GradedRing(2, [("x", -1), ("y", -1)], [])

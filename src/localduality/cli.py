@@ -724,8 +724,10 @@ def corpus() -> List[CorpusEntry]:
 
 
 def parse_window_args(ap: argparse.ArgumentParser,
-                      argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """ap.parse_args(argv), also for "--window LO:HI" with LO < 0.
+                      argv: Optional[Sequence[str]] = None
+                      ) -> Tuple[argparse.Namespace, Optional[Window]]:
+    """ap.parse_args(argv) and the Window of its "--window LO:HI", or None
+    after printing "bad --window, expected LO:HI" when it does not parse.
 
     argparse takes a word starting with "-" for an option, not for the value
     of --window, so each "--window" is joined with the word after it first.
@@ -740,7 +742,13 @@ def parse_window_args(ap: argparse.ArgumentParser,
         else:
             joined.append(args[i])
             i += 1
-    return ap.parse_args(joined)
+    ns = ap.parse_args(joined)
+    try:
+        lo, hi = [int(x) for x in ns.window.split(":")]
+    except ValueError:
+        print("bad --window, expected LO:HI", file=sys.stderr)
+        return ns, None
+    return ns, Window(min(lo, hi), max(lo, hi))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -756,12 +764,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="write the JSON report here (default: stdout)")
     ap.add_argument("--s-max", type=int, default=None,
                     help="tower stage cap (default: window span + 4)")
-    args = parse_window_args(ap, argv)
-    try:
-        lo, hi = [int(x) for x in args.window.split(":")]
-        w = Window(min(lo, hi), max(lo, hi))
-    except ValueError:
-        print("bad --window, expected LO:HI", file=sys.stderr)
+    args, w = parse_window_args(ap, argv)
+    if w is None:
         return 1
     try:
         with open(args.input) as fh:

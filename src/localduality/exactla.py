@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over prime fields.
 
 Every degreewise computation in the package bottoms out here.  Matrices are
-stored sparsely (dict keyed by (row, col)); elimination runs on a dense
-numpy int64 array mod p.  No floating point anywhere.
+stored sparsely (dict keyed by (row, col)).  Elimination is a Gauss-Jordan
+on dict rows built from those entries, giving the unique reduced row echelon
+form; kernels and basis extensions are assembled as numpy int64 arrays mod p.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -226,60 +228,7 @@ class SparseMatrix:
         return SparseMatrix(self.field, self.rows, self.cols + other.cols, ent)
 
 
-class _Echelon(SparseMatrix):
-    """Output of rref: the reduced matrix, keeping the int64 array it came from."""
-
-    __slots__ = ("array",)
-
-    @classmethod
-    def of(cls, field: Field, a: np.ndarray) -> "_Echelon":
-        m = cls._from_array(field, a)
-        m.array = a
-        return m
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "_Echelon":
-        m = cls._trusted(field, rows, cols, {})
-        m.array = np.zeros((rows, cols), dtype=np.int64)
-        return m
-
-
 # elimination ---------------------------------------------------------------
-
-
-def _to_numpy(m: SparseMatrix) -> np.ndarray:
-    a = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for (i, j), v in m.entries.items():
-        a[i, j] = v
-    return a
-
-
-def _rref_modp(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot column list)."""
-    a = a % p
-    nrows, ncols = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col_all = a[:, c].copy()
-        col_all[r] = 0
-        mask = np.nonzero(col_all)[0]
-        if mask.size:
-            a[mask] = (a[mask] - np.outer(col_all[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
 
 
 def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -293,19 +242,78 @@ def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _rref_rows(m: SparseMatrix) -> Dict[int, Dict[int, int]]:
+    """Gauss-Jordan on dict rows: {pivot column: the pivot row's entries right
+    of its leading 1}, in reduced echelon form.
+
+    Rows are taken in index order.  The pivot rows so far are kept reduced,
+    zero at every other pivot column, so an incoming row is reduced by one
+    pass over the pivot columns it holds.  Its leftmost entry is then scaled
+    to 1 and cleared from the earlier pivot rows holding that column, found
+    through the column index.
+    """
+    p = m.field.characteristic
+    rows: Dict[int, Dict[int, int]] = {}
+    for (i, j), v in m.entries.items():
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: v}
+        else:
+            row[j] = v
+    tails: Dict[int, Dict[int, int]] = {}
+    holders: Dict[int, set] = {}    # non-pivot column -> pivot columns whose rows hold it
+    for i in sorted(rows):
+        row = rows[i]
+        for c in [c for c in row if c in tails]:
+            f = row.pop(c)
+            for j, v in tails[c].items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        if not row:
+            continue
+        lead = min(row)
+        inv = row.pop(lead)
+        if inv != 1:
+            inv = pow(inv, p - 2, p)
+            for j in row:
+                row[j] = row[j] * inv % p
+        for c in holders.pop(lead, ()):
+            prow = tails[c]
+            f = prow.pop(lead)
+            for j, v in row.items():
+                w = (prow.get(j, 0) - f * v) % p
+                if not w:
+                    del prow[j]
+                    holders[j].discard(c)
+                else:
+                    if j not in prow:
+                        holders.setdefault(j, set()).add(c)
+                    prow[j] = w
+        tails[lead] = row
+        for j in row:
+            holders.setdefault(j, set()).add(lead)
+    return tails
+
+
 def rref(m: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
     """Reduced row echelon form and pivot columns (deterministic)."""
-    if not m.entries:
-        return _Echelon.zeros(m.field, m.rows, m.cols), []
-    a, pivots = _rref_modp(_to_numpy(m), m.field.characteristic)
-    return _Echelon.of(m.field, a), pivots
+    tails = _rref_rows(m)
+    pivots = sorted(tails)
+    entries: Dict[Tuple[int, int], int] = {}
+    for r, c in enumerate(pivots):
+        entries[(r, c)] = 1
+        tail = tails[c]
+        for j in sorted(tail):
+            entries[(r, j)] = tail[j]
+    return SparseMatrix._trusted(m.field, m.rows, m.cols, entries), pivots
 
 
 def rank(m: SparseMatrix) -> int:
     """Exact rank over the field."""
-    if not m.entries:
-        return 0
-    return len(_rref_modp(_to_numpy(m), m.field.characteristic)[1])
+    return len(_rref_rows(m))
 
 
 def kernel_rows(m: SparseMatrix) -> Tuple[np.ndarray, List[int]]:
@@ -321,7 +329,13 @@ def kernel_rows(m: SparseMatrix) -> Tuple[np.ndarray, List[int]]:
     k = np.zeros((len(free), m.cols), dtype=np.int64)
     if free:
         k[range(len(free)), free] = 1
-        k[:, pivots] = (-red.array[:len(pivots), free].T) % m.field.characteristic
+        p = m.field.characteristic
+        pos = {c: j for j, c in enumerate(free)}
+        hits = [(pos[c], pivots[i], p - v) for (i, c), v in red.entries.items()
+                if c in pos]
+        if hits:
+            rows, cols, vals = zip(*hits)
+            k[rows, cols] = vals
     return k, free
 
 
@@ -345,25 +359,10 @@ def solve(m: SparseMatrix, b: List[object]) -> Optional[List[int]]:
     if m.cols in pivots:
         return None
     x = [0] * m.cols
-    for c, v in zip(pivots, red.array[:len(pivots), m.cols].tolist()):
-        x[c] = v
-    return x
-
-
-def solve_matrix(m: SparseMatrix, b: SparseMatrix) -> Optional[SparseMatrix]:
-    """Some X with m @ X = b, or None.  Solves all columns in one elimination."""
-    if b.rows != m.rows:
-        raise ContractViolation("dimension mismatch in solve_matrix")
-    aug = m.hstack(b)
-    red, pivots = rref(aug)
-    if any(c >= m.cols for c in pivots):
-        return None
-    ent = {}
     for (i, j), v in red.entries.items():
-        if j >= m.cols:
-            # row i corresponds to pivot column pivots[i]
-            ent[(pivots[i], j - m.cols)] = v
-    return SparseMatrix._trusted(m.field, m.cols, b.cols, ent)
+        if j == m.cols:
+            x[pivots[i]] = v
+    return x
 
 
 def quotient_projection(span: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
@@ -401,7 +400,12 @@ def extend_basis(span: SparseMatrix, candidates: np.ndarray) -> np.ndarray:
         coeff = v[:, pivots]
         used = np.flatnonzero(coeff.any(axis=0))
         if used.size:
-            v = (v - _matmul_modp(coeff[:, used], red.array[used], p)) % p
+            at = {r: k for k, r in enumerate(used.tolist())}
+            pivot_rows = np.zeros((used.size, span.cols), dtype=np.int64)
+            for (i, j), x in red.entries.items():
+                if i in at:
+                    pivot_rows[at[i], j] = x
+            v = (v - _matmul_modp(coeff[:, used], pivot_rows, p)) % p
     # the rows taken so far, kept fully reduced against each other
     basis = np.zeros((0, span.cols), dtype=np.int64)
     leads: List[int] = []

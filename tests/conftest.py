@@ -1,5 +1,6 @@
 import pytest
 
+from localduality.exactla import ContractViolation, SparseMatrix, rref
 from localduality.graded import GradedModule, GradedRing, HomIdeal, Window
 
 
@@ -31,3 +32,41 @@ def max_ideal(ring: GradedRing, name: str = "m") -> HomIdeal:
 
 def free(ring: GradedRing, degrees=(0,), name="F") -> GradedModule:
     return GradedModule.free_module(ring, list(degrees), name=name)
+
+
+def python_rref(rows, ncols, p):
+    """Reduced row echelon form mod p with Python integers (no overflow)."""
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def solve_matrix(m, b):
+    """Some X with m @ X = b, or None: every column solved in one elimination
+    of [m | b], the way the package solved before it read cycle coordinates
+    off kernel bases."""
+    if b.rows != m.rows:
+        raise ContractViolation("dimension mismatch in solve_matrix")
+    red, pivots = rref(m.hstack(b))
+    if any(c >= m.cols for c in pivots):
+        return None
+    ent = {}
+    for (i, j), v in red.entries.items():
+        if j >= m.cols:
+            # row i corresponds to pivot column pivots[i]
+            ent[(pivots[i], j - m.cols)] = v
+    return SparseMatrix._trusted(m.field, m.cols, b.cols, ent)

@@ -1,6 +1,7 @@
 """Declarative session format: parsing, diagnostics, execution, exit codes,
 conventions and the bundled corpus."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from localduality.cli import Runner, corpus, main, parse, run
+from localduality.cli import Runner, corpus, main, parse, parse_window_args, run
 from localduality.graded import Window
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -279,6 +280,7 @@ def test_main_writes_json(tmp_path, capsys):
 def test_main_bad_window(tmp_path, capsys):
     inp = write(tmp_path, LINE)
     assert main(["--input", inp, "--window", "oops"]) == 1
+    assert main(["--input", inp, "--window", "3"]) == 1
 
 
 def test_main_reads_a_space_separated_negative_window(tmp_path, capsys):
@@ -296,6 +298,29 @@ def test_script_runs_at_a_negative_window(script):
                            "--window", "-4:4"], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("script", ["certify_corpus.py",
+                                    "relative_duality_demo.py"])
+@pytest.mark.parametrize("window", ["oops", "3", "1:2:3"])
+def test_script_diagnoses_a_bad_window(script, window):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           "--window", window], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "bad --window, expected LO:HI\n"
+
+
+@pytest.mark.parametrize("window", ["oops", "3", "1:2:3"])
+def test_parse_window_args_diagnoses(window, capsys):
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--window", default="-8:8")
+    args, w = parse_window_args(ap, ["--window", window])
+    assert w is None and args.window == window
+    assert capsys.readouterr().err == "bad --window, expected LO:HI\n"
+    assert parse_window_args(ap, ["--window", "3:-4"])[1] == Window(-4, 3)
 
 
 def test_main_missing_file(capsys):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from localduality.exactla import (GF, ContractViolation, SparseMatrix,
-                                  extend_basis, kernel_basis,
-                                  quotient_projection, rank, rref, solve,
-                                  solve_matrix)
+                                  extend_basis, kernel_basis, kernel_rows,
+                                  quotient_projection, rank, rref, solve)
+from conftest import python_rref, solve_matrix
 
 
 def dense(field, rows):
@@ -107,27 +107,6 @@ LARGEST_PRIME_BELOW_BOUND = 2147483647    # 2^31 - 1
 SMALLEST_PRIME_ABOVE_BOUND = 2147483659
 
 
-def python_rref(rows, ncols, p):
-    """Reduced row echelon form mod p with Python integers (no overflow)."""
-    rows = [[x % p for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 @st.composite
 def large_prime_matrices(draw, p=LARGEST_PRIME_BELOW_BOUND):
     r = draw(st.integers(1, 6))
@@ -220,6 +199,145 @@ def test_extend_basis_matches_one_at_a_time_reduction(problem):
     span_m = dense(f, span) if span else SparseMatrix(f, 0, n)
     got = extend_basis(span_m, np.array(cands, dtype=np.int64))
     assert got.tolist() == python_extend_basis(span, cands, n, p)
+
+
+# elimination against the oracle ----------------------------------------------
+#
+# rref runs Gauss-Jordan on dict rows.  The draws below give rows that never
+# meet (block-diagonal), rows that fill in completely (dense) and anything in
+# between; every output must equal python_rref's.
+
+ELIMINATION_PRIMES = [2, 3, LARGEST_PRIME_BELOW_BOUND]
+
+
+def residues(p):
+    return st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+
+
+def embed(draw, p, rows, nrows, ncols):
+    """rows placed into nrows x ncols at drawn row and column positions, so
+    rows and columns are permuted and the unused ones stay zero."""
+    r = len(rows)
+    c = len(rows[0]) if rows else 0
+    row_at = draw(st.permutations(range(nrows)))[:r]
+    col_at = draw(st.permutations(range(ncols)))[:c]
+    ent = {(row_at[i], col_at[j]): v for i, row in enumerate(rows)
+           for j, v in enumerate(row) if v}
+    return SparseMatrix(GF(p), nrows, ncols, ent)
+
+
+@st.composite
+def block_diagonal(draw, p):
+    """Blocks of at most 4 x 4 along the diagonal, rows and columns permuted,
+    with zero rows and columns, like the engine's matrices: a row is reduced
+    only by rows of its own block."""
+    sizes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                          max_size=6))
+    r = sum(a for a, _ in sizes)
+    c = sum(b for _, b in sizes)
+    rows = [[0] * c for _ in range(r)]
+    r0 = c0 = 0
+    for a, b in sizes:
+        block = [[draw(st.one_of(st.just(0), residues(p))) for _ in range(b)]
+                 for _ in range(a)]
+        if a > 1 and draw(st.booleans()):    # a dependent row
+            k = draw(residues(p))
+            block[-1] = [k * x % p for x in block[0]]
+        for i in range(a):
+            rows[r0 + i][c0:c0 + b] = block[i]
+        r0, c0 = r0 + a, c0 + b
+    nrows = r + draw(st.integers(0, 2))
+    ncols = c + draw(st.integers(0, 2))
+    return embed(draw, p, rows, nrows, ncols)
+
+
+@st.composite
+def dense_matrices(draw, p):
+    """At least 6 x 6, every entry nonzero but one row and one column, so
+    every row fills in."""
+    r, c = draw(st.integers(6, 10)), draw(st.integers(6, 10))
+    rnd = draw(st.randoms(use_true_random=False))    # one draw for every entry
+    rows = [[rnd.choice([1, p - 1, rnd.randrange(1, p)]) for _ in range(c - 1)]
+            for _ in range(r - 1)]
+    for _ in range(draw(st.integers(0, 3))):    # scaled copies lower the rank
+        i, j = draw(st.integers(0, r - 2)), draw(st.integers(0, r - 2))
+        k = draw(residues(p))
+        rows[i] = [k * x % p for x in rows[j]]
+    return embed(draw, p, rows, r, c)
+
+
+@st.composite
+def random_sparse(draw, p):
+    """Any shape up to 12 x 12, 0 x n and n x 0 included, at any density."""
+    r, c = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    if not r or not c:
+        return SparseMatrix(GF(p), r, c)
+    ent = draw(st.dictionaries(st.tuples(st.integers(0, r - 1),
+                                         st.integers(0, c - 1)),
+                               residues(p), max_size=r * c))
+    return SparseMatrix(GF(p), r, c, ent)
+
+
+@st.composite
+def elimination_inputs(draw):
+    p = draw(st.sampled_from(ELIMINATION_PRIMES))
+    kind = draw(st.sampled_from([block_diagonal, dense_matrices, random_sparse]))
+    return draw(kind(p))
+
+
+def all_ints(values):
+    return all(type(v) is int for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_inputs(), st.data())
+def test_elimination_matches_python_rref(m, data):
+    p, n = m.field.characteristic, m.cols
+    rows = m.to_dense()
+    want_rows, want_pivots = python_rref(rows, n, p)
+    want_rows += [[0] * n] * (m.rows - len(want_rows))
+    rank_ = len(want_pivots)
+
+    red, pivots = rref(m)
+    assert pivots == want_pivots and all_ints(pivots)
+    assert red == SparseMatrix(m.field, m.rows, n,
+                               {(i, j): v for i, row in enumerate(want_rows)
+                                for j, v in enumerate(row) if v})
+    assert list(red.entries) == sorted(red.entries)    # row-major
+    assert all_ints(red.entries.values())
+    got_rank = rank(m)
+    assert got_rank == rank_ and type(got_rank) is int
+
+    # kernel: row j is 1 at free[j] and minus column free[j] of the pivot rows
+    k, free = kernel_rows(m)
+    assert free == [c for c in range(n) if c not in want_pivots]
+    want_k = [[0] * n for _ in free]
+    for j, f in enumerate(free):
+        want_k[j][f] = 1
+        for r, c in enumerate(want_pivots):
+            want_k[j][c] = -want_rows[r][f] % p
+    assert k.tolist() == want_k
+    basis = kernel_basis(m)
+    assert basis == want_k and all(all_ints(v) for v in basis)
+    P, pfree = quotient_projection(m)
+    assert pfree == free and all_ints(P.entries.values())
+    assert P.to_dense() == want_k
+
+    # extension of rowspace(m) by the unit vectors, in a drawn order
+    if n:
+        order = data.draw(st.permutations(range(n)))
+        cands = [[int(i == j) for i in range(n)] for j in order]
+        got = extend_basis(m, np.array(cands, dtype=np.int64))
+        assert got.tolist() == python_extend_basis(rows, cands, n, p)
+
+
+def test_solve_returns_python_ints():
+    for p in ELIMINATION_PRIMES:
+        f = GF(p)
+        x = solve(dense(f, [[1, 2, 0], [0, 1, 1]]), [1, p - 1])
+        assert x is not None and all_ints(x)
+        assert (dense(f, [[1, 2, 0], [0, 1, 1]])
+                @ dense(f, [[v] for v in x])).to_dense() == [[1], [p - 1]]
 
 
 # trusted arithmetic ------------------------------------------------------------

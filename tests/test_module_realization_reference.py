@@ -124,7 +124,8 @@ def assert_same_as_reference(mod, degrees):
 def assert_relation_vectors_are_the_echelon(mod, degrees):
     for t in degrees:
         red, pivots = rref(reference_relation_span(mod, t))
-        expected = red.array[:len(pivots)]
+        expected = np.array(red.to_dense(), dtype=np.int64).reshape(
+            red.rows, red.cols)[:len(pivots)]
         got = mod.relation_vectors(t)
         assert got.dtype == np.int64
         assert got.shape == expected.shape, t

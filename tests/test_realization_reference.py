@@ -20,12 +20,12 @@ from localduality.complexes import (FreeComplex, WindowedComplex,
                                     complex_element_action, free_tensor, homology_space,
                                     induced_on_homology, module_complex,
                                     resolution_complex)
-from localduality.exactla import (SparseMatrix, kernel_basis,
-                                  quotient_projection, solve_matrix)
+from localduality.exactla import SparseMatrix, kernel_basis, quotient_projection
 from localduality.graded import (FreeModule, GradedModule, GradedRing,
                                  HomIdeal, Window, minimal_free_resolution)
 from localduality.torsion import (completion, dual_koszul_free, gamma,
                                   koszul_free)
+from conftest import solve_matrix
 
 
 # references --------------------------------------------------------------------
