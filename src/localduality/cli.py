@@ -25,8 +25,8 @@ from .torsion import (check_recollement, delta, gamma,
                       local_to_global_acyclicity, tate)
 from .cohom import (cech_cohomology, collapse_check, local_cohomology,
                     local_homology, oracle_agreement)
-from .duality import (absolute_gorenstein_check, dual_localize,
-                      gorenstein_certificate, injective_hull,
+from .duality import (GorensteinCertificate, absolute_gorenstein_check,
+                      dual_localize, gorenstein_certificate, injective_hull,
                       orthogonality_check, twist_check)
 from .relative import (RingMap, compactness_certificate, dualizing_module,
                        theorem_bc_check, transitivity_check)
@@ -234,6 +234,8 @@ class Environment:
         self.ideals: Dict[str, HomIdeal] = {}
         self.maps: Dict[str, RingMap] = {}
         self.diags: List[Diagnostic] = []
+        self._certificates: Dict[Tuple[GradedRing, Window],
+                                 GorensteinCertificate] = {}
         for name, data in spec.rings.items():
             try:
                 base = GradedRing(data["char"], data["generators"], [],
@@ -321,6 +323,13 @@ class Environment:
         if name not in self.maps:
             raise CommandError(f"undefined map {name}")
         return self.maps[name]
+
+    def certificate(self, ring: GradedRing, w: Window) -> GorensteinCertificate:
+        """gorenstein_certificate(ring, w), computed once per session."""
+        key = (ring, w)
+        if key not in self._certificates:
+            self._certificates[key] = gorenstein_certificate(ring, w)
+        return self._certificates[key]
 
 
 # report helpers --------------------------------------------------------------
@@ -504,7 +513,7 @@ class Runner:
     def cmd_oracle_check(self, pos, kv):
         pos, w = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
-        rep = oracle_agreement(m, w)
+        rep = oracle_agreement(m, w, self.env.certificate(m.ring, w))
         return {"kind": "oracle-check", "verdict": bool(rep["verdict"]),
                 "stable_entries": rep["stable_entries"]}
 
@@ -555,7 +564,9 @@ class Runner:
         pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
-        rep = dual_localize(m, p, w)
+        # the library computes no certificate at a maximal ideal
+        cert = None if p.is_maximal() else self.env.certificate(m.ring, w)
+        rep = dual_localize(m, p, w, certificate=cert)
         return {"kind": "dual-localize",
                 "ranks": {str(k): v for k, v in rep["ranks"].items()},
                 "dimension": rep["dimension_drop"]}
@@ -563,7 +574,7 @@ class Runner:
     def cmd_gorenstein(self, pos, kv):
         pos, w = self.window(pos, "ring")
         ring = self.env.ring(pos[0])
-        cert = gorenstein_certificate(ring, w)
+        cert = self.env.certificate(ring, w)
         out = {"kind": "gorenstein", "name": pos[0],
                "verdict": cert.verdict, "krull_dim": cert.krull_dim,
                "shift": cert.shift}
@@ -577,7 +588,7 @@ class Runner:
         pos, w = self.window(pos, "ring", "ideal")
         ring = self.env.ring(pos[0])
         p = self.env.ideal(pos[1])
-        rep = absolute_gorenstein_check(ring, p, w)
+        rep = absolute_gorenstein_check(ring, p, w, self.env.certificate(ring, w))
         return {"kind": "abs-gorenstein", "verdict": bool(rep["verdict"]),
                 "mode": rep["mode"], "shift": rep["shift"],
                 "dimension": rep["dimension"]}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,6 +81,7 @@ class GradedRing:
         self.gen_index = {g.name: i for i, g in enumerate(gens)}
         self.weights = [-g.degree for g in gens]
         self.parity = [1 if g.odd else 0 for g in gens]
+        self._odd = any(self.parity)
         self.n = len(gens)
 
         rels: List[Poly] = []
@@ -95,21 +97,24 @@ class GradedRing:
                     sq = tuple(2 if j == i else 0 for j in range(self.n))
                     rels.append({sq: 1})
         self.relations: List[Poly] = rels
-        # the resumable completion: its basis, the bound it is complete to,
-        # and the S-pairs still to do
+        # the resumable completion: its basis with the basis's leading
+        # monomials, the bound it is complete to, and the S-pairs still to do
         self._gb: List[Poly] = list(rels)
+        self._leads: List[Mono] = [self.leading(g)[0] for g in rels]
         self._gb_bound = -1
         self._pending = list(itertools.combinations(range(len(rels)), 2))
         self._basis_cache: Dict[int, List[Mono]] = {}
+        # normal forms of the reducible monomials met by times_monomial
+        self._nf_memo: Dict[Mono, Poly] = {}
         self._krull: Optional[int] = None
 
     # monomial layer --------------------------------------------------------
 
     def mono_degree(self, m: Mono) -> int:
-        return -sum(e * w for e, w in zip(m, self.weights))
+        return -sum(map(mul, m, self.weights))
 
     def mono_weight(self, m: Mono) -> int:
-        return sum(e * w for e, w in zip(m, self.weights))
+        return sum(map(mul, m, self.weights))
 
     def order_key(self, m: Mono):
         # weighted degrevlex: higher key = larger monomial
@@ -117,6 +122,8 @@ class GradedRing:
 
     def mono_mul(self, a: Mono, b: Mono) -> Optional[Tuple[int, Mono]]:
         """Product with Koszul sign; None when an odd generator squares."""
+        if not self._odd:
+            return 1, tuple(map(add, a, b))
         sign = 0
         if self.characteristic != 2:
             for i in range(self.n):
@@ -259,24 +266,20 @@ class GradedRing:
 
     # normal forms ----------------------------------------------------------
 
-    def _reduce(self, p: Poly, basis: List[Poly]) -> Poly:
-        """Full reduction of p modulo basis (leading terms already computed)."""
+    def _reduce(self, p: Poly) -> Poly:
+        """Full reduction of p modulo the completion's basis so far."""
         f = self.field
         work = dict(p)
         out: Poly = {}
-        lead = [(self.leading(g), g) for g in basis if g]
         while work:
             m = max(work, key=self.order_key)
             c = work.pop(m)
-            hit = None
-            for (lm, lc), g in lead:
+            for lm, g in zip(self._leads, self._gb):
                 if self.mono_divides(lm, m):
-                    hit = (lm, lc, g)
                     break
-            if hit is None:
+            else:
                 out[m] = c
                 continue
-            lm, lc, g = hit
             q = tuple(a - b for a, b in zip(m, lm))
             sgn_prod = self.poly_mul({q: 1}, g)
             # coefficient of m inside q*g
@@ -310,7 +313,7 @@ class GradedRing:
                     f"{weight_bound} exceeded 20000 S-pairs")
             i, j = pairs.pop()
             gi, gj = basis[i], basis[j]
-            (lmi, _), (lmj, _) = self.leading(gi), self.leading(gj)
+            lmi, lmj = self._leads[i], self._leads[j]
             lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
             if self.mono_weight(lcm) > limit:
                 deferred.append((i, j))
@@ -325,24 +328,77 @@ class GradedRing:
                 spol = pi if ci == 0 else pj
             else:
                 spol = self.poly_add(self.poly_scale(pi, cj), self.poly_scale(pj, -ci))
-            nf = self._reduce(spol, basis)
+            nf = self._reduce(spol)
             if nf:
                 basis.append(nf)
+                self._leads.append(self.leading(nf)[0])
                 pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
         self._pending = deferred
         self._gb_bound = weight_bound
         return basis
 
     def normal_form(self, p, weight_bound: Optional[int] = None) -> Poly:
-        """Canonical representative of a homogeneous element modulo relations."""
+        """Canonical representative of a homogeneous element modulo relations.
+
+        Reduces p itself and stores nothing; the products of a monomial and a
+        polynomial go through times_monomial, which reads the normal forms of
+        their monomials off the ring's memo.
+        """
         if isinstance(p, str):
             p = self.parse(p)
         if not p:
             return {}
         self._check_homogeneous(p)
         w = self.mono_weight(next(iter(p)))
-        basis = self.complete(max(w, weight_bound or 0))
-        return self._reduce(p, basis)
+        self.complete(max(w, weight_bound or 0))
+        return self._reduce(p)
+
+    def times_monomial(self, mu: Mono, p: Poly) -> Poly:
+        """normal_form(poly_mul({mu: 1}, p)) for a homogeneous p, summed from
+        memoised normal forms of the product monomials.
+
+        The normal form modulo a Groebner basis is k-linear, so the normal
+        form of mu*p is the sum of sign * c * NF(mono_mul(mu, m)) over the
+        terms c*m of p (mu on the left, as poly_mul takes it, so the Koszul
+        signs and the vanishing odd squares are the same).
+
+        The memo stores only reducible monomials.  A ring with relations is
+        completed to the weight of mu*p first; a product monomial that no
+        leading monomial divides is then its own normal form and is not
+        stored, so a ring whose only relations are odd squares stores
+        nothing.  An entry stays valid when the completion later resumes at
+        a larger bound: resuming only appends basis elements heavier than
+        the bound already reached, and those neither divide a lighter
+        monomial nor take part in its reduction.
+
+        p is not checked for homogeneity: the caller checks it once, not
+        once per product.
+        """
+        if not p:
+            return {}
+        if self.relations:
+            self.complete(self.mono_weight(mu) + self.mono_weight(next(iter(p))))
+        char = self.characteristic
+        memo, leads = self._nf_memo, self._leads
+        out: Poly = {}
+        for m, c in p.items():
+            r = self.mono_mul(mu, m)
+            if r is None:
+                continue
+            sgn, prod = r
+            nf = memo.get(prod)
+            if nf is None:
+                if any(self.mono_divides(lm, prod) for lm in leads):
+                    nf = memo[prod] = self._reduce({prod: 1})
+                else:
+                    nf = {prod: 1}
+            for mm, cc in nf.items():
+                v = (out.get(mm, 0) + sgn * c * cc) % char
+                if v:
+                    out[mm] = v
+                else:
+                    out.pop(mm, None)
+        return out
 
     def basis_in_degree(self, t: int) -> List[Mono]:
         """Normal-form monomials of homotopy degree t, deterministic order."""
@@ -351,30 +407,33 @@ class GradedRing:
         if t in self._basis_cache:
             return self._basis_cache[t]
         weight = -t
-        basis = self.complete(weight)
+        self.complete(weight)
         # each leading monomial is tested once the last generator of its
         # support is assigned: it divides every completion of a prefix it
         # divides, so the branch is cut there
         ending: List[List[Mono]] = [[] for _ in range(self.n)]
         unit = False
-        for g in basis:
-            if g:
-                lm = self.leading(g)[0]
-                support = [i for i, e in enumerate(lm) if e]
-                if support:
-                    ending[support[-1]].append(lm)
-                else:
-                    # a unit leaves no standard monomial; it is not filed,
-                    # since a ring without generators has no generator 0
-                    unit = True
+        for lm in self._leads:
+            support = [i for i, e in enumerate(lm) if e]
+            if support:
+                ending[support[-1]].append(lm)
+            else:
+                # a unit leaves no standard monomial; it is not filed,
+                # since a ring without generators has no generator 0
+                unit = True
         out: List[Mono] = []
+        last = self.n - 1
 
         def rec(i: int, remaining: int, acc: List[int]):
-            if i == self.n:
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
             w = self.weights[i]
+            if i == last:
+                # only e = remaining / w lands on zero
+                e, rest = divmod(remaining, w)
+                prefix = acc + [e]
+                if not (rest or self.parity[i] and e > 1 or any(
+                        self.mono_divides(lm, prefix) for lm in ending[i])):
+                    out.append(tuple(prefix))
+                return
             top = remaining // w
             if self.parity[i]:
                 top = min(top, 1)
@@ -386,7 +445,10 @@ class GradedRing:
                 rec(i + 1, remaining - e * w, prefix)
 
         if not unit:
-            rec(0, weight, [])
+            if self.n:
+                rec(0, weight, [])
+            elif weight == 0:
+                out.append(())      # a ring without generators is k
         out.sort(key=self.order_key)
         self._basis_cache[t] = out
         return out
@@ -422,15 +484,14 @@ class GradedRing:
             return self._krull
         bound = completion_weight or max(
             12, 2 * max([self.mono_weight(self.leading(r)[0]) for r in self.relations] or [1]))
-        basis = self.complete(bound)
-        leads = [self.leading(g)[0] for g in basis if g]
+        self.complete(bound)
         best = 0
         for r in range(self.n, -1, -1):
             found = False
             for subset in itertools.combinations(range(self.n), r):
                 sset = set(subset)
                 ok = True
-                for lm in leads:
+                for lm in self._leads:
                     if all(lm[i] == 0 or i in sset for i in range(self.n)):
                         ok = False
                         break
@@ -631,12 +692,12 @@ def poly_matrix_realize(ring: GradedRing, source: FreeModule, target: FreeModule
     by_source: Dict[int, List[Tuple[int, Poly]]] = {}
     for (a, b), p in entries.items():
         if p:
+            ring._check_homogeneous(p)
             by_source.setdefault(b, []).append((a, p))
     ent: Dict[Tuple[int, int], int] = {}
     for j, (b, m) in enumerate(sb):
         for a, p in by_source.get(b, ()):
-            prod = ring.normal_form(ring.poly_mul({m: 1}, p))
-            for mm, c in prod.items():
+            for mm, c in ring.times_monomial(m, p).items():
                 key = (a, mm)
                 if key in tpos:
                     ent[(tpos[key], j)] = (ent.get((tpos[key], j), 0) + c) % ring.characteristic
@@ -744,8 +805,7 @@ class GradedModule:
                 for j, p in enumerate(row):
                     if not p:
                         continue
-                    prod = ring.normal_form(ring.poly_mul({mu: 1}, p))
-                    for m, c in prod.items():
+                    for m, c in ring.times_monomial(mu, p).items():
                         key = (j, m)
                         if key in pos:
                             vec[pos[key]] = (vec.get(pos[key], 0) + c) % ring.characteristic
@@ -853,7 +913,7 @@ class GradedModule:
         for j, c in enumerate(free_cols):
             i, m = basis[c]
             col: Dict[int, int] = {}
-            for mm, cc in ring.normal_form(ring.poly_mul({m: 1}, p)).items():
+            for mm, cc in ring.times_monomial(m, p).items():
                 for r, v in proj_cols.get(tpos.get((i, mm)), ()):
                     col[r] = col.get(r, 0) + cc * v
             for r in sorted(col):
@@ -937,8 +997,7 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
             maps[t] = SparseMatrix._trusted(ring.field, len(basis), r, {})
             continue
         # ring multiples of already chosen generators in degree t, one row
-        # each, in FreeModule.basis_in_degree order; each product is
-        # normal-formed once
+        # each, in FreeModule.basis_in_degree order
         pos = {bm: i for i, bm in enumerate(basis)}
         ent: Dict[Tuple[int, int], int] = {}
         r = 0
@@ -946,7 +1005,7 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
             terms = [(a, p) for a, p in enumerate(row) if p]
             for mu in ring.basis_in_degree(t - dg):
                 for a, p in terms:
-                    for m, c in ring.normal_form(ring.poly_mul({mu: 1}, p)).items():
+                    for m, c in ring.times_monomial(mu, p).items():
                         try:
                             ent[(r, pos[(a, m)])] = c
                         except KeyError:

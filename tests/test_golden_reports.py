@@ -175,6 +175,25 @@ def test_report_does_not_depend_on_the_seed(name):
     assert report == want
 
 
+def test_session_computes_each_certificate_once(monkeypatch):
+    # the kappa session asks for P's certificate in three dual-localize
+    # commands and in abs-gorenstein; the session's Environment keeps it
+    import localduality.cli as cli_mod
+    import localduality.duality as duality_mod
+    import localduality.relative as relative_mod
+    computed = []
+    orig = duality_mod.gorenstein_certificate
+
+    def counted(ring, w):
+        computed.append(ring.name)
+        return orig(ring, w)
+
+    for mod in (cli_mod, duality_mod, relative_mod):
+        monkeypatch.setattr(mod, "gorenstein_certificate", counted)
+    assert report_bytes(KAPPA) == (GOLDEN / "kappa.json").read_bytes()
+    assert computed.count("P") == 1
+
+
 def test_golden_set_is_complete():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(sessions())
 

@@ -11,9 +11,10 @@ from localduality.exactla import ContractViolation
 from localduality.complexes import module_complex
 from localduality.duality import (brown_comenetz, is_free_rank_one,
                                   is_shifted_hull)
-from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
-                                 dual_hilbert_function, ext, hilbert_function,
-                                 minimal_free_resolution, tor)
+from localduality.graded import (FreeModule, GradedModule, GradedRing, HomIdeal,
+                                 Window, dual_hilbert_function, ext,
+                                 hilbert_function, minimal_free_resolution,
+                                 poly_matrix_realize, tor)
 from conftest import free, max_ideal
 
 
@@ -171,6 +172,73 @@ def test_poly_mul_degree_additive(a, b):
     q = ring.parse(f"y^{b}") if b else ring.one()
     prod = ring.poly_mul(p, q)
     assert ring.poly_degree(prod) == -(a + b)
+
+
+def random_poly(ring, free_ring, weight, data):
+    """A homogeneous polynomial of the given weight with random coefficients,
+    on monomials without odd squares; None when there is no such monomial."""
+    monos = free_ring.basis_in_degree(-weight)
+    if not monos:
+        return None
+    coeffs = data.draw(st.lists(st.integers(0, ring.characteristic - 1),
+                                min_size=len(monos), max_size=len(monos)))
+    return {m: c for m, c in zip(monos, coeffs) if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(presented_rings(), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                   min_size=1, max_size=4),
+       st.data())
+def test_times_monomial_matches_normal_form_of_the_product(presented, weights, data):
+    # ring answers through its memo; ref, a copy of it, reduces every
+    # product as poly_mul then normal_form.  The queries run light, heavy,
+    # then light again, so entries stored at a low completion bound are
+    # read after the completion resumed at a higher one.
+    p, gens, rels = presented
+    ring, ref = GradedRing(p, gens, rels), GradedRing(p, gens, rels)
+    free_ring = GradedRing(p, gens, [])
+    queries = weights + weights[::-1]
+    for w_mu, w_p in sorted(weights) + queries:
+        mus = free_ring.basis_in_degree(-w_mu)
+        q = random_poly(ring, free_ring, w_p, data)
+        if not mus or q is None:
+            continue
+        mu = data.draw(st.sampled_from(mus))
+        want = ref.normal_form(ref.poly_mul({mu: 1}, q))
+        assert ring.times_monomial(mu, q) == want
+        assert free_ring.times_monomial(mu, q) == \
+            free_ring.normal_form(free_ring.poly_mul({mu: 1}, q))
+    # a ring without relations other than odd squares stores nothing, and
+    # every stored monomial is reducible and still has the stored form
+    assert free_ring._nf_memo == {}
+    for m, nf in ring._nf_memo.items():
+        assert any(ring.mono_divides(lm, m) for lm in ring._leads)
+        assert ref.normal_form({m: 1}) == nf
+
+
+def test_times_monomial_keeps_koszul_signs():
+    # F3[a, b odd; c]/(a*b*c - c^2): b*a = -a*b, and the memo holds
+    # NF(a*b*c) = c^2 with a product sign taken outside it
+    ring = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -2)],
+                      ["a*b*c - c^2"])
+    b, ac, abc = (0, 1, 0), ring.parse("a*c"), (1, 1, 1)
+    assert ring.times_monomial(b, ac) == ring.normal_form(ring.poly_mul({b: 1}, ac)) \
+        == ring.poly_scale(ring.parse("c^2"), -1)
+    assert abc in ring._nf_memo
+    assert ring.times_monomial((1, 0, 0), ring.parse("a*c")) == {}
+
+
+def test_non_homogeneous_products_are_refused(poly_plane):
+    # a monomial times a homogeneous entry is homogeneous, so entries and
+    # elements are checked once, before any product
+    ring = poly_plane
+    mixed = ring.parse("x + y^2")
+    one = FreeModule(ring, [0])
+    with pytest.raises(ContractViolation):
+        poly_matrix_realize(ring, one, one, {(0, 0): mixed}, -1)
+    m = GradedModule(ring, [("a", 0)], [["x^3"]])
+    with pytest.raises(ContractViolation):
+        m.element_action(mixed, 0)
 
 
 # modules --------------------------------------------------------------------
