@@ -311,7 +311,7 @@ def homology_space(c: WindowedComplex, s: int, t: int):
     fld = c.ring.field
     d = c.diff(s, t)
     k, free = kernel_rows(d)
-    K = SparseMatrix._from_array(fld, k.T)
+    K = k.transpose()
     # image of d_in expressed in cycle coordinates
     span = _cycle_coordinates(d, c.diff(s + 1, t), free,
                               "boundary not a cycle").transpose()

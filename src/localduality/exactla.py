@@ -3,8 +3,9 @@
 Every degreewise computation in the package bottoms out here.  Matrices are
 stored sparsely (dict keyed by (row, col)).  Elimination is a Gauss-Jordan
 on dict rows built from those entries, giving the unique reduced row echelon
-form; kernels and basis extensions are assembled as numpy int64 arrays mod p.
-No floating point anywhere.
+form; kernels, quotient projections and basis extensions are read off that
+elimination as sparse matrices or dict rows.  Scalars are Python ints, so
+no floating point and no overflow anywhere.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-# Residues are multiplied in int64, so p^2 must stay below 2^63; the bound
-# 2^31 (the word-size primes of FFLAS-FFPACK) leaves room for the sums.
+# The supported characteristics: the word-size primes of FFLAS-FFPACK.  The
+# bound also keeps a characteristic too large for trial division from
+# reaching the primality test.
 MAX_CHARACTERISTIC = 2 ** 31
 
 
@@ -37,7 +37,7 @@ class ContractViolation(ValueError):
 def _check_characteristic(p: int) -> None:
     if p >= MAX_CHARACTERISTIC:
         raise ContractViolation(
-            f"characteristic {p} is too large: exact int64 arithmetic needs p < 2^31")
+            f"characteristic {p} is too large: the supported primes are p < 2^31")
     if not _is_prime(p):
         raise ContractViolation(f"characteristic {p} is not prime")
 
@@ -132,13 +132,6 @@ class SparseMatrix:
         m.entries = entries
         return m
 
-    @classmethod
-    def _from_array(cls, field: Field, a: np.ndarray) -> "SparseMatrix":
-        """Trusted constructor from an int64 array reduced mod p."""
-        r, c = np.nonzero(a)
-        entries = dict(zip(zip(r.tolist(), c.tolist()), a[r, c].tolist()))
-        return cls._trusted(field, a.shape[0], a.shape[1], entries)
-
     @staticmethod
     def from_rows(field: Field, row_list: Iterable[Iterable[object]],
                   cols: Optional[int] = None) -> "SparseMatrix":
@@ -166,14 +159,14 @@ class SparseMatrix:
         return f"SparseMatrix({self.field}, {self.rows}x{self.cols}, nnz={len(self.entries)})"
 
     # arithmetic ------------------------------------------------------------
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.field, self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
-
+    #
     # The results below are built from reduced, in-range entries, so they are
     # wrapped without a second validation; zeros from cancellation are dropped.
     # Matrices are immutable, so an operand may be returned as the result.
+
+    def transpose(self) -> "SparseMatrix":
+        return SparseMatrix._trusted(self.field, self.cols, self.rows,
+                                     {(j, i): v for (i, j), v in self.entries.items()})
 
     def scale(self, c) -> "SparseMatrix":
         c = self.field.normalize(c)
@@ -231,28 +224,8 @@ class SparseMatrix:
 # elimination ---------------------------------------------------------------
 
 
-def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 arrays reduced mod p, in partial sums that fit int64."""
-    step = (2 ** 63 - p) // (p - 1) ** 2
-    if a.shape[1] <= step:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], step):
-        out = (out + a[:, s:s + step] @ b[s:s + step]) % p
-    return out
-
-
-def _rref_rows(m: SparseMatrix) -> Dict[int, Dict[int, int]]:
-    """Gauss-Jordan on dict rows: {pivot column: the pivot row's entries right
-    of its leading 1}, in reduced echelon form.
-
-    Rows are taken in index order.  The pivot rows so far are kept reduced,
-    zero at every other pivot column, so an incoming row is reduced by one
-    pass over the pivot columns it holds.  Its leftmost entry is then scaled
-    to 1 and cleared from the earlier pivot rows holding that column, found
-    through the column index.
-    """
-    p = m.field.characteristic
+def _dict_rows(m: SparseMatrix) -> Dict[int, Dict[int, int]]:
+    """The nonzero rows of m as {row: {column: value}}."""
     rows: Dict[int, Dict[int, int]] = {}
     for (i, j), v in m.entries.items():
         row = rows.get(i)
@@ -260,41 +233,64 @@ def _rref_rows(m: SparseMatrix) -> Dict[int, Dict[int, int]]:
             rows[i] = {j: v}
         else:
             row[j] = v
-    tails: Dict[int, Dict[int, int]] = {}
-    holders: Dict[int, set] = {}    # non-pivot column -> pivot columns whose rows hold it
-    for i in sorted(rows):
-        row = rows[i]
-        for c in [c for c in row if c in tails]:
-            f = row.pop(c)
-            for j, v in tails[c].items():
-                w = (row.get(j, 0) - f * v) % p
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-        if not row:
-            continue
-        lead = min(row)
-        inv = row.pop(lead)
-        if inv != 1:
-            inv = pow(inv, p - 2, p)
-            for j in row:
-                row[j] = row[j] * inv % p
-        for c in holders.pop(lead, ()):
-            prow = tails[c]
-            f = prow.pop(lead)
-            for j, v in row.items():
-                w = (prow.get(j, 0) - f * v) % p
-                if not w:
-                    del prow[j]
-                    holders[j].discard(c)
-                else:
-                    if j not in prow:
-                        holders.setdefault(j, set()).add(c)
-                    prow[j] = w
-        tails[lead] = row
+    return rows
+
+
+def _take(row: Dict[int, int], tails: Dict[int, Dict[int, int]],
+          holders: Dict[int, set], p: int) -> Optional[int]:
+    """One Gauss-Jordan step on dict rows; returns the new pivot column, or
+    None when row lies in the span of the pivot rows.
+
+    tails maps each pivot column to its pivot row's entries right of the
+    leading 1, and holders maps each non-pivot column to the pivot columns
+    whose rows hold it.  The pivot rows are kept reduced, zero at every
+    other pivot column, so row (consumed) is reduced by one pass over the
+    pivot columns it holds.  Its leftmost entry is then scaled to 1 and
+    cleared from the pivot rows holding that column.
+    """
+    for c in [c for c in row if c in tails]:
+        f = row.pop(c)
+        for j, v in tails[c].items():
+            w = (row.get(j, 0) - f * v) % p
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    if not row:
+        return None
+    lead = min(row)
+    inv = row.pop(lead)
+    if inv != 1:
+        inv = pow(inv, p - 2, p)
         for j in row:
-            holders.setdefault(j, set()).add(lead)
+            row[j] = row[j] * inv % p
+    for c in holders.pop(lead, ()):
+        prow = tails[c]
+        f = prow.pop(lead)
+        for j, v in row.items():
+            w = (prow.get(j, 0) - f * v) % p
+            if not w:
+                del prow[j]
+                holders[j].discard(c)
+            else:
+                if j not in prow:
+                    holders.setdefault(j, set()).add(c)
+                prow[j] = w
+    tails[lead] = row
+    for j in row:
+        holders.setdefault(j, set()).add(lead)
+    return lead
+
+
+def _rref_rows(m: SparseMatrix) -> Dict[int, Dict[int, int]]:
+    """Gauss-Jordan on dict rows, taken in index order: {pivot column: the
+    pivot row's entries right of its leading 1}, in reduced echelon form."""
+    p = m.field.characteristic
+    rows = _dict_rows(m)
+    tails: Dict[int, Dict[int, int]] = {}
+    holders: Dict[int, set] = {}
+    for i in sorted(rows):
+        _take(rows[i], tails, holders, p)
     return tails
 
 
@@ -316,27 +312,22 @@ def rank(m: SparseMatrix) -> int:
     return len(_rref_rows(m))
 
 
-def kernel_rows(m: SparseMatrix) -> Tuple[np.ndarray, List[int]]:
-    """(K, free): a kernel basis of m as the rows of an int64 array, and the
-    non-pivot columns of rref(m).  Row j of K has 1 at free[j], 0 at the other
-    free columns and minus column free[j] of the pivot rows at the pivot
+def kernel_rows(m: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
+    """(K, free): a kernel basis of m as the rows of K, and the non-pivot
+    columns of rref(m).  Row j of K has 1 at free[j], 0 at the other free
+    columns and minus column free[j] of the pivot rows at the pivot
     columns."""
     red, pivots = rref(m)
-    if not pivots:
-        return np.eye(m.cols, dtype=np.int64), list(range(m.cols))
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    k = np.zeros((len(free), m.cols), dtype=np.int64)
-    if free:
-        k[range(len(free)), free] = 1
-        p = m.field.characteristic
-        pos = {c: j for j, c in enumerate(free)}
-        hits = [(pos[c], pivots[i], p - v) for (i, c), v in red.entries.items()
-                if c in pos]
-        if hits:
-            rows, cols, vals = zip(*hits)
-            k[rows, cols] = vals
-    return k, free
+    pos = {c: j for j, c in enumerate(free)}
+    p = m.field.characteristic
+    ent = {(j, c): 1 for j, c in enumerate(free)}
+    for (i, c), v in red.entries.items():
+        j = pos.get(c)
+        if j is not None:
+            ent[(j, pivots[i])] = p - v
+    return SparseMatrix._trusted(m.field, len(free), m.cols, ent), free
 
 
 def kernel_basis(m: SparseMatrix) -> List[List[int]]:
@@ -345,7 +336,7 @@ def kernel_basis(m: SparseMatrix) -> List[List[int]]:
     Vectors are returned in increasing free-column order; always
     len == cols - rank(m).
     """
-    return kernel_rows(m)[0].tolist()
+    return kernel_rows(m)[0].to_dense()
 
 
 def solve(m: SparseMatrix, b: List[object]) -> Optional[List[int]]:
@@ -374,59 +365,42 @@ def quotient_projection(span: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
     complement basis is the identity.  In the quotient e_pc = -sum_c v * e_c
     over the entries v of pivot row pc, so P is the kernel matrix of span.
     """
-    k, free = kernel_rows(span)
-    return SparseMatrix._from_array(span.field, k), free
+    return kernel_rows(span)
 
 
-def extend_basis(span: SparseMatrix, candidates: np.ndarray) -> np.ndarray:
-    """The candidates that enlarge rowspace(span), reduced, one row each.
+def extend_basis(span: SparseMatrix, candidates: SparseMatrix) -> List[Dict[int, int]]:
+    """The candidates that enlarge rowspace(span), reduced, as {column: value}
+    rows.
 
-    candidates must be linearly independent rows, reduced mod p, whose span
-    contains rowspace(span).  Candidate i is taken when it is not in W_i =
+    The rows of candidates must be linearly independent and span a space
+    containing rowspace(span).  Candidate i is taken when it is not in W_i =
     rowspace(span) + span(candidates before i); its row is its reduction
-    modulo W_i, the unique vector of candidate + W_i vanishing on the pivot
-    columns of W_i, scaled to leading coefficient 1.  Exactly
-    len(candidates) - rank(span) rows come out.
+    modulo W_i as taken, the unique vector of candidate + W_i vanishing on
+    the pivot columns of W_i, scaled to leading coefficient 1.  Exactly
+    candidates.rows - rank(span) rows come out.
     """
     p = span.field.characteristic
     red, pivots = rref(span)
-    want = len(candidates) - len(pivots)
-    if want <= 0:
-        if want < 0:
-            raise ContractViolation("candidates do not span rowspace(span)")
-        return np.zeros((0, span.cols), dtype=np.int64)
-    v = candidates
-    if pivots:
-        coeff = v[:, pivots]
-        used = np.flatnonzero(coeff.any(axis=0))
-        if used.size:
-            at = {r: k for k, r in enumerate(used.tolist())}
-            pivot_rows = np.zeros((used.size, span.cols), dtype=np.int64)
-            for (i, j), x in red.entries.items():
-                if i in at:
-                    pivot_rows[at[i], j] = x
-            v = (v - _matmul_modp(coeff[:, used], pivot_rows, p)) % p
-    # the rows taken so far, kept fully reduced against each other
-    basis = np.zeros((0, span.cols), dtype=np.int64)
-    leads: List[int] = []
-    out = []
-    for row in v[v.any(axis=1)]:
-        if leads:
-            c = row[leads]
-            if c.any():
-                row = (row - _matmul_modp(c[None, :], basis, p)[0]) % p
-        nz = np.flatnonzero(row)
-        if not nz.size:
-            continue
-        lead = int(nz[0])
-        row = row * pow(int(row[lead]), p - 2, p) % p
-        out.append(row)
-        col = basis[:, lead]
-        if col.any():
-            basis = (basis - np.outer(col, row)) % p
-        basis = np.vstack([basis, row])
-        leads.append(lead)
+    want = candidates.rows - len(pivots)
+    if want < 0:
+        raise ContractViolation("candidates do not span rowspace(span)")
+    out: List[Dict[int, int]] = []
+    if not want:
+        return out
+    # the Gauss-Jordan state of rref(span), continued by the candidates
+    tails = {c: {} for c in pivots}
+    holders: Dict[int, set] = {}
+    for (i, j), v in red.entries.items():
+        c = pivots[i]
+        if j != c:
+            tails[c][j] = v
+            holders.setdefault(j, set()).add(c)
+    rows = _dict_rows(candidates)
+    for i in sorted(rows):
+        lead = _take(rows[i], tails, holders, p)
+        if lead is not None:
+            out.append({lead: 1, **tails[lead]})
     if len(out) != want:
         raise ContractViolation("candidates are not a basis of a space "
                                 "containing rowspace(span)")
-    return np.array(out, dtype=np.int64).reshape(want, span.cols)
+    return out

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
                       kernel_rows, quotient_projection)
 
@@ -669,12 +667,17 @@ class FreeModule:
                     raise ContractViolation("element has support outside basis degree")
         return v
 
-    def element_from_coords(self, v: Sequence[int], t: int) -> List[Poly]:
+    def element_from_coords(self, v: Dict[int, int], t: int) -> List[Poly]:
+        """The element whose k-coordinates at degree t are the {column: value}
+        row v, its terms in basis order."""
         basis = self.basis_in_degree(t)
+        p = self.ring.characteristic
         row = [{} for _ in range(self.rank)]
-        for c, (i, m) in zip(v, basis):
-            if c:
-                row[i] = self.ring.poly_add(row[i], {m: c % self.ring.characteristic})
+        for c in sorted(v):
+            x = v[c] % p
+            if x:
+                i, m = basis[c]
+                row[i][m] = x
         return row
 
 
@@ -857,8 +860,8 @@ class GradedModule:
             self._zero_run = 0 if cache[d][2] else self._zero_run + 1
             self._walked = d
 
-    def relation_vectors(self, t: int) -> np.ndarray:
-        """The nonzero rows of rref(_relation_span(t)), as an int64 array.
+    def relation_vectors(self, t: int) -> SparseMatrix:
+        """The nonzero rows of rref(_relation_span(t)).
 
         The echelon form is unique, so it is read off _realize(t) rather
         than eliminated again: the row of pivot column c has 1 at c and
@@ -867,14 +870,14 @@ class GradedModule:
         basis, proj, free_cols = self._realize(t)
         free_set = set(free_cols)
         pivots = [c for c in range(len(basis)) if c not in free_set]
-        out = np.zeros((len(pivots), len(basis)), dtype=np.int64)
-        out[range(len(pivots)), pivots] = 1
-        if free_cols and pivots:
-            P = np.zeros((proj.rows, proj.cols), dtype=np.int64)
-            for (r, c), v in proj.entries.items():
-                P[r, c] = v
-            out[:, free_cols] = (-P[:, pivots].T) % self.ring.characteristic
-        return out
+        at = {c: r for r, c in enumerate(pivots)}
+        p = self.ring.characteristic
+        ent = {(r, c): 1 for r, c in enumerate(pivots)}
+        for (r, c), v in proj.entries.items():
+            i = at.get(c)
+            if i is not None:
+                ent[(i, free_cols[r])] = p - v
+        return SparseMatrix._trusted(self.ring.field, len(pivots), len(basis), ent)
 
     def dim_in_degree(self, t: int) -> int:
         if t > self.top_degree:
@@ -972,7 +975,7 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
                                             Dict[int, SparseMatrix]]:
     """Pick minimal submodule generators from degreewise spans, top degree down.
 
-    vectors_by_degree(t) must return an int64 array whose rows (coordinates in
+    vectors_by_degree(t) must return a SparseMatrix whose rows (coordinates in
     free.basis_in_degree(t)) form a basis of the submodule's degree-t piece.
     In each degree a spanning vector becomes a generator when it is not in
     the span of the ring multiples of the generators chosen so far; the
@@ -990,8 +993,8 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
     maps: Dict[int, SparseMatrix] = {}
     for t in range(min(top, w.t_hi), w.t_lo - 1, -1):
         basis = free.basis_in_degree(t)
-        span_vectors = vectors_by_degree(t) if basis else []
-        if not len(span_vectors):
+        span_vectors = vectors_by_degree(t) if basis else None
+        if span_vectors is None or not span_vectors.rows:
             # the submodule vanishes in degree t, and with it every multiple
             r = sum(ring.dim_in_degree(t - dg) for dg, _ in chosen)
             maps[t] = SparseMatrix._trusted(ring.field, len(basis), r, {})
@@ -1014,9 +1017,9 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
                 r += 1
         old = SparseMatrix._trusted(ring.field, r, len(basis), ent)
         for vv in extend_basis(old, span_vectors):
-            chosen.append((t, free.element_from_coords(vv.tolist(), t)))
-            for c in np.flatnonzero(vv).tolist():
-                ent[(r, c)] = int(vv[c])
+            chosen.append((t, free.element_from_coords(vv, t)))
+            for c, v in vv.items():
+                ent[(r, c)] = v
             r += 1
         maps[t] = SparseMatrix._trusted(ring.field, len(basis), r,
                                         {(j, i): c for (i, j), c in ent.items()})

@@ -133,7 +133,7 @@ class Presented:
         x = solve(self.eval_matrix(t), list(vec))
         if x is None:
             return None
-        return self.module.free.element_from_coords(x, t)
+        return self.module.free.element_from_coords(dict(enumerate(x)), t)
 
 
 def present_model(model: WindowedComplex, w: Window, name: str = "M",
@@ -179,11 +179,11 @@ def present_model(model: WindowedComplex, w: Window, name: str = "M",
         if not cols:
             continue
         ker, _ = kernel_rows(SparseMatrix._trusted(fld, d, cols, ent))
-        if len(ker):
+        if ker.rows:
             free = FreeModule(ring, [dg for dg, _ in units])
             known = GradedModule(ring, gens, rels, name=name)._relation_span(t)
             for row in extend_basis(known, ker):
-                rels.append(free.element_from_coords(row.tolist(), t))
+                rels.append(free.element_from_coords(row, t))
                 last_event = t
     module = GradedModule(ring, gens, rels, name=name)
     flags: List[str] = []
@@ -332,7 +332,7 @@ def _lift_multiplications(f: RingMap, rst: Presented, res,
                 if x is None:
                     raise ContractViolation(
                         f"multiplication does not lift at stage {i}")
-                row = Fi.element_from_coords(x, t2)
+                row = Fi.element_from_coords(dict(enumerate(x)), t2)
                 for a, p in enumerate(row):
                     if p:
                         mui[(a, b)] = p

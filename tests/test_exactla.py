@@ -3,7 +3,6 @@
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -197,8 +196,37 @@ def test_extend_basis_matches_one_at_a_time_reduction(problem):
     assume(len(python_rref(cands, n, p)[1]) == len(cands))
     f = GF(p)
     span_m = dense(f, span) if span else SparseMatrix(f, 0, n)
-    got = extend_basis(span_m, np.array(cands, dtype=np.int64))
-    assert got.tolist() == python_extend_basis(span, cands, n, p)
+    got = extend_basis(span_m, dense(f, cands))
+    assert as_lists(got, n, p) == python_extend_basis(span, cands, n, p)
+
+
+def as_lists(rows, n, p):
+    """extend_basis's {column: value} rows as lists, each checked to hold
+    only nonzero residues (Python ints) at columns in range."""
+    for row in rows:
+        assert all(type(v) is int and 0 < v < p and 0 <= j < n
+                   for j, v in row.items())
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def test_extend_basis_refuses_candidates_smaller_than_the_span():
+    f = GF(3)
+    with pytest.raises(ContractViolation, match="do not span rowspace"):
+        extend_basis(SparseMatrix.identity(f, 2), dense(f, [[1, 0]]))
+
+
+@pytest.mark.parametrize("span, cands", [
+    # independent, but missing the span's row: one row too many comes out
+    ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),
+    # dependent candidates: one row too few comes out
+    ([], [[1, 1], [2, 2]]),
+])
+def test_extend_basis_refuses_a_non_basis(span, cands):
+    f = GF(3)
+    n = len(cands[0])
+    span_m = dense(f, span) if span else SparseMatrix(f, 0, n)
+    with pytest.raises(ContractViolation, match="not a basis of a space"):
+        extend_basis(span_m, dense(f, cands))
 
 
 # elimination against the oracle ----------------------------------------------
@@ -316,7 +344,9 @@ def test_elimination_matches_python_rref(m, data):
         want_k[j][f] = 1
         for r, c in enumerate(want_pivots):
             want_k[j][c] = -want_rows[r][f] % p
-    assert k.tolist() == want_k
+    assert isinstance(k, SparseMatrix) and all_ints(k.entries.values())
+    assert k == SparseMatrix(m.field, len(free), n, k.entries)    # no zeros stored
+    assert k.to_dense() == want_k
     basis = kernel_basis(m)
     assert basis == want_k and all(all_ints(v) for v in basis)
     P, pfree = quotient_projection(m)
@@ -327,8 +357,8 @@ def test_elimination_matches_python_rref(m, data):
     if n:
         order = data.draw(st.permutations(range(n)))
         cands = [[int(i == j) for i in range(n)] for j in order]
-        got = extend_basis(m, np.array(cands, dtype=np.int64))
-        assert got.tolist() == python_extend_basis(rows, cands, n, p)
+        got = extend_basis(m, dense(m.field, cands))
+        assert as_lists(got, n, p) == python_extend_basis(rows, cands, n, p)
 
 
 def test_solve_returns_python_ints():
@@ -342,9 +372,10 @@ def test_solve_returns_python_ints():
 
 # trusted arithmetic ------------------------------------------------------------
 #
-# matmul, add, scale and identity wrap their results without validation; each
-# must equal the same operation with raw integer sums rebuilt through the
-# validating constructor, which reduces every entry and drops zeros.
+# matmul, add, scale, transpose and identity wrap their results without
+# validation; each must equal the same operation with raw integer sums
+# rebuilt through the validating constructor, which reduces every entry and
+# drops zeros.
 
 ARITHMETIC_PRIMES = [2, 3, 5, LARGEST_PRIME_BELOW_BOUND]
 
@@ -422,6 +453,15 @@ def test_trusted_scale_matches_validated(ab, data):
     c = data.draw(st.one_of(st.sampled_from([0, 1, p - 1, -1, p, p + 1]),
                             st.integers(-2 * p, 2 * p)))
     assert_trusted_equal(a.scale(c), reference_scale(a, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(matmul=False))
+def test_trusted_transpose_matches_validated(ab):
+    a, _ = ab
+    assert_trusted_equal(a.transpose(), SparseMatrix(
+        a.field, a.cols, a.rows, {(j, i): v for (i, j), v in a.entries.items()}))
+    assert a.transpose().transpose() == a
 
 
 @pytest.mark.parametrize("p", ARITHMETIC_PRIMES)

@@ -12,7 +12,8 @@ from localduality.graded import (FreeModule, GradedModule, GradedRing, Window,
                                  minimal_free_resolution, poly_matrix_realize)
 
 
-# reference: the list-based generator choice, kept verbatim ------------------
+# reference: the list-based generator choice, kept verbatim but for the
+# {column: value} row that element_from_coords takes -------------------------
 
 
 def reference_minimal_generators(ring, free, vectors_by_degree, w):
@@ -49,7 +50,7 @@ def reference_minimal_generators(ring, free, vectors_by_degree, w):
                 lead = next(i for i, x in enumerate(vv) if x)
                 inv = f.inv(vv[lead])
                 vv = [(x * inv) % ring.characteristic for x in vv]
-                chosen.append((t, free.element_from_coords(vv, t)))
+                chosen.append((t, free.element_from_coords(dict(enumerate(vv)), t)))
                 # insert into reduced row space
                 pivot_rows.append(vv)
                 pivots.append(lead)
