@@ -78,10 +78,15 @@ class WindowedComplex:
         return m
 
     def hspace(self, s: int, t: int):
-        """homology_space(self, s, t), computed once per bidegree."""
-        if (s, t) not in self._hspaces:
-            self._hspaces[(s, t)] = homology_space(self, s, t)
-        return self._hspaces[(s, t)]
+        """homology_space(self, s, t), computed once per bidegree; a zero
+        bidegree has zero homology, returned without an elimination."""
+        h = self._hspaces.get((s, t))
+        if h is None:
+            if (s, t) not in self.dims:
+                z = SparseMatrix._trusted(self.ring.field, 0, 0, {})
+                return z, z, z, []
+            h = self._hspaces[(s, t)] = homology_space(self, s, t)
+        return h
 
     def monomial_action(self, mono: Mono, s: int, t: int) -> Optional[SparseMatrix]:
         """Multiplication by a monomial from (s, t), or None when it is zero
@@ -240,37 +245,47 @@ def cone(f: ComplexMap) -> WindowedComplex:
     actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
     s_lo = min(A.s_min + 1, B.s_min)
     s_hi = max(A.s_max + 1, B.s_max)
-    for s in range(s_lo, s_hi + 1):
-        for t in range(w.t_lo, max(A.t_top, B.t_top) + 1):
-            da, db = A.dim(s - 1, t), B.dim(s, t)
-            ta, tb = A.dim(s - 2, t), B.dim(s - 1, t)
-            # every entry is an engine entry or its negative, and the three
-            # blocks of d and the two blocks of each action do not overlap
-            ent: Dict[Tuple[int, int], int] = {}
-            dA = A.diff(s - 1, t)
+    adim, bdim = A.dims, B.dims
+    # each block of d and of the actions starts at a nonzero bidegree of A
+    # or B, so only the support of the cone is visited
+    for s, t in sorted(dims):
+        if not (s_lo <= s <= s_hi and w.t_lo <= t <= top):
+            continue
+        da, db = adim.get((s - 1, t), 0), bdim.get((s, t), 0)
+        ta, tb = adim.get((s - 2, t), 0), bdim.get((s - 1, t), 0)
+        # every entry is an engine entry or its negative, and the three
+        # blocks of d and the two blocks of each action do not overlap
+        ent: Dict[Tuple[int, int], int] = {}
+        dA = A.diffs.get((s - 1, t))
+        if dA is not None:
             for (i, j), v in dA.entries.items():
                 ent[(i, j)] = fld.neg(v)
-            fm = f.comp(s - 1, t)
+        fm = f.comps.get((s - 1, t))
+        if fm is not None:
             for (i, j), v in fm.entries.items():
                 ent[(ta + i, j)] = v
-            dB = B.diff(s, t)
+        dB = B.diffs.get((s, t))
+        if dB is not None:
             for (i, j), v in dB.entries.items():
                 ent[(ta + i, da + j)] = v
-            if ent:
-                diffs[(s, t)] = SparseMatrix._trusted(fld, ta + tb, da + db, ent)
-            for g, gen in enumerate(ring.generators):
-                t2 = t + gen.degree
-                aent: Dict[Tuple[int, int], int] = {}
-                for (i, j), v in A.action(g, s - 1, t).entries.items():
-                    aent[(i, j)] = v
-                da2 = A.dim(s - 1, t2)
-                for (i, j), v in B.action(g, s, t).entries.items():
+        if ent:
+            diffs[(s, t)] = SparseMatrix._trusted(fld, ta + tb, da + db, ent)
+        for g, gen in enumerate(ring.generators):
+            aA = A.actions.get((g, s - 1, t))
+            aB = B.actions.get((g, s, t))
+            if aA is None and aB is None:
+                continue
+            t2 = t + gen.degree
+            da2 = adim.get((s - 1, t2), 0)
+            aent: Dict[Tuple[int, int], int] = {}
+            if aA is not None:
+                aent.update(aA.entries)
+            if aB is not None:
+                for (i, j), v in aB.entries.items():
                     aent[(da2 + i, da + j)] = v
-                if aent:
-                    actions[(g, s, t)] = SparseMatrix._trusted(
-                        fld, da2 + B.dim(s, t2), da + db, aent)
-    return WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi,
-                           max(A.t_top, B.t_top), w)
+            actions[(g, s, t)] = SparseMatrix._trusted(
+                fld, da2 + bdim.get((s, t2), 0), da + db, aent)
+    return WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, top, w)
 
 
 def direct_sum(a: WindowedComplex, b: WindowedComplex) -> WindowedComplex:
@@ -504,22 +519,27 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
         lo = t_top
     s_lo = F.s_min + X.s_min
     s_hi = F.s_max + X.s_max
-    gens = [(sigma, b, gd) for sigma in range(F.s_min, F.s_max + 1)
-            for b, gd in enumerate(F.stage(sigma).gen_degrees)]
+    gens = [(sigma, b, gd) for sigma in sorted(F.stages)
+            for b, gd in enumerate(F.stages[sigma].gen_degrees)]
+    # each nonzero bidegree of X lands once per free generator; the blocks
+    # of a bidegree are laid out in generator order
+    blocks: Dict[BiDeg, List[Tuple[int, int]]] = {}
+    for (xs, xt), d in X.dims.items():
+        for i, (sigma, b, gd) in enumerate(gens):
+            s, t = xs + sigma, xt + gd
+            if lo <= t <= t_top and s_lo <= s <= s_hi:
+                blocks.setdefault((s, t), []).append((i, d))
     layout: Dict[BiDeg, List[Tuple[int, int, int, int]]] = {}
     dims: Dict[BiDeg, int] = {}
-    for s in range(s_lo, s_hi + 1):
-        for t in range(lo, t_top + 1):
-            entries = []
-            off = 0
-            for sigma, b, gd in gens:
-                d = X.dims.get((s - sigma, t - gd))
-                if d:
-                    entries.append((sigma, b, off, d))
-                    off += d
-            if off:
-                layout[(s, t)] = entries
-                dims[(s, t)] = off
+    for key in sorted(blocks):
+        entries = []
+        off = 0
+        for i, d in sorted(blocks[key]):
+            sigma, b, _ = gens[i]
+            entries.append((sigma, b, off, d))
+            off += d
+        layout[key] = entries
+        dims[key] = off
     char = ring.characteristic
     positions = _positions(layout)
     free_diffs = {sigma: _by_source(F.diff_entries(sigma)) for sigma in F.stages}

@@ -1040,11 +1040,12 @@ def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolu
     for step in range(length):
         gens, maps = _minimal_generators(ring, prev_free, prev_vectors, w)
         if not gens:
-            stages.append(FreeModule(ring, []))
-            diffs.append({})
-            prev_vectors = lambda t: []
-            prev_free = stages[-1]
-            continue
+            # a stage with no generators ends the resolution: every later
+            # stage is zero too
+            for _ in range(step, length):
+                stages.append(FreeModule(ring, []))
+                diffs.append({})
+            break
         new_free = FreeModule(ring, [d for d, _ in gens],
                               [f"s{step + 1}_{i}" for i in range(len(gens))])
         dmat: Dict[Tuple[int, int], Poly] = {}

@@ -182,9 +182,19 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
 
     last = len(stages) - 1
     tail = min(CONSEC, len(maps))
+    # where every stage the tail reads is zero, every induced map is 0 x 0:
+    # an isomorphism, so such a bidegree is stable when the tail is long
+    # enough to certify and flagged otherwise
+    support = set().union(*(c.dims for c in stages[last - tail:]))
+    zero_stab = first - 1 + last - tail if tail >= CONSEC else None
     for sh in range(s_lo, s_hi + 1):
         for t in w.t_range():
             key = (sh, t)
+            if key not in support:
+                stab[key] = zero_stab
+                if zero_stab is None:
+                    flags.add(key)
+                continue
             end_dim = hdim(last, key)
             if not maps:
                 stab[key] = None

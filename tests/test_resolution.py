@@ -252,3 +252,18 @@ def test_koszul_differential_entries_are_variables():
     for d in res.diffs:
         for p in d.values():
             assert len(p) == 1 and sum(next(iter(p))) == 1
+
+
+def test_resolution_that_ends_early_pads_with_zero_stages():
+    # a free module is its own resolution, and k over F3[x] stops after one
+    # step; the stages after the first zero stage stay zero up to `length`
+    ring = GradedRing(2, [("x", -1), ("y", -1)], [])
+    w = Window(-6, 0)
+    res = minimal_free_resolution(
+        GradedModule.free_module(ring, [0, -1], name="F"), 4, w)
+    assert [f.gen_degrees for f in res.stages] == [[0, -1], [], [], [], []]
+    assert res.diffs == [{}, {}, {}, {}]
+    line = GradedRing(3, [("x", -1)], [])
+    res = minimal_free_resolution(GradedModule.residue_field(line), 4, w)
+    assert [f.gen_degrees for f in res.stages] == [[0], [-1], [], [], []]
+    assert res.diffs == [{(0, 0): line.parse("x")}, {}, {}, {}]
