@@ -21,7 +21,7 @@ long as the tower's result.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exactla import (ContractViolation, SparseMatrix, kernel_rows,
                       quotient_projection, rank)
@@ -445,21 +445,22 @@ class FreeComplex:
                 diffs[-(s - 1)] = ent
         return FreeComplex(ring, stages, diffs)
 
-    def realize(self, mod: Optional[GradedModule], w: Window,
-                validate: bool = True) -> WindowedComplex:
-        """Tensor with a module (the ring when None), realized over w."""
+    def realize(self, mod: Union[GradedModule, WindowedComplex, None],
+                w: Window, validate: bool = True) -> WindowedComplex:
+        """Tensor with a module (the ring when None) or with a windowed
+        complex, realized over w."""
         if mod is None:
             mod = GradedModule.free_module(self.ring, [0], name="R")
-        max_gd = max((max(f.gen_degrees) for f in self.stages.values()),
-                     default=0)
-        X = module_complex(mod, Window(w.t_lo - max(0, max_gd),
-                                       max(w.t_hi, mod.top_degree)))
+        X = mod
+        if isinstance(mod, GradedModule):
+            X = module_complex(mod, Window(w.t_lo - max(0, self.top_internal()),
+                                           max(w.t_hi, mod.top_degree)))
         out, _ = free_tensor(self, X, t_floor=w.t_lo)
         if validate:
             out.validate()
         return out
 
-    def hom_into(self, mod: GradedModule, w: Window,
+    def hom_into(self, mod: Union[GradedModule, WindowedComplex], w: Window,
                  validate: bool = True) -> WindowedComplex:
         """Hom(self, mod) realized degreewise (finite free, so dual @ mod)."""
         return self.dual().realize(mod, w, validate=validate)

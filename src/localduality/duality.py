@@ -4,14 +4,14 @@ localization, and Gorenstein certification."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (GradedModule, GradedRing, HomIdeal, Window,
                      dual_hilbert_function, maximal_ideal)
 from .complexes import (WindowedComplex, complex_element_action, homology,
                         induced_on_homology, module_slice)
-from .torsion import gamma, koszul_free, telescope_invert
+from .torsion import FunctorResult, gamma, koszul_free, telescope_invert
 from .cohom import (CohomologyTable, generic_ext_ranks, local_cohomology)
 
 
@@ -170,12 +170,35 @@ class GorensteinCertificate:
     failure: Dict[str, object] = field(default_factory=dict)
 
 
+def _socle_comparison(g: FunctorResult, i: int, b: int, w: Window,
+                      lo: Optional[int] = None, hi: Optional[int] = None
+                      ) -> Tuple[Optional[bool], Tuple[int, int]]:
+    """Whether H^i of the torsion result g is the injective hull of the
+    residue field with its socle moved to degree b, on the comparison
+    window; returns (verdict, window), verdict None when undetermined.
+
+    The hull's Hilbert function is known on w only, so a degree t is
+    compared when t and t - b both lie in w, within the caller's bounds lo
+    and hi, and below the lowest flagged degree of H^i:
+    [max(w.t_lo, w.t_lo + b, lo), min(w.t_hi, w.t_hi + b, hi, flag - 1)].
+    """
+    ring = g.model.ring
+    flag = min((t for (s, t) in g.flags if s == -i), default=w.t_hi + 1)
+    cw = (max(w.t_lo, w.t_lo + b, w.t_lo if lo is None else lo),
+          min(w.t_hi, w.t_hi + b, w.t_hi if hi is None else hi, flag - 1))
+    if cw[0] > cw[1]:
+        return None, cw
+    hull = dual_hilbert_function(GradedModule.free_module(ring, [0]), w)
+    return is_shifted_hull(homology_model(g.model, -i, w), hull, b,
+                           Window(*cw)), cw
+
+
 def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate:
     """Algebraic Gorenstein test: H^*_m(R) concentrated in the Krull
     dimension n with H^n_m(R)_t matching (I_m)_{t - nu - n} for a unique
     offset nu, confirmed as a module by the exact shifted-hull test;
-    undetermined when the socle degree nu + n leaves the comparison
-    window."""
+    undetermined when no unflagged H^n_m(R) lies in the window or the socle
+    degree nu + n leaves the comparison window."""
     n = ring.krull_dim()
     mx = maximal_ideal(ring)
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
@@ -189,6 +212,11 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
                                      failure={"nonvanishing": stray})
     hn = {t: v for (i, t), v in lc_entries.items() if i == n}
     hn_flagged = {t for (i, t) in lc_flags if i == n}
+    if all(t in hn_flagged for t in hn):
+        return GorensteinCertificate(
+            ring.name, None, n, None,
+            failure={"reason": "no unflagged H^n in the window; "
+                               "widen the window", "h_n": hn})
     im = injective_hull(mx, w)
     span = w.span
 
@@ -218,12 +246,7 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
             failure={"reason": "ambiguous offset; widen the window",
                      "candidates": candidates})
     nu = candidates[0]
-    hmodel = homology_model(g.model, -n, w)
-    cmp_lo = max(w.t_lo, w.t_lo + nu + n)
-    cmp_hi = min(w.t_hi, w.t_hi + nu + n)
-    safe_hi = min(cmp_hi, min((t for t in hn_flagged), default=cmp_hi + 1) - 1)
-    cw = Window(cmp_lo, max(cmp_lo, safe_hi))
-    iso = is_shifted_hull(hmodel, im.hilbert, nu + n, cw)
+    iso, cw = _socle_comparison(g, n, nu + n, w)
     if iso is None:
         return GorensteinCertificate(
             ring.name, None, n, None,
@@ -237,7 +260,19 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
     return GorensteinCertificate(
         ring.name, True, n, nu,
         witness={"h_n": hn, "i_m": dict(im.hilbert or {}),
-                 "comparison_window": (cw.t_lo, cw.t_hi)})
+                 "comparison_window": cw})
+
+
+def _require_certified(cert: GorensteinCertificate, refusal: str) -> None:
+    """Refuse a ring its certificate does not certify Gorenstein: refusal
+    when the certificate says False, a widen-the-window diagnostic when it
+    is undetermined."""
+    if cert.verdict is None:
+        raise ContractViolation(
+            f"ring {cert.ring_name}: the Gorenstein certificate is "
+            f"undetermined on this window ({cert.failure.get('reason')})")
+    if not cert.verdict:
+        raise ContractViolation(refusal)
 
 
 # dual localization -----------------------------------------------------------
@@ -271,9 +306,8 @@ def dual_localize(x: Union[GradedModule, CohomologyTable], p: HomIdeal,
                 "dimension_drop": 0, "identity": True}
     if certificate is None:
         certificate = gorenstein_certificate(ring, w)
-    if not certificate.verdict:
-        raise ContractViolation(
-            "dual_localize needs a Gorenstein ring for the Ext route")
+    _require_certified(certificate,
+                       "dual_localize needs a Gorenstein ring for the Ext route")
     n = certificate.krull_dim
     ext_ranks = generic_ext_ranks(mod, p, n, w)
     ranks = {n - j: r for j, r in ext_ranks.items() if n - j >= 0}
@@ -289,24 +323,15 @@ def absolute_gorenstein_check(ring: GradedRing, p: HomIdeal, w: Window,
     """Gamma_p R against the (nu + d)-shifted injective model."""
     if certificate is None:
         certificate = gorenstein_certificate(ring, w)
-    if not certificate.verdict:
-        raise ContractViolation(
-            f"ring {ring.name} is not certified Gorenstein")
+    _require_certified(certificate,
+                       f"ring {ring.name} is not certified Gorenstein")
     n = certificate.krull_dim
     nu = certificate.shift
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
     if p.is_maximal():
-        g = gamma(Rmod, p, w)
-        hmodel = homology_model(g.model, -n, w)
-        im = injective_hull(p, w)
-        cmp_lo = max(w.t_lo, w.t_lo + nu + n)
-        flagged = {t for (s, t) in g.flags if s == -n}
-        cmp_hi = min(w.t_hi,
-                     min(flagged, default=w.t_hi + 1) - 1)
-        cw = Window(cmp_lo, max(cmp_lo, cmp_hi))
-        ok = is_shifted_hull(hmodel, im.hilbert, nu + n, cw)
+        ok, cw = _socle_comparison(gamma(Rmod, p, w), n, nu + n, w)
         return {"verdict": ok, "shift": nu, "dimension": 0,
-                "mode": "exact", "comparison_window": (cw.t_lo, cw.t_hi)}
+                "mode": "exact", "comparison_window": cw}
     d = p.dim_of_quotient
     loc = dual_localize(Rmod, p, w, certificate=certificate)
     ip = injective_hull(p, w)

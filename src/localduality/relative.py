@@ -14,9 +14,9 @@ from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Mono,
 from .complexes import (WindowedComplex, homology, induced_on_homology,
                         module_slice, resolution_complex)
 from .torsion import gamma
-from .duality import (GorensteinCertificate, dual_localize,
-                      gorenstein_certificate, homology_model, injective_hull,
-                      is_free_rank_one, is_shifted_hull, maximal_ideal)
+from .duality import (GorensteinCertificate, _require_certified,
+                      _socle_comparison, dual_localize, gorenstein_certificate,
+                      injective_hull, is_free_rank_one)
 
 
 # ring maps -------------------------------------------------------------------
@@ -583,11 +583,11 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window,
         raise ContractViolation("p must be an ideal of the target")
     if source_certificate is None:
         source_certificate = gorenstein_certificate(R, w)
-    if not source_certificate.verdict:
-        raise ContractViolation(
-            "condition (1) fails: source is not certified Gorenstein"
-            + (f" ({source_certificate.failure})"
-               if source_certificate.failure else ""))
+    _require_certified(
+        source_certificate,
+        "condition (1) fails: source is not certified Gorenstein"
+        + (f" ({source_certificate.failure})"
+           if source_certificate.failure else ""))
     nu = source_certificate.shift
     compactness = compactness_certificate(f, w)
     if not compactness["certified"]:
@@ -601,40 +601,27 @@ def theorem_bc_check(f: RingMap, p: HomIdeal, w: Window,
     a = omega.gen_degree
     nS = S.krull_dim()
     guard = compactness["restricted"].guard
-    Smod = target_module(f)
     report: Dict[str, object] = {"nu": nu, "j0": j0, "gen_degree": a,
                                  "krull_dim": nS}
     if p.is_maximal():
         d = 0
-        im = injective_hull(maximal_ideal(S), w)
-        c = S.n
         go = gamma(omega.module, p, w)
-        # comparison 1: Gamma_p(target) tensor omega = Gamma_p(omega) against
-        # the shifted hull; the flags of Gamma_p(target) bound its window
-        g = gamma(Smod, p, w)
-        shift1 = nu + nS + j0
-        h1 = homology_model(go.model, -(nS + j0), w)
-        flagged = {t for (s, t) in g.flags if s == -nS}
-        lo1 = max(w.t_lo, w.t_lo + guard + max(a, 0) + nS + j0,
-                  w.t_lo + shift1)
-        hi1 = min(w.t_hi - c + nS + j0, w.t_hi,
-                  min(flagged, default=w.t_hi + 1) - 1)
-        cw1 = Window(lo1, max(lo1, hi1))
-        cmp1 = is_shifted_hull(h1, im.hilbert, shift1, cw1)
+        # comparison 1: Gamma_p(target) tensor omega = Gamma_p(omega) in
+        # index nS + j0 against the hull with its socle at nu + nS + j0
+        i1 = nS + j0
+        cmp1, cw1 = _socle_comparison(
+            go, i1, nu + i1, w, lo=w.t_lo + guard + max(a, 0) + i1,
+            hi=w.t_hi - S.n + i1)
         # comparison 2: Gamma_p(omega) against the (nu + d)-shifted hull
         shift2 = nu + d + nS
-        h2 = homology_model(go.model, -nS, w)
-        flagged2 = {t for (s, t) in go.flags if s == -nS}
-        lo2 = max(w.t_lo, w.t_lo + shift2 + max(a, 0))
-        hi2 = min(w.t_hi, min(flagged2, default=w.t_hi + 1) - 1)
-        cw2 = Window(lo2, max(lo2, hi2))
-        cmp2 = is_shifted_hull(h2, im.hilbert, shift2, cw2)
+        cmp2, cw2 = _socle_comparison(go, nS, shift2, w,
+                                      lo=w.t_lo + shift2 + max(a, 0))
         report.update({"verdict": cmp1 and cmp2, "mode": "exact",
                        "dimension": d,
                        "twisted_comparison": cmp1,
-                       "twisted_window": (cw1.t_lo, cw1.t_hi),
+                       "twisted_window": cw1,
                        "omega_comparison": cmp2,
-                       "omega_window": (cw2.t_lo, cw2.t_hi)})
+                       "omega_window": cw2})
         return report
     d = p.dim_of_quotient
     ip = injective_hull(p, w)

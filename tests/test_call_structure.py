@@ -1,0 +1,71 @@
+"""Who may call what in the package, read off its syntax trees.
+
+The socle comparison (H^i of a torsion result against the shifted injective
+hull) has one owner, `duality._socle_comparison`: it alone builds the
+homology model and runs the exact hull test, so the comparison window is
+derived in one place.  `torsion.adjunction_check` reads its left side off the
+completion tower and builds no tensor product of its own.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import localduality
+
+PACKAGE = Path(localduality.__file__).resolve().parent
+
+
+def _calls_by_function():
+    """{callee name: {"module.function"}} over every function in the
+    package; a nested function's calls count for the function it is in."""
+    callers = defaultdict(set)
+    loops = defaultdict(int)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = [node for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for owner in owners:
+            funcs = ([owner] if isinstance(owner, ast.FunctionDef) else
+                     [f for f in owner.body if isinstance(f, ast.FunctionDef)])
+            for func in funcs:
+                name = f"{path.stem}.{func.name}"
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.For, ast.While)):
+                        loops[name] += 1
+                    if not isinstance(node, ast.Call):
+                        continue
+                    f = node.func
+                    callee = f.id if isinstance(f, ast.Name) else \
+                        f.attr if isinstance(f, ast.Attribute) else None
+                    if callee:
+                        callers[callee].add(name)
+    return callers, loops
+
+
+def test_one_function_owns_the_socle_comparison():
+    callers, _ = _calls_by_function()
+    assert callers["is_shifted_hull"] == {"duality._socle_comparison"}
+    assert callers["homology_model"] == {"duality._socle_comparison"}
+    assert callers["_socle_comparison"] == {
+        "duality.gorenstein_certificate", "duality.absolute_gorenstein_check",
+        "relative.theorem_bc_check"}
+
+
+def test_adjunction_check_builds_no_tower_of_its_own():
+    callers, loops = _calls_by_function()
+    assert "torsion.adjunction_check" not in callers["free_tensor"]
+    assert "torsion.adjunction_check" not in callers["koszul_free"]
+    assert "torsion.adjunction_check" in callers["completion"]
+    assert loops["torsion.adjunction_check"] == 0
+
+
+def test_theorem_bc_check_builds_one_torsion_tower():
+    # Gamma_p(omega): both comparisons read it, and its flags bound both
+    source = (PACKAGE / "relative.py").read_text()
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "theorem_bc_check")
+    gammas = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "gamma"]
+    assert len(gammas) == 1

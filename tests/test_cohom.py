@@ -78,6 +78,17 @@ def test_torsionness(poly_line, window):
     assert rep["verdict"], rep
 
 
+def test_torsionness_is_true_only_when_every_class_is_checked(poly_line):
+    mod = GradedModule(poly_line, [("a", 0)], [["x^3"]])
+    m = max_ideal(poly_line)
+    full = torsionness_check(mod, m, Window(-8, 8))
+    assert full == {"verdict": True, "checked": 3, "unchecked": 0}
+    # near the floor x.a in degree -1 and the class in degree -1 leave the
+    # window before they die
+    cut = torsionness_check(mod, m, Window(-1, 1))
+    assert cut == {"verdict": None, "checked": 0, "unchecked": 2}
+
+
 def test_grothendieck_vanishing(poly_plane, window):
     t = local_cohomology(free(poly_plane), max_ideal(poly_plane), window)
     assert grothendieck_vanishing(t, poly_plane.krull_dim())

@@ -6,10 +6,13 @@ import pytest
 from localduality.exactla import ContractViolation
 from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window)
 from localduality.complexes import module_complex, homology
-from localduality.duality import (absolute_gorenstein_check, brown_comenetz,
+from localduality.cohom import grothendieck_oracle
+from localduality.duality import (GorensteinCertificate,
+                                  absolute_gorenstein_check, brown_comenetz,
                                   dual_localize, gorenstein_certificate,
                                   injective_hull, maximal_ideal,
                                   orthogonality_check, twist_check)
+from localduality.relative import RingMap, theorem_bc_check
 from conftest import free, max_ideal
 
 
@@ -55,6 +58,43 @@ def test_fat_point_not_gorenstein(poly_plane, window):
                                 poly_plane.parse("y^2")], name="FP")
     cert = gorenstein_certificate(ring, window)
     assert cert.verdict is False
+
+
+@pytest.mark.parametrize("n,lo,hi", [(1, 0, 0), (2, -1, 1), (2, -2, 1),
+                                     (3, -2, 2), (3, -3, 2)])
+def test_certificate_that_cannot_see_the_top_cohomology_is_undetermined(
+        n, lo, hi):
+    # H^n_m of a polynomial ring starts in degree n, above these windows, so
+    # no offset can be read off them: undetermined, not "not Gorenstein"
+    ring = GradedRing(2, [(f"x{i}", -1) for i in range(n)], [], name=f"P{n}")
+    cert = gorenstein_certificate(ring, Window(lo, hi))
+    assert cert.verdict is None
+    assert cert.failure["reason"].endswith("widen the window")
+
+
+def test_undetermined_certificate_is_refused_apart_from_false(poly_line):
+    w = Window(0, 0)
+    undetermined = gorenstein_certificate(poly_line, w)
+    assert undetermined.verdict is None
+    false = GorensteinCertificate(poly_line.name, False, 1)
+    generic = HomIdeal(poly_line, [], is_prime_asserted=True, name="(0)")
+    m = max_ideal(poly_line)
+    calls = {
+        "dual_localize": lambda c: dual_localize(free(poly_line), generic, w,
+                                                 certificate=c),
+        "absolute_gorenstein_check": lambda c: absolute_gorenstein_check(
+            poly_line, m, w, c),
+        "grothendieck_oracle": lambda c: grothendieck_oracle(
+            free(poly_line), w, c),
+        "theorem_bc_check": lambda c: theorem_bc_check(
+            RingMap.identity(poly_line), m, w, c),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ContractViolation, match="undetermined.*widen"):
+            call(undetermined)
+        with pytest.raises(ContractViolation) as refused:
+            call(false)
+        assert "undetermined" not in str(refused.value), name
 
 
 # injective hulls and Brown-Comenetz ------------------------------------------
@@ -172,6 +212,23 @@ def test_twist_refuses_nonmaximal(poly_plane, window):
 
 
 # orthogonality ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rel,nu", [("y^3", -2), ("y^4", -3),
+                                    ("x^2*y + x*y^2", -2)])
+def test_abs_gorenstein_on_gorenstein_hypersurfaces(poly_plane, window, rel,
+                                                    nu):
+    # the hull's Hilbert function is known on the window only, so the
+    # comparison stops at w.t_hi + nu + n, as the certificate's does
+    ring = poly_plane.quotient([poly_plane.parse(rel)], name=f"R/({rel})")
+    cert = gorenstein_certificate(ring, window)
+    assert (cert.verdict, cert.krull_dim, cert.shift) == (True, 1, nu)
+    rep = absolute_gorenstein_check(ring, max_ideal(ring), window, cert)
+    assert rep["verdict"] is True, rep
+    b = nu + cert.krull_dim
+    lo, hi = rep["comparison_window"]
+    assert window.t_lo + b <= lo <= hi <= window.t_hi + b
+    assert rep["comparison_window"] == cert.witness["comparison_window"]
 
 
 def test_orthogonality_distinct_primes(poly_plane, window):

@@ -238,6 +238,20 @@ def test_bc_degenerates_to_absolute(poly_line, window):
     assert rep["verdict"], rep
 
 
+@pytest.mark.parametrize("rel", ["y^3", "y^4"])
+def test_bc_on_identity_of_gorenstein_hypersurfaces(poly_plane, window, rel):
+    # each comparison stops where the hull's Hilbert function on the window
+    # ends, at w.t_hi + b for its socle degree b
+    ring = poly_plane.quotient([poly_plane.parse(rel)], name=f"R/({rel})")
+    rep = theorem_bc_check(RingMap.identity(ring), maximal_ideal(ring), window)
+    assert rep["twisted_comparison"] is True, rep
+    assert rep["omega_comparison"] is True, rep
+    nu, n, j0 = rep["nu"], rep["krull_dim"], rep["j0"]
+    for key, b in (("twisted_window", nu + n + j0), ("omega_window", nu + n)):
+        lo, hi = rep[key]
+        assert window.t_lo + b <= lo <= hi <= window.t_hi + b, key
+
+
 def test_bc_refuses_non_gorenstein_source(window):
     base = GradedRing(2, [("x", -1), ("y", -1)], [])
     ng = base.quotient([base.parse("x^2"), base.parse("x*y"),
