@@ -416,14 +416,14 @@ class Runner:
                 "table": _dim_rows(hilbert_function(m, w))}
 
     def cmd_resolve(self, pos, kv):
-        pos, w = self.window(pos, "module")
+        pos, _ = self.window(pos, "module")
         m = self.env.module_or_ring(pos[0])
         try:
             length = int(kv.get("length", "4"))
         except ValueError:
             raise CommandError(f"bad length {kv['length']!r}, "
                                "expected an integer") from None
-        res = minimal_free_resolution(m, length, w)
+        res = minimal_free_resolution(m, length)
         return {"kind": "resolution", "name": pos[0],
                 "ranks": [st.rank for st in res.stages],
                 "degrees": [list(st.gen_degrees) for st in res.stages]}
@@ -578,10 +578,12 @@ class Runner:
         out = {"kind": "gorenstein", "name": pos[0],
                "verdict": cert.verdict, "krull_dim": cert.krull_dim,
                "shift": cert.shift}
-        if cert.failure:
+        if cert.verdict is None:
+            # undetermined: say why, e.g. that the window is too narrow
+            out["reason"] = cert.failure["reason"]
+        elif cert.failure:
             out["witness"] = {f"({i},{t})": v for (i, t), v
-                              in cert.failure.get("nonvanishing", {}).items()} \
-                if isinstance(cert.failure, dict) else str(cert.failure)
+                              in cert.failure.get("nonvanishing", {}).items()}
         return out
 
     def cmd_abs_gorenstein(self, pos, kv):

@@ -277,8 +277,8 @@ def oracle_agreement(mod: GradedModule, w: Window,
             "stable_entries": len(keys)}
 
 
-def generic_ext_ranks(mod: GradedModule, p: HomIdeal, length: int,
-                      w: Window) -> Dict[int, int]:
+def generic_ext_ranks(mod: GradedModule, p: HomIdeal,
+                      length: int) -> Dict[int, int]:
     """kappa(p)-ranks of Ext^j(mod, R) at the generic point of V(p).
 
     Read off Hom(F, R) (x) kappa(p) for a minimal free resolution F of mod:
@@ -286,7 +286,7 @@ def generic_ext_ranks(mod: GradedModule, p: HomIdeal, length: int,
     out of and into F_j (HomIdeal.generic_rank).  Exact: no point of V(p)
     is chosen.
     """
-    res = minimal_free_resolution(mod, length + 1, w)
+    res = minimal_free_resolution(mod, length + 1)
     ranks = []
     for i, diff in enumerate(res.diffs):
         rows = [[{} for _ in range(res.stages[i + 1].rank)]

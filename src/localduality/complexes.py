@@ -660,7 +660,7 @@ def inclusion_of_unit(F: FreeComplex, C: WindowedComplex, L,
     return ComplexMap(X, C, out)
 
 
-def resolution_complex(res, w: Window) -> FreeComplex:
+def resolution_complex(res) -> FreeComplex:
     """View a minimal free resolution as a FreeComplex in degrees 0..length."""
     stages = {i: f for i, f in enumerate(res.stages)}
     diffs = {i + 1: d for i, d in enumerate(res.diffs)}

@@ -309,7 +309,7 @@ def dual_localize(x: Union[GradedModule, CohomologyTable], p: HomIdeal,
     _require_certified(certificate,
                        "dual_localize needs a Gorenstein ring for the Ext route")
     n = certificate.krull_dim
-    ext_ranks = generic_ext_ranks(mod, p, n, w)
+    ext_ranks = generic_ext_ranks(mod, p, n)
     ranks = {n - j: r for j, r in ext_ranks.items() if n - j >= 0}
     return {"ranks": ranks, "dimension_drop": p.dim_of_quotient}
 

@@ -10,9 +10,10 @@ prime field and delegated to exactla.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
@@ -20,6 +21,9 @@ from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
 
 Mono = Tuple[int, ...]          # exponent vector over the ring's generators
 Poly = Dict[Mono, int]          # monomial -> nonzero coefficient (raw residue)
+
+# S-pairs one Buchberger completion may take before it is refused as a runaway
+PAIR_LIMIT = 20000
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,8 @@ class GradedRing:
         A larger bound resumes the last completion: its basis stays, and the
         S-pairs it deferred as too heavy are taken up again.  Relations are
         homogeneous, so an S-polynomial and its remainder have the weight of
-        the pair's lcm, and only whole pairs are ever deferred.
+        the pair's lcm, and only whole pairs are ever deferred.  The bound
+        math.inf completes the basis to a Groebner basis of the whole ideal.
         """
         if weight_bound <= self._gb_bound:
             return self._gb
@@ -304,11 +309,11 @@ class GradedRing:
         guard = 0
         while pairs:
             guard += 1
-            if guard > 20000:
+            if guard > PAIR_LIMIT:
                 self._pending = pairs + deferred
                 raise ContractViolation(
                     f"completion runaway: Buchberger completion up to weight "
-                    f"{weight_bound} exceeded 20000 S-pairs")
+                    f"{weight_bound} exceeded {PAIR_LIMIT} S-pairs")
             i, j = pairs.pop()
             gi, gj = basis[i], basis[j]
             lmi, lmj = self._leads[i], self._leads[j]
@@ -725,6 +730,7 @@ class GradedModule:
         self.free = FreeModule(ring, [d for _, d in generators], [n for n, _ in generators])
         self.name = name
         rel_rows: List[List[Poly]] = []
+        row_degrees: List[int] = []
         for k, row in enumerate(relations, 1):
             prow = []
             for e in row:
@@ -737,7 +743,9 @@ class GradedModule:
                     raise ContractViolation("non-homogeneous relation row")
                 self._check_parity(k, prow)
                 rel_rows.append(prow)
+                row_degrees.append(degs.pop())
         self.relations = rel_rows
+        self.row_degrees = row_degrees      # the degree of each relation row
         self._deg_cache: Dict[int, Tuple[List[Tuple[int, Mono]], SparseMatrix, List[int]]] = {}
         # the top-down walk of _realize: degrees _walked and above are
         # realized, and the last _zero_run of them are zero
@@ -795,14 +803,7 @@ class GradedModule:
         pos = {bm: i for i, bm in enumerate(basis)}
         rows: List[Dict[int, int]] = []
         ring = self.ring
-        for row in self.relations:
-            rdeg = None
-            for j, p in enumerate(row):
-                if p:
-                    rdeg = ring.poly_degree(p) + self.generators[j][1]
-                    break
-            if rdeg is None:
-                continue
+        for row, rdeg in zip(self.relations, self.row_degrees):
             for mu in ring.basis_in_degree(t - rdeg):
                 vec: Dict[int, int] = {}
                 for j, p in enumerate(row):
@@ -948,32 +949,25 @@ def dual_hilbert_function(mod: GradedModule, w: Window) -> Dict[int, int]:
 
 
 class Resolution:
-    """Chain of free modules F_len -> ... -> F_0 with ring-entry differentials.
-
-    Exact (except at stage 0) for internal degrees inside the window it was
-    computed on; minimal by construction.
-    """
+    """Minimal free resolution F_len -> ... -> F_0 with ring-entry
+    differentials, complete through stage len in every internal degree."""
 
     def __init__(self, ring: GradedRing, stages: List[FreeModule],
-                 diffs: List[Dict[Tuple[int, int], Poly]], window: Window):
+                 diffs: List[Dict[Tuple[int, int], Poly]]):
         self.ring = ring
         self.stages = stages
         self.diffs = diffs  # diffs[i]: stages[i+1] -> stages[i]
-        self.window = window
 
     def realize_diff(self, i: int, t: int) -> SparseMatrix:
         return poly_matrix_realize(self.ring, self.stages[i + 1], self.stages[i],
                                    self.diffs[i], t)
 
-    @property
-    def length(self) -> int:
-        return len(self.stages) - 1
-
 
 def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
-                        w: Window) -> Tuple[List[Tuple[int, List[Poly]]],
-                                            Dict[int, SparseMatrix]]:
-    """Pick minimal submodule generators from degreewise spans, top degree down.
+                        floor: int) -> Tuple[List[Tuple[int, List[Poly]]],
+                                             Dict[int, SparseMatrix]]:
+    """Pick minimal submodule generators from degreewise spans, from the top
+    degree of `free` down to `floor`.
 
     vectors_by_degree(t) must return a SparseMatrix whose rows (coordinates in
     free.basis_in_degree(t)) form a basis of the submodule's degree-t piece.
@@ -988,10 +982,10 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
     the generators to `free` (as poly_matrix_realize would), read off the
     multiples built on the way.
     """
-    top = max((d for d in free.gen_degrees), default=0)
+    top = max(free.gen_degrees, default=0)
     chosen: List[Tuple[int, List[Poly]]] = []
     maps: Dict[int, SparseMatrix] = {}
-    for t in range(min(top, w.t_hi), w.t_lo - 1, -1):
+    for t in range(top, floor - 1, -1):
         basis = free.basis_in_degree(t)
         span_vectors = vectors_by_degree(t) if basis else None
         if span_vectors is None or not span_vectors.rows:
@@ -1026,38 +1020,125 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
     return chosen, maps
 
 
-def minimal_free_resolution(mod: GradedModule, length: int, w: Window) -> Resolution:
-    """Windowed minimal free resolution of length `length`."""
+def _frame_floor(ring: GradedRing, free: FreeModule,
+                 rows: Sequence[Sequence[Poly]]) -> Optional[int]:
+    """The lowest degree a minimal generator of the syzygies of `rows`
+    (homogeneous elements of `free`) can lie in, None when they have none."""
+    # Schreyer's frame (Schreyer 1980; Eisenbud, Commutative Algebra, Thm
+    # 15.10): extend the rows to a Groebner basis G.  The syzygies of G are
+    # generated by one per S-pair, in the degree of the pair's lcm, and they
+    # map onto the syzygies of the rows, which G contains; so the lowest lcm
+    # degree bounds them.  Position over term: the leading term of an element
+    # is the leading monomial of its first nonzero entry, and entries are
+    # ring normal forms.  Over a quotient ring, and for the odd squares, the
+    # pairs with the ring's completed Groebner basis count as well, but not
+    # the coprime ones: the Koszul syzygy h*e_g - g*e_h stands for such a
+    # pair and maps to h*e_g = 0.  Coprime pairs of two elements count.
+    # Pairs are taken by degree, highest first (the normal strategy).
+    ring.complete(math.inf)
+    basis: List[List[Poly]] = []
+    leads: List[Tuple[int, Mono, int]] = []
+    pairs: Dict[int, List[Tuple[int, int]]] = {}   # degree: (element, partner)
+
+    def times(mu, f):
+        return [ring.times_monomial(mu, p) for p in f]
+
+    def combine(a, f, b, g):
+        return [ring.poly_add(ring.poly_scale(p, a), ring.poly_scale(q, b))
+                for p, q in zip(f, g)]
+
+    def add(f):
+        # top-reduce f by the basis; a remainder joins it with its pairs
+        while True:
+            k = next((k for k, p in enumerate(f) if p), None)
+            if k is None:
+                return
+            m, c = ring.leading(f[k])
+            i = next((i for i, (kk, mm, _) in enumerate(leads)
+                      if kk == k and ring.mono_divides(mm, m)), None)
+            if i is None:
+                break
+            g = times(tuple(map(sub, m, leads[i][1])), basis[i])
+            f = combine(1, f, -c * ring.field.inv(g[k][m]), g)
+        partners = [(i, mm) for i, (kk, mm, _) in enumerate(leads) if kk == k]
+        partners += [(-1 - h, lm) for h, lm in enumerate(ring._leads)
+                     if any(map(min, lm, m))]
+        for j, mj in partners:
+            degree = free.gen_degrees[k] + ring.mono_degree(tuple(map(max, m, mj)))
+            pairs.setdefault(degree, []).append((len(basis), j))
+        basis.append(f)
+        leads.append((k, m, c))
+
+    for row in rows:
+        add(list(row))
+    floor, done = None, 0
+    while pairs:
+        done += 1
+        if done > PAIR_LIMIT:
+            raise ContractViolation(
+                f"completion runaway: the Schreyer frame exceeded "
+                f"{PAIR_LIMIT} S-pairs")
+        degree = max(pairs)
+        i, j = pairs[degree].pop()
+        if not pairs[degree]:
+            del pairs[degree]
+        floor = degree if floor is None else min(floor, degree)
+        k, mi, ci = leads[i]
+        mj = leads[j][1] if j >= 0 else ring._leads[-1 - j]
+        lcm = tuple(map(max, mi, mj))
+        qi = tuple(map(sub, lcm, mi))
+        spol = times(qi, basis[i])
+        if j >= 0:
+            # cancel the leading terms, Koszul signs of the products included
+            qj = tuple(map(sub, lcm, mj))
+            spol = combine(ring.mono_mul(qj, mj)[0] * leads[j][2], spol,
+                           -ring.mono_mul(qi, mi)[0] * ci, times(qj, basis[j]))
+        add(spol)
+    return floor
+
+
+def minimal_free_resolution(mod: GradedModule, length: int) -> Resolution:
+    """Minimal free resolution of `mod` through stage `length`, right in
+    every internal degree: no window cuts it."""
+    # Stage s + 1 holds the minimal generators of the kernel of F_s -> F_{s-1}
+    # (of the relation submodule for s = 0), chosen by _minimal_generators
+    # from the top degree of F_s down to the lowest degree one can lie in:
+    # the lowest relation row for s = 0, the floor of the Schreyer frame of
+    # F_s's generators after that.  A frame without S-pairs ends it, and a
+    # refusal on the way, such as a runaway completion, names its stage.
     if length < 0:
         raise ContractViolation("length must be >= 0")
     ring = mod.ring
     stages = [FreeModule(ring, [d for _, d in mod.generators],
                          [n for n, _ in mod.generators])]
     diffs: List[Dict[Tuple[int, int], Poly]] = []
-
-    prev_vectors = mod.relation_vectors
-    prev_free = stages[0]
+    floor = min(mod.row_degrees, default=None)
+    vectors = mod.relation_vectors
     for step in range(length):
-        gens, maps = _minimal_generators(ring, prev_free, prev_vectors, w)
+        try:
+            if step:
+                floor = _frame_floor(ring, stages[-2], [row for _, row in gens])
+            if floor is None:
+                break
+            gens, maps = _minimal_generators(ring, stages[-1], vectors, floor)
+        except ContractViolation as e:
+            raise ContractViolation(f"resolution stage {step + 1}: {e}") from None
         if not gens:
-            # a stage with no generators ends the resolution: every later
-            # stage is zero too
-            for _ in range(step, length):
-                stages.append(FreeModule(ring, []))
-                diffs.append({})
             break
-        new_free = FreeModule(ring, [d for d, _ in gens],
-                              [f"s{step + 1}_{i}" for i in range(len(gens))])
-        dmat: Dict[Tuple[int, int], Poly] = {}
-        for b, (dg, row) in enumerate(gens):
-            for a, p in enumerate(row):
-                if p:
-                    dmat[(a, b)] = p
-        stages.append(new_free)
-        diffs.append(dmat)
-        prev_vectors = lambda t, maps=maps: kernel_rows(maps[t])[0]
-        prev_free = new_free
-    return Resolution(ring, stages, diffs, w)
+        prev = stages[-1]
+        stages.append(FreeModule(ring, [d for d, _ in gens],
+                                 [f"s{step + 1}_{i}" for i in range(len(gens))]))
+        diffs.append({(a, b): p for b, (_, row) in enumerate(gens)
+                      for a, p in enumerate(row) if p})
+        # the kernel of the new differential, read off the walk's maps where
+        # it reached; the maps of the stage before are dropped here
+        vectors = lambda t, m=maps, f=stages[-1], p=prev, d=diffs[-1]: \
+            kernel_rows(m[t] if t in m else poly_matrix_realize(ring, f, p, d, t))[0]
+    # a stage with no generators ends the resolution: the later ones are zero
+    while len(stages) <= length:
+        stages.append(FreeModule(ring, []))
+        diffs.append({})
+    return Resolution(ring, stages, diffs)
 
 
 # Tor / Ext -----------------------------------------------------------------
@@ -1072,8 +1153,8 @@ def tor(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, in
     from .complexes import homology, resolution_complex
     if mod1.ring is not mod2.ring:
         raise ContractViolation("modules over different rings")
-    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1, w)
-    C = resolution_complex(res, w).realize(mod2, w, validate=False)
+    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1)
+    C = resolution_complex(res).realize(mod2, w, validate=False)
     return {(p, t): h for (p, t), h in homology(C, w).items()
             if w.s_lo <= p <= w.s_hi}
 
@@ -1087,8 +1168,7 @@ def ext(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, in
     from .complexes import homology, resolution_complex
     if mod1.ring is not mod2.ring:
         raise ContractViolation("modules over different rings")
-    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1,
-                                  Window(w.t_lo - 1, w.t_hi, w.s_lo, w.s_hi))
-    C = resolution_complex(res, w).hom_into(mod2, w, validate=False)
+    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1)
+    C = resolution_complex(res).hom_into(mod2, w, validate=False)
     return {(-s, t): h for (s, t), h in homology(C, w).items()
             if w.s_lo <= -s <= w.s_hi}

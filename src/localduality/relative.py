@@ -238,7 +238,7 @@ def compactness_certificate(f: RingMap, w: Window,
                           "window floor", "ranks": None, "resolution": None}
     if cap is None:
         cap = max(4, w.span // 3)
-    res = minimal_free_resolution(rst.module, cap, w)
+    res = minimal_free_resolution(rst.module, cap)
     ranks = [st.rank for st in res.stages]
     terminated = 0 in ranks
     out = {"certified": terminated, "restricted": rst, "resolution": res,
@@ -377,7 +377,7 @@ def dualizing_module(f: RingMap, w: Window,
             f"compactness not certified: {compactness.get('reason')}")
     rst: Presented = compactness["restricted"]
     res = compactness["resolution"]
-    Fc = resolution_complex(res, w)
+    Fc = resolution_complex(res)
     dualFc = Fc.dual()
     Rmod = GradedModule.free_module(R, [0], name=R.name)
     wC = dualFc.realize(Rmod, w)
@@ -467,7 +467,7 @@ def coinduce_table(f: RingMap, x: GradedModule, w: Window,
     if not compactness["certified"]:
         raise ContractViolation("compactness not certified")
     res = compactness["resolution"]
-    Fc = resolution_complex(res, w)
+    Fc = resolution_complex(res)
     return dict(homology(Fc.hom_into(x, w), w))
 
 

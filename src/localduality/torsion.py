@@ -554,13 +554,10 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     completion of m'.  Stages are detected independently, so agreement is
     contentful.
     """
-    ring = p.ring
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
-    res_w = Window(w.t_lo - s_max * total_weight - length * max(ring.weights) - 2,
-                   max(0, w.t_hi))
-    res = minimal_free_resolution(m, length, res_w)
-    F = resolution_complex(res, res_w)
+    res = minimal_free_resolution(m, length)
+    F = resolution_complex(res)
 
     # the resolution's generator degrees bound how far the windows must
     # extend: dual generators reach up to `deepest` above the module

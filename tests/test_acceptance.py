@@ -232,7 +232,7 @@ def test_kuenneth_tor_collapse_random_pairs():
     for trial in range(10):
         a = _random_cyclic(plane, rng, f"a{trial}")
         b = _random_cyclic(plane, rng, f"b{trial}")
-        res = minimal_free_resolution(a, cap, w)
+        res = minimal_free_resolution(a, cap)
         off = -min((d for st in res.stages for d in st.gen_degrees),
                    default=0)
         tt = tor(a, b, Window(w.t_lo, w.t_hi, 0, cap))
@@ -240,7 +240,7 @@ def test_kuenneth_tor_collapse_random_pairs():
         for (p, t), v in tt.items():
             if v:
                 want[p + t] = want.get(p + t, 0) + v
-        C = resolution_complex(res, w).realize(b, w, validate=False)
+        C = resolution_complex(res).realize(b, w, validate=False)
         got = {}
         for (s, t), v in homology(C, w).items():
             if v:

@@ -33,12 +33,9 @@ def _rings():
 
 def hom_from_resolution(m, m2, p, w, s_max, length=5):
     """Y = Hom(F, m2) over the windows adjunction_check realizes it on."""
-    ring = p.ring
     _, total_weight = _ideal_data(p)
-    res_w = Window(w.t_lo - s_max * total_weight
-                   - length * max(ring.weights) - 2, max(0, w.t_hi))
-    res = minimal_free_resolution(m, length, res_w)
-    F = resolution_complex(res, res_w)
+    res = minimal_free_resolution(m, length)
+    F = resolution_complex(res)
     deepest = -min((d for f in res.stages for d in f.gen_degrees), default=0)
     hom_w = Window(w.t_lo, w.t_hi + s_max * total_weight + deepest + 1)
     return F.hom_into(m2, hom_w, validate=False)

@@ -4,7 +4,9 @@ The socle comparison (H^i of a torsion result against the shifted injective
 hull) has one owner, `duality._socle_comparison`: it alone builds the
 homology model and runs the exact hull test, so the comparison window is
 derived in one place.  `torsion.adjunction_check` reads its left side off the
-completion tower and builds no tensor product of its own.
+completion tower and builds no tensor product of its own.  Resolutions take
+no window: `graded.minimal_free_resolution` alone walks the degrees, down
+to the floors of its Schreyer frames, so no caller pads a floor of its own.
 """
 
 import ast
@@ -69,3 +71,20 @@ def test_theorem_bc_check_builds_one_torsion_tower():
     gammas = [node for node in ast.walk(func) if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "gamma"]
     assert len(gammas) == 1
+
+
+def test_resolutions_take_no_window():
+    callers, _ = _calls_by_function()
+    assert callers["_minimal_generators"] == {"graded.minimal_free_resolution"}
+    source = (PACKAGE / "graded.py").read_text()
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "minimal_free_resolution")
+    assert [a.arg for a in func.args.args] == ["mod", "length"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "minimal_free_resolution":
+                # the module and the length, nothing that could be a window
+                assert len(node.args) == 2 and not node.keywords, \
+                    f"{path.name}:{node.lineno}"

@@ -345,6 +345,17 @@ def test_huge_characteristic_is_diagnostic(tmp_path, capsys):
     assert "2^31" in diags[0]["message"]
 
 
+def test_undetermined_gorenstein_reports_its_reason(tmp_path, capsys):
+    # at (0, 0) no unflagged H^1 of F2[x0] lies in the window: the verdict
+    # is null, and the report says why instead of an empty witness
+    inp = write(tmp_path, "[ring T]\nchar = 2\ngenerators = x0:-1\n"
+                          "[run]\ngorenstein T\n")
+    assert main(["--input", inp, "--window", "0:0"]) == 0
+    [res] = json.loads(capsys.readouterr().out)["results"]
+    assert res["verdict"] is None and "witness" not in res
+    assert res["reason"] == "no unflagged H^n in the window; widen the window"
+
+
 def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
     # all 210 quadratic monomials in 20 variables: more than 20000 S-pairs
     names = [f"x{i}" for i in range(20)]

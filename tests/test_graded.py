@@ -296,9 +296,9 @@ def test_mixed_parity_is_harmless_with_one_odd_generator():
 # resolutions ----------------------------------------------------------------
 
 
-def test_koszul_resolution_of_residue_field(poly_plane, window):
+def test_koszul_resolution_of_residue_field(poly_plane):
     k = GradedModule.residue_field(poly_plane)
-    res = minimal_free_resolution(k, 3, window)
+    res = minimal_free_resolution(k, 3)
     assert [st.rank for st in res.stages] == [1, 2, 1, 0]
     assert sorted(res.stages[1].gen_degrees) == [-1, -1]
     assert res.stages[2].gen_degrees == [-2]
@@ -306,7 +306,7 @@ def test_koszul_resolution_of_residue_field(poly_plane, window):
 
 def test_resolution_is_a_complex(hypersurface, window):
     k = GradedModule.residue_field(hypersurface)
-    res = minimal_free_resolution(k, 3, window)
+    res = minimal_free_resolution(k, 3)
     for i in range(len(res.diffs) - 1):
         for t in range(window.t_lo, 1):
             a = res.realize_diff(i, t)
@@ -314,10 +314,10 @@ def test_resolution_is_a_complex(hypersurface, window):
             assert not (a @ b).entries
 
 
-def test_periodic_resolution_over_hypersurface(window):
+def test_periodic_resolution_over_hypersurface():
     ring = GradedRing(2, [("z", -1)], [{(2,): 1}], name="F2[z]/(z^2)")
     k = GradedModule.residue_field(ring)
-    res = minimal_free_resolution(k, 4, window)
+    res = minimal_free_resolution(k, 4)
     assert [st.rank for st in res.stages] == [1, 1, 1, 1, 1]
 
 

@@ -57,15 +57,15 @@ def test_torsion_module_vanishes_at_the_generic_point(poly_plane, window):
     assert rep["dimension_drop"] == 2
 
 
-def test_generic_ext_ranks_of_cyclic_modules(poly_plane, window):
+def test_generic_ext_ranks_of_cyclic_modules(poly_plane):
     xP = HomIdeal(poly_plane, ["x"], is_prime_asserted=True, name="(x)")
-    assert generic_ext_ranks(free(poly_plane), xP, 2, window) == {0: 1}
+    assert generic_ext_ranks(free(poly_plane), xP, 2) == {0: 1}
     for rels in (["x^2"], ["x*y"], ["x^2", "x*y"]):
         M = GradedModule(poly_plane, [("a", 0)], [[r] for r in rels])
-        assert generic_ext_ranks(M, xP, 2, window) == {0: 1, 1: 1}, rels
+        assert generic_ext_ranks(M, xP, 2) == {0: 1, 1: 1}, rels
     yP = HomIdeal(poly_plane, ["y"], is_prime_asserted=True, name="(y)")
     M = GradedModule(poly_plane, [("a", 0)], [["x^2"]])
-    assert generic_ext_ranks(M, yP, 2, window) == {}
+    assert generic_ext_ranks(M, yP, 2) == {}
 
 
 # an independent oracle: the largest rank at the F_q-points of V(p) ------------

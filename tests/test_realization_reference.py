@@ -185,8 +185,7 @@ def _complexes(ring, w):
         out.append((f"kos{power}", koszul_free(ring, elems, power)))
         out.append((f"dkos{power}", dual_koszul_free(ring, elems, power)))
     cyc = _modules(ring)[2]
-    res = resolution_complex(
-        minimal_free_resolution(cyc, 3, Window(w.t_lo - 6, w.t_hi)), w)
+    res = resolution_complex(minimal_free_resolution(cyc, 3))
     out += [("res", res), ("dres", res.dual()),
             ("dkos_res", _free_product(dual_koszul_free(ring, elems, 1), res))]
     return out

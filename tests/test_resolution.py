@@ -1,6 +1,7 @@
 """Minimal free resolutions: a differential test against the list-based
-generator choice the array-based one replaced, and structural properties
-(d∘d = 0, exactness inside the window, minimality, Koszul Betti numbers)."""
+degreewise walk the Schreyer-frame floors replaced, taken below the
+resolution's lowest degree, and structural properties (d∘d = 0, exactness,
+minimality, Koszul Betti numbers)."""
 
 import math
 
@@ -106,9 +107,22 @@ def ordered(diff):
     return [(key, list(p.items())) for key, p in diff.items()]
 
 
-def assert_same_as_reference(mod, length, w):
-    res = minimal_free_resolution(mod, length, w)
-    stages, diffs = reference_resolution(mod, length, w)
+def lowest_degree(res):
+    return min((d for s in res.stages for d in s.gen_degrees), default=0)
+
+
+def reference_window(mod, res, floor=0):
+    """A window for the reference walk: from above every generator of mod
+    to below the resolution's lowest degree and `floor`, so a generator the
+    resolution missed below its lowest degree shows as a difference."""
+    top = max((d for _, d in mod.generators), default=0)
+    return Window(min(floor, lowest_degree(res)) - 3, top)
+
+
+def assert_same_as_reference(mod, length, floor=0):
+    res = minimal_free_resolution(mod, length)
+    stages, diffs = reference_resolution(mod, length,
+                                         reference_window(mod, res, floor))
     assert [(s.gen_degrees, s.labels) for s in res.stages] == \
         [(s.gen_degrees, s.labels) for s in stages]
     assert [ordered(d) for d in res.diffs] == [ordered(d) for d in diffs]
@@ -145,7 +159,9 @@ def test_same_as_reference_on_corpus_rings():
         square = GradedModule(ring, [("a", 0)],
                               [[ring.poly_mul(ring.gen_poly(0), ring.gen_poly(0))]])
         for mod in (k, square):
-            assert_same_as_reference(mod, 3, Window(-6, 0))
+            # the reference walks below the resolution's lowest degree:
+            # over q8, k has a stage-3 generator in degree -7
+            assert_same_as_reference(mod, 3, -6)
 
 
 def test_same_as_reference_on_benchmark_shapes():
@@ -154,25 +170,23 @@ def test_same_as_reference_on_benchmark_shapes():
     perm = [2, 0, 3, 1]
     shapes = BENCH_SHAPES + [[tuple(m[j] for j in perm) for m in shape]
                              for shape in BENCH_SHAPES]
-    w = Window(-7, 0)
     for shape in shapes:
-        assert_same_as_reference(cyclic(ring, shape), 4, w)
-    assert_same_as_reference(GradedModule.residue_field(ring), 5, w)
+        assert_same_as_reference(cyclic(ring, shape), 4, -7)
+    assert_same_as_reference(GradedModule.residue_field(ring), 5, -7)
 
 
 def test_same_as_reference_odd_characteristic_graded_commutative():
     ring = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -2)], [])
-    w = Window(-6, 0)
-    assert_same_as_reference(GradedModule.residue_field(ring), 4, w)
+    assert_same_as_reference(GradedModule.residue_field(ring), 4, -6)
     assert_same_as_reference(
-        GradedModule(ring, [("u", 0)], [["a*b + c"], ["c^2"]]), 4, w)
+        GradedModule(ring, [("u", 0)], [["a*b + c"], ["c^2"]]), 4, -6)
     # two generators, relations mixing them; every row is homogeneous in
     # parity, as GradedModule requires with two odd generators
     assert_same_as_reference(
-        GradedModule(ring, [("u", 0), ("v", 0)], [["a", "b"], ["c", "a*b"]]), 4, w)
+        GradedModule(ring, [("u", 0), ("v", 0)], [["a", "b"], ["c", "a*b"]]), 4, -6)
     ring5 = GradedRing(5, [("x", -1), ("e", -1, True)], [], name="F5")
     assert_same_as_reference(
-        GradedModule(ring5, [("u", 0)], [["x^2 + 2*x*e"]]), 4, w)
+        GradedModule(ring5, [("u", 0)], [["x^2 + 2*x*e"]]), 4, -6)
 
 
 def test_same_as_reference_largest_admissible_prime():
@@ -181,7 +195,7 @@ def test_same_as_reference_largest_admissible_prime():
     mod = GradedModule(ring, [("u", 0), ("v", 0)],
                        [["x", f"{p - 1}*y"], ["y + 12345*z", "z"],
                         [f"x*y + {p - 2}*z^2", "0"]])
-    assert_same_as_reference(mod, 3, Window(-5, 0))
+    assert_same_as_reference(mod, 3, -5)
 
 
 @settings(max_examples=15, deadline=None)
@@ -191,7 +205,39 @@ def test_same_as_reference_largest_admissible_prime():
 def test_same_as_reference_random_monomial_modules(p, monos):
     ring = GradedRing(p, [("x", -1), ("y", -1), ("z", -1)], [])
     monos = [m for m in monos if any(m)] or [(1, 0, 0)]
-    assert_same_as_reference(cyclic(ring, monos), 3, Window(-5, 0))
+    assert_same_as_reference(cyclic(ring, monos), 3, -5)
+
+
+# rings of the property test: a polynomial ring, a quotient ring and a
+# graded-commutative ring with an odd generator
+PROPERTY_RINGS = {
+    "F3[x,y]": GradedRing(3, [("x", -1), ("y", -1)], []),
+    "F2[x,y]/(x^2*y, y^3)": GradedRing(2, [("x", -1), ("y", -1)],
+                                       ["x^2*y", "y^3"]),
+    "F3[a odd, y]": GradedRing(3, [("a", -1, True), ("y", -1)], []),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PROPERTY_RINGS)),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(1, 2)), max_size=2),
+       st.integers(-1, 1))
+def test_same_as_a_reference_below_the_lowest_degree(name, monos, mixed, degree):
+    # a cyclic monomial module, and a module on two generators whose
+    # relation rows mix them (x^i*y^j, c*x^j*y^i): the resolution equals
+    # the reference walk taken below its lowest degree
+    ring = PROPERTY_RINGS[name]
+    x, y = (g.name for g in ring.generators)
+    monos = [m for m in monos if any(m)] or [(1, 1)]
+    assert_same_as_reference(cyclic(ring, monos, degree), 3)
+    rows = [[f"{x}^{i}*{y}^{j}", f"{c}*{x}^{j}*{y}^{i}"]
+            for i, j, c in mixed if i + j]
+    two = GradedModule(ring, [("u", degree), ("v", degree)],
+                       rows + [[monomial_text((x, y), monos[0]), "0"]])
+    assert_same_as_reference(two, 3)
 
 
 # properties -----------------------------------------------------------------
@@ -222,9 +268,8 @@ def test_resolution_exact_and_minimal(p, monos, degree):
     ring = GradedRing(p, [("x", -1), ("y", -2)], [])
     monos = [m for m in monos if any(m)] or [(1, 1)]
     mod = cyclic(ring, monos, degree)
-    w = Window(-8, 0)
-    res = minimal_free_resolution(mod, 3, w)
-    assert_exact_minimal_complex(mod, res, w)
+    res = minimal_free_resolution(mod, 3)
+    assert_exact_minimal_complex(mod, res, Window(-8, 0))
 
 
 def test_resolution_over_quotient_exact_and_minimal():
@@ -232,23 +277,21 @@ def test_resolution_over_quotient_exact_and_minimal():
     q = ring.quotient([ring.parse("x^2"), ring.parse("y^3")])
     w = Window(-7, 0)
     for mod in (GradedModule.residue_field(q), cyclic(q, [(1, 1)])):
-        assert_exact_minimal_complex(mod, minimal_free_resolution(mod, 4, w), w)
+        assert_exact_minimal_complex(mod, minimal_free_resolution(mod, 4), w)
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([2, 3, 7]))
 def test_koszul_betti_numbers(n, p):
     ring = GradedRing(p, [(f"x{i}", -1) for i in range(n)], [])
-    res = minimal_free_resolution(GradedModule.residue_field(ring), n + 1,
-                                  Window(-n - 2, 0))
+    res = minimal_free_resolution(GradedModule.residue_field(ring), n + 1)
     for i, stage in enumerate(res.stages):
         assert stage.gen_degrees == [-i] * math.comb(n, i)
 
 
 def test_koszul_differential_entries_are_variables():
     ring = GradedRing(2, [(f"x{i}", -1) for i in range(3)], [])
-    res = minimal_free_resolution(GradedModule.residue_field(ring), 3,
-                                  Window(-4, 0))
+    res = minimal_free_resolution(GradedModule.residue_field(ring), 3)
     for d in res.diffs:
         for p in d.values():
             assert len(p) == 1 and sum(next(iter(p))) == 1
@@ -258,12 +301,11 @@ def test_resolution_that_ends_early_pads_with_zero_stages():
     # a free module is its own resolution, and k over F3[x] stops after one
     # step; the stages after the first zero stage stay zero up to `length`
     ring = GradedRing(2, [("x", -1), ("y", -1)], [])
-    w = Window(-6, 0)
     res = minimal_free_resolution(
-        GradedModule.free_module(ring, [0, -1], name="F"), 4, w)
+        GradedModule.free_module(ring, [0, -1], name="F"), 4)
     assert [f.gen_degrees for f in res.stages] == [[0, -1], [], [], [], []]
     assert res.diffs == [{}, {}, {}, {}]
     line = GradedRing(3, [("x", -1)], [])
-    res = minimal_free_resolution(GradedModule.residue_field(line), 4, w)
+    res = minimal_free_resolution(GradedModule.residue_field(line), 4)
     assert [f.gen_degrees for f in res.stages] == [[0], [-1], [], [], []]
     assert res.diffs == [{(0, 0): line.parse("x")}, {}, {}, {}]

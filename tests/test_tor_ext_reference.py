@@ -20,7 +20,7 @@ from localduality.graded import (GradedModule, GradedRing, Window, ext,
 def reference_tor(mod1, mod2, w):
     ring = mod1.ring
     length = max(w.s_hi, 0) + 1
-    res = minimal_free_resolution(mod1, length, w)
+    res = minimal_free_resolution(mod1, length)
     out = {}
     for t in w.t_range():
         dims, offsets = [], []
@@ -54,8 +54,7 @@ def reference_tor(mod1, mod2, w):
 def reference_ext(mod1, mod2, w):
     ring = mod1.ring
     length = max(w.s_hi, 0) + 1
-    res = minimal_free_resolution(mod1, length,
-                                  Window(w.t_lo - 1, w.t_hi, w.s_lo, w.s_hi))
+    res = minimal_free_resolution(mod1, length)
     out = {}
     for t in w.t_range():
         dims, offsets = [], []

@@ -161,8 +161,7 @@ def test_adjunction_left_stages_in_either_nesting_order(ring):
     m = max_ideal(ring)
     for mod, mod2 in [(cyclic, free(ring)),
                       (GradedModule.residue_field(ring), cyclic)]:
-        F = resolution_complex(
-            minimal_free_resolution(mod, 3, Window(w.t_lo - 8, w.t_hi)), w)
+        F = resolution_complex(minimal_free_resolution(mod, 3))
         deepest = max(F.dual().top_internal(), 0)
         Y = F.hom_into(mod2, Window(w.t_lo, w.t_hi + 8), validate=False)
         for s in (1, 2, 3):
