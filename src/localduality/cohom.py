@@ -16,7 +16,8 @@ from .graded import (GradedModule, HomIdeal, Window, hilbert_function,
                      maximal_ideal, minimal_free_resolution)
 from .complexes import (complex_element_action, direct_sum,
                         induced_on_homology, module_complex, shift)
-from .torsion import default_s_max, gamma, completion, _ideal_data
+from .torsion import (FunctorResult, default_s_max, gamma, completion,
+                      _ideal_data)
 
 Entry = Tuple[int, int]  # (cohomological index i, internal degree t)
 
@@ -55,16 +56,19 @@ class CohomologyTable:
         return rows
 
 
-def local_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
-                     s_max: Optional[int] = None) -> CohomologyTable:
-    """H^i_p(mod)_t via the stabilized torsion tower."""
-    g = gamma(mod, p, w, s_max)
-    bound = len(p.gens)
+def cohomology_table(g: FunctorResult, p: HomIdeal) -> CohomologyTable:
+    """H^i_p read off the torsion result g = Gamma_p: block s = -i."""
     entries = {(-s, t): v for (s, t), v in g.homotopy.items()}
     flags = {(-s, t): "unstable" for (s, t) in g.flags}
     return CohomologyTable(entries, flags, {
         "functor": "local_cohomology", "ideal": p.name,
-        "stage": g.provenance.get("stage"), "koszul_bound": bound})
+        "stage": g.provenance.get("stage"), "koszul_bound": len(p.gens)})
+
+
+def local_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
+                     s_max: Optional[int] = None) -> CohomologyTable:
+    """H^i_p(mod)_t via the stabilized torsion tower."""
+    return cohomology_table(gamma(mod, p, w, s_max), p)
 
 
 def local_homology(mod: GradedModule, p: HomIdeal, w: Window,
@@ -128,16 +132,15 @@ def cech_les_balance(mod: GradedModule, p: HomIdeal, w: Window) -> bool:
     return True
 
 
-Formal = Union[GradedModule, Sequence[Tuple[GradedModule, int]]]
-
-
-def _parts(m: Formal) -> List[Tuple[GradedModule, int]]:
+def _parts(m: Union[GradedModule, Sequence[Tuple[GradedModule, int]]]
+           ) -> List[Tuple[GradedModule, int]]:
     if isinstance(m, GradedModule):
         return [(m, 0)]
     return [(mod, sh) for (mod, sh) in m]
 
 
-def collapse_check(m: Formal, p: HomIdeal, w: Window,
+def collapse_check(m: Union[GradedModule, Sequence[Tuple[GradedModule, int]]],
+                   p: HomIdeal, w: Window,
                    s_max: Optional[int] = None) -> Dict[str, object]:
     """Collapse identity for formal inputs.
 
@@ -266,8 +269,16 @@ def grothendieck_oracle(mod: GradedModule, w: Window,
 
 def oracle_agreement(mod: GradedModule, w: Window,
                      certificate=None) -> Dict[str, object]:
-    """Tower pipeline vs Ext-duality oracle at every stable bidegree."""
-    lc = local_cohomology(mod, maximal_ideal(mod.ring), w)
+    """Tower pipeline vs Ext-duality oracle at every stable bidegree.
+
+    On the ring itself (free of rank one, generator in degree 0) the
+    H^*_m(R) table that certificate read on w is the tower side."""
+    read = certificate.h_m if certificate is not None else None
+    if read is not None and read[:2] == (mod.ring, w) and not mod.relations \
+            and [d for _, d in mod.generators] == [0]:
+        lc = read[2]
+    else:
+        lc = local_cohomology(mod, maximal_ideal(mod.ring), w)
     oracle = grothendieck_oracle(mod, w, certificate)
     keys = {k for k in set(lc.entries) | set(oracle.entries)
             if w.t_lo <= k[1] <= w.t_hi and k not in lc.flags}

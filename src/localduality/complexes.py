@@ -14,8 +14,9 @@ bidegree (s, t), differentials lowering s by one, and ring-generator action
 matrices.  Homological degree s is bounded on both sides; internal degree t
 vanishes above a known top and is only known down to the window floor.
 Monomial actions on a windowed complex are memoised on it, each built from
-the action of its prefix; a Koszul tower ages the memo of its input stage by
-stage and clears it when the tower is built, so the memo does not live as
+the action of its prefix, or for a pure power from pieces that start or end
+at aligned block boundaries; a Koszul tower ages the memo of its input stage
+by stage and clears it when the tower is built, so the memo does not live as
 long as the tower's result.
 """
 
@@ -28,6 +29,32 @@ from .exactla import (ContractViolation, SparseMatrix, kernel_rows,
 from .graded import FreeModule, GradedModule, GradedRing, Mono, Poly, Window
 
 BiDeg = Tuple[int, int]
+
+
+# the length, in steps of a generator's degree, of the aligned blocks that
+# split its pure powers (see _power_split)
+BLOCK = 16
+
+
+def _power_split(d: int, k: int, t: int) -> int:
+    """The power j of the first factor when x^k from degree t, for x of
+    degree d and k >= 2, is built as x^(k - j) after x^j.
+
+    A degree is a boundary when it is a multiple of BLOCK * d.  A power
+    that starts at a boundary grows as a prefix (j = k - 1), and so does one
+    that meets no boundary; one whose first boundary is its end grows as a
+    suffix (j = 1); one that crosses a boundary splits at the first
+    (0 < j < k).  The pieces are then powers that start or end at a
+    boundary, shared by every start degree in the block and by every power.
+    """
+    if t % d:
+        return k - 1
+    r = -(t // d) % BLOCK
+    if r == 0:
+        return k - 1
+    if r == k:
+        return 1
+    return r if r < k else k - 1
 
 
 class WindowedComplex:
@@ -93,9 +120,12 @@ class WindowedComplex:
         or the generator actions along the way do not compose.
 
         The generators are applied in index order, so the action of mono is
-        the action of its last generator after the action of the prefix;
-        each result is memoised, and one used in the previous age is kept.
-        A zero prefix makes every extension zero, so zero is kept as None.
+        the action of its last generator after the action of the prefix.  A
+        pure power x^k of one generator is split at the aligned blocks of
+        _power_split instead, so that its pieces are shared by every start
+        degree and by every power.  Each result is memoised, and one used in
+        the previous age is kept.  A zero piece makes the product zero, so
+        zero is kept as None.
         """
         key = (mono, s, t)
         if key in self._monomials:
@@ -106,14 +136,36 @@ class WindowedComplex:
             m = SparseMatrix.identity(self.ring.field, self.dim(s, t))
         else:
             last = max(i for i, e in enumerate(mono) if e)
-            rest = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
-            a = self.action(last, s, t + self.ring.mono_degree(rest))
-            if any(rest):
-                m = self.monomial_action(rest, s, t)
-                m = a @ m if m is not None and a.cols == m.rows else None
+            k = mono[last]
+            j = k - 1
+            if k > 1 and not any(mono[:last]):
+                dg = self.ring.generators[last].degree
+                j = _power_split(dg, k, t)
+                if j < k - 1:
+                    first = self.monomial_action(
+                        mono[:last] + (j,) + mono[last + 1:], s, t)
+                    if first is not None and first.rows != self.dim(s, t + j * dg):
+                        # stored actions that disagree with the dimension at
+                        # the split: the prefix chain decides whether they
+                        # compose
+                        j = k - 1
+            if j == k - 1:
+                rest = mono[:last] + (j,) + mono[last + 1:]
+                a = self.action(last, s, t + self.ring.mono_degree(rest))
+                if any(rest):
+                    m = self.monomial_action(rest, s, t)
+                    m = a @ m if m is not None and a.cols == m.rows else None
+                else:
+                    # a after the identity is a itself
+                    m = a if a.cols == self.dim(s, t) else None
+            elif first is None:
+                m = None
             else:
-                # a after the identity is a itself
-                m = a if a.cols == self.dim(s, t) else None
+                # x^(k - j) from the degree x^j reaches, after x^j
+                top = self.monomial_action(
+                    mono[:last] + (k - j,) + mono[last + 1:], s, t + j * dg)
+                m = top @ first if top is not None and top.cols == first.rows \
+                    else None
         if m is not None and not m.entries:
             m = None
         self._monomials[key] = m
@@ -473,12 +525,20 @@ def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
                            ring: GradedRing) -> SparseMatrix:
     """Multiplication by a homogeneous element on a realized complex, summed
     from X's memoised monomial actions; a monomial whose generator actions do
-    not compose, or land in the wrong dimension, is skipped."""
+    not compose, or land in the wrong dimension, is skipped.  A one-term
+    element is its monomial's action, scaled, with no sum."""
     fld = ring.field
+    cols = X.dim(s, t)
     if not p:
-        return SparseMatrix._trusted(fld, 0, X.dim(s, t), {})
-    dp = ring.poly_degree(p)
-    out = SparseMatrix._trusted(fld, X.dim(s, t + dp), X.dim(s, t), {})
+        return SparseMatrix._trusted(fld, 0, cols, {})
+    if len(p) == 1:
+        (mono, c), = p.items()
+        rows = X.dim(s, t + ring.mono_degree(mono))
+        cur = X.monomial_action(mono, s, t)
+        if cur is not None and cur.rows == rows:
+            return cur.scale(c)
+        return SparseMatrix._trusted(fld, rows, cols, {})
+    out = SparseMatrix._trusted(fld, X.dim(s, t + ring.poly_degree(p)), cols, {})
     for mono, c in p.items():
         cur = X.monomial_action(mono, s, t)
         if cur is not None and cur.rows == out.rows:
@@ -549,29 +609,30 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
     for (s, t), parts in layout.items():
         tpos = positions.get((s - 1, t))
         if tpos is not None:
+            # source block (sigma, b) writes the blocks (sigma - 1, a), one
+            # per a, and its own (sigma, b): no entry is written twice, so
+            # each block is copied as it is
             ent: Dict[Tuple[int, int], int] = {}
             for sigma, b, off, d in parts:
                 gd = F.stages[sigma].gen_degrees[b]
                 # free-side differential
                 for a, q in free_diffs[sigma].get(b, ()):
-                    key = (sigma - 1, a)
-                    if key not in tpos:
+                    pos = tpos.get((sigma - 1, a))
+                    if pos is None:
                         continue
-                    toff, td = tpos[key]
+                    toff = pos[0]
                     act = complex_element_action(X, q, s - sigma, t - gd, ring)
-                    for (r, c), v in act.entries.items():
-                        k = (toff + r, off + c)
-                        ent[k] = (ent.get(k, 0) + v) % char
+                    ent.update({(toff + r, off + c): v
+                                for (r, c), v in act.entries.items()})
                 # inner differential with homological sign
-                key = (sigma, b)
                 dx = X.diffs.get((s - sigma, t - gd))
-                if dx is not None and key in tpos:
-                    toff, td = tpos[key]
-                    sgn = -1 if sigma % 2 else 1
-                    for (r, c), v in dx.entries.items():
-                        k = (toff + r, off + c)
-                        ent[k] = (ent.get(k, 0) + sgn * v) % char
-            ent = {k: v for k, v in ent.items() if v}
+                pos = tpos.get((sigma, b))
+                if dx is not None and pos is not None:
+                    toff = pos[0]
+                    if sigma % 2:
+                        dx = dx.scale(char - 1)
+                    ent.update({(toff + r, off + c): v
+                                for (r, c), v in dx.entries.items()})
             if ent:
                 diffs[(s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s - 1, t), 0), dims.get((s, t), 0), ent)
@@ -582,11 +643,12 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
             ent = {}
             for sigma, b, off, d in parts:
                 act = X.actions.get((g, s - sigma, t - F.stages[sigma].gen_degrees[b]))
-                if act is None or (sigma, b) not in tpos:
+                pos = tpos.get((sigma, b))
+                if act is None or pos is None:
                     continue
-                toff, td = tpos[(sigma, b)]
-                for (r, c), v in act.entries.items():
-                    ent[(toff + r, off + c)] = v
+                toff = pos[0]
+                ent.update({(toff + r, off + c): v
+                            for (r, c), v in act.entries.items()})
             if ent:
                 actions[(g, s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
@@ -601,7 +663,6 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
                     Ct: WindowedComplex, Lt) -> ComplexMap:
     """Realize a free-side chain map against a fixed second factor."""
     ring = Fsrc.ring
-    char = ring.characteristic
     positions = _positions(Lt)
     by_source = {sigma: _by_source(c) for sigma, c in comps.items()}
     out: Dict[BiDeg, SparseMatrix] = {}
@@ -609,19 +670,18 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
         tpos = positions.get((s, t))
         if tpos is None:
             continue
+        # source block (sigma, b) writes the blocks (sigma, a), one per a
         ent: Dict[Tuple[int, int], int] = {}
         for sigma, b, off, d in parts:
             gd = Fsrc.stage(sigma).gen_degrees[b]
             for a, q in by_source.get(sigma, {}).get(b, ()):
-                key = (sigma, a)
-                if key not in tpos:
+                pos = tpos.get((sigma, a))
+                if pos is None:
                     continue
-                toff, td = tpos[key]
+                toff = pos[0]
                 act = complex_element_action(X, q, s - sigma, t - gd, ring)
-                for (r, c), v in act.entries.items():
-                    k = (toff + r, off + c)
-                    ent[k] = (ent.get(k, 0) + v) % char
-        ent = {k: v for k, v in ent.items() if v}
+                ent.update({(toff + r, off + c): v
+                            for (r, c), v in act.entries.items()})
         if ent:
             out[(s, t)] = SparseMatrix._trusted(ring.field, Ct.dim(s, t),
                                                 Cs.dim(s, t), ent)

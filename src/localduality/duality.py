@@ -12,7 +12,8 @@ from .graded import (GradedModule, GradedRing, HomIdeal, Window,
 from .complexes import (WindowedComplex, complex_element_action, homology,
                         induced_on_homology, module_slice)
 from .torsion import FunctorResult, gamma, koszul_free, telescope_invert
-from .cohom import (CohomologyTable, generic_ext_ranks, local_cohomology)
+from .cohom import (CohomologyTable, cohomology_table, generic_ext_ranks,
+                    local_cohomology)
 
 
 # injective models -----------------------------------------------------------
@@ -168,6 +169,10 @@ class GorensteinCertificate:
     shift: Optional[int] = None
     witness: Dict[str, object] = field(default_factory=dict)
     failure: Dict[str, object] = field(default_factory=dict)
+    # (ring, window, H^*_m(R) table) the certificate read, so that
+    # oracle_agreement on R builds no second tower; in no report
+    h_m: Optional[Tuple[GradedRing, Window, CohomologyTable]] = field(
+        default=None, repr=False, compare=False)
 
 
 def _socle_comparison(g: FunctorResult, i: int, b: int, w: Window,
@@ -203,20 +208,22 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
     mx = maximal_ideal(ring)
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
     g = gamma(Rmod, mx, w)
-    lc_entries = {(-s, t): v for (s, t), v in g.homotopy.items()}
-    lc_flags = {(-s, t) for (s, t) in g.flags}
-    stray = {k: v for k, v in lc_entries.items()
-             if k[0] != n and k not in lc_flags}
+    lc = cohomology_table(g, mx)
+
+    def certificate(verdict, shift=None, **kw) -> GorensteinCertificate:
+        return GorensteinCertificate(ring.name, verdict, n, shift,
+                                     h_m=(ring, w, lc), **kw)
+
+    stray = {k: v for k, v in lc.entries.items()
+             if k[0] != n and k not in lc.flags}
     if stray:
-        return GorensteinCertificate(ring.name, False, n, None,
-                                     failure={"nonvanishing": stray})
-    hn = {t: v for (i, t), v in lc_entries.items() if i == n}
-    hn_flagged = {t for (i, t) in lc_flags if i == n}
+        return certificate(False, failure={"nonvanishing": stray})
+    hn = {t: v for (i, t), v in lc.entries.items() if i == n}
+    hn_flagged = {t for (i, t) in lc.flags if i == n}
     if all(t in hn_flagged for t in hn):
-        return GorensteinCertificate(
-            ring.name, None, n, None,
-            failure={"reason": "no unflagged H^n in the window; "
-                               "widen the window", "h_n": hn})
+        return certificate(
+            None, failure={"reason": "no unflagged H^n in the window; "
+                                     "widen the window", "h_n": hn})
     im = injective_hull(mx, w)
     span = w.span
 
@@ -236,31 +243,26 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
     candidates = [nu for nu in range(-2 * span, 2 * span + 1)
                   if offset_matches(nu)]
     if not candidates:
-        return GorensteinCertificate(
-            ring.name, False, n, None,
-            failure={"h_n": hn, "i_m": dict(im.hilbert or {}),
-                     "reason": "no offset aligns the socle"})
+        return certificate(
+            False, failure={"h_n": hn, "i_m": dict(im.hilbert or {}),
+                            "reason": "no offset aligns the socle"})
     if len(candidates) > 1:
-        return GorensteinCertificate(
-            ring.name, None, n, None,
-            failure={"reason": "ambiguous offset; widen the window",
-                     "candidates": candidates})
+        return certificate(
+            None, failure={"reason": "ambiguous offset; widen the window",
+                           "candidates": candidates})
     nu = candidates[0]
     iso, cw = _socle_comparison(g, n, nu + n, w)
     if iso is None:
-        return GorensteinCertificate(
-            ring.name, None, n, None,
-            failure={"reason": "socle outside the comparison window; "
-                               "widen the window", "offset": nu})
+        return certificate(
+            None, failure={"reason": "socle outside the comparison window; "
+                                     "widen the window", "offset": nu})
     if not iso:
-        return GorensteinCertificate(
-            ring.name, False, n, None,
-            failure={"reason": "Hilbert functions align but no intertwiner",
-                     "offset": nu})
-    return GorensteinCertificate(
-        ring.name, True, n, nu,
-        witness={"h_n": hn, "i_m": dict(im.hilbert or {}),
-                 "comparison_window": cw})
+        return certificate(
+            False, failure={"reason": "Hilbert functions align but no "
+                                      "intertwiner", "offset": nu})
+    return certificate(
+        True, nu, witness={"h_n": hn, "i_m": dict(im.hilbert or {}),
+                           "comparison_window": cw})
 
 
 def _require_certified(cert: GorensteinCertificate, refusal: str) -> None:

@@ -747,6 +747,9 @@ class GradedModule:
         self.relations = rel_rows
         self.row_degrees = row_degrees      # the degree of each relation row
         self._deg_cache: Dict[int, Tuple[List[Tuple[int, Mono]], SparseMatrix, List[int]]] = {}
+        # the projection of each realized degree grouped by column, read by
+        # element_action
+        self._proj_cols: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
         # the top-down walk of _realize: degrees _walked and above are
         # realized, and the last _zero_run of them are zero
         self._lowest = min((d for _, d in self.generators), default=0)
@@ -910,21 +913,36 @@ class GradedModule:
         basis, _, free_cols = self._realize(t)
         tgt_basis, tproj, _ = self._realize(t2)
         tpos = {bm: i for i, bm in enumerate(tgt_basis)}
-        proj_cols: Dict[int, List[Tuple[int, int]]] = {}
-        for (r, c), v in tproj.entries.items():
-            proj_cols.setdefault(c, []).append((r, v))
+        proj_cols = self._projection_columns(t2) if self.relations else None
         ent = {}
         for j, c in enumerate(free_cols):
             i, m = basis[c]
             col: Dict[int, int] = {}
-            for mm, cc in ring.times_monomial(m, p).items():
-                for r, v in proj_cols.get(tpos.get((i, mm)), ()):
-                    col[r] = col.get(r, 0) + cc * v
+            if proj_cols is None:
+                # over a free module the projection is the identity
+                for mm, cc in ring.times_monomial(m, p).items():
+                    r = tpos.get((i, mm))
+                    if r is not None:
+                        col[r] = col.get(r, 0) + cc
+            else:
+                for mm, cc in ring.times_monomial(m, p).items():
+                    for r, v in proj_cols.get(tpos.get((i, mm)), ()):
+                        col[r] = col.get(r, 0) + cc * v
             for r in sorted(col):
                 v = col[r] % ring.characteristic
                 if v:
                     ent[(r, j)] = v
         return SparseMatrix._trusted(ring.field, tproj.rows, len(free_cols), ent)
+
+    def _projection_columns(self, t: int) -> Dict[int, List[Tuple[int, int]]]:
+        """The projection P of degree t as {free column: [(row, value)]},
+        grouped once per degree."""
+        cols = self._proj_cols.get(t)
+        if cols is None:
+            cols = self._proj_cols[t] = {}
+            for (r, c), v in self._realize(t)[1].entries.items():
+                cols.setdefault(c, []).append((r, v))
+        return cols
 
     def generator_action(self, gi: int, t: int) -> SparseMatrix:
         return self.element_action(self.ring.gen_poly(gi), t)

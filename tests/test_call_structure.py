@@ -7,6 +7,8 @@ derived in one place.  `torsion.adjunction_check` reads its left side off the
 completion tower and builds no tensor product of its own.  Resolutions take
 no window: `graded.minimal_free_resolution` alone walks the degrees, down
 to the floors of its Schreyer frames, so no caller pads a floor of its own.
+One check runs a session instead: `oracle-check` on a ring builds Gamma_m of
+the ring once, for the certificate, and compares with the table it read.
 """
 
 import ast
@@ -88,3 +90,36 @@ def test_resolutions_take_no_window():
                 # the module and the length, nothing that could be a window
                 assert len(node.args) == 2 and not node.keywords, \
                     f"{path.name}:{node.lineno}"
+
+
+ORACLE_ON_THE_RING = """\
+[ring P]
+char = 2
+generators = x:-1, y:-1
+
+[run]
+oracle-check P
+"""
+
+
+def test_oracle_check_on_the_ring_builds_one_torsion_tower(monkeypatch):
+    # the certificate's H^*_m(P) table is the tower side of the comparison
+    import importlib
+    import localduality.torsion as torsion
+    from localduality.cli import parse, run
+    from localduality.graded import Window
+    calls = []
+    orig = torsion.gamma
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+
+    for path in PACKAGE.glob("*.py"):
+        mod = importlib.import_module(f"localduality.{path.stem}")
+        if getattr(mod, "gamma", None) is orig:
+            monkeypatch.setattr(mod, "gamma", counted)
+    spec, _ = parse(ORACLE_ON_THE_RING)
+    report, code = run(spec, default_window=Window(-4, 4))
+    assert code == 0 and report["results"][0]["verdict"] is True
+    assert len(calls) == 1
