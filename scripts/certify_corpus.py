@@ -30,15 +30,16 @@ def main() -> int:
         report, code = run(spec, seed=args.seed, default_window=w)
         dt = time.perf_counter() - t0
         res = report["results"][0] if report["results"] else {}
-        rows.append((entry.name,
-                     "yes" if res.get("verdict") else "no",
+        verdict = {True: "yes", False: "no", None: "undetermined"}[
+            res["verdict"]] if res else "diagnostic"
+        rows.append((entry.name, verdict,
                      res.get("krull_dim", ""),
                      res.get("shift", ""),
                      f"{dt:.2f}s"))
 
-    print(f"{'ring':<16}{'gorenstein':<12}{'dim':<6}{'shift':<8}{'time':<8}")
+    print(f"{'ring':<16}{'gorenstein':<14}{'dim':<6}{'shift':<8}{'time':<8}")
     for name, v, n, nu, dt in rows:
-        print(f"{name:<16}{v:<12}{str(n):<6}{str(nu):<8}{dt:<8}")
+        print(f"{name:<16}{v:<14}{str(n):<6}{str(nu):<8}{dt:<8}")
     return 0
 
 

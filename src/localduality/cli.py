@@ -335,16 +335,16 @@ class Environment:
 # report helpers --------------------------------------------------------------
 
 
-def _table_rows(table: Dict[Tuple[int, int], int], flags=(),
-                flag: str = "stable") -> List[Dict[str, object]]:
+def _table_rows(table: Dict[Tuple[int, int], int],
+                flags=()) -> List[Dict[str, object]]:
     rows = []
     flagged = set(flags)
     for (s, t) in sorted(set(table) | flagged):
         v = table.get((s, t))
         rows.append({"i": -s, "t": t,
                      "dim": v if (s, t) not in flagged else None,
-                     "flag": flag if (s, t) not in flagged else "unstable"})
-    return [r for r in rows if r["dim"] or r["flag"] != flag]
+                     "flag": "stable" if (s, t) not in flagged else "unstable"})
+    return [r for r in rows if r["dim"] or r["flag"] != "stable"]
 
 
 def _dim_rows(dims: Dict[int, int]) -> List[Dict[str, object]]:
@@ -373,25 +373,29 @@ class Runner:
         self.s_max = s_max
 
     def window(self, args: List[str], *names: str) -> Tuple[List[str], Window]:
-        """Check that the positional arguments `names` are present, then
-        consume a trailing window argument (name or LO:HI) if present."""
+        """Check that the positional arguments `names` are present, the last
+        any number of times if it ends in "...", and consume a trailing
+        window argument (a [window] name or LO:HI); refuse any other word."""
         want = len(names)
+        usage = " ".join(f"<{n}>" for n in names) + " [window]"
         if len(args) < want:
-            raise CommandError("missing argument: expected "
-                               + " ".join(f"<{n}>" for n in names)
-                               + " [window]")
+            raise CommandError("missing argument: expected " + usage)
+        w = self.default_window
         if len(args) > want:
             tail = args[-1]
             if tail in self.env.spec.windows:
-                lo, hi = self.env.spec.windows[tail]
-                return args[:-1], Window(lo, hi)
-            if ":" in tail:
+                args, w = args[:-1], Window(*self.env.spec.windows[tail])
+            else:
                 try:
                     lo, hi = [int(x) for x in tail.split(":")]
+                    args, w = args[:-1], Window(min(lo, hi), max(lo, hi))
                 except ValueError:
-                    return args, self.default_window
-                return args[:-1], Window(min(lo, hi), max(lo, hi))
-        return args, self.default_window
+                    pass
+        if len(args) > want and not names[-1].endswith("..."):
+            raise CommandError(f"unexpected argument {args[want]!r}: expected "
+                               f"{usage}, a window being a [window] name or "
+                               "LO:HI")
+        return args, w
 
     def run_command(self, words: List[str]) -> Dict[str, object]:
         cmd, *rest = words
@@ -505,7 +509,7 @@ class Runner:
         pos, w = self.window(pos, "module", "ideal")
         m = self.env.module_or_ring(pos[0])
         p = self.env.ideal(pos[1])
-        rep = collapse_check(m, p, w)
+        rep = collapse_check(m, p, w, self.s_max)
         return {"kind": "collapse-check", "verdict": bool(rep["verdict"]),
                 "detail": {k: v for k, v in rep.items()
                            if isinstance(v, (bool, int, str))}}
@@ -528,7 +532,7 @@ class Runner:
                 "verdict": all(verdicts.values())}
 
     def cmd_l2g_check(self, pos, kv):
-        pos, w = self.window(pos, "module", "prime")
+        pos, w = self.window(pos, "module", "prime...")
         m = self.env.module_or_ring(pos[0])
         primes = []
         for a in pos[1:]:
@@ -638,7 +642,7 @@ class Runner:
         pos, w = self.window(pos, "map", "ideal")
         f = self.env.ring_map(pos[0])
         p = self.env.ideal(pos[1])
-        rep = theorem_bc_check(f, p, w)
+        rep = theorem_bc_check(f, p, w, self.env.certificate(f.source, w))
         return {"kind": "bc-check", "verdict": bool(rep["verdict"]),
                 "mode": rep["mode"], "nu": rep["nu"],
                 "gen_degree": rep["gen_degree"], "dimension": rep["dimension"]}

@@ -215,7 +215,7 @@ def torsionness_check(mod: GradedModule, p: HomIdeal, w: Window,
             while tt + dq >= w.t_lo:
                 step = induced_on_homology(
                     model, model, s, tt, tt + dq,
-                    lambda: complex_element_action(model, q, s, tt, ring))
+                    lambda: complex_element_action(model, q, s, tt))
                 comp = step if comp is None else step @ comp
                 tt += dq
                 if not comp.entries:

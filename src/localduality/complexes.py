@@ -68,8 +68,7 @@ class WindowedComplex:
     def __init__(self, ring: GradedRing, dims: Dict[BiDeg, int],
                  diffs: Dict[BiDeg, SparseMatrix],
                  actions: Dict[Tuple[int, int, int], SparseMatrix],
-                 s_min: int, s_max: int, t_top: int, window: Window,
-                 flags: Optional[Dict] = None, validate: bool = False):
+                 s_min: int, s_max: int, t_top: int, window: Window):
         self.ring = ring
         self.dims = {k: v for k, v in dims.items() if v}
         self.diffs = {k: m for k, m in diffs.items() if m.entries}
@@ -78,13 +77,10 @@ class WindowedComplex:
         self.s_max = s_max
         self.t_top = t_top
         self.window = window
-        self.flags = dict(flags or {})
         self._hspaces: Dict[BiDeg, Tuple] = {}
         # monomial actions of the current and of the previous age
         self._monomials: Dict[Tuple[Mono, int, int], Optional[SparseMatrix]] = {}
         self._monomials_old: Dict[Tuple[Mono, int, int], Optional[SparseMatrix]] = {}
-        if validate:
-            self.validate()
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
@@ -204,12 +200,10 @@ class ComplexMap:
     """Degree (0, 0) chain map between windowed complexes."""
 
     def __init__(self, source: WindowedComplex, target: WindowedComplex,
-                 comps: Dict[BiDeg, SparseMatrix], validate: bool = False):
+                 comps: Dict[BiDeg, SparseMatrix]):
         self.source = source
         self.target = target
         self.comps = {k: m for k, m in comps.items() if m.entries}
-        if validate:
-            self.validate()
 
     def comp(self, s: int, t: int) -> SparseMatrix:
         m = self.comps.get((s, t))
@@ -231,9 +225,9 @@ class ComplexMap:
 
 def module_slice(ring: GradedRing, dims: Dict[int, int],
                  action: Callable[[int, int], SparseMatrix], w: Window,
-                 t_top: int, s: int = 0) -> WindowedComplex:
+                 t_top: int) -> WindowedComplex:
     """A module known degreewise on w as a complex concentrated in
-    homological degree s.
+    homological degree 0.
 
     dims[t] is the dimension in degree t, for t in w; action(g, t) is the
     matrix of generator g from degree t, asked only where both degrees are
@@ -245,17 +239,16 @@ def module_slice(ring: GradedRing, dims: Dict[int, int],
     for g, gen in enumerate(ring.generators):
         for t in dims:
             if t + gen.degree in dims:
-                actions[(g, s, t)] = action(g, t)
-    return WindowedComplex(ring, {(s, t): d for t, d in dims.items()}, {},
-                           actions, s, s, t_top, w)
+                actions[(g, 0, t)] = action(g, t)
+    return WindowedComplex(ring, {(0, t): d for t, d in dims.items()}, {},
+                           actions, 0, 0, t_top, w)
 
 
-def module_complex(mod: GradedModule, w: Window, t_top: Optional[int] = None,
-                   s: int = 0) -> WindowedComplex:
-    """A module viewed as a complex concentrated in homological degree s."""
+def module_complex(mod: GradedModule, w: Window) -> WindowedComplex:
+    """A module viewed as a complex concentrated in homological degree 0."""
     dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
-    top = t_top if t_top is not None else mod.top_degree
-    return module_slice(mod.ring, dims, mod.generator_action, w, top, s)
+    return module_slice(mod.ring, dims, mod.generator_action, w,
+                        mod.top_degree)
 
 
 def shift(c: WindowedComplex, s_shift: int, t_shift: int = 0) -> WindowedComplex:
@@ -270,7 +263,7 @@ def shift(c: WindowedComplex, s_shift: int, t_shift: int = 0) -> WindowedComplex
                c.window.s_lo, c.window.s_hi)
     return WindowedComplex(c.ring, dims, diffs, actions,
                            c.s_min + s_shift, c.s_max + s_shift,
-                           c.t_top + t_shift, w, flags=c.flags)
+                           c.t_top + t_shift, w)
 
 
 def _known_hi(c: WindowedComplex) -> int:
@@ -401,13 +394,12 @@ def homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[BiDeg, int]
     return out
 
 
-def total_homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[int, int]:
+def total_homology(c: WindowedComplex, w: Window) -> Dict[int, int]:
     """dim of homotopy in each total degree n = s + t, restricted to safe n.
 
     n is safe when every homological stage contributes a known internal
     degree: n - s >= t_lo for all s in support, or n - s > t_top.
     """
-    w = w or c.window
     bidg = homology(c, w)
     out: Dict[int, int] = {}
     lo_safe = w.t_lo + c.s_max
@@ -521,12 +513,13 @@ class FreeComplex:
 # free (x) windowed realization ----------------------------------------------
 
 
-def complex_element_action(X: WindowedComplex, p: Poly, s: int, t: int,
-                           ring: GradedRing) -> SparseMatrix:
+def complex_element_action(X: WindowedComplex, p: Poly, s: int,
+                           t: int) -> SparseMatrix:
     """Multiplication by a homogeneous element on a realized complex, summed
     from X's memoised monomial actions; a monomial whose generator actions do
     not compose, or land in the wrong dimension, is skipped.  A one-term
     element is its monomial's action, scaled, with no sum."""
+    ring = X.ring
     fld = ring.field
     cols = X.dim(s, t)
     if not p:
@@ -561,20 +554,19 @@ def _positions(layout) -> Dict[BiDeg, Dict[Tuple[int, int], Tuple[int, int]]]:
             for key, parts in layout.items()}
 
 
-def free_tensor(F: FreeComplex, X: WindowedComplex,
-                t_floor: Optional[int] = None):
-    """F tensor X for F free; returns (complex, layout).
+def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
+    """F tensor X for F free, realized from t_floor up; returns (complex,
+    layout).
 
     layout[(s, t)] is a list of (stage sigma, gen index b, offset, block dim)
     for each nonzero bidegree.  The valid floor is X's floor plus the largest
-    free generator degree.
+    free generator degree, raised to t_floor.
     """
     ring = F.ring
     fld = ring.field
     max_gd = max((max(f.gen_degrees, default=0) for f in F.stages.values()),
                  default=0)
-    lo = max(t_floor if t_floor is not None else -10 ** 9,
-             X.window.t_lo + max(0, max_gd))
+    lo = max(t_floor, X.window.t_lo + max(0, max_gd))
     t_top = X.t_top + F.top_internal()
     if lo > t_top:
         lo = t_top
@@ -621,7 +613,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
                     if pos is None:
                         continue
                     toff = pos[0]
-                    act = complex_element_action(X, q, s - sigma, t - gd, ring)
+                    act = complex_element_action(X, q, s - sigma, t - gd)
                     ent.update({(toff + r, off + c): v
                                 for (r, c), v in act.entries.items()})
                 # inner differential with homological sign
@@ -653,11 +645,11 @@ def free_tensor(F: FreeComplex, X: WindowedComplex,
                 actions[(g, s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
     C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
-                        Window(lo, max(lo, t_top)), flags=dict(X.flags))
+                        Window(lo, max(lo, t_top)))
     return C, layout
 
 
-def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
+def free_tensor_map(Fsrc: FreeComplex,
                     comps: Dict[int, Dict[Tuple[int, int], Poly]],
                     X: WindowedComplex, Cs: WindowedComplex, Ls,
                     Ct: WindowedComplex, Lt) -> ComplexMap:
@@ -679,7 +671,7 @@ def free_tensor_map(Fsrc: FreeComplex, Ftgt: FreeComplex,
                 if pos is None:
                     continue
                 toff = pos[0]
-                act = complex_element_action(X, q, s - sigma, t - gd, ring)
+                act = complex_element_action(X, q, s - sigma, t - gd)
                 ent.update({(toff + r, off + c): v
                             for (r, c), v in act.entries.items()})
         if ent:

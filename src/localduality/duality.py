@@ -3,6 +3,7 @@ localization, and Gorenstein certification."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
@@ -84,7 +85,7 @@ def homology_model(model: WindowedComplex, s: int, w: Window) -> WindowedComplex
         q = ring.gen_poly(gi)
         return induced_on_homology(
             model, model, s, t, t + ring.generators[gi].degree,
-            lambda: complex_element_action(model, q, s, t, ring))
+            lambda: complex_element_action(model, q, s, t))
 
     dims = {t: model.hspace(s, t)[1].rows for t in w.t_range()}
     return module_slice(ring, dims, act, w, model.t_top)
@@ -198,12 +199,50 @@ def _socle_comparison(g: FunctorResult, i: int, b: int, w: Window,
                            Window(*cw)), cw
 
 
+def _below_floor_possible(ring: GradedRing, hn: Dict[int, int], seen,
+                          lowest: int, lo: int, aligns) -> bool:
+    """Whether a hull with its socle b < lo, dim R_{b - t} at t, could give
+    H^n_m(R) the values hn at the unflagged degrees seen (lowest nonzero at
+    lowest).  An even generator is free when no leading monomial of R's
+    complete Groebner basis is a power of it.  For free xs of one weight e,
+    L(u) counts the standard mu of weight u that some x in xs keeps
+    standard times every x^k (no leading monomial's part off x divides mu's
+    part off x): L(u) <= dim R_{-u}, and mu -> mu * x for the first such x
+    maps into L(u + e) injectively, so hn[t] < L(t - b) rules out b and
+    every b - k*e.  Without free generators R ends at a weight top."""
+    ring.complete(math.inf)
+    leads = ring._leads
+    free = [i for i in range(ring.n) if not ring.parity[i] and
+            not any(lm[i] and sum(lm) == lm[i] for lm in leads)]
+    if not free:
+        # a standard monomial has each even exponent below that generator's
+        # power among the leading monomials, and each odd one at most 1
+        top = sum(wt if ring.parity[i] else wt * (min(
+            lm[i] for lm in leads if sum(lm) == lm[i] > 0) - 1)
+            for i, wt in enumerate(ring.weights))
+        return any(aligns(b) for b in range(lowest - top, lo))
+
+    def stable(u: int, xs) -> int:
+        return sum(any(not any(all(lm[j] <= mu[j] for j in range(ring.n)
+                                   if j != x) for lm in leads) for x in xs)
+                   for mu in ring.basis_in_degree(-u))
+
+    for e in sorted({ring.weights[i] for i in free}):
+        xs = [i for i in free if ring.weights[i] == e]
+        # b runs over the highest socle below lo in each residue class mod e
+        if all(any(hn.get(t, 0) < stable(t - b, xs) for t in seen)
+               for b in range(lo - e, lo)):
+            return False
+    return True
+
+
 def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate:
     """Algebraic Gorenstein test: H^*_m(R) concentrated in the Krull
-    dimension n with H^n_m(R)_t matching (I_m)_{t - nu - n} for a unique
-    offset nu, confirmed as a module by the exact shifted-hull test;
-    undetermined when no unflagged H^n_m(R) lies in the window or the socle
-    degree nu + n leaves the comparison window."""
+    dimension n with H^n_m(R)_t = dim R_{nu + n - t} at every unflagged t in
+    the window for a unique offset nu, confirmed as a module by the exact
+    shifted-hull test; undetermined when no unflagged H^n_m(R) lies in the
+    window, the offset is ambiguous or the socle leaves the comparison
+    window."""
     n = ring.krull_dim()
     mx = maximal_ideal(ring)
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
@@ -224,29 +263,19 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
         return certificate(
             None, failure={"reason": "no unflagged H^n in the window; "
                                      "widen the window", "h_n": hn})
-    im = injective_hull(mx, w)
-    span = w.span
+    seen = [t for t in w.t_range() if t not in hn_flagged]
 
-    def offset_matches(nu: int) -> bool:
-        overlap = 0
-        for t in w.t_range():
-            if t in hn_flagged:
-                continue
-            src = t - nu - n
-            if not (w.t_lo <= src <= w.t_hi):
-                continue
-            if hn.get(t, 0) != im.dim(src):
-                return False
-            overlap += hn.get(t, 0)
-        return overlap > 0
+    def aligns(b: int) -> bool:
+        return all(hn.get(t, 0) == ring.dim_in_degree(b - t) for t in seen)
 
-    candidates = [nu for nu in range(-2 * span, 2 * span + 1)
-                  if offset_matches(nu)]
-    if not candidates:
+    # the socle, the hull's lowest degree, is at most H^n's lowest
+    lowest = min(t for t in seen if hn.get(t, 0))
+    candidates = [b - n for b in range(w.t_lo, lowest + 1) if aligns(b)]
+    below = _below_floor_possible(ring, hn, seen, lowest, w.t_lo, aligns)
+    if not candidates and not below:
         return certificate(
-            False, failure={"h_n": hn, "i_m": dict(im.hilbert or {}),
-                            "reason": "no offset aligns the socle"})
-    if len(candidates) > 1:
+            False, failure={"h_n": hn, "reason": "no offset aligns the socle"})
+    if below or len(candidates) > 1:
         return certificate(
             None, failure={"reason": "ambiguous offset; widen the window",
                            "candidates": candidates})
@@ -261,8 +290,7 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
             False, failure={"reason": "Hilbert functions align but no "
                                       "intertwiner", "offset": nu})
     return certificate(
-        True, nu, witness={"h_n": hn, "i_m": dict(im.hilbert or {}),
-                           "comparison_window": cw})
+        True, nu, witness={"h_n": hn, "comparison_window": cw})
 
 
 def _require_certified(cert: GorensteinCertificate, refusal: str) -> None:
@@ -404,7 +432,7 @@ def orthogonality_check(p: HomIdeal, q: HomIdeal, u,
     span_room = sum(-ring.poly_degree(g) for g in gens)
     # realized through R's top degree 0, also when the window ends below it
     C = F.realize(Rmod, Window(w.t_lo - span_room - 1, w.t_hi), validate=False)
-    inv = telescope_invert(C, u, w, ring=ring)
+    inv = telescope_invert(C, u, w)
     acyclic = not inv.homotopy and not inv.flags
     return {"verdict": acyclic, "flags": sorted(inv.flags),
             "residual": dict(inv.homotopy)}

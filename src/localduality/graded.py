@@ -340,7 +340,7 @@ class GradedRing:
         self._gb_bound = weight_bound
         return basis
 
-    def normal_form(self, p, weight_bound: Optional[int] = None) -> Poly:
+    def normal_form(self, p) -> Poly:
         """Canonical representative of a homogeneous element modulo relations.
 
         Reduces p itself and stores nothing; the products of a monomial and a
@@ -353,7 +353,7 @@ class GradedRing:
             return {}
         self._check_homogeneous(p)
         w = self.mono_weight(next(iter(p)))
-        self.complete(max(w, weight_bound or 0))
+        self.complete(w)
         return self._reduce(p)
 
     def times_monomial(self, mu: Mono, p: Poly) -> Poly:
@@ -478,16 +478,15 @@ class GradedRing:
                 rels.append(proj)
         return GradedRing(self.characteristic, gens, rels, name=self.name + "_even")
 
-    def krull_dim(self, completion_weight: Optional[int] = None) -> int:
+    def krull_dim(self) -> int:
         if self._krull is not None:
             return self._krull
         ring = self.even_projection_ring()
         if ring is not self:
-            self._krull = ring.krull_dim(completion_weight)
+            self._krull = ring.krull_dim()
             return self._krull
-        bound = completion_weight or max(
-            12, 2 * max([self.mono_weight(self.leading(r)[0]) for r in self.relations] or [1]))
-        self.complete(bound)
+        # a basis truncated at a weight can miss a leading monomial
+        self.complete(math.inf)
         best = 0
         for r in range(self.n, -1, -1):
             found = False
@@ -791,10 +790,10 @@ class GradedModule:
         return cls(ring, [(f"e{i}", d) for i, d in enumerate(degrees)], [], name)
 
     @classmethod
-    def residue_field(cls, ring: GradedRing, name: str = "k"):
+    def residue_field(cls, ring: GradedRing):
         gens = [("u", 0)]
         rels = [[ring.gen_poly(i)] for i in range(ring.n)]
-        return cls(ring, gens, rels, name)
+        return cls(ring, gens, rels, "k")
 
     @property
     def top_degree(self) -> int:

@@ -31,8 +31,7 @@ class RingMap:
     """
 
     def __init__(self, source: GradedRing, target: GradedRing,
-                 images: Sequence, name: str = "f",
-                 fibers: Optional[Dict[str, List[HomIdeal]]] = None):
+                 images: Sequence, name: str = "f"):
         if source.characteristic != target.characteristic:
             raise ContractViolation("ring map must preserve the ground field")
         if len(images) != source.n:
@@ -41,7 +40,6 @@ class RingMap:
         self.source = source
         self.target = target
         self.name = name
-        self.fibers = fibers or {}
         imgs: List[Poly] = []
         for i, im in enumerate(images):
             p = target.parse(im) if isinstance(im, str) else dict(im)
@@ -136,8 +134,7 @@ class Presented:
         return self.module.free.element_from_coords(dict(enumerate(x)), t)
 
 
-def present_model(model: WindowedComplex, w: Window, name: str = "M",
-                  guard: Optional[int] = None) -> Presented:
+def present_model(model: WindowedComplex, w: Window, name: str) -> Presented:
     """Extract a finite presentation from a module on a window (an s = 0
     slice), top degree down.
 
@@ -147,12 +144,12 @@ def present_model(model: WindowedComplex, w: Window, name: str = "M",
     the evaluation map, modulo the relations already implied, gives new
     relations (exactla.extend_basis, which refuses implied relations that
     do not evaluate to zero).  `finite` certifies that no generator or
-    fresh relation appeared within `guard` degrees of the window floor, so
-    the presentation plausibly describes the module below the window too.
+    fresh relation appeared within `guard` (twice the largest generator
+    weight) degrees of the window floor, so the presentation plausibly
+    describes the module below the window too.
     """
     ring = model.ring
-    if guard is None:
-        guard = 2 * max((-g.degree for g in ring.generators), default=1)
+    guard = 2 * max((-g.degree for g in ring.generators), default=1)
     fld = ring.field
     gens: List[Tuple[str, int]] = []
     units: List[Tuple[int, int]] = []
@@ -215,29 +212,26 @@ def target_module(f: RingMap) -> GradedModule:
     return GradedModule.free_module(f.target, [0], name=f.target.name)
 
 
-def induce(f: RingMap, mod: GradedModule,
-           name: Optional[str] = None) -> GradedModule:
+def induce(f: RingMap, mod: GradedModule) -> GradedModule:
     """Extension of scalars: same presentation with coefficients pushed."""
     if mod.ring is not f.source and mod.ring.name != f.source.name:
         raise ContractViolation("module is not over the source ring")
     rels = [[f.push(p) for p in row] for row in mod.relations]
     return GradedModule(f.target, mod.generators, rels,
-                        name=name or f"ind_{mod.name}")
+                        name=f"ind_{mod.name}")
 
 
 # compactness -----------------------------------------------------------------
 
 
-def compactness_certificate(f: RingMap, w: Window,
-                            cap: Optional[int] = None) -> Dict[str, object]:
+def compactness_certificate(f: RingMap, w: Window) -> Dict[str, object]:
     """Attempt a finite free source-resolution of the restricted target."""
     rst = restrict(f, target_module(f), w, name=f"{f.target.name}|{f.source.name}")
     if not rst.finite:
         return {"certified": False, "restricted": rst,
                 "reason": "presentation does not stabilize above the "
                           "window floor", "ranks": None, "resolution": None}
-    if cap is None:
-        cap = max(4, w.span // 3)
+    cap = max(4, w.span // 3)
     res = minimal_free_resolution(rst.module, cap)
     ranks = [st.rank for st in res.stages]
     terminated = 0 in ranks
@@ -471,15 +465,11 @@ def coinduce_table(f: RingMap, x: GradedModule, w: Window,
     return dict(homology(Fc.hom_into(x, w), w))
 
 
-def grothendieck_neeman_check(f: RingMap, x: GradedModule, w: Window,
-                              omega: Optional[DualizingModule] = None,
-                              compactness: Optional[Dict[str, object]] = None
-                              ) -> Dict[str, object]:
+def grothendieck_neeman_check(f: RingMap, x: GradedModule,
+                              w: Window) -> Dict[str, object]:
     """Coinduction of x against extension of scalars twisted by omega_f."""
-    if compactness is None:
-        compactness = compactness_certificate(f, w)
-    if omega is None:
-        omega = dualizing_module(f, w, compactness=compactness)
+    compactness = compactness_certificate(f, w)
+    omega = dualizing_module(f, w, compactness=compactness)
     if not omega.invertible or omega.module is None:
         raise ContractViolation("omega_f is not certified invertible")
     guard = compactness["restricted"].guard

@@ -15,7 +15,7 @@ Uncertified bidegrees are flagged, never silently reported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exactla import ContractViolation, SparseMatrix, rank
@@ -30,23 +30,16 @@ from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
 
 @dataclass
 class Tower:
-    """The certified tail of a Koszul tower: realized stages joined by chain
-    maps.
-
-    stages[i] is stage first + i (the power of the Koszul object) and
-    maps[i] joins stages[i] and stages[i + 1]; the stages below first are
-    never built.  direction "colim" means maps go stage s -> s+1; "lim"
-    means s+1 -> s.  stabilization maps each bidegree to the position in the
-    whole tower 1 .. s_max (stage number minus one) of the stage from which
-    three consecutive maps are homology isomorphisms, or None when
-    undetected.
-    """
+    """The certified tail of a Koszul tower: stages[i] is stage first + i
+    (the power of the Koszul object), maps[i] joins stages[i] and
+    stages[i + 1], and unit joins the last stage and the input.  direction
+    "colim": maps go stage s -> s+1 and unit to the input; "lim": reversed."""
 
     stages: List[WindowedComplex]
     maps: List[ComplexMap]
     direction: str
     first: int
-    stabilization: Dict[BiDeg, Optional[int]] = dc_field(default_factory=dict)
+    unit: ComplexMap
 
 
 @dataclass
@@ -141,13 +134,12 @@ def _subset_chain_map(ring: GradedRing, elems: Sequence[Poly], dual: bool
     return comps
 
 
-def koszul_object(m, elems: Sequence, w: Window,
-                  ring: Optional[GradedRing] = None) -> WindowedComplex:
+def koszul_object(m, elems: Sequence, w: Window) -> WindowedComplex:
     """M // (a_1, ..., a_n): tensor of M with the Koszul free complex."""
-    ring = ring or m.ring
+    ring = m.ring
     polys = [ring.parse(a) if isinstance(a, str) else dict(a) for a in elems]
     F = koszul_free(ring, polys) if polys else FreeComplex.unit(ring)
-    C, _ = free_tensor(F, _materialize(ring, m, w, w.t_lo), t_floor=w.t_lo)
+    C, _ = free_tensor(F, _materialize(m, w, w.t_lo), t_floor=w.t_lo)
     return C
 
 
@@ -157,6 +149,9 @@ def koszul_object(m, elems: Sequence, w: Window,
 # consecutive isomorphisms that certify a bidegree, tower maps or steps of
 # telescope_invert; the tower builds only the stages these maps join
 CONSEC = 3
+
+# length of the resolution adjunction_check compares from degree 2 - it up
+ADJUNCTION_LENGTH = 5
 
 
 def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
@@ -244,7 +239,7 @@ def _ideal_data(p: HomIdeal):
     return p.gens, sum(-p.ring.poly_degree(g) for g in p.gens)
 
 
-def _materialize(ring: GradedRing, m, w: Window, floor: int) -> WindowedComplex:
+def _materialize(m, w: Window, floor: int) -> WindowedComplex:
     if isinstance(m, GradedModule):
         top = m.top_degree
         return module_complex(m, Window(min(floor, top), max(top, w.t_hi)))
@@ -255,33 +250,15 @@ def default_s_max(w: Window) -> int:
     return w.span + 4
 
 
-def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
-                   s_max: Optional[int], keep_tower: bool) -> FunctorResult:
-    """Gamma ("gamma") or Lambda ("completion") as a stabilized Koszul tower.
-
-    Gamma is the directed colimit of dual Kos(p^s) (x) m, whose generators
-    sit up to s * weight above m, so m is materialized that much deeper;
-    Lambda is the inverse limit of Kos(p^s) (x) m.  Consecutive stages are
-    joined by the (product-of-elements, identity) map of Koszul objects.
-    Stage s is Kos(p^s) (x) m on its own, so only the stages from
-    max(1, s_max - CONSEC) up, which certification reads, are built.
-    """
-    ring = p.ring
-    s_max = s_max or default_s_max(w)
-    elems, total_weight = _ideal_data(p)
-    if not elems:
-        # V(0) is the whole spectrum: both functors are the identity
-        X = _materialize(ring, m, w, w.t_lo)
-        ident = ComplexMap(X, X, {k: SparseMatrix.identity(ring.field, d)
-                                  for k, d in X.dims.items()})
-        return FunctorResult(X, homology(X, w), set(), {
-            "functor": functor, "ideal": p.name, "stage": 0},
-            to_input=ident, from_input=ident)
+def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
+                  s_max: int) -> Tower:
+    """The stages max(1, s_max - CONSEC) .. s_max of the Gamma ("gamma")
+    tower dual Kos(p^s) (x) X or the Lambda ("completion") tower
+    Kos(p^s) (x) X of the materialized input X, joined by the
+    (product-of-elements, identity) map of Koszul objects."""
     colim = functor == "gamma"
-    floor = w.t_lo - s_max * total_weight - 1 if colim else w.t_lo - 1
-    X = _materialize(ring, m, w, floor)
     koszul = dual_koszul_free if colim else koszul_free
-    comps = _subset_chain_map(ring, elems, dual=colim)
+    comps = _subset_chain_map(p.ring, p.gens, dual=colim)
     # maps[i] joins stages i and i+1, in the tower's direction
     src, tgt = (-2, -1) if colim else (-1, -2)
     stages: List[WindowedComplex] = []
@@ -291,13 +268,13 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
     first = max(1, s_max - CONSEC)
     try:
         for s in range(first, s_max + 1):
-            F = koszul(ring, elems, s)
+            F = koszul(p.ring, p.gens, s)
             C, L = free_tensor(F, X, t_floor=w.t_lo)
             frees.append(F)
             stages.append(C)
             layouts.append(L)
             if s > first:
-                maps.append(free_tensor_map(frees[src], frees[tgt], comps, X,
+                maps.append(free_tensor_map(frees[src], comps, X,
                                             stages[src], layouts[src],
                                             stages[tgt], layouts[tgt]))
             # stage s + 1 builds each a^(s+1) from stage s's a^s and reuses
@@ -305,31 +282,55 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
             X.age_monomial_actions()
     finally:
         X.clear_monomial_actions()
-    direction = "colim" if colim else "lim"
-    table, flags, stab = _homology_tower(stages, maps, direction, w, first)
-    model = stages[-1]
-    res = FunctorResult(model, table, flags,
-                        {"functor": functor, "ideal": p.name, "stage": s_max})
+    unit = projection_to_unit if colim else inclusion_of_unit
+    return Tower(stages, maps, "colim" if colim else "lim", first,
+                 unit(frees[-1], stages[-1], layouts[-1], X))
+
+
+def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
+                   s_max: Optional[int]) -> FunctorResult:
+    """Gamma ("gamma") or Lambda ("completion") as a stabilized Koszul tower.
+
+    Gamma is the directed colimit of dual Kos(p^s) (x) m, whose generators
+    sit up to s * weight above m, so m is materialized that much deeper;
+    Lambda is the inverse limit of Kos(p^s) (x) m.
+    """
+    s_max = s_max or default_s_max(w)
+    elems, total_weight = _ideal_data(p)
+    if not elems:
+        # V(0) is the whole spectrum: both functors are the identity
+        X = _materialize(m, w, w.t_lo)
+        ident = ComplexMap(X, X, {k: SparseMatrix.identity(p.ring.field, d)
+                                  for k, d in X.dims.items()})
+        return FunctorResult(X, homology(X, w), set(), {
+            "functor": functor, "ideal": p.name, "stage": 0},
+            to_input=ident, from_input=ident)
+    colim = functor == "gamma"
+    floor = w.t_lo - s_max * total_weight - 1 if colim else w.t_lo - 1
+    X = _materialize(m, w, floor)
+    tower = _koszul_tower(functor, X, p, w, s_max)
+    table, flags, _ = _homology_tower(tower.stages, tower.maps,
+                                      tower.direction, w, tower.first)
+    res = FunctorResult(tower.stages[-1], table, flags,
+                        {"functor": functor, "ideal": p.name, "stage": s_max,
+                         "input": X})
     if colim:
-        res.to_input = projection_to_unit(frees[-1], model, layouts[-1], X)
+        res.to_input = tower.unit
     else:
-        res.from_input = inclusion_of_unit(frees[-1], model, layouts[-1], X)
-    if keep_tower:
-        res.provenance["tower"] = Tower(stages, maps, direction, first, stab)
-    res.provenance["input"] = X
+        res.from_input = tower.unit
     return res
 
 
 def gamma(m, p: HomIdeal, w: Window,
-          s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
+          s_max: Optional[int] = None) -> FunctorResult:
     """Torsion functor: directed colimit of dual Koszul stages tensored in."""
-    return _tower_functor("gamma", m, p, w, s_max, keep_tower)
+    return _tower_functor("gamma", m, p, w, s_max)
 
 
 def completion(m, p: HomIdeal, w: Window,
-               s_max: Optional[int] = None, keep_tower: bool = False) -> FunctorResult:
+               s_max: Optional[int] = None) -> FunctorResult:
     """Completion functor: inverse limit of the Koszul tower."""
-    return _tower_functor("completion", m, p, w, s_max, keep_tower)
+    return _tower_functor("completion", m, p, w, s_max)
 
 
 def localize_away(m, p: HomIdeal, w: Window,
@@ -346,10 +347,9 @@ def localize_away(m, p: HomIdeal, w: Window,
 
 
 def delta(m, p: HomIdeal, w: Window,
-          s_max: Optional[int] = None,
-          completion_res: Optional[FunctorResult] = None) -> FunctorResult:
+          s_max: Optional[int] = None) -> FunctorResult:
     """Delta^V m = fiber(m -> Lambda^V m) = shift(cone, -1)."""
-    lam = completion_res or completion(m, p, w, s_max)
+    lam = completion(m, p, w, s_max)
     model = shift(cone(lam.from_input), -1)
     table = homology(model, w)
     return FunctorResult(model, table, set(lam.flags),
@@ -395,8 +395,7 @@ def _tate_model(g: FunctorResult, lam: FunctorResult) -> WindowedComplex:
     return cone(ComplexMap(g.model, lam.model, comps))
 
 
-def telescope_invert(m, u, w: Window,
-                     ring: Optional[GradedRing] = None) -> FunctorResult:
+def telescope_invert(m: WindowedComplex, u, w: Window) -> FunctorResult:
     """Invert a homogeneous element on windowed homology.
 
     Follows the multiplication-by-u chain on each homology bidegree down the
@@ -404,11 +403,7 @@ def telescope_invert(m, u, w: Window,
     isomorphisms before leaving the window, certified zero when the composite
     vanishes (nilpotence), flagged otherwise.
     """
-    if isinstance(m, GradedModule):
-        ring = m.ring
-        m = module_complex(m, w)
-    elif ring is None:
-        ring = m.ring
+    ring = m.ring
     if isinstance(u, str):
         u = ring.parse(u)
     du = ring.poly_degree(u)
@@ -429,7 +424,7 @@ def telescope_invert(m, u, w: Window,
             while tc + du >= w.t_lo:
                 step = induced_on_homology(
                     m, m, s, tc, tc + du,
-                    lambda: complex_element_action(m, u, s, tc, ring))
+                    lambda: complex_element_action(m, u, s, tc))
                 cur = step @ cur
                 if not cur.entries:
                     verdict = 0
@@ -464,9 +459,7 @@ def _tables_equal(a: Dict[BiDeg, int], b: Dict[BiDeg, int], w: Window,
 
 
 def check_recollement(m, p: HomIdeal, w: Window,
-                      s_max: Optional[int] = None,
-                      adjunction_module=None,
-                      resolution_length: int = 5) -> Dict[str, object]:
+                      s_max: Optional[int] = None) -> Dict[str, object]:
     """Property suite for the local duality quadruple.
 
     The composite identities are verified through their chain-realizable
@@ -475,9 +468,8 @@ def check_recollement(m, p: HomIdeal, w: Window,
     makes every completion-tower stage of Γm -> m a quasi-isomorphism)
     rather than by completing the torsion model directly.
 
-    m should be a GradedModule for the adjunction check (it is resolved to a
-    free complex); adjunction_module supplies the second argument m' and
-    defaults to m.
+    m should be a GradedModule for the adjunction check, which takes m for
+    both of its arguments (the first is resolved to a free complex).
     """
     ring = p.ring
     s_max = s_max or default_s_max(w)
@@ -526,12 +518,8 @@ def check_recollement(m, p: HomIdeal, w: Window,
         ttable, sdg_table, w, excluded | sdg_flags)
 
     # adjunction via free resolution
-    if isinstance(m, GradedModule):
-        m2 = adjunction_module if adjunction_module is not None else m
-        report["adjunction"] = adjunction_check(
-            m, m2, p, w, s_max, resolution_length)
-    else:
-        report["adjunction"] = None
+    report["adjunction"] = adjunction_check(m, m, p, w, s_max) \
+        if isinstance(m, GradedModule) else None
 
     report["fracture"] = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L)
     verdicts = [val for key, val in report.items()
@@ -543,8 +531,7 @@ def check_recollement(m, p: HomIdeal, w: Window,
 
 def adjunction_check(m: GradedModule, m2: GradedModule,
                      p: HomIdeal, w: Window,
-                     s_max: Optional[int] = None,
-                     length: int = 5) -> bool:
+                     s_max: Optional[int] = None) -> bool:
     """dim pi Hom(Gamma m, m') = dim pi Hom(m, Lambda m') bidegree-wise.
 
     The left side is the stabilized torsion stage of a free resolution F of
@@ -556,7 +543,7 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     """
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
-    res = minimal_free_resolution(m, length)
+    res = minimal_free_resolution(m, ADJUNCTION_LENGTH)
     F = resolution_complex(res)
 
     # the resolution's generator degrees bound how far the windows must
@@ -571,7 +558,7 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     lam = completion(m2, p, Window(w.t_lo - deepest - 1, w.t_hi), s_max)
     right = homology(F.hom_into(lam.model, w, validate=False), w)
 
-    safe_s_lo = -(length - 2)
+    safe_s_lo = -(ADJUNCTION_LENGTH - 2)
     keys = {k for k in set(left.homotopy) | set(right)
             if w.t_lo <= k[1] <= w.t_hi and safe_s_lo <= k[0] <= len(elems)
             and k not in left.flags}
@@ -697,8 +684,7 @@ def fracture_check(m, p: HomIdeal, w: Window,
 
 
 def local_to_global_acyclicity(m, primes: Sequence[Tuple[HomIdeal, object]],
-                               w: Window, ring: Optional[GradedRing] = None
-                               ) -> Dict[str, object]:
+                               w: Window) -> Dict[str, object]:
     """Detect windowed acyclicity through the supplied primes.
 
     primes: list of (prime ideal, inverting element or None).  For each, the
@@ -706,12 +692,10 @@ def local_to_global_acyclicity(m, primes: Sequence[Tuple[HomIdeal, object]],
     the element; m is declared locally acyclic iff all detectors pass, and
     the verdict is compared against direct windowed acyclicity of m.
     """
+    ring = m.ring
     if isinstance(m, GradedModule):
-        ring = m.ring
         m = module_complex(m, Window(w.t_lo - max(ring.weights) - 1,
                                      max(w.t_hi, m.top_degree)))
-    elif ring is None:
-        ring = m.ring
     direct = not any(homology(m, w).values())
     per_prime = []
     all_acyclic = True
@@ -723,7 +707,7 @@ def local_to_global_acyclicity(m, primes: Sequence[Tuple[HomIdeal, object]],
             detected = any(tab.values())
             flags: Set[BiDeg] = set()
         else:
-            inv = telescope_invert(C, u, w, ring=ring)
+            inv = telescope_invert(C, u, w)
             detected = any(inv.homotopy.values())
             flags = inv.flags
         per_prime.append({"prime": p.name, "nonacyclic": detected,

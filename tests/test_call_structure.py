@@ -7,8 +7,9 @@ derived in one place.  `torsion.adjunction_check` reads its left side off the
 completion tower and builds no tensor product of its own.  Resolutions take
 no window: `graded.minimal_free_resolution` alone walks the degrees, down
 to the floors of its Schreyer frames, so no caller pads a floor of its own.
-One check runs a session instead: `oracle-check` on a ring builds Gamma_m of
-the ring once, for the certificate, and compares with the table it read.
+Two checks run a session instead: `oracle-check` on a ring builds Gamma_m of
+the ring once, for the certificate, and compares with the table it read, and
+`bc-check` reads its source's certificate from the session.
 """
 
 import ast
@@ -102,24 +103,69 @@ oracle-check P
 """
 
 
-def test_oracle_check_on_the_ring_builds_one_torsion_tower(monkeypatch):
-    # the certificate's H^*_m(P) table is the tower side of the comparison
+def _record_calls(monkeypatch, module, name, key):
+    """Wrap module.name at every module of the package that binds it;
+    returns the list of key(args) of its calls."""
     import importlib
-    import localduality.torsion as torsion
-    from localduality.cli import parse, run
-    from localduality.graded import Window
     calls = []
-    orig = torsion.gamma
+    orig = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
+    def recording(*args, **kwargs):
+        calls.append(key(args))
         return orig(*args, **kwargs)
 
     for path in PACKAGE.glob("*.py"):
         mod = importlib.import_module(f"localduality.{path.stem}")
-        if getattr(mod, "gamma", None) is orig:
-            monkeypatch.setattr(mod, "gamma", counted)
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def test_oracle_check_on_the_ring_builds_one_torsion_tower(monkeypatch):
+    # the certificate's H^*_m(P) table is the tower side of the comparison
+    import localduality.torsion as torsion
+    from localduality.cli import parse, run
+    from localduality.graded import Window
+    calls = _record_calls(monkeypatch, torsion, "gamma", lambda a: a[0])
     spec, _ = parse(ORACLE_ON_THE_RING)
     report, code = run(spec, default_window=Window(-4, 4))
     assert code == 0 and report["results"][0]["verdict"] is True
     assert len(calls) == 1
+
+
+BC_CHECK_AFTER_GORENSTEIN = """\
+[ring L]
+char = 2
+generators = x:-1
+
+[ring S]
+char = 2
+generators = x:-1, y:-1
+relations = y^2
+
+[ideal mS]
+ring = S
+generators = x, y
+
+[map f]
+source = L
+target = S
+images = x -> x
+
+[run]
+gorenstein L
+bc-check f mS
+"""
+
+
+def test_bc_check_reads_the_session_certificate(monkeypatch):
+    # the source's certificate is the one `gorenstein L` computed
+    import localduality.duality as duality
+    from localduality.cli import parse, run
+    from localduality.graded import Window
+    calls = _record_calls(monkeypatch, duality, "gorenstein_certificate",
+                          lambda a: a[0].name)
+    spec, _ = parse(BC_CHECK_AFTER_GORENSTEIN)
+    report, code = run(spec, default_window=Window(-4, 4))
+    assert code == 0 and report["results"][1]["verdict"] is True
+    assert calls == ["L"]

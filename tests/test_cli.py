@@ -141,6 +141,47 @@ def test_undefined_names_keep_their_diagnostics():
     assert [d["line"] for d in rep["diagnostics"]] == [5, 6, 7, 8, 9]
 
 
+def test_a_window_word_that_does_not_parse_is_diagnosed():
+    text = ("[ring R]\nchar = 2\ngenerators = x:-1\n"
+            "[ideal m]\nring = R\ngenerators = x\nprime = yes\n"
+            "[ideal z]\nring = R\ngenerators = 0\nprime = yes\n"
+            "[window wide]\nrange = -3:3\n"
+            "[run]\ngamma R m 3:x\ngamma R m wid\ngorenstein R -2:2 R\n"
+            "gamma R m wide\nl2g-check R z:x m\nl2g-check R z:x m 0:2\n")
+    spec, diags = parse(text)
+    assert spec is not None and not diags, diags
+    rep, code = run(spec)
+    assert code == 1
+    assert [(d["line"], d["message"]) for d in rep["diagnostics"]] == [
+        (15, "unexpected argument '3:x': expected <module> <ideal> [window], "
+             "a window being a [window] name or LO:HI"),
+        (16, "unexpected argument 'wid': expected <module> <ideal> [window], "
+             "a window being a [window] name or LO:HI"),
+        (17, "unexpected argument '-2:2': expected <ring> [window], "
+             "a window being a [window] name or LO:HI")]
+    # a [window] name, and prime:element words before a trailing window
+    assert [r["command"] for r in rep["results"]] == [
+        "gamma R m wide", "l2g-check R z:x m", "l2g-check R z:x m 0:2"]
+
+
+def test_collapse_check_reads_the_stage_cap(monkeypatch):
+    import localduality.cli as cli
+    seen = []
+    orig = cli.collapse_check
+
+    def recording(m, p, w, s_max=None):
+        seen.append(s_max)
+        return orig(m, p, w, s_max)
+
+    monkeypatch.setattr(cli, "collapse_check", recording)
+    text = ("[ring R]\nchar = 2\ngenerators = x:-1\n"
+            "[ideal m]\nring = R\ngenerators = x\n"
+            "[run]\ncollapse-check R m -2:2\n")
+    spec, _ = parse(text)
+    _, code = run(spec, s_max=1)
+    assert code == 0 and seen == [1]
+
+
 @pytest.mark.parametrize("error", [IndexError, KeyError])
 def test_internal_error_exit_three(tmp_path, capsys, monkeypatch, error):
     # an engine fault is not a user error, whatever its exception type
@@ -367,6 +408,25 @@ def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert len(diags) == 1 and diags[0]["line"] == 7
     assert diags[0]["message"].startswith("completion runaway")
+
+
+def test_script_prints_an_undetermined_certificate_as_undetermined():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "certify_corpus.py"),
+                           "--window", "0:0"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    printed = {line.split()[0]: line.split()[1]
+               for line in done.stdout.splitlines()[1:]}
+    words = {True: "yes", False: "no", None: "undetermined"}
+    want = {}
+    for entry in corpus():
+        rep, _ = run(parse(entry.text)[0], default_window=Window(0, 0))
+        want[entry.name] = words[rep["results"][0]["verdict"]]
+    assert printed == want
+    assert "undetermined" in want.values()
 
 
 # corpus -----------------------------------------------------------------------

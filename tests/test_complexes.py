@@ -69,7 +69,8 @@ def test_tensor_balancing_against_tor(poly_plane):
 def test_cone_kills_identity(poly_line, window):
     c = FreeComplex.unit(poly_line).realize(free(poly_line), window)
     ident = ComplexMap(c, c, {k: SparseMatrix.identity(poly_line.field, d)
-                              for k, d in c.dims.items()}, validate=True)
+                              for k, d in c.dims.items()})
+    ident.validate()
     cc = cone(ident)
     cc.validate()
     assert cc.dims and not any(homology(cc, window).values())

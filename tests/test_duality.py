@@ -3,6 +3,7 @@ dual localization, absolute checks, twists and orthogonality."""
 
 import pytest
 
+from localduality.cli import Environment, corpus, parse
 from localduality.exactla import ContractViolation
 from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window)
 from localduality.complexes import module_complex, homology
@@ -70,6 +71,42 @@ def test_certificate_that_cannot_see_the_top_cohomology_is_undetermined(
     cert = gorenstein_certificate(ring, Window(lo, hi))
     assert cert.verdict is None
     assert cert.failure["reason"].endswith("widen the window")
+
+
+# every window with -4 <= t_lo <= 2 and span <= 4 at which a Gorenstein
+# corpus ring was called not Gorenstein when the hull was read only inside
+# the window
+NARROW = [("z2", 1, 1), ("klein", 1, 2), ("klein", 2, 2), ("klein", 2, 3),
+          ("bs1", 2, 2), ("q8", 1, 1), ("odd_line", 1, 1),
+          ("exterior", -4, -1), ("exterior", -3, -1), ("exterior", -2, -1),
+          ("exterior", -1, -1), ("hypersurface", 0, 0)]
+
+
+@pytest.mark.parametrize("name,lo,hi", NARROW)
+def test_a_narrow_window_does_not_refute_a_gorenstein_ring(name, lo, hi):
+    entry = next(e for e in corpus() if e.name == name)
+    assert entry.gorenstein
+    ring = Environment(parse(entry.text)[0]).ring("R")
+    cert = gorenstein_certificate(ring, Window(lo, hi))
+    assert cert.verdict is not False, cert.failure
+    if cert.verdict is None:
+        assert cert.failure["reason"].endswith("widen the window")
+    elif entry.shift is not None:
+        assert cert.shift == entry.shift
+
+
+def test_a_narrow_window_reads_no_wrong_shift():
+    # the hull matched only where both degrees lay in the window: the cusp
+    # (shift -2) read shift 0 at (0, 1), and F2[x,y]/(x^2, xy), which is not
+    # Gorenstein, read shift k - 2 at (0, k)
+    base = GradedRing(2, [("x", -2), ("y", -3)], [], name="C")
+    cusp = base.quotient([base.parse("x^3 + y^2")], name="cusp")
+    cert = gorenstein_certificate(cusp, Window(0, 1))
+    assert cert.verdict is not True or cert.shift == -2
+    ng = next(e for e in corpus() if e.name == "non_gorenstein")
+    ring = Environment(parse(ng.text)[0]).ring("R")
+    for hi in (3, 4):
+        assert gorenstein_certificate(ring, Window(0, hi)).verdict is not True
 
 
 def test_undetermined_certificate_is_refused_apart_from_false(poly_line):

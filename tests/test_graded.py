@@ -67,6 +67,16 @@ def test_krull_dim():
     assert art.krull_dim() == 0
 
 
+def test_krull_dim_reads_a_complete_groebner_basis():
+    # Mora's example: the basis element z^17 + y^16*t lies far above the
+    # relations' weights, and without it {z, t} looks independent
+    S = GradedRing(2, [(v, -1) for v in "xyzt"], [], name="S")
+    rels = ["x^5 + y*z^3*t", "x*y^3 + z^4", "x^4*z + y^4*t"]
+    assert S.quotient([S.parse(r) for r in rels]).krull_dim() == 2
+    assert HomIdeal(S, rels).dim_of_quotient == 2
+    assert HomIdeal(S, rels + ["t"]).dim_of_quotient == 1
+
+
 def reference_basis_in_degree(ring, t):
     """Standard monomials of degree t as `basis_in_degree` found them before
     it pruned: every exponent vector of weight -t, then those no leading

@@ -19,8 +19,9 @@ from localduality.complexes import (BiDeg, ComplexMap, WindowedComplex,
                                     induced_on_homology, module_complex, shift)
 from localduality.exactla import SparseMatrix, rank
 from localduality.graded import GradedModule, GradedRing, Window
-from localduality.torsion import (CONSEC, _homology_tower, completion,
-                                  dual_koszul_free, gamma, koszul_free)
+from localduality.torsion import (CONSEC, _homology_tower, _koszul_tower,
+                                  completion, dual_koszul_free, gamma,
+                                  koszul_free)
 from conftest import max_ideal
 
 
@@ -48,22 +49,21 @@ def _same_complex(a: WindowedComplex, b: WindowedComplex):
     for x, y in ((a.dims, b.dims), (a.diffs, b.diffs), (a.actions, b.actions)):
         assert list(x) == list(y)
         assert x == y
-    assert (a.s_min, a.s_max, a.t_top, a.window, a.flags) == \
-        (b.s_min, b.s_max, b.t_top, b.window, b.flags)
+    assert (a.s_min, a.s_max, a.t_top, a.window) == \
+        (b.s_min, b.s_max, b.t_top, b.window)
 
 
 # free_tensor ----------------------------------------------------------------
 
 
-def reference_free_tensor(F, X, t_floor=None):
+def reference_free_tensor(F, X, t_floor):
     """free_tensor as it was: the layout scans every (s, t) of the box
     against every free generator."""
     ring = F.ring
     fld = ring.field
     max_gd = max((max(f.gen_degrees, default=0) for f in F.stages.values()),
                  default=0)
-    lo = max(t_floor if t_floor is not None else -10 ** 9,
-             X.window.t_lo + max(0, max_gd))
+    lo = max(t_floor, X.window.t_lo + max(0, max_gd))
     t_top = X.t_top + F.top_internal()
     if lo > t_top:
         lo = t_top
@@ -101,7 +101,7 @@ def reference_free_tensor(F, X, t_floor=None):
                     if key not in tpos:
                         continue
                     toff, td = tpos[key]
-                    act = complex_element_action(X, q, s - sigma, t - gd, ring)
+                    act = complex_element_action(X, q, s - sigma, t - gd)
                     for (r, c), v in act.entries.items():
                         k = (toff + r, off + c)
                         ent[k] = (ent.get(k, 0) + v) % char
@@ -133,14 +133,14 @@ def reference_free_tensor(F, X, t_floor=None):
                 actions[(g, s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
     C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
-                        Window(lo, max(lo, t_top)), flags=dict(X.flags))
+                        Window(lo, max(lo, t_top)))
     return C, layout
 
 
 def _check_free_tensor(F, X, t_floor):
     C, L = free_tensor(F, X, t_floor=t_floor)
     X.clear_monomial_actions()
-    C_ref, L_ref = reference_free_tensor(F, X, t_floor=t_floor)
+    C_ref, L_ref = reference_free_tensor(F, X, t_floor)
     X.clear_monomial_actions()
     assert list(L) == list(L_ref)
     assert L == L_ref
@@ -155,7 +155,8 @@ def test_free_tensor_koszul_on_module(mod):
     for power in (1, 2, 3):
         F = koszul_free(ring, max_ideal(ring).gens, power)
         _check_free_tensor(F, X, w.t_lo)
-        _check_free_tensor(F, X, None)
+        # at X's own floor, which only the free generators raise
+        _check_free_tensor(F, X, X.window.t_lo)
 
 
 @pytest.mark.parametrize("mod", _seeded_modules(), ids=lambda m: m.name)
@@ -226,7 +227,7 @@ def _raised_floor(c: WindowedComplex, t_lo: int) -> WindowedComplex:
     """c with its window floor raised to t_lo, keeping every bidegree below."""
     return WindowedComplex(c.ring, c.dims, c.diffs, c.actions, c.s_min,
                            c.s_max, c.t_top,
-                           Window(t_lo, c.window.t_hi), flags=c.flags)
+                           Window(t_lo, c.window.t_hi))
 
 
 @pytest.mark.parametrize("mod", _seeded_modules(), ids=lambda m: m.name)
@@ -328,8 +329,9 @@ def test_homology_tower_matches_box_loop(mod, functor):
     p = max_ideal(mod.ring)
     w = Window(-4, 3)
     for s_max in (None, 2, 1):
-        res = functor(mod, p, w, s_max=s_max, keep_tower=True)
-        tower = res.provenance["tower"]
+        res = functor(mod, p, w, s_max=s_max)
+        tower = _koszul_tower(functor.__name__, res.provenance["input"], p, w,
+                              res.provenance["stage"])
         stages, maps = tower.stages, tower.maps
         _same_tower_values(stages, maps, tower.direction, w, tower.first)
         # the last map alone (tail < CONSEC) and the last stage alone
@@ -344,7 +346,7 @@ def test_homology_tower_matches_box_loop(mod, functor):
 def test_hspace_at_zero_bidegree_is_homology_space():
     mod = _seeded_modules(count=1)[0]
     c, _ = free_tensor(koszul_free(mod.ring, max_ideal(mod.ring).gens),
-                       module_complex(mod, Window(-6, 2)))
+                       module_complex(mod, Window(-6, 2)), t_floor=-6)
     zero = 0
     for s in range(c.s_min - 1, c.s_max + 2):
         for t in range(c.window.t_lo - 2, c.t_top + 2):
@@ -377,8 +379,9 @@ def test_gamma_of_finite_length_module_skips_zero_bidegrees(monkeypatch):
     monkeypatch.setattr(complexes, "homology_space", recording_space)
     monkeypatch.setattr(torsion, "induced_on_homology", recording_induced)
     w = Window(-5, 3)
-    res = gamma(mod, max_ideal(ring), w, keep_tower=True)
-    tower = res.provenance["tower"]
+    res = gamma(mod, max_ideal(ring), w)
+    tower = _koszul_tower("gamma", res.provenance["input"], max_ideal(ring), w,
+                          res.provenance["stage"])
     tail = tower.stages[len(tower.stages) - 1 - min(CONSEC, len(tower.maps)):]
     support = set().union(*(c.dims for c in tail))
     box = {(s, t) for s in range(min(c.s_min for c in tower.stages),

@@ -83,13 +83,13 @@ def test_tower_flags_on_short_tower(poly_line, window):
 def test_telescope_inversion_kills_torsion(poly_line, window):
     mod = GradedModule(poly_line, [("a", 0)], [["x^2"]])
     c = module_complex(mod, Window(window.t_lo - 1, window.t_hi))
-    inv = telescope_invert(c, "x", window, ring=poly_line)
+    inv = telescope_invert(c, "x", window)
     assert not inv.homotopy and not inv.flags
 
 
 def test_telescope_inversion_of_free(poly_line, window):
     c = module_complex(free(poly_line), Window(window.t_lo - 1, window.t_hi))
-    inv = telescope_invert(c, "x", window, ring=poly_line)
+    inv = telescope_invert(c, "x", window)
     stable = {k: v for k, v in inv.homotopy.items()
               if v and k not in inv.flags}
     # the telescope certifies one class per stable degree; not acyclic
