@@ -5,8 +5,7 @@ from .exactla import ContractViolation, SparseMatrix
 from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Window,
                      dual_hilbert_function, hilbert_function,
                      minimal_free_resolution, tor, ext)
-from .complexes import (FreeComplex, WindowedComplex, homology,
-                        module_complex, total_homology)
+from .complexes import FreeComplex, WindowedComplex, homology, module_complex
 from .torsion import (check_recollement, completion, delta,
                       fracture_check, gamma, koszul_object, localize_away,
                       local_to_global_acyclicity, tate, telescope_invert)

@@ -394,23 +394,6 @@ def homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[BiDeg, int]
     return out
 
 
-def total_homology(c: WindowedComplex, w: Window) -> Dict[int, int]:
-    """dim of homotopy in each total degree n = s + t, restricted to safe n.
-
-    n is safe when every homological stage contributes a known internal
-    degree: n - s >= t_lo for all s in support, or n - s > t_top.
-    """
-    bidg = homology(c, w)
-    out: Dict[int, int] = {}
-    lo_safe = w.t_lo + c.s_max
-    hi_safe = w.t_hi + c.s_min
-    for (s, t), v in bidg.items():
-        n = s + t
-        if lo_safe <= n <= hi_safe:
-            out[n] = out.get(n, 0) + v
-    return {n: v for n, v in sorted(out.items()) if v}
-
-
 def induced_on_homology(source: WindowedComplex, target: WindowedComplex,
                         s: int, t: int, t2: int,
                         chain: Callable[[], SparseMatrix]) -> SparseMatrix:
@@ -554,6 +537,33 @@ def _positions(layout) -> Dict[BiDeg, Dict[Tuple[int, int], Tuple[int, int]]]:
             for key, parts in layout.items()}
 
 
+def _free_blocks(F: FreeComplex,
+                 by_source: Dict[int, Dict[int, List[Tuple[int, Poly]]]],
+                 X: WindowedComplex, parts, tpos, s: int, t: int,
+                 shift: int) -> Dict[Tuple[int, int], int]:
+    """The free-side blocks of a map out of bidegree (s, t) of F tensor X.
+
+    parts is the layout of (s, t) and tpos the positions of the target
+    bidegree; by_source[sigma][b] lists the entries (a, q) of source
+    generator b of stage sigma.  Source block (sigma, b) writes the target
+    blocks (sigma + shift, a), one per a, each the action of q on X from
+    (s - sigma, t - deg b).  No two blocks overlap, so each is copied as it
+    is.
+    """
+    ent: Dict[Tuple[int, int], int] = {}
+    for sigma, b, off, _ in parts:
+        gd = F.stages[sigma].gen_degrees[b]
+        for a, q in by_source.get(sigma, {}).get(b, ()):
+            pos = tpos.get((sigma + shift, a))
+            if pos is None:
+                continue
+            toff = pos[0]
+            act = complex_element_action(X, q, s - sigma, t - gd)
+            ent.update({(toff + r, off + c): v
+                        for (r, c), v in act.entries.items()})
+    return ent
+
+
 def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
     """F tensor X for F free, realized from t_floor up; returns (complex,
     layout).
@@ -601,23 +611,13 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
     for (s, t), parts in layout.items():
         tpos = positions.get((s - 1, t))
         if tpos is not None:
-            # source block (sigma, b) writes the blocks (sigma - 1, a), one
-            # per a, and its own (sigma, b): no entry is written twice, so
-            # each block is copied as it is
-            ent: Dict[Tuple[int, int], int] = {}
+            # the free-side differential writes the blocks (sigma - 1, a) of
+            # source block (sigma, b), and the inner differential its own
+            # (sigma, b): no entry is written twice
+            ent = _free_blocks(F, free_diffs, X, parts, tpos, s, t, -1)
             for sigma, b, off, d in parts:
-                gd = F.stages[sigma].gen_degrees[b]
-                # free-side differential
-                for a, q in free_diffs[sigma].get(b, ()):
-                    pos = tpos.get((sigma - 1, a))
-                    if pos is None:
-                        continue
-                    toff = pos[0]
-                    act = complex_element_action(X, q, s - sigma, t - gd)
-                    ent.update({(toff + r, off + c): v
-                                for (r, c), v in act.entries.items()})
                 # inner differential with homological sign
-                dx = X.diffs.get((s - sigma, t - gd))
+                dx = X.diffs.get((s - sigma, t - F.stages[sigma].gen_degrees[b]))
                 pos = tpos.get((sigma, b))
                 if dx is not None and pos is not None:
                     toff = pos[0]
@@ -653,8 +653,13 @@ def free_tensor_map(Fsrc: FreeComplex,
                     comps: Dict[int, Dict[Tuple[int, int], Poly]],
                     X: WindowedComplex, Cs: WindowedComplex, Ls,
                     Ct: WindowedComplex, Lt) -> ComplexMap:
-    """Realize a free-side chain map against a fixed second factor."""
-    ring = Fsrc.ring
+    """Realize a free-side chain map against a fixed second factor.
+
+    comps[sigma] maps stage sigma of Fsrc to stage sigma of the target free
+    complex, as {(target gen, source gen): poly}; Cs and Ct are the two
+    realizations with their layouts Ls and Lt.  A factor that is X itself
+    has the layout {(s, t): [(0, 0, 0, dim)]} of the unit free complex.
+    """
     positions = _positions(Lt)
     by_source = {sigma: _by_source(c) for sigma, c in comps.items()}
     out: Dict[BiDeg, SparseMatrix] = {}
@@ -662,54 +667,11 @@ def free_tensor_map(Fsrc: FreeComplex,
         tpos = positions.get((s, t))
         if tpos is None:
             continue
-        # source block (sigma, b) writes the blocks (sigma, a), one per a
-        ent: Dict[Tuple[int, int], int] = {}
-        for sigma, b, off, d in parts:
-            gd = Fsrc.stage(sigma).gen_degrees[b]
-            for a, q in by_source.get(sigma, {}).get(b, ()):
-                pos = tpos.get((sigma, a))
-                if pos is None:
-                    continue
-                toff = pos[0]
-                act = complex_element_action(X, q, s - sigma, t - gd)
-                ent.update({(toff + r, off + c): v
-                            for (r, c), v in act.entries.items()})
+        ent = _free_blocks(Fsrc, by_source, X, parts, tpos, s, t, 0)
         if ent:
-            out[(s, t)] = SparseMatrix._trusted(ring.field, Ct.dim(s, t),
+            out[(s, t)] = SparseMatrix._trusted(X.ring.field, Ct.dim(s, t),
                                                 Cs.dim(s, t), ent)
     return ComplexMap(Cs, Ct, out)
-
-
-def projection_to_unit(F: FreeComplex, C: WindowedComplex, L,
-                       X: WindowedComplex) -> ComplexMap:
-    """Project F tensor X onto the block of F's degree-0 unit generator in
-    stage 0."""
-    ring = F.ring
-    unit_idx = next(i for i, d in enumerate(F.stage(0).gen_degrees) if d == 0)
-    out: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t), parts in L.items():
-        for sigma, b, off, d in parts:
-            if sigma == 0 and b == unit_idx:
-                ent = {(r, off + r): 1 for r in range(d)}
-                out[(s, t)] = SparseMatrix(ring.field, X.dim(s, t),
-                                           C.dim(s, t), ent)
-    return ComplexMap(C, X, out)
-
-
-def inclusion_of_unit(F: FreeComplex, C: WindowedComplex, L,
-                      X: WindowedComplex) -> ComplexMap:
-    """Include X as the block of F's degree-0 unit generator in stage 0 of
-    F tensor X."""
-    ring = F.ring
-    unit_idx = next(i for i, d in enumerate(F.stage(0).gen_degrees) if d == 0)
-    out: Dict[BiDeg, SparseMatrix] = {}
-    for (s, t), parts in L.items():
-        for sigma, b, off, d in parts:
-            if sigma == 0 and b == unit_idx:
-                ent = {(off + r, r): 1 for r in range(d)}
-                out[(s, t)] = SparseMatrix(ring.field, C.dim(s, t),
-                                           X.dim(s, t), ent)
-    return ComplexMap(X, C, out)
 
 
 def resolution_complex(res) -> FreeComplex:

@@ -11,7 +11,7 @@ no floating point and no overflow anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 # The supported characteristics: the word-size primes of FFLAS-FFPACK.  The
 # bound also keeps a characteristic too large for trial division from
@@ -131,18 +131,6 @@ class SparseMatrix:
         m.cols = cols
         m.entries = entries
         return m
-
-    @staticmethod
-    def from_rows(field: Field, row_list: Iterable[Iterable[object]],
-                  cols: Optional[int] = None) -> "SparseMatrix":
-        rows_ = [list(r) for r in row_list]
-        n = len(rows_)
-        m = cols if cols is not None else (len(rows_[0]) if rows_ else 0)
-        ent = {}
-        for i, r in enumerate(rows_):
-            for j, v in enumerate(r):
-                ent[(i, j)] = v
-        return SparseMatrix(field, n, m, ent)
 
     def to_dense(self) -> List[List[object]]:
         d = [[self.field.zero()] * self.cols for _ in range(self.rows)]

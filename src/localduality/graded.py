@@ -671,6 +671,35 @@ class FreeModule:
                     raise ContractViolation("element has support outside basis degree")
         return v
 
+    def multiples(self, rows: Sequence[Sequence[Poly]], degrees: Sequence[int],
+                  t: int) -> SparseMatrix:
+        """The ring multiples in degree t of elements of this free module.
+
+        rows[k] is an element of degree degrees[k], one polynomial per
+        generator.  Row r of the result holds the coordinates in
+        basis_in_degree(t) of mu * rows[k], one row for each k and each
+        standard monomial mu of degree t - degrees[k], in that order; a zero
+        multiple is a zero row.  Raises ContractViolation when a product
+        falls outside the degree-t basis.
+        """
+        ring = self.ring
+        pos = {bm: i for i, bm in enumerate(self.basis_in_degree(t))}
+        ent: Dict[Tuple[int, int], int] = {}
+        r = 0
+        for row, dg in zip(rows, degrees):
+            terms = [(a, p) for a, p in enumerate(row) if p]
+            for mu in ring.basis_in_degree(t - dg):
+                # the products of distinct entries fill distinct columns
+                for a, p in terms:
+                    for m, c in ring.times_monomial(mu, p).items():
+                        try:
+                            ent[(r, pos[(a, m)])] = c
+                        except KeyError:
+                            raise ContractViolation(
+                                "element has support outside basis degree") from None
+                r += 1
+        return SparseMatrix._trusted(ring.field, r, len(pos), ent)
+
     def element_from_coords(self, v: Dict[int, int], t: int) -> List[Poly]:
         """The element whose k-coordinates at degree t are the {column: value}
         row v, its terms in basis order."""
@@ -691,25 +720,15 @@ def poly_matrix_realize(ring: GradedRing, source: FreeModule, target: FreeModule
 
     entries[(a, b)] maps source generator b to the coefficient of target
     generator a.  The realized matrix maps source coords at degree t to
-    target coords at degree t.
+    target coords at degree t: its columns are the multiples of the images
+    of the source generators (FreeModule.multiples), in source basis order.
     """
-    sb = source.basis_in_degree(t)
-    tb = target.basis_in_degree(t)
-    tpos = {bm: i for i, bm in enumerate(tb)}
-    by_source: Dict[int, List[Tuple[int, Poly]]] = {}
+    images = [[{} for _ in range(target.rank)] for _ in range(source.rank)]
     for (a, b), p in entries.items():
         if p:
             ring._check_homogeneous(p)
-            by_source.setdefault(b, []).append((a, p))
-    ent: Dict[Tuple[int, int], int] = {}
-    for j, (b, m) in enumerate(sb):
-        for a, p in by_source.get(b, ()):
-            for mm, c in ring.times_monomial(m, p).items():
-                key = (a, mm)
-                if key in tpos:
-                    ent[(tpos[key], j)] = (ent.get((tpos[key], j), 0) + c) % ring.characteristic
-    ent = {k: v for k, v in ent.items() if v}
-    return SparseMatrix._trusted(ring.field, len(tb), len(sb), ent)
+            images[b][a] = p
+    return target.multiples(images, source.gen_degrees, t).transpose()
 
 
 # finitely presented modules ------------------------------------------------
@@ -801,24 +820,7 @@ class GradedModule:
 
     def _relation_span(self, t: int) -> SparseMatrix:
         """Row matrix spanning the relation submodule in degree t."""
-        basis = self.free.basis_in_degree(t)
-        pos = {bm: i for i, bm in enumerate(basis)}
-        rows: List[Dict[int, int]] = []
-        ring = self.ring
-        for row, rdeg in zip(self.relations, self.row_degrees):
-            for mu in ring.basis_in_degree(t - rdeg):
-                vec: Dict[int, int] = {}
-                for j, p in enumerate(row):
-                    if not p:
-                        continue
-                    for m, c in ring.times_monomial(mu, p).items():
-                        key = (j, m)
-                        if key in pos:
-                            vec[pos[key]] = (vec.get(pos[key], 0) + c) % ring.characteristic
-                if any(vec.values()):
-                    rows.append(vec)
-        ent = {(i, j): c for i, vec in enumerate(rows) for j, c in vec.items() if c}
-        return SparseMatrix._trusted(ring.field, len(rows), len(basis), ent)
+        return self.free.multiples(self.relations, self.row_degrees, t)
 
     def _realize(self, t: int):
         """(free basis, projection P, free columns) of degree t, cached.
@@ -1010,23 +1012,11 @@ def _minimal_generators(ring: GradedRing, free: FreeModule, vectors_by_degree,
             r = sum(ring.dim_in_degree(t - dg) for dg, _ in chosen)
             maps[t] = SparseMatrix._trusted(ring.field, len(basis), r, {})
             continue
-        # ring multiples of already chosen generators in degree t, one row
-        # each, in FreeModule.basis_in_degree order
-        pos = {bm: i for i, bm in enumerate(basis)}
-        ent: Dict[Tuple[int, int], int] = {}
-        r = 0
-        for dg, row in chosen:
-            terms = [(a, p) for a, p in enumerate(row) if p]
-            for mu in ring.basis_in_degree(t - dg):
-                for a, p in terms:
-                    for m, c in ring.times_monomial(mu, p).items():
-                        try:
-                            ent[(r, pos[(a, m)])] = c
-                        except KeyError:
-                            raise ContractViolation(
-                                "element has support outside basis degree") from None
-                r += 1
-        old = SparseMatrix._trusted(ring.field, r, len(basis), ent)
+        # ring multiples of already chosen generators in degree t
+        old = free.multiples([row for _, row in chosen],
+                             [dg for dg, _ in chosen], t)
+        ent = dict(old.entries)
+        r = old.rows
         for vv in extend_basis(old, span_vectors):
             chosen.append((t, free.element_from_coords(vv, t)))
             for c, v in vv.items():

@@ -154,6 +154,7 @@ def present_model(model: WindowedComplex, w: Window, name: str) -> Presented:
     gens: List[Tuple[str, int]] = []
     units: List[Tuple[int, int]] = []
     rels: List[List[Poly]] = []
+    rel_degrees: List[int] = []
     last_event = w.t_hi + 1
     top = max((t for (_s, t) in model.dims), default=w.t_lo - 1)
     for t in range(min(top, w.t_hi), w.t_lo - 1, -1):
@@ -178,9 +179,10 @@ def present_model(model: WindowedComplex, w: Window, name: str) -> Presented:
         ker, _ = kernel_rows(SparseMatrix._trusted(fld, d, cols, ent))
         if ker.rows:
             free = FreeModule(ring, [dg for dg, _ in units])
-            known = GradedModule(ring, gens, rels, name=name)._relation_span(t)
+            known = free.multiples(rels, rel_degrees, t)
             for row in extend_basis(known, ker):
                 rels.append(free.element_from_coords(row, t))
+                rel_degrees.append(t)
                 last_event = t
     module = GradedModule(ring, gens, rels, name=name)
     flags: List[str] = []

@@ -23,9 +23,8 @@ from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Poly,
                      Window, minimal_free_resolution)
 from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
                         complex_element_action, cone, free_tensor,
-                        free_tensor_map, homology, inclusion_of_unit,
-                        induced_on_homology, module_complex,
-                        projection_to_unit, resolution_complex, shift)
+                        free_tensor_map, homology, induced_on_homology,
+                        module_complex, resolution_complex, shift)
 
 
 @dataclass
@@ -255,10 +254,14 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     """The stages max(1, s_max - CONSEC) .. s_max of the Gamma ("gamma")
     tower dual Kos(p^s) (x) X or the Lambda ("completion") tower
     Kos(p^s) (x) X of the materialized input X, joined by the
-    (product-of-elements, identity) map of Koszul objects."""
+    (product-of-elements, identity) map of Koszul objects.  The unit map
+    joins the last stage and X, which is R (x) X: it is the free-side map
+    between stage 0's one generator, of degree 0, and R's."""
     colim = functor == "gamma"
     koszul = dual_koszul_free if colim else koszul_free
     comps = _subset_chain_map(p.ring, p.gens, dual=colim)
+    unit_comps = {0: {(0, 0): p.ring.one()}}
+    unit_layout = {key: [(0, 0, 0, d)] for key, d in X.dims.items()}
     # maps[i] joins stages i and i+1, in the tower's direction
     src, tgt = (-2, -1) if colim else (-1, -2)
     stages: List[WindowedComplex] = []
@@ -280,11 +283,16 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
             # stage s + 1 builds each a^(s+1) from stage s's a^s and reuses
             # the map's products; actions stage s did not use are dropped
             X.age_monomial_actions()
+        if colim:
+            unit = free_tensor_map(frees[-1], unit_comps, X, stages[-1],
+                                   layouts[-1], X, unit_layout)
+        else:
+            unit = free_tensor_map(FreeComplex.unit(p.ring), unit_comps, X,
+                                   X, unit_layout, stages[-1], layouts[-1])
     finally:
+        # X outlives the tower as the functor's input
         X.clear_monomial_actions()
-    unit = projection_to_unit if colim else inclusion_of_unit
-    return Tower(stages, maps, "colim" if colim else "lim", first,
-                 unit(frees[-1], stages[-1], layouts[-1], X))
+    return Tower(stages, maps, "colim" if colim else "lim", first, unit)
 
 
 def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
@@ -583,7 +591,7 @@ def fracture_check(m, p: HomIdeal, w: Window,
     Y = lam.model
     lam_map = lam.from_input            # m -> Lambda m
 
-    LXc = cone(g.to_input)              # L m = cone(Gamma m -> m)
+    LXc = L.model                       # L m = cone(Gamma m -> m)
     T = _tate_model(g, lam)             # L Lambda m = cone(Gamma m -> Lambda m)
 
     # cone functoriality of the square (id_Gamma, lam_map):

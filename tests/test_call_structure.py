@@ -7,7 +7,9 @@ derived in one place.  `torsion.adjunction_check` reads its left side off the
 completion tower and builds no tensor product of its own.  Resolutions take
 no window: `graded.minimal_free_resolution` alone walks the degrees, down
 to the floors of its Schreyer frames, so no caller pads a floor of its own.
-Two checks run a session instead: `oracle-check` on a ring builds Gamma_m of
+A matrix of ring elements is written in one place per layer: the free-side
+blocks of F (x) X by `complexes._free_blocks`, spans of ring multiples by
+`graded.FreeModule.multiples`.  Two checks run a session instead: `oracle-check` on a ring builds Gamma_m of
 the ring once, for the certificate, and compares with the table it read, and
 `bc-check` reads its source's certificate from the session.
 """
@@ -91,6 +93,30 @@ def test_resolutions_take_no_window():
                 # the module and the length, nothing that could be a window
                 assert len(node.args) == 2 and not node.keywords, \
                     f"{path.name}:{node.lineno}"
+
+
+def test_one_writer_per_layer_for_matrices_of_ring_elements():
+    # complexes: the free-side blocks of free_tensor's differential and of
+    # every free_tensor_map, unit maps included, come from one writer
+    callers, _ = _calls_by_function()
+    assert {c for c in callers["complex_element_action"]
+            if c.startswith("complexes.")} == {"complexes._free_blocks"}
+    # graded: spans of ring multiples come from FreeModule.multiples; a
+    # module's element action and the Schreyer frame multiply on their own
+    assert {c for c in callers["times_monomial"] if c.startswith("graded.")} \
+        == {"graded.multiples", "graded.element_action", "graded._frame_floor"}
+    # relative: present_model's degree loop builds no module to read its
+    # relation span
+    source = (PACKAGE / "relative.py").read_text()
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "present_model")
+    built = [node.lineno for loop in ast.walk(func)
+             if isinstance(loop, (ast.For, ast.While))
+             for node in ast.walk(loop) if isinstance(node, ast.Call)
+             and "GradedModule" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+    assert not built, built
 
 
 ORACLE_ON_THE_RING = """\

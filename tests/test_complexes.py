@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from localduality.graded import GradedModule, GradedRing, Window, tor
 from localduality.complexes import (ComplexMap, FreeComplex, cone, homology,
-                                    module_complex, shift, total_homology)
+                                    module_complex, shift)
 from localduality.exactla import SparseMatrix
 from localduality.torsion import koszul_free, koszul_object
 from conftest import free
@@ -75,15 +75,3 @@ def test_cone_kills_identity(poly_line, window):
     cc.validate()
     assert cc.dims and not any(homology(cc, window).values())
 
-
-def test_total_homology_totals(poly_plane, window):
-    C = koszul_object(free(poly_plane), ["x"], window)
-    tot = total_homology(C, window)
-    h = homology(C, window)
-    want = {}
-    for (s, t), v in h.items():
-        if v:
-            want[s + t] = want.get(s + t, 0) + v
-    for n, v in want.items():
-        if window.t_lo < n <= window.t_hi:
-            assert tot.get(n, 0) == v

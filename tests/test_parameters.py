@@ -23,8 +23,6 @@ CALLERS = [PACKAGE, ROOT / "scripts", ROOT / "bench"]
 KEPT = {
     "cli.main.argv":
         "the console entry point reads sys.argv; tests pass their own",
-    "exactla.SparseMatrix.from_rows.cols":
-        "the column count of a possibly empty row list, which tests build",
     "complexes.shift.t_shift": "the internal-degree half of the suspension",
     "torsion.dual_koszul_free.power":
         "set by the Koszul tower's stage loop, which calls it by another name",

@@ -106,8 +106,9 @@ def reference_homology_space(c, s, t):
     fld = c.ring.field
     d_in = c.diff(s + 1, t)
     cyc = kernel_basis(c.diff(s, t))
-    K = SparseMatrix.from_rows(fld, cyc, cols=c.dim(s, t)).transpose() \
-        if cyc else SparseMatrix(fld, c.dim(s, t), 0)
+    K = SparseMatrix(fld, c.dim(s, t), len(cyc),
+                     {(i, j): v for j, vec in enumerate(cyc)
+                      for i, v in enumerate(vec)})
     if d_in.entries and K.cols:
         span = solve_matrix(K, d_in).transpose()
     else:

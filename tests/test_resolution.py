@@ -35,8 +35,9 @@ def reference_minimal_generators(ring, free, vectors_by_degree, w):
                           for p in row]
                 old_rows.append(free.coords(scaled, t, basis))
         f = ring.field
-        old = SparseMatrix.from_rows(f, old_rows, cols=len(basis)) if old_rows \
-            else SparseMatrix(f, 0, len(basis))
+        old = SparseMatrix(f, len(old_rows), len(basis),
+                           {(i, j): v for i, row in enumerate(old_rows)
+                            for j, v in enumerate(row)})
         red, pivots = rref(old)
         pivot_rows = red.to_dense()[:len(pivots)]
         for v in span_vectors:

@@ -7,8 +7,10 @@ import pytest
 
 from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
                                  minimal_free_resolution)
+from localduality import torsion
 from localduality.torsion import (adjunction_check, check_recollement,
-                                  completion, delta, fracture_check, gamma,
+                                  completion, default_s_max, delta,
+                                  extended_window, fracture_check, gamma,
                                   koszul_free, local_to_global_acyclicity,
                                   localize_away, tate, telescope_invert)
 from localduality.complexes import (WindowedComplex, free_tensor, homology,
@@ -135,6 +137,30 @@ def test_fracture_square(poly_line):
     w = Window(-6, 6)
     rep = fracture_check(free(poly_line), max_ideal(poly_line), w)
     assert rep["exact"], rep
+
+
+def test_fracture_reads_the_localization_it_is_given(poly_line, monkeypatch):
+    # check_recollement hands fracture_check L m = cone(Gamma m -> m), so
+    # fracture_check builds no second cone over Gamma m -> m
+    w = Window(-4, 4)
+    m, p = free(poly_line), max_ideal(poly_line)
+    s_max = default_s_max(w)
+    w_ext = extended_window(w, p, s_max)
+    g = gamma(m, p, w_ext, s_max)
+    lam = completion(g.provenance["input"], p, w_ext, s_max)
+    L = localize_away(m, p, w_ext, s_max, gamma_res=g)
+    cones = []
+    cone = torsion.cone
+
+    def counting_cone(f):
+        if f is g.to_input:
+            cones.append(f)
+        return cone(f)
+
+    monkeypatch.setattr(torsion, "cone", counting_cone)
+    rep = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L)
+    assert rep["exact"], rep
+    assert not cones
 
 
 def test_adjunction(poly_line):

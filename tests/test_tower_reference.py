@@ -5,19 +5,53 @@ certified tail: every stage 1..s_max is realized and joined to the next, and
 the whole tower is handed to `_homology_tower` from stage 1.  The tail-only
 tower (`torsion._koszul_tower` on the functor's materialized input) must
 give the same homotopy, flags, stabilization stages, model and maps to and
-from the input, and every map it builds must be a chain map.
+from the input, and every map it builds must be a chain map.  The unit map
+is written by `free_tensor_map`; `projection_to_unit` and
+`inclusion_of_unit` are the hand-written unit maps it replaced, kept here
+as its reference, and the tower leaves no monomial action memoised on its
+input.
 """
 
 import pytest
 
 from localduality.cli import Environment, corpus, parse
-from localduality.complexes import (free_tensor, free_tensor_map,
-                                    inclusion_of_unit, projection_to_unit)
+from localduality.complexes import ComplexMap, free_tensor, free_tensor_map
+from localduality.exactla import SparseMatrix
 from localduality.graded import GradedModule, HomIdeal, Window
 from localduality.torsion import (CONSEC, _homology_tower, _ideal_data,
                                   _koszul_tower, _materialize,
                                   _subset_chain_map, completion,
                                   dual_koszul_free, gamma, koszul_free)
+
+
+def projection_to_unit(F, C, L, X):
+    """Project F tensor X onto the block of F's degree-0 unit generator in
+    stage 0."""
+    ring = F.ring
+    unit_idx = next(i for i, d in enumerate(F.stage(0).gen_degrees) if d == 0)
+    out = {}
+    for (s, t), parts in L.items():
+        for sigma, b, off, d in parts:
+            if sigma == 0 and b == unit_idx:
+                ent = {(r, off + r): 1 for r in range(d)}
+                out[(s, t)] = SparseMatrix(ring.field, X.dim(s, t),
+                                           C.dim(s, t), ent)
+    return ComplexMap(C, X, out)
+
+
+def inclusion_of_unit(F, C, L, X):
+    """Include X as the block of F's degree-0 unit generator in stage 0 of
+    F tensor X."""
+    ring = F.ring
+    unit_idx = next(i for i, d in enumerate(F.stage(0).gen_degrees) if d == 0)
+    out = {}
+    for (s, t), parts in L.items():
+        for sigma, b, off, d in parts:
+            if sigma == 0 and b == unit_idx:
+                ent = {(off + r, r): 1 for r in range(d)}
+                out[(s, t)] = SparseMatrix(ring.field, C.dim(s, t),
+                                           X.dim(s, t), ent)
+    return ComplexMap(X, C, out)
 
 
 def reference_tower(functor, m, p, w, s_max):
@@ -103,3 +137,5 @@ def test_tail_matches_whole_tower(ring, mod, ideal):
             got = res.to_input if functor == "gamma" else res.from_input
             assert got.comps == edge.comps == tower.unit.comps
             got.validate()
+            X = res.provenance["input"]
+            assert not X._monomials and not X._monomials_old
