@@ -780,7 +780,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="write the JSON report here (default: stdout)")
     ap.add_argument("--s-max", type=int, default=None,
-                    help="tower stage cap (default: window span + 4)")
+                    help="tower stage cap (default: window span + 4); "
+                         "not read by lc at the maximal ideal of a ring "
+                         "with no odd generator in odd characteristic, "
+                         "which local duality computes exactly")
     args, w = parse_window_args(ap, argv)
     if w is None:
         return 1

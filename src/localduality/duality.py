@@ -9,7 +9,8 @@ from typing import Dict, Optional, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (GradedModule, GradedRing, HomIdeal, Window,
-                     dual_hilbert_function, maximal_ideal)
+                     dual_hilbert_function, ext, maximal_ideal,
+                     minimal_free_resolution)
 from .complexes import (WindowedComplex, complex_element_action, homology,
                         induced_on_homology, module_slice)
 from .torsion import FunctorResult, gamma, koszul_free, telescope_invert
@@ -170,10 +171,74 @@ class GorensteinCertificate:
     shift: Optional[int] = None
     witness: Dict[str, object] = field(default_factory=dict)
     failure: Dict[str, object] = field(default_factory=dict)
-    # (ring, window, H^*_m(R) table) the certificate read, so that
-    # oracle_agreement on R builds no second tower; in no report
-    h_m: Optional[Tuple[GradedRing, Window, CohomologyTable]] = field(
-        default=None, repr=False, compare=False)
+
+
+# local duality over the ambient polynomial ring -------------------------------
+
+
+def _ambient(ring: GradedRing) -> GradedRing:
+    """S, the free ring on R's generators, so that R = S/I; built once per
+    ring.  It is a polynomial ring when R has no odd generator in odd
+    characteristic."""
+    if ring._ambient is None:
+        ring._ambient = GradedRing(ring.characteristic, ring.generators, [],
+                                   name=f"S({ring.name})")
+    return ring._ambient
+
+
+def _over_ambient(mod: GradedModule) -> GradedModule:
+    """mod as an S-module: its generators, its relations, and g * e_j for
+    each relation g of R and each generator e_j."""
+    ring = mod.ring
+    r = len(mod.generators)
+    rows = list(mod.relations) + [
+        [g if k == j else {} for k in range(r)]
+        for g in ring.relations for j in range(r)]
+    return GradedModule(_ambient(ring), mod.generators, rows, name=mod.name)
+
+
+def _duality_table(mod: GradedModule, p: HomIdeal,
+                   w: Window) -> CohomologyTable:
+    """H^i_m(mod) on w by graded local duality over S = k[x_1..x_N]
+    (Bruns-Herzog 3.6.19): S is Gorenstein of dimension N with shift
+    nu_S = sum of the generator weights - N, so
+    H^i_m(M)_t = dim Ext^{N-i}_S(M, S)_{nu_S + N - t}.  Ext is read off the
+    window-free resolution over S, so every entry is exact and none is
+    flagged.  R must have no odd generator in odd characteristic; p is a
+    maximal ideal of R, which has the same local cohomology as m."""
+    ring = mod.ring
+    n, top = ring.n, sum(ring.weights)         # top = nu_S + N
+    table = ext(_over_ambient(mod),
+                GradedModule.free_module(_ambient(ring), [0]),
+                Window(top - w.t_hi, top - w.t_lo, 0, n))
+    return CohomologyTable({(n - j, top - t): v
+                            for (j, t), v in table.items()}, {}, {
+        "functor": "local_cohomology", "ideal": p.name, "route": "duality",
+        "koszul_bound": len(p.gens)})
+
+
+def _duality_certificate(ring: GradedRing,
+                         w: Window) -> GorensteinCertificate:
+    """The certificate read off the minimal free resolution F of R over S:
+    R is Gorenstein iff it is Cohen-Macaulay, pd_S R = N - dim R
+    (Auslander-Buchsbaum), and its last Betti number is 1 (Bruns-Herzog
+    3.3.7); then nu = sum of the generator weights - dim R + the degree of
+    F's last generator.  A False verdict names pd_S R, the last Betti rank
+    and degrees, and the nonzero H^i_m(R), i != dim R, on w."""
+    n = ring.krull_dim()
+    R = GradedModule.free_module(ring, [0], name=ring.name)
+    res = minimal_free_resolution(_over_ambient(R), ring.n)
+    pd = max(i for i, st in enumerate(res.stages) if st.rank)
+    last = res.stages[pd].gen_degrees
+    if pd == ring.n - n and len(last) == 1:
+        return GorensteinCertificate(
+            ring.name, True, n, sum(ring.weights) - n + last[0],
+            witness={"projective_dimension": pd, "last_degree": last[0]})
+    lc = _duality_table(R, maximal_ideal(ring), w)
+    return GorensteinCertificate(ring.name, False, n, failure={
+        "projective_dimension": pd, "last_betti": len(last),
+        "last_degrees": list(last),
+        "nonvanishing": {k: v for k, v in lc.entries.items() if k[0] != n}})
 
 
 def _socle_comparison(g: FunctorResult, i: int, b: int, w: Window,
@@ -237,12 +302,21 @@ def _below_floor_possible(ring: GradedRing, hn: Dict[int, int], seen,
 
 
 def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate:
-    """Algebraic Gorenstein test: H^*_m(R) concentrated in the Krull
-    dimension n with H^n_m(R)_t = dim R_{nu + n - t} at every unflagged t in
-    the window for a unique offset nu, confirmed as a module by the exact
+    """Whether R is Gorenstein, with its Krull dimension n and shift nu,
+    H^n_m(R)_t = dim R_{nu + n - t}.
+
+    Without an odd generator in odd characteristic, R = S/I over the
+    polynomial ring S on its generators, and the verdict is read off the
+    minimal free resolution of R over S (_duality_certificate): exact, never
+    None, and w only bounds the degrees of a False verdict's nonvanishing
+    H^i_m(R).  Otherwise the Koszul tower is read on w: H^*_m(R)
+    concentrated in n with H^n_m(R)_t = dim R_{nu + n - t} at every
+    unflagged t for a unique offset nu, confirmed as a module by the exact
     shifted-hull test; undetermined when no unflagged H^n_m(R) lies in the
     window, the offset is ambiguous or the socle leaves the comparison
     window."""
+    if not any(ring.parity):
+        return _duality_certificate(ring, w)
     n = ring.krull_dim()
     mx = maximal_ideal(ring)
     Rmod = GradedModule.free_module(ring, [0], name=ring.name)
@@ -250,8 +324,7 @@ def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate
     lc = cohomology_table(g, mx)
 
     def certificate(verdict, shift=None, **kw) -> GorensteinCertificate:
-        return GorensteinCertificate(ring.name, verdict, n, shift,
-                                     h_m=(ring, w, lc), **kw)
+        return GorensteinCertificate(ring.name, verdict, n, shift, **kw)
 
     stray = {k: v for k, v in lc.entries.items()
              if k[0] != n and k not in lc.flags}

@@ -109,6 +109,8 @@ class GradedRing:
         # normal forms of the reducible monomials met by times_monomial
         self._nf_memo: Dict[Mono, Poly] = {}
         self._krull: Optional[int] = None
+        # the free ring on the same generators (duality._ambient)
+        self._ambient: Optional["GradedRing"] = None
 
     # monomial layer --------------------------------------------------------
 
@@ -298,7 +300,11 @@ class GradedRing:
         A larger bound resumes the last completion: its basis stays, and the
         S-pairs it deferred as too heavy are taken up again.  Relations are
         homogeneous, so an S-polynomial and its remainder have the weight of
-        the pair's lcm, and only whole pairs are ever deferred.  The bound
+        the pair's lcm, and only whole pairs are ever deferred.  Where an odd
+        square kills the lcm in one product of a pair, every such product is
+        reduced on its own.  Every pair whose lcm weighs at most the bound
+        plus the largest generator weight is taken up, so resuming appends
+        only elements heavier than the bound already reached.  The bound
         math.inf completes the basis to a Groebner basis of the whole ideal.
         """
         if weight_bound <= self._gb_bound:
@@ -327,15 +333,20 @@ class GradedRing:
             pj = self.poly_mul({qj: 1}, gj)
             ci = pi.get(lcm, 0)
             cj = pj.get(lcm, 0)
-            if ci == 0 or cj == 0:
-                spol = pi if ci == 0 else pj
+            if ci and cj:
+                spols = [self.poly_add(self.poly_scale(pi, cj),
+                                       self.poly_scale(pj, -ci))]
             else:
-                spol = self.poly_add(self.poly_scale(pi, cj), self.poly_scale(pj, -ci))
-            nf = self._reduce(spol)
-            if nf:
-                basis.append(nf)
-                self._leads.append(self.leading(nf)[0])
-                pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+                # an odd square killed the lcm in a product; each such
+                # product is an element of the ideal of its own
+                spols = [p for p, c in ((pi, ci), (pj, cj)) if not c]
+            for spol in spols:
+                nf = self._reduce(spol)
+                if nf:
+                    basis.append(nf)
+                    self._leads.append(self.leading(nf)[0])
+                    pairs.extend((k, len(basis) - 1)
+                                 for k in range(len(basis) - 1))
         self._pending = deferred
         self._gb_bound = weight_bound
         return basis
@@ -371,8 +382,8 @@ class GradedRing:
         stored, so a ring whose only relations are odd squares stores
         nothing.  An entry stays valid when the completion later resumes at
         a larger bound: resuming only appends basis elements heavier than
-        the bound already reached, and those neither divide a lighter
-        monomial nor take part in its reduction.
+        the bound already reached (see complete), and those neither divide
+        a lighter monomial nor take part in its reduction.
 
         p is not checked for homogeneity: the caller checks it once, not
         once per product.

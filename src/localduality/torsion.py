@@ -529,7 +529,8 @@ def check_recollement(m, p: HomIdeal, w: Window,
     report["adjunction"] = adjunction_check(m, m, p, w, s_max) \
         if isinstance(m, GradedModule) else None
 
-    report["fracture"] = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L)
+    report["fracture"] = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L,
+                                        tate_model=tmodel)
     verdicts = [val for key, val in report.items()
                 if isinstance(val, bool)]
     report["all"] = all(verdicts) and report["fracture"]["exact"] and \
@@ -577,8 +578,13 @@ def fracture_check(m, p: HomIdeal, w: Window,
                    s_max: Optional[int] = None,
                    g: Optional[FunctorResult] = None,
                    lam: Optional[FunctorResult] = None,
-                   L: Optional[FunctorResult] = None) -> Dict[str, object]:
-    """Mayer-Vietoris exactness of pi m -> pi Lm + pi Lambda m -> pi L Lambda m."""
+                   L: Optional[FunctorResult] = None,
+                   tate_model: Optional[WindowedComplex] = None
+                   ) -> Dict[str, object]:
+    """Mayer-Vietoris exactness of pi m -> pi Lm + pi Lambda m -> pi L Lambda m.
+
+    g, lam, L and tate_model (_tate_model(g, lam)) are built here when the
+    caller has none to pass."""
     ring = p.ring
     fld = ring.field
     s_max = s_max or default_s_max(w)
@@ -592,7 +598,7 @@ def fracture_check(m, p: HomIdeal, w: Window,
     lam_map = lam.from_input            # m -> Lambda m
 
     LXc = L.model                       # L m = cone(Gamma m -> m)
-    T = _tate_model(g, lam)             # L Lambda m = cone(Gamma m -> Lambda m)
+    T = tate_model or _tate_model(g, lam)   # L Lambda m = cone(Gamma m -> Lambda m)
 
     # cone functoriality of the square (id_Gamma, lam_map):
     # Lm = cone(G -> X) -> cone(G -> Y) = T

@@ -387,14 +387,18 @@ def test_huge_characteristic_is_diagnostic(tmp_path, capsys):
 
 
 def test_undetermined_gorenstein_reports_its_reason(tmp_path, capsys):
-    # at (0, 0) no unflagged H^1 of F2[x0] lies in the window: the verdict
-    # is null, and the report says why instead of an empty witness
-    inp = write(tmp_path, "[ring T]\nchar = 2\ngenerators = x0:-1\n"
-                          "[run]\ngorenstein T\n")
+    # at (0, 0) no unflagged H^1 of F3[a', b], a odd, lies in the window: the
+    # Koszul tower certifies that ring, so the verdict is null, and the
+    # report says why instead of an empty witness; F2[x0] is certified off
+    # its resolution over itself, which no window cuts
+    inp = write(tmp_path, "[ring T]\nchar = 3\ngenerators = a:-1:odd, b:-2\n"
+                          "[ring P]\nchar = 2\ngenerators = x0:-1\n"
+                          "[run]\ngorenstein T\ngorenstein P\n")
     assert main(["--input", inp, "--window", "0:0"]) == 0
-    [res] = json.loads(capsys.readouterr().out)["results"]
-    assert res["verdict"] is None and "witness" not in res
-    assert res["reason"] == "no unflagged H^n in the window; widen the window"
+    odd, even = json.loads(capsys.readouterr().out)["results"]
+    assert odd["verdict"] is None and "witness" not in odd
+    assert odd["reason"] == "no unflagged H^n in the window; widen the window"
+    assert (even["verdict"], even["krull_dim"], even["shift"]) == (True, 1, 0)
 
 
 def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):

@@ -2,13 +2,16 @@
 Grothendieck-duality oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from localduality.cli import Environment, corpus, parse
 from localduality.graded import GradedModule, GradedRing, HomIdeal, Window
 from localduality.cohom import (cech_cohomology, cech_les_balance,
-                                collapse_check, grothendieck_oracle,
-                                grothendieck_vanishing, local_cohomology,
-                                local_homology, oracle_agreement,
-                                torsionness_check)
+                                cohomology_table, collapse_check,
+                                grothendieck_oracle, grothendieck_vanishing,
+                                local_cohomology, local_homology,
+                                oracle_agreement, torsionness_check)
+from localduality.torsion import gamma
 from conftest import free, max_ideal
 
 
@@ -110,3 +113,64 @@ def test_oracle_table_values(poly_line, window):
     t = grothendieck_oracle(free(poly_line), window)
     for tt in range(1, window.t_hi + 1):
         assert t.dim(1, tt) == 1
+
+
+# H^*_m by local duality over the ambient polynomial ring ----------------------
+
+
+def x_power(e):
+    plane = GradedRing(2, [("x", -1), ("y", -1)], [], name="F2[x,y]")
+    return GradedModule(plane, [("a", 0)], [[f"x^{e}"]], name=f"R/(x^{e})")
+
+
+@pytest.mark.parametrize("e", range(1, 33))
+def test_local_cohomology_of_a_power_of_a_variable(e):
+    # R/(x^e) has depth and dimension 1, and H^1_m = F2[x^-1, y]/(x^e) with
+    # x^-1 in degree 1: e classes in each degree t >= 1, fewer below
+    w = Window(-6, 6)
+    M = x_power(e)
+    t = local_cohomology(M, max_ideal(M.ring), w)
+    want = {(1, tt): e - max(0, 1 - tt) for tt in w.t_range()
+            if e - max(0, 1 - tt) > 0}
+    assert (t.entries, t.flags) == (want, {})
+
+
+@pytest.mark.xfail(strict=True, reason="the tower certifies H^2 of "
+                   "R/(x^e) from three isomorphisms for e >= s_max")
+def test_tower_reports_no_top_cohomology_of_a_power_of_a_variable():
+    M = x_power(16)
+    m = max_ideal(M.ring)
+    t = cohomology_table(gamma(M, m, Window(-6, 6)), m)
+    assert not {k: v for k, v in t.entries.items()
+                if k[0] == 2 and k not in t.flags}
+
+
+EVEN_RINGS = [(e.name, ring) for e in corpus()
+              if not any((ring := Environment(parse(e.text)[0]).ring("R")).parity)]
+
+
+@st.composite
+def cyclic_modules(draw):
+    """A cyclic module over a corpus ring without odd generators: generator
+    in degree 0 or -1, up to two standard monomials of degree -2 or -3 as
+    relations."""
+    name, ring = draw(st.sampled_from(EVEN_RINGS))
+    monos = [m for t in (-2, -3) for m in ring.basis_in_degree(t)]
+    rels = draw(st.lists(st.sampled_from(monos), max_size=2, unique=True)) \
+        if monos else []
+    return GradedModule(ring, [("a", -draw(st.integers(0, 1)))],
+                        [[{m: 1}] for m in rels],
+                        name=f"{name}/{[ring.poly_str({m: 1}) for m in rels]}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclic_modules())
+def test_duality_table_agrees_with_every_unflagged_tower_entry(mod):
+    w = Window(-6, 6)
+    m = max_ideal(mod.ring)
+    table = local_cohomology(mod, m, w)
+    tower = cohomology_table(gamma(mod, m, w), m)
+    assert not table.flags
+    keys = (set(table.entries) | set(tower.entries)) - set(tower.flags)
+    assert {k: table.dim(*k) for k in keys} == \
+        {k: tower.dim(*k) for k in keys}, mod.name

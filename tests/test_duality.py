@@ -63,14 +63,51 @@ def test_fat_point_not_gorenstein(poly_plane, window):
 
 @pytest.mark.parametrize("n,lo,hi", [(1, 0, 0), (2, -1, 1), (2, -2, 1),
                                      (3, -2, 2), (3, -3, 2)])
-def test_certificate_that_cannot_see_the_top_cohomology_is_undetermined(
-        n, lo, hi):
-    # H^n_m of a polynomial ring starts in degree n, above these windows, so
-    # no offset can be read off them: undetermined, not "not Gorenstein"
+def test_certificate_of_a_polynomial_ring_reads_no_window(n, lo, hi):
+    # H^n_m of a polynomial ring starts in degree n, above these windows;
+    # the resolution over the ambient ring sees it all the same
     ring = GradedRing(2, [(f"x{i}", -1) for i in range(n)], [], name=f"P{n}")
     cert = gorenstein_certificate(ring, Window(lo, hi))
-    assert cert.verdict is None
-    assert cert.failure["reason"].endswith("widen the window")
+    assert (cert.verdict, cert.krull_dim, cert.shift) == (True, n, 0)
+    assert cert.witness == {"projective_dimension": 0, "last_degree": 0}
+
+
+@pytest.mark.parametrize("gens,rels,dim,shift", [
+    ("xyz", [], 3, 0), ("wxyz", [], 4, 0), ("wxyz", ["w*x + y*z"], 3, -1)])
+def test_certificate_of_three_and_four_variables(gens, rels, dim, shift):
+    ring = GradedRing(2, [(g, -1) for g in gens], rels, name=gens)
+    cert = gorenstein_certificate(ring, Window(-8, 8))
+    assert (cert.verdict, cert.krull_dim, cert.shift) == (True, dim, shift)
+
+
+def test_certificate_sees_the_socle_below_the_window():
+    # H^0_m of F2[x,y]/(x^2, xy) is (x), in degree -1, below (0, 2); a
+    # certificate read inside the window called it Gorenstein
+    ng = next(e for e in corpus() if e.name == "non_gorenstein")
+    ring = Environment(parse(ng.text)[0]).ring("R")
+    cert = gorenstein_certificate(ring, Window(0, 2))
+    assert cert.verdict is False
+    assert cert.failure == {"projective_dimension": 2, "last_betti": 1,
+                            "last_degrees": [-3], "nonvanishing": {}}
+    wide = gorenstein_certificate(ring, Window(-2, 2))
+    assert wide.failure["nonvanishing"] == {(0, -1): 1}
+
+
+def test_certificates_of_even_rings_read_no_window():
+    # every window with -4 <= t_lo <= 2 and span <= 4 gives a ring without
+    # an odd generator its one verdict, Krull dimension and shift
+    for entry in corpus():
+        ring = Environment(parse(entry.text)[0]).ring("R")
+        if any(ring.parity):
+            continue
+        want = gorenstein_certificate(ring, Window(-8, 8))
+        assert want.verdict is entry.gorenstein, entry.name
+        for lo in range(-4, 3):
+            for hi in range(lo, lo + 5):
+                cert = gorenstein_certificate(ring, Window(lo, hi))
+                assert (cert.verdict, cert.krull_dim, cert.shift) == \
+                    (want.verdict, want.krull_dim, want.shift), \
+                    (entry.name, lo, hi)
 
 
 # every window with -4 <= t_lo <= 2 and span <= 4 at which a Gorenstein
@@ -109,22 +146,25 @@ def test_a_narrow_window_reads_no_wrong_shift():
         assert gorenstein_certificate(ring, Window(0, hi)).verdict is not True
 
 
-def test_undetermined_certificate_is_refused_apart_from_false(poly_line):
+def test_undetermined_certificate_is_refused_apart_from_false():
+    # only a ring with an odd generator in odd characteristic is certified
+    # on the Koszul tower, and at (0, 0) its H^1_m lies above the window
+    line = GradedRing(3, [("a", -1, True), ("b", -2)], [], name="F3[a',b]")
     w = Window(0, 0)
-    undetermined = gorenstein_certificate(poly_line, w)
+    undetermined = gorenstein_certificate(line, w)
     assert undetermined.verdict is None
-    false = GorensteinCertificate(poly_line.name, False, 1)
-    generic = HomIdeal(poly_line, [], is_prime_asserted=True, name="(0)")
-    m = max_ideal(poly_line)
+    false = GorensteinCertificate(line.name, False, 1)
+    generic = HomIdeal(line, ["a"], is_prime_asserted=True, name="(a)")
+    m = max_ideal(line)
     calls = {
-        "dual_localize": lambda c: dual_localize(free(poly_line), generic, w,
+        "dual_localize": lambda c: dual_localize(free(line), generic, w,
                                                  certificate=c),
         "absolute_gorenstein_check": lambda c: absolute_gorenstein_check(
-            poly_line, m, w, c),
+            line, m, w, c),
         "grothendieck_oracle": lambda c: grothendieck_oracle(
-            free(poly_line), w, c),
+            free(line), w, c),
         "theorem_bc_check": lambda c: theorem_bc_check(
-            RingMap.identity(poly_line), m, w, c),
+            RingMap.identity(line), m, w, c),
     }
     for name, call in calls.items():
         with pytest.raises(ContractViolation, match="undetermined.*widen"):
@@ -256,16 +296,17 @@ def test_twist_refuses_nonmaximal(poly_plane, window):
 def test_abs_gorenstein_on_gorenstein_hypersurfaces(poly_plane, window, rel,
                                                     nu):
     # the hull's Hilbert function is known on the window only, so the
-    # comparison stops at w.t_hi + nu + n, as the certificate's does
+    # comparison stops at w.t_hi + nu + n; the certificate reads the
+    # resolution over F2[x,y], 0 -> F2[x,y](nu - 1) -> F2[x,y]
     ring = poly_plane.quotient([poly_plane.parse(rel)], name=f"R/({rel})")
     cert = gorenstein_certificate(ring, window)
     assert (cert.verdict, cert.krull_dim, cert.shift) == (True, 1, nu)
+    assert cert.witness == {"projective_dimension": 1, "last_degree": nu - 1}
     rep = absolute_gorenstein_check(ring, max_ideal(ring), window, cert)
     assert rep["verdict"] is True, rep
     b = nu + cert.krull_dim
     lo, hi = rep["comparison_window"]
     assert window.t_lo + b <= lo <= hi <= window.t_hi + b
-    assert rep["comparison_window"] == cert.witness["comparison_window"]
 
 
 def test_orthogonality_distinct_primes(poly_plane, window):

@@ -140,8 +140,9 @@ def test_fracture_square(poly_line):
 
 
 def test_fracture_reads_the_localization_it_is_given(poly_line, monkeypatch):
-    # check_recollement hands fracture_check L m = cone(Gamma m -> m), so
-    # fracture_check builds no second cone over Gamma m -> m
+    # check_recollement hands fracture_check L m = cone(Gamma m -> m) and the
+    # Tate model cone(Gamma m -> Lambda m), so fracture_check builds neither
+    # cone again, and check_recollement builds the Tate model once
     w = Window(-4, 4)
     m, p = free(poly_line), max_ideal(poly_line)
     s_max = default_s_max(w)
@@ -149,18 +150,31 @@ def test_fracture_reads_the_localization_it_is_given(poly_line, monkeypatch):
     g = gamma(m, p, w_ext, s_max)
     lam = completion(g.provenance["input"], p, w_ext, s_max)
     L = localize_away(m, p, w_ext, s_max, gamma_res=g)
+    T = torsion._tate_model(g, lam)
     cones = []
     cone = torsion.cone
 
     def counting_cone(f):
-        if f is g.to_input:
+        if f is g.to_input or (f.source is g.model and
+                               f.target is lam.model):
             cones.append(f)
         return cone(f)
 
     monkeypatch.setattr(torsion, "cone", counting_cone)
-    rep = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L)
+    rep = fracture_check(m, p, w, s_max, g=g, lam=lam, L=L, tate_model=T)
     assert rep["exact"], rep
     assert not cones
+
+    tate_models = []
+    tate_model = torsion._tate_model
+
+    def counting_tate_model(g, lam):
+        tate_models.append(g)
+        return tate_model(g, lam)
+
+    monkeypatch.setattr(torsion, "_tate_model", counting_tate_model)
+    assert check_recollement(m, p, w, s_max)["all"]
+    assert len(tate_models) == 1
 
 
 def test_adjunction(poly_line):
