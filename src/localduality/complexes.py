@@ -61,8 +61,9 @@ class WindowedComplex:
     """Degreewise realized complex over a graded ring.
 
     dims[(s, t)] gives the k-dimension; diffs[(s, t)] maps (s, t) -> (s-1, t);
-    actions[(g, s, t)] maps (s, t) -> (s, t + deg_g).  Values at t below the
-    window floor are unknown; values at t above t_top are genuinely zero.
+    actions[(g, s, t)] maps (s, t) -> (s, t + deg_g).  Values at t outside
+    the window are unknown, except above t_top, where they are genuinely
+    zero.
     """
 
     def __init__(self, ring: GradedRing, dims: Dict[BiDeg, int],
@@ -564,13 +565,16 @@ def _free_blocks(F: FreeComplex,
     return ent
 
 
-def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
-    """F tensor X for F free, realized from t_floor up; returns (complex,
-    layout).
+def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
+                t_ceil: Optional[int] = None):
+    """F tensor X for F free, realized from t_floor up to t_ceil (to the top
+    when None); returns (complex, layout).
 
     layout[(s, t)] is a list of (stage sigma, gen index b, offset, block dim)
     for each nonzero bidegree.  The valid floor is X's floor plus the largest
-    free generator degree, raised to t_floor.
+    free generator degree, raised to t_floor.  A complex cut below its top
+    is read for its homology only: its window ends at the cut, above which
+    it is unknown, not zero, and it carries no generator actions.
     """
     ring = F.ring
     fld = ring.field
@@ -580,6 +584,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
     t_top = X.t_top + F.top_internal()
     if lo > t_top:
         lo = t_top
+    hi = t_top if t_ceil is None else max(lo, min(t_ceil, t_top))
     s_lo = F.s_min + X.s_min
     s_hi = F.s_max + X.s_max
     gens = [(sigma, b, gd) for sigma in sorted(F.stages)
@@ -590,7 +595,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
     for (xs, xt), d in X.dims.items():
         for i, (sigma, b, gd) in enumerate(gens):
             s, t = xs + sigma, xt + gd
-            if lo <= t <= t_top and s_lo <= s <= s_hi:
+            if lo <= t <= hi and s_lo <= s <= s_hi:
                 blocks.setdefault((s, t), []).append((i, d))
     layout: Dict[BiDeg, List[Tuple[int, int, int, int]]] = {}
     dims: Dict[BiDeg, int] = {}
@@ -608,6 +613,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
     free_diffs = {sigma: _by_source(F.diff_entries(sigma)) for sigma in F.stages}
     diffs: Dict[BiDeg, SparseMatrix] = {}
     actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
+    acting = list(enumerate(ring.generators)) if hi == t_top else []
     for (s, t), parts in layout.items():
         tpos = positions.get((s - 1, t))
         if tpos is not None:
@@ -628,7 +634,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
             if ent:
                 diffs[(s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s - 1, t), 0), dims.get((s, t), 0), ent)
-        for g, gen in enumerate(ring.generators):
+        for g, gen in acting:
             tpos = positions.get((s, t + gen.degree))
             if tpos is None:
                 continue
@@ -645,7 +651,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int):
                 actions[(g, s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
     C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
-                        Window(lo, max(lo, t_top)))
+                        Window(lo, hi))
     return C, layout
 
 

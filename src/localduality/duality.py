@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
-from .graded import (GradedModule, GradedRing, HomIdeal, Window,
-                     dual_hilbert_function, ext, maximal_ideal,
-                     minimal_free_resolution)
+from .graded import (GradedModule, GradedRing, HomIdeal, Resolution, Window,
+                     dual_hilbert_function, maximal_ideal,
+                     minimal_free_resolution, resolution_ext)
 from .complexes import (WindowedComplex, complex_element_action, homology,
                         induced_on_homology, module_slice)
 from .torsion import FunctorResult, gamma, koszul_free, telescope_invert
@@ -200,17 +200,25 @@ def _over_ambient(mod: GradedModule) -> GradedModule:
 def _duality_table(mod: GradedModule, p: HomIdeal,
                    w: Window) -> CohomologyTable:
     """H^i_m(mod) on w by graded local duality over S = k[x_1..x_N]
-    (Bruns-Herzog 3.6.19): S is Gorenstein of dimension N with shift
-    nu_S = sum of the generator weights - N, so
-    H^i_m(M)_t = dim Ext^{N-i}_S(M, S)_{nu_S + N - t}.  Ext is read off the
-    window-free resolution over S, so every entry is exact and none is
-    flagged.  R must have no odd generator in odd characteristic; p is a
-    maximal ideal of R, which has the same local cohomology as m."""
-    ring = mod.ring
-    n, top = ring.n, sum(ring.weights)         # top = nu_S + N
-    table = ext(_over_ambient(mod),
-                GradedModule.free_module(_ambient(ring), [0]),
-                Window(top - w.t_hi, top - w.t_lo, 0, n))
+    (Bruns-Herzog 3.6.19), read off the minimal free resolution of mod over
+    S.  R must have no odd generator in odd characteristic; p is a maximal
+    ideal of R, which has the same local cohomology as m."""
+    return _resolution_duality_table(
+        minimal_free_resolution(_over_ambient(mod), mod.ring.n + 1), p, w)
+
+
+def _resolution_duality_table(res: Resolution, p: HomIdeal,
+                              w: Window) -> CohomologyTable:
+    """H^i_m(M) on w from the minimal free resolution res of M over S: S is
+    Gorenstein of dimension N with shift nu_S = sum of the generator
+    weights - N, so H^i_m(M)_t = dim Ext^{N-i}_S(M, S)_{nu_S + N - t}.  res
+    must reach stage N + 1 or end before it, as every resolution over S does
+    by stage N when N >= 1 (Hilbert's syzygy theorem).  It is window-free,
+    so every entry is exact and none is flagged."""
+    S = res.ring
+    n, top = S.n, sum(S.weights)               # top = nu_S + N
+    table = resolution_ext(res, GradedModule.free_module(S, [0]),
+                           Window(top - w.t_hi, top - w.t_lo, 0, n))
     return CohomologyTable({(n - j, top - t): v
                             for (j, t), v in table.items()}, {}, {
         "functor": "local_cohomology", "ideal": p.name, "route": "duality",
@@ -234,7 +242,7 @@ def _duality_certificate(ring: GradedRing,
         return GorensteinCertificate(
             ring.name, True, n, sum(ring.weights) - n + last[0],
             witness={"projective_dimension": pd, "last_degree": last[0]})
-    lc = _duality_table(R, maximal_ideal(ring), w)
+    lc = _resolution_duality_table(res, maximal_ideal(ring), w)
     return GorensteinCertificate(ring.name, False, n, failure={
         "projective_dimension": pd, "last_betti": len(last),
         "last_degrees": list(last),

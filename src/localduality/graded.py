@@ -1183,10 +1183,18 @@ def ext(mod1: GradedModule, mod2: GradedModule, w: Window) -> Dict[Tuple[int, in
     The homology of Hom(F, mod2) for a minimal free resolution F of mod1,
     read at homological degree s = -p.
     """
-    from .complexes import homology, resolution_complex
     if mod1.ring is not mod2.ring:
         raise ContractViolation("modules over different rings")
-    res = minimal_free_resolution(mod1, max(w.s_hi, 0) + 1)
+    return resolution_ext(minimal_free_resolution(mod1, max(w.s_hi, 0) + 1),
+                          mod2, w)
+
+
+def resolution_ext(res: Resolution, mod2: GradedModule,
+                   w: Window) -> Dict[Tuple[int, int], int]:
+    """dim_k Ext^p(M, mod2)_t for p in [s_lo, s_hi], t in the window, read
+    off a free resolution res of M that reaches stage s_hi + 1 or ends
+    before it, as the homology of Hom(res, mod2) at s = -p."""
+    from .complexes import homology, resolution_complex
     C = resolution_complex(res).hom_into(mod2, w, validate=False)
     return {(-s, t): h for (s, t), h in homology(C, w).items()
             if w.s_lo <= -s <= w.s_hi}

@@ -8,8 +8,11 @@ stabilization detection: a bidegree is declared stable when three
 consecutive tower maps induce isomorphisms on homology there, up to a hard
 stage cap s_max.  Stage s depends on no other stage, so only the tail that
 certification reads is built: stages max(1, s_max - 3) .. s_max and the
-maps between them, numbered as in the whole tower 1 .. s_max.
-Uncertified bidegrees are flagged, never silently reported.
+maps between them, numbered as in the whole tower 1 .. s_max.  Every stage
+below the model stage s_max is realized only on the degrees certification
+reads, t from the window's floor to its top, with no generator actions when
+that cuts it below its own top.  Uncertified bidegrees are flagged, never
+silently reported.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ class Tower:
     """The certified tail of a Koszul tower: stages[i] is stage first + i
     (the power of the Koszul object), maps[i] joins stages[i] and
     stages[i + 1], and unit joins the last stage and the input.  direction
-    "colim": maps go stage s -> s+1 and unit to the input; "lim": reversed."""
+    "colim": maps go stage s -> s+1 and unit to the input; "lim": reversed.
+    Only the last stage, the model, is realized in full; the others, and
+    the maps, only up to the window's top, and a stage cut there carries
+    no generator actions."""
 
     stages: List[WindowedComplex]
     maps: List[ComplexMap]
@@ -154,20 +160,18 @@ ADJUNCTION_LENGTH = 5
 
 
 def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
-                    direction: str, w: Window, first: int):
+                    direction: str, w: Window):
     """Stabilized values of a homology tower per bidegree in the window.
 
-    Returns (table, flags, stabilization).  Certification works from the
-    tail of the tower: a bidegree is stable when the last CONSEC maps
-    induce isomorphisms on homology there (value = last-stage dimension),
-    or certified zero when the composite of the tail maps vanishes
-    (nilpotence, sound in both directions).  Anything else is flagged and
-    reported with the last-stage value.  stages[0] is stage `first`, and
-    stabilization holds positions in the whole tower (stage number - 1).
+    Returns (table, flags).  Certification works from the tail of the
+    tower: a bidegree is stable when the last CONSEC maps induce
+    isomorphisms on homology there (value = last-stage dimension), or
+    certified zero when the composite of the tail maps vanishes (nilpotence,
+    sound in both directions).  Anything else is flagged and reported with
+    the last-stage value.  Only t in w is read, of every stage and map.
     """
     table: Dict[BiDeg, int] = {}
     flags: Set[BiDeg] = set()
-    stab: Dict[BiDeg, Optional[int]] = {}
     s_lo = min(c.s_min for c in stages)
     s_hi = max(c.s_max for c in stages)
 
@@ -180,18 +184,15 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
     # an isomorphism, so such a bidegree is stable when the tail is long
     # enough to certify and flagged otherwise
     support = set().union(*(c.dims for c in stages[last - tail:]))
-    zero_stab = first - 1 + last - tail if tail >= CONSEC else None
     for sh in range(s_lo, s_hi + 1):
         for t in w.t_range():
             key = (sh, t)
             if key not in support:
-                stab[key] = zero_stab
-                if zero_stab is None:
+                if tail < CONSEC:
                     flags.add(key)
                 continue
             end_dim = hdim(last, key)
             if not maps:
-                stab[key] = None
                 flags.add(key)
                 if end_dim:
                     table[key] = end_dim
@@ -213,25 +214,19 @@ def _homology_tower(stages: List[WindowedComplex], maps: List[ComplexMap],
                     composite = (composite @ ind) if direction == "colim" \
                         else (ind @ composite)
             tail_dims = {hdim(i, key) for i in range(last - tail, last + 1)}
-            if all_iso and tail >= CONSEC:
-                stab[key] = first - 1 + last - tail
-                if end_dim:
-                    table[key] = end_dim
-            elif composite is not None and not composite.entries \
-                    and len(tail_dims) == 1 and tail >= CONSEC:
-                # a constant-rank tail whose composite vanishes: classes die
-                # at a steady rate, so nothing survives.  (A growing tail
-                # with zero composite is just an unstabilized wave front and
-                # falls through to the flagged branch.)
-                # every class dies along the tail: certified zero
-                stab[key] = first - 1 + last - tail
+            # a constant-rank tail whose composite vanishes: classes die at a
+            # steady rate, so nothing survives, certified zero.  (A growing
+            # tail with zero composite is just an unstabilized wave front and
+            # is flagged.)
+            dies = not composite.entries and len(tail_dims) == 1
+            if tail >= CONSEC and (all_iso or dies):
+                value = end_dim if all_iso else 0
             else:
-                stab[key] = None
                 flags.add(key)
-                if end_dim:
-                    table[key] = end_dim
-    table = {k: v for k, v in table.items() if v}
-    return table, flags, stab
+                value = end_dim
+            if value:
+                table[key] = value
+    return table, flags
 
 
 def _ideal_data(p: HomIdeal):
@@ -254,9 +249,14 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     """The stages max(1, s_max - CONSEC) .. s_max of the Gamma ("gamma")
     tower dual Kos(p^s) (x) X or the Lambda ("completion") tower
     Kos(p^s) (x) X of the materialized input X, joined by the
-    (product-of-elements, identity) map of Koszul objects.  The unit map
-    joins the last stage and X, which is R (x) X: it is the free-side map
-    between stage 0's one generator, of degree 0, and R's."""
+    (product-of-elements, identity) map of Koszul objects.  Stages below
+    s_max are realized on t from w.t_lo to w.t_hi only, the degrees
+    _homology_tower reads; one that this cuts below its top carries no
+    generator actions, and its window ends at w.t_hi (unknown above, not
+    zero).  The maps between stages are built on those layouts.  The model
+    stage s_max is realized in full.  The unit map joins the last stage and
+    X, which is R (x) X: it is the free-side map between stage 0's one
+    generator, of degree 0, and R's."""
     colim = functor == "gamma"
     koszul = dual_koszul_free if colim else koszul_free
     comps = _subset_chain_map(p.ring, p.gens, dual=colim)
@@ -272,7 +272,7 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     try:
         for s in range(first, s_max + 1):
             F = koszul(p.ring, p.gens, s)
-            C, L = free_tensor(F, X, t_floor=w.t_lo)
+            C, L = free_tensor(F, X, w.t_lo, None if s == s_max else w.t_hi)
             frees.append(F)
             stages.append(C)
             layouts.append(L)
@@ -317,8 +317,8 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
     floor = w.t_lo - s_max * total_weight - 1 if colim else w.t_lo - 1
     X = _materialize(m, w, floor)
     tower = _koszul_tower(functor, X, p, w, s_max)
-    table, flags, _ = _homology_tower(tower.stages, tower.maps,
-                                      tower.direction, w, tower.first)
+    table, flags = _homology_tower(tower.stages, tower.maps, tower.direction,
+                                   w)
     res = FunctorResult(tower.stages[-1], table, flags,
                         {"functor": functor, "ideal": p.name, "stage": s_max,
                          "input": X})

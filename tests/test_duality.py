@@ -93,6 +93,25 @@ def test_certificate_sees_the_socle_below_the_window():
     assert wide.failure["nonvanishing"] == {(0, -1): 1}
 
 
+@pytest.mark.parametrize("name", ["non_gorenstein", "fat_point"])
+def test_false_certificate_resolves_the_ring_once(name, monkeypatch):
+    # the failure's H^i_m(R) is read off the resolution behind the verdict
+    from localduality import duality, graded
+    lengths = []
+    real = graded.minimal_free_resolution
+
+    def counting(mod, length):
+        lengths.append(length)
+        return real(mod, length)
+
+    monkeypatch.setattr(graded, "minimal_free_resolution", counting)
+    monkeypatch.setattr(duality, "minimal_free_resolution", counting)
+    entry = next(e for e in corpus() if e.name == name)
+    ring = Environment(parse(entry.text)[0]).ring("R")
+    assert gorenstein_certificate(ring, Window(-8, 8)).verdict is False
+    assert lengths == [ring.n]
+
+
 def test_certificates_of_even_rings_read_no_window():
     # every window with -4 <= t_lo <= 2 and span <= 4 gives a ring without
     # an odd generator its one verdict, Krull dimension and shift

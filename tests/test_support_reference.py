@@ -3,11 +3,11 @@
 `free_tensor`, `cone` and `torsion._homology_tower` visit only the nonzero
 bidegrees of their inputs.  The references below are the loops they ran
 before, over every (s, t) of the box; each must give the same dicts, in the
-same insertion order, the same flags and the same stabilization stages.
+same insertion order, and the same flags.
 """
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import pytest
 
@@ -259,12 +259,11 @@ def test_direct_sum_matches_box_loop():
 # _homology_tower ------------------------------------------------------------
 
 
-def reference_homology_tower(stages, maps, direction, w, first):
+def reference_homology_tower(stages, maps, direction, w):
     """_homology_tower as it was: homology spaces and induced maps at every
     (s, t) of the box."""
     table: Dict[BiDeg, int] = {}
     flags: Set[BiDeg] = set()
-    stab: Dict[BiDeg, Optional[int]] = {}
     s_lo = min(c.s_min for c in stages)
     s_hi = max(c.s_max for c in stages)
 
@@ -278,7 +277,6 @@ def reference_homology_tower(stages, maps, direction, w, first):
             key = (sh, t)
             end_dim = hdim(last, key)
             if not maps:
-                stab[key] = None
                 flags.add(key)
                 if end_dim:
                     table[key] = end_dim
@@ -300,27 +298,24 @@ def reference_homology_tower(stages, maps, direction, w, first):
                         else (ind @ composite)
             tail_dims = {hdim(i, key) for i in range(last - tail, last + 1)}
             if all_iso and tail >= CONSEC:
-                stab[key] = first - 1 + last - tail
                 if end_dim:
                     table[key] = end_dim
             elif composite is not None and not composite.entries \
                     and len(tail_dims) == 1 and tail >= CONSEC:
-                stab[key] = first - 1 + last - tail
+                pass    # certified zero
             else:
-                stab[key] = None
                 flags.add(key)
                 if end_dim:
                     table[key] = end_dim
     table = {k: v for k, v in table.items() if v}
-    return table, flags, stab
+    return table, flags
 
 
-def _same_tower_values(stages, maps, direction, w, first):
-    got = _homology_tower(stages, maps, direction, w, first)
-    want = reference_homology_tower(stages, maps, direction, w, first)
+def _same_tower_values(stages, maps, direction, w):
+    got = _homology_tower(stages, maps, direction, w)
+    want = reference_homology_tower(stages, maps, direction, w)
     assert list(got[0].items()) == list(want[0].items())
     assert got[1] == want[1]
-    assert list(got[2].items()) == list(want[2].items())
 
 
 @pytest.mark.parametrize("mod", _seeded_modules(), ids=lambda m: m.name)
@@ -333,14 +328,11 @@ def test_homology_tower_matches_box_loop(mod, functor):
         tower = _koszul_tower(functor.__name__, res.provenance["input"], p, w,
                               res.provenance["stage"])
         stages, maps = tower.stages, tower.maps
-        _same_tower_values(stages, maps, tower.direction, w, tower.first)
+        _same_tower_values(stages, maps, tower.direction, w)
         # the last map alone (tail < CONSEC) and the last stage alone
-        n = len(stages)
         if maps:
-            _same_tower_values(stages[-2:], maps[-1:], tower.direction, w,
-                               tower.first + n - 2)
-        _same_tower_values(stages[-1:], [], tower.direction, w,
-                           tower.first + n - 1)
+            _same_tower_values(stages[-2:], maps[-1:], tower.direction, w)
+        _same_tower_values(stages[-1:], [], tower.direction, w)
 
 
 def test_hspace_at_zero_bidegree_is_homology_space():
@@ -391,3 +383,49 @@ def test_gamma_of_finite_length_module_skips_zero_bidegrees(monkeypatch):
     assert all(key in support for key in induced)
     assert all(key in c.dims for c, key in spaces)
     assert res.homotopy == {(0, 0): 1, (0, -1): 2, (0, -2): 1}
+
+
+def test_tower_reads_no_stage_but_the_model_above_the_window(monkeypatch):
+    """The stages below the model are realized only up to w.t_hi, so
+    _homology_tower must ask none of them, nor any tower map, for a
+    homology space or a component above it."""
+    ring = _rings()[0]
+    mods = [GradedModule(ring, [("u", 0)], [["x^2"], ["y^2"]], name="fl"),
+            GradedModule(ring, [("u", 0)], [["x^2"]], name="line")]
+    spaces, comps = [], []
+    real_hspace = WindowedComplex.hspace
+    real_comp = ComplexMap.comp
+
+    def recording_hspace(c, s, t):
+        spaces.append((c, t))
+        return real_hspace(c, s, t)
+
+    def recording_comp(f, s, t):
+        comps.append((f, t))
+        return real_comp(f, s, t)
+
+    p = max_ideal(ring)
+    # a completion stage reaches only the input's top, so its window ends
+    # below the module's top degree 0
+    for mod in mods:
+        for functor, w in ((gamma, Window(-5, 3)),
+                           (completion, Window(-6, -2))):
+            res = functor(mod, p, w)
+            tower = _koszul_tower(functor.__name__, res.provenance["input"],
+                                  p, w, res.provenance["stage"])
+            cut = tower.stages[:-1]
+            assert cut and tower.maps
+            assert any(c.t_top > w.t_hi for c in cut)
+            assert all(c.window.t_hi <= w.t_hi for c in cut)
+            spaces.clear()
+            comps.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(WindowedComplex, "hspace", recording_hspace)
+                mp.setattr(ComplexMap, "comp", recording_comp)
+                got = _homology_tower(tower.stages, tower.maps,
+                                      tower.direction, w)
+            assert got == (res.homotopy, res.flags)
+            assert spaces and comps
+            assert all(t <= w.t_hi for c, t in spaces
+                       if any(c is d for d in cut))
+            assert all(t <= w.t_hi for f, t in comps)
