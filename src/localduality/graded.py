@@ -13,11 +13,11 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import (ContractViolation, Field, GF, SparseMatrix, extend_basis,
-                      kernel_rows, quotient_projection)
+                      kernel_rows, rref)
 
 Mono = Tuple[int, ...]          # exponent vector over the ring's generators
 Poly = Dict[Mono, int]          # monomial -> nonzero coefficient (raw residue)
@@ -141,7 +141,7 @@ class GradedRing:
         return (-1) ** (sign % 2), prod
 
     def mono_divides(self, a: Mono, b: Mono) -> bool:
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(le, a, b))
 
     # polynomial layer ------------------------------------------------------
 
@@ -369,7 +369,9 @@ class GradedRing:
 
     def times_monomial(self, mu: Mono, p: Poly) -> Poly:
         """normal_form(poly_mul({mu: 1}, p)) for a homogeneous p, summed from
-        memoised normal forms of the product monomials.
+        memoised normal forms of the product monomials: the product that
+        element actions, the Groebner bases of submodules and the spans of
+        ring multiples are built from.
 
         The normal form modulo a Groebner basis is k-linear, so the normal
         form of mu*p is the sum of sign * c * NF(mono_mul(mu, m)) over the
@@ -420,51 +422,50 @@ class GradedRing:
             return []
         if t in self._basis_cache:
             return self._basis_cache[t]
-        weight = -t
-        self.complete(weight)
-        # each leading monomial is tested once the last generator of its
-        # support is assigned: it divides every completion of a prefix it
-        # divides, so the branch is cut there
+        self.complete(-t)
+        out = self._basis_cache[t] = self.standard_monomials(-t, self._leads)
+        return out
+
+    def standard_monomials(self, weight: int, leads: Sequence[Mono]) -> List[Mono]:
+        """The monomials of the given weight that no monomial of leads
+        divides, in ascending order (odd squares excluded)."""
+        # each leading monomial is filed under the last generator of its
+        # support: once the exponents before it are assigned and it divides
+        # them, it caps that generator's exponent below its own, so the
+        # branch is cut there
         ending: List[List[Mono]] = [[] for _ in range(self.n)]
-        unit = False
-        for lm in self._leads:
+        for lm in leads:
             support = [i for i, e in enumerate(lm) if e]
-            if support:
-                ending[support[-1]].append(lm)
-            else:
+            if not support:
                 # a unit leaves no standard monomial; it is not filed,
                 # since a ring without generators has no generator 0
-                unit = True
+                return []
+            ending[support[-1]].append(lm)
         out: List[Mono] = []
         last = self.n - 1
+        weights, parity = self.weights, self.parity
 
-        def rec(i: int, remaining: int, acc: List[int]):
-            w = self.weights[i]
+        def rec(i: int, remaining: int, acc: Mono):
+            w = weights[i]
+            top = 1 if parity[i] else remaining // w
+            for lm in ending[i]:
+                # map stops at the end of acc: lm divides the prefix so far
+                if lm[i] <= top and all(map(le, lm, acc)):
+                    top = lm[i] - 1
             if i == last:
                 # only e = remaining / w lands on zero
                 e, rest = divmod(remaining, w)
-                prefix = acc + [e]
-                if not (rest or self.parity[i] and e > 1 or any(
-                        self.mono_divides(lm, prefix) for lm in ending[i])):
-                    out.append(tuple(prefix))
+                if not rest and e <= top:
+                    out.append(acc + (e,))
                 return
-            top = remaining // w
-            if self.parity[i]:
-                top = min(top, 1)
-            for e in range(top + 1):
-                prefix = acc + [e]
-                # divisibility only grows with e, so no larger e survives
-                if any(self.mono_divides(lm, prefix) for lm in ending[i]):
-                    break
-                rec(i + 1, remaining - e * w, prefix)
+            for e in range(min(top, remaining // w) + 1):
+                rec(i + 1, remaining - e * w, acc + (e,))
 
-        if not unit:
-            if self.n:
-                rec(0, weight, [])
-            elif weight == 0:
-                out.append(())      # a ring without generators is k
+        if self.n:
+            rec(0, weight, ())
+        elif weight == 0:
+            out.append(())      # a ring without generators is k
         out.sort(key=self.order_key)
-        self._basis_cache[t] = out
         return out
 
     def dim_in_degree(self, t: int) -> int:
@@ -745,11 +746,211 @@ def poly_matrix_realize(ring: GradedRing, source: FreeModule, target: FreeModule
 # finitely presented modules ------------------------------------------------
 
 
+class _Submodule:
+    """A Groebner basis of the submodule of a free module spanned by rows,
+    complete in every degree down to the lowest one asked for.
+
+    The order is position over term: the leading term of an element is the
+    leading monomial of its first nonzero entry under the ring's weighted
+    degrevlex, and entries are ring normal forms (Eisenbud, Commutative
+    Algebra, ch. 15).  Over a quotient ring, and for the odd squares, the
+    elements are paired with the ring's Groebner basis as well, completed
+    as far as the degree asked for needs, but not where the leading
+    monomials are coprime: the Koszul syzygy h*e_g - g*e_h stands for such
+    a pair and maps to h*e_g = 0.  Coprime pairs of two elements count.
+    Pairs are taken by degree, highest first (the normal strategy); an
+    element lies in the degree of the pair that made it, and no leading
+    term divides a monomial of a higher degree, so completing further down
+    leaves the standard monomials and normal forms found so far valid.
+    floor is the lowest degree of a pair taken.
+    """
+
+    def __init__(self, ring: GradedRing, degrees: Sequence[int],
+                 rows: Sequence[Sequence[Poly]], what: str):
+        self.ring = ring
+        self.degrees = list(degrees)
+        self.what = what                # named when the completion runs away
+        self.basis: List[List[Poly]] = []
+        self.leads: List[Tuple[int, Mono, int]] = []   # position, monomial, coefficient
+        self._monomial: List[bool] = []     # whether an element has one term
+        self.pairs: Dict[int, List[Tuple[int, int]]] = {}   # degree: (element, partner)
+        self.floor: Optional[int] = None
+        self._rows = [list(row) for row in rows]   # joined by the first completion
+        self._bound = math.inf          # every pair of degree >= _bound is taken
+        self._ring_paired = 0           # ring basis elements paired with every element
+        self._taken = 0
+        self._standard: Dict[int, List[Tuple[int, Mono]]] = {}
+        self._nf_memo: Dict[Tuple[int, Mono], Dict[Tuple[int, Mono], int]] = {}
+
+    def _times(self, mu: Mono, f: List[Poly]) -> List[Poly]:
+        return [self.ring.times_monomial(mu, p) for p in f]
+
+    def _combine(self, a: int, f: List[Poly], b: int, g: List[Poly]) -> List[Poly]:
+        ring = self.ring
+        return [ring.poly_add(ring.poly_scale(p, a), ring.poly_scale(q, b))
+                for p, q in zip(f, g)]
+
+    def _divisor(self, k: int, m: Mono) -> Optional[int]:
+        """The first element whose leading term divides m at position k."""
+        divides = self.ring.mono_divides
+        return next((i for i, (kk, lm, _) in enumerate(self.leads)
+                     if kk == k and divides(lm, m)), None)
+
+    def _pair(self, i: int, j: int, k: int, mi: Mono, mj: Mono):
+        lcm = tuple(map(max, mi, mj))
+        degree = self.degrees[k] + self.ring.mono_degree(lcm)
+        self.pairs.setdefault(degree, []).append((i, j))
+
+    def _add(self, f: List[Poly]):
+        """Top-reduce f by the basis; a remainder joins it with its pairs."""
+        ring = self.ring
+        while True:
+            k = next((k for k, p in enumerate(f) if p), None)
+            if k is None:
+                return
+            m, c = ring.leading(f[k])
+            i = self._divisor(k, m)
+            if i is None:
+                break
+            g = self._times(tuple(map(sub, m, self.leads[i][1])), self.basis[i])
+            f = self._combine(1, f, -c * ring.field.inv(g[k][m]), g)
+        i = len(self.basis)
+        for j, (kk, mj, _) in enumerate(self.leads):
+            if kk == k:
+                self._pair(i, j, k, m, mj)
+        for h, lm in enumerate(ring._leads[:self._ring_paired]):
+            if any(map(min, lm, m)):
+                self._pair(i, -1 - h, k, m, lm)
+        self.basis.append(f)
+        self.leads.append((k, m, c))
+        self._monomial.append(sum(map(len, f)) == 1)
+
+    def complete(self, t):
+        """Take every S-pair of degree >= t; t = -math.inf completes the
+        basis to a Groebner basis of the whole submodule."""
+        if t >= self._bound:
+            return
+        ring = self.ring
+        ring.complete(max(self.degrees, default=0) - t)
+        # pair every element with the ring's basis elements found since
+        # the last completion; elements joining from here on pair with them
+        # in _add
+        for h in range(self._ring_paired, len(ring._leads)):
+            lm = ring._leads[h]
+            for i, (k, m, _) in enumerate(self.leads):
+                if any(map(min, lm, m)):
+                    self._pair(i, -1 - h, k, m, lm)
+        self._ring_paired = len(ring._leads)
+        rows, self._rows = self._rows, []
+        for row in rows:
+            self._add(row)
+        pairs = self.pairs
+        while pairs:
+            degree = max(pairs)
+            if degree < t:
+                break
+            if self._taken >= PAIR_LIMIT:
+                raise ContractViolation(
+                    f"completion runaway: {self.what} exceeded {PAIR_LIMIT} "
+                    f"S-pairs")
+            self._taken += 1
+            i, j = pairs[degree].pop()
+            if not pairs[degree]:
+                del pairs[degree]
+            self.floor = degree if self.floor is None else min(self.floor, degree)
+            if self._monomial[i] and (self._monomial[j] if j >= 0 else
+                                      len(ring._gb[-1 - j]) == 1):
+                continue        # the two multiples of the lcm cancel
+            k, mi, ci = self.leads[i]
+            mj = self.leads[j][1] if j >= 0 else ring._leads[-1 - j]
+            lcm = tuple(map(max, mi, mj))
+            qi = tuple(map(sub, lcm, mi))
+            spol = self._times(qi, self.basis[i])
+            if j >= 0:
+                # cancel the leading terms, Koszul signs of the products included
+                qj = tuple(map(sub, lcm, mj))
+                spol = self._combine(ring.mono_mul(qj, mj)[0] * self.leads[j][2], spol,
+                                     -ring.mono_mul(qi, mi)[0] * ci,
+                                     self._times(qj, self.basis[j]))
+            self._add(spol)
+        self._bound = t
+
+    def standard(self, t: int) -> List[Tuple[int, Mono]]:
+        """The standard monomials (position, ring monomial) of degree t,
+        no leading term dividing them: position first, then ascending ring
+        order.  Completes the basis down to t."""
+        out = self._standard.get(t)
+        if out is None:
+            self.complete(t)
+            ring = self.ring
+            out = []
+            for k, d in enumerate(self.degrees):
+                if d < t:
+                    continue
+                leads = [m for kk, m, _ in self.leads if kk == k]
+                monos = (ring.standard_monomials(d - t, ring._leads + leads)
+                         if leads else ring.basis_in_degree(t - d))
+                out.extend((k, m) for m in monos)
+            self._standard[t] = out
+        return out
+
+    def normal_form(self, key: Tuple[int, Mono]) -> Dict[Tuple[int, Mono], int]:
+        """{standard monomial: coefficient} of the module monomial key =
+        (position, ring standard monomial), memoised.  The basis must be
+        complete down to key's degree (standard does that)."""
+        memo = self._nf_memo
+        nf = memo.get(key)
+        if nf is not None:
+            return nf
+        ring = self.ring
+        char = ring.characteristic
+        order = ring.order_key
+
+        def put(d, km, v):
+            v = (d.get(km, 0) + v) % char
+            if v:
+                d[km] = v
+            else:
+                d.pop(km, None)
+
+        work = {key: 1}
+        out: Dict[Tuple[int, Mono], int] = {}
+        while work:
+            top = max(work, key=lambda km: (-km[0], order(km[1])))
+            c = work.pop(top)
+            known = memo.get(top)
+            if known is not None:
+                for km, v in known.items():
+                    put(out, km, c * v)
+                continue
+            k, m = top
+            i = self._divisor(k, m)
+            if i is None:
+                put(out, top, c)
+                continue
+            if self._monomial[i]:
+                continue        # a multiple of a one-term element is the term
+            g = self._times(tuple(map(sub, m, self.leads[i][1])), self.basis[i])
+            factor = c * ring.field.inv(g[k][m])
+            for kk, p in enumerate(g):
+                for mm, cc in p.items():
+                    if (kk, mm) != top:
+                        put(work, (kk, mm), -factor * cc)
+        memo[key] = out
+        return out
+
+
 class GradedModule:
     """Finitely presented graded module, realized degreewise on demand.
 
     Presentation: free module on `generators` modulo the row span of
-    `relations` (each row: one Poly per generator).
+    `relations` (each row: one Poly per generator).  The module is realized
+    from a Groebner basis of the relation submodule (_Submodule), completed
+    down to the lowest degree asked for: the basis of M_t is the standard
+    monomials of degree t, generator first and then ascending ring order,
+    and a ring element acts through the normal forms of its products.
+    Where the relation span is spanned by monomials, the basis is the
+    monomials outside it.
     """
 
     def __init__(self, ring: GradedRing, generators: Sequence[Tuple[str, int]],
@@ -775,15 +976,8 @@ class GradedModule:
                 row_degrees.append(degs.pop())
         self.relations = rel_rows
         self.row_degrees = row_degrees      # the degree of each relation row
-        self._deg_cache: Dict[int, Tuple[List[Tuple[int, Mono]], SparseMatrix, List[int]]] = {}
-        # the projection of each realized degree grouped by column, read by
-        # element_action
-        self._proj_cols: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
-        # the top-down walk of _realize: degrees _walked and above are
-        # realized, and the last _zero_run of them are zero
-        self._lowest = min((d for _, d in self.generators), default=0)
-        self._walked = self.top_degree + 1
-        self._zero_run = 0
+        self._gb = _Submodule(ring, self.free.gen_degrees, rel_rows,
+                              f"the relations of module {name}")
 
     def _check_parity(self, k: int, row: List[Poly]):
         """Reject relation row k when its terms differ in parity.
@@ -829,132 +1023,76 @@ class GradedModule:
     def top_degree(self) -> int:
         return max((d for _, d in self.generators), default=0)
 
-    def _relation_span(self, t: int) -> SparseMatrix:
-        """Row matrix spanning the relation submodule in degree t."""
-        return self.free.multiples(self.relations, self.row_degrees, t)
-
-    def _realize(self, t: int):
-        """(free basis, projection P, free columns) of degree t, cached.
-
-        P maps free-module coordinates onto the quotient basis, the free
-        columns (see exactla.quotient_projection).  Below the lowest
-        generator degree every element of M_t is a sum of x_i * M_{t + w_i},
-        so M_t = 0 once the W = max w_i degrees above t are zero, and then
-        every lower degree is zero too.  To find the first such t whatever
-        degree is asked first, the degrees are realized top-down from the
-        top generator degree.  Below the first such t the relation span is
-        all of the free module, so none is built: P is 0 x n and no column
-        is free.
-        """
-        cache = self._deg_cache
-        if t not in cache:
-            if t >= self._lowest:
-                cache[t] = self._eliminate(t)
-            else:
-                self._walk_down(t)
-                if t not in cache:
-                    basis = self.free.basis_in_degree(t)
-                    cache[t] = (basis, SparseMatrix._trusted(
-                        self.ring.field, 0, len(basis), {}), [])
-        return cache[t]
-
-    def _eliminate(self, t: int):
-        proj, free_cols = quotient_projection(self._relation_span(t))
-        return self.free.basis_in_degree(t), proj, free_cols
-
-    def _walk_down(self, t: int):
-        """Realize the degrees from the top generator degree down to t, or
-        down to the first one that the vanishing rule shows to be zero."""
-        run_needed = max(self.ring.weights, default=0)
-        cache = self._deg_cache
-        while self._walked > t:
-            d = self._walked - 1
-            if d < self._lowest and self._zero_run >= run_needed:
-                return
-            if d not in cache:
-                cache[d] = self._eliminate(d)
-            self._zero_run = 0 if cache[d][2] else self._zero_run + 1
-            self._walked = d
-
     def relation_vectors(self, t: int) -> SparseMatrix:
-        """The nonzero rows of rref(_relation_span(t)).
+        """The nonzero rows of the reduced echelon form of the relation
+        submodule's degree-t piece, in free.basis_in_degree(t) coordinates.
 
-        The echelon form is unique, so it is read off _realize(t) rather
-        than eliminated again: the row of pivot column c has 1 at c and
-        -P[:, c] at the free columns.  Where M_t = 0 it is the identity.
+        The piece is spanned by e_c - NF(e_c), one row for each monomial c
+        that is not standard, so only those rows are eliminated (rows e_c
+        alone, as for monomial relations, already are the echelon form); the
+        echelon form is unique.  Where M_t = 0 it is the identity.
         """
-        basis, proj, free_cols = self._realize(t)
-        free_set = set(free_cols)
-        pivots = [c for c in range(len(basis)) if c not in free_set]
-        at = {c: r for r, c in enumerate(pivots)}
+        gb = self._gb
+        standard = set(gb.standard(t))
+        basis = self.free.basis_in_degree(t)
+        pos = {bm: c for c, bm in enumerate(basis)}
         p = self.ring.characteristic
-        ent = {(r, c): 1 for r, c in enumerate(pivots)}
-        for (r, c), v in proj.entries.items():
-            i = at.get(c)
-            if i is not None:
-                ent[(i, free_cols[r])] = p - v
-        return SparseMatrix._trusted(self.ring.field, len(pivots), len(basis), ent)
+        ent = {}
+        r = 0
+        for c, bm in enumerate(basis):
+            if bm not in standard:
+                ent[(r, c)] = 1
+                for key, v in gb.normal_form(bm).items():
+                    ent[(r, pos[key])] = p - v
+                r += 1
+        rows = SparseMatrix._trusted(self.ring.field, r, len(basis), ent)
+        return rows if len(ent) == r else rref(rows)[0]
 
     def dim_in_degree(self, t: int) -> int:
-        if t > self.top_degree:
-            return 0
-        _, proj, _ = self._realize(t)
-        return proj.rows
+        return len(self._gb.standard(t))
 
     def basis_in_degree(self, t: int) -> List[str]:
         """Monomial labels of the chosen degree-t basis, deterministic order."""
-        basis, _, free_cols = self._realize(t)
         out = []
-        for c in free_cols:
-            i, m = basis[c]
+        for i, m in self._gb.standard(t):
             mono = self.ring.poly_str({m: 1})
             gen = self.generators[i][0]
             out.append(gen if mono == "1" else f"{mono}*{gen}")
         return out
 
     def element_action(self, p, t: int) -> SparseMatrix:
-        """Matrix of multiplication by homogeneous element p: deg t -> t + |p|."""
+        """Matrix of multiplication by homogeneous element p: deg t -> t + |p|.
+
+        Column j is the normal form of p times the j-th standard monomial:
+        its product terms that are standard stand for themselves, the
+        others are read off the memoised module normal forms.
+        """
         ring = self.ring
         if isinstance(p, str):
             p = ring.parse(p)
         p = ring.normal_form(p)
         if not p:
             return SparseMatrix(ring.field, 0, self.dim_in_degree(t))
-        dp = ring.poly_degree(p)
-        t2 = t + dp
-        basis, _, free_cols = self._realize(t)
-        tgt_basis, tproj, _ = self._realize(t2)
-        tpos = {bm: i for i, bm in enumerate(tgt_basis)}
-        proj_cols = self._projection_columns(t2) if self.relations else None
+        gb = self._gb
+        source = gb.standard(t)
+        target = gb.standard(t + ring.poly_degree(p))
+        tpos = {bm: r for r, bm in enumerate(target)}
         ent = {}
-        for j, c in enumerate(free_cols):
-            i, m = basis[c]
+        for j, (i, m) in enumerate(source):
             col: Dict[int, int] = {}
-            if proj_cols is None:
-                # over a free module the projection is the identity
-                for mm, cc in ring.times_monomial(m, p).items():
-                    r = tpos.get((i, mm))
-                    if r is not None:
-                        col[r] = col.get(r, 0) + cc
-            else:
-                for mm, cc in ring.times_monomial(m, p).items():
-                    for r, v in proj_cols.get(tpos.get((i, mm)), ()):
-                        col[r] = col.get(r, 0) + cc * v
+            for mm, cc in ring.times_monomial(m, p).items():
+                r = tpos.get((i, mm))
+                if r is not None:
+                    col[r] = col.get(r, 0) + cc
+                    continue
+                for key, v in gb.normal_form((i, mm)).items():
+                    r = tpos[key]
+                    col[r] = col.get(r, 0) + cc * v
             for r in sorted(col):
                 v = col[r] % ring.characteristic
                 if v:
                     ent[(r, j)] = v
-        return SparseMatrix._trusted(ring.field, tproj.rows, len(free_cols), ent)
-
-    def _projection_columns(self, t: int) -> Dict[int, List[Tuple[int, int]]]:
-        """The projection P of degree t as {free column: [(row, value)]},
-        grouped once per degree."""
-        cols = self._proj_cols.get(t)
-        if cols is None:
-            cols = self._proj_cols[t] = {}
-            for (r, c), v in self._realize(t)[1].entries.items():
-                cols.setdefault(c, []).append((r, v))
-        return cols
+        return SparseMatrix._trusted(ring.field, len(target), len(source), ent)
 
     def generator_action(self, gi: int, t: int) -> SparseMatrix:
         return self.element_action(self.ring.gen_poly(gi), t)
@@ -1046,73 +1184,11 @@ def _frame_floor(ring: GradedRing, free: FreeModule,
     # 15.10): extend the rows to a Groebner basis G.  The syzygies of G are
     # generated by one per S-pair, in the degree of the pair's lcm, and they
     # map onto the syzygies of the rows, which G contains; so the lowest lcm
-    # degree bounds them.  Position over term: the leading term of an element
-    # is the leading monomial of its first nonzero entry, and entries are
-    # ring normal forms.  Over a quotient ring, and for the odd squares, the
-    # pairs with the ring's completed Groebner basis count as well, but not
-    # the coprime ones: the Koszul syzygy h*e_g - g*e_h stands for such a
-    # pair and maps to h*e_g = 0.  Coprime pairs of two elements count.
-    # Pairs are taken by degree, highest first (the normal strategy).
-    ring.complete(math.inf)
-    basis: List[List[Poly]] = []
-    leads: List[Tuple[int, Mono, int]] = []
-    pairs: Dict[int, List[Tuple[int, int]]] = {}   # degree: (element, partner)
-
-    def times(mu, f):
-        return [ring.times_monomial(mu, p) for p in f]
-
-    def combine(a, f, b, g):
-        return [ring.poly_add(ring.poly_scale(p, a), ring.poly_scale(q, b))
-                for p, q in zip(f, g)]
-
-    def add(f):
-        # top-reduce f by the basis; a remainder joins it with its pairs
-        while True:
-            k = next((k for k, p in enumerate(f) if p), None)
-            if k is None:
-                return
-            m, c = ring.leading(f[k])
-            i = next((i for i, (kk, mm, _) in enumerate(leads)
-                      if kk == k and ring.mono_divides(mm, m)), None)
-            if i is None:
-                break
-            g = times(tuple(map(sub, m, leads[i][1])), basis[i])
-            f = combine(1, f, -c * ring.field.inv(g[k][m]), g)
-        partners = [(i, mm) for i, (kk, mm, _) in enumerate(leads) if kk == k]
-        partners += [(-1 - h, lm) for h, lm in enumerate(ring._leads)
-                     if any(map(min, lm, m))]
-        for j, mj in partners:
-            degree = free.gen_degrees[k] + ring.mono_degree(tuple(map(max, m, mj)))
-            pairs.setdefault(degree, []).append((len(basis), j))
-        basis.append(f)
-        leads.append((k, m, c))
-
-    for row in rows:
-        add(list(row))
-    floor, done = None, 0
-    while pairs:
-        done += 1
-        if done > PAIR_LIMIT:
-            raise ContractViolation(
-                f"completion runaway: the Schreyer frame exceeded "
-                f"{PAIR_LIMIT} S-pairs")
-        degree = max(pairs)
-        i, j = pairs[degree].pop()
-        if not pairs[degree]:
-            del pairs[degree]
-        floor = degree if floor is None else min(floor, degree)
-        k, mi, ci = leads[i]
-        mj = leads[j][1] if j >= 0 else ring._leads[-1 - j]
-        lcm = tuple(map(max, mi, mj))
-        qi = tuple(map(sub, lcm, mi))
-        spol = times(qi, basis[i])
-        if j >= 0:
-            # cancel the leading terms, Koszul signs of the products included
-            qj = tuple(map(sub, lcm, mj))
-            spol = combine(ring.mono_mul(qj, mj)[0] * leads[j][2], spol,
-                           -ring.mono_mul(qi, mi)[0] * ci, times(qj, basis[j]))
-        add(spol)
-    return floor
+    # degree bounds them.  The pairs _Submodule leaves out stand for Koszul
+    # syzygies that map to zero.
+    gb = _Submodule(ring, free.gen_degrees, rows, "the Schreyer frame")
+    gb.complete(-math.inf)
+    return gb.floor
 
 
 def minimal_free_resolution(mod: GradedModule, length: int) -> Resolution:

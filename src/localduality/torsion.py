@@ -32,10 +32,11 @@ from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
 
 @dataclass
 class Tower:
-    """The certified tail of a Koszul tower: stages[i] is stage first + i
-    (the power of the Koszul object), maps[i] joins stages[i] and
-    stages[i + 1], and unit joins the last stage and the input.  direction
-    "colim": maps go stage s -> s+1 and unit to the input; "lim": reversed.
+    """The certified tail of a Koszul tower: stages[i] is stage
+    max(1, s_max - CONSEC) + i (the power of the Koszul object), the last
+    one s_max; maps[i] joins stages[i] and stages[i + 1], and unit joins
+    the last stage and the input.  direction "colim": maps go stage
+    s -> s+1 and unit to the input; "lim": reversed.
     Only the last stage, the model, is realized in full; the others, and
     the maps, only up to the window's top, and a stage cut there carries
     no generator actions."""
@@ -43,7 +44,6 @@ class Tower:
     stages: List[WindowedComplex]
     maps: List[ComplexMap]
     direction: str
-    first: int
     unit: ComplexMap
 
 
@@ -292,7 +292,7 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     finally:
         # X outlives the tower as the functor's input
         X.clear_monomial_actions()
-    return Tower(stages, maps, "colim" if colim else "lim", first, unit)
+    return Tower(stages, maps, "colim" if colim else "lim", unit)
 
 
 def _tower_functor(functor: str, m, p: HomIdeal, w: Window,

@@ -102,9 +102,10 @@ def test_one_writer_per_layer_for_matrices_of_ring_elements():
     assert {c for c in callers["complex_element_action"]
             if c.startswith("complexes.")} == {"complexes._free_blocks"}
     # graded: spans of ring multiples come from FreeModule.multiples; a
-    # module's element action and the Schreyer frame multiply on their own
+    # module's element action and the Groebner basis of a submodule (a
+    # module's relations, a Schreyer frame) multiply on their own
     assert {c for c in callers["times_monomial"] if c.startswith("graded.")} \
-        == {"graded.multiples", "graded.element_action", "graded._frame_floor"}
+        == {"graded.multiples", "graded.element_action", "graded._times"}
     # relative: present_model's degree loop builds no module to read its
     # relation span
     source = (PACKAGE / "relative.py").read_text()

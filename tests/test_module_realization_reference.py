@@ -1,13 +1,21 @@
 """Degreewise realization of finitely presented modules against a reference.
 
-`reference_realize` is the realization `GradedModule._realize` made before it
-learned the vanishing rule: in every degree it builds the whole relation span
-(`reference_relation_span`) and eliminates it.  `reference_element_action`
-is `GradedModule.element_action` on top of it.  Both paths must agree in
-every degree on the basis, the projection, the free columns, the labels and
-the element actions, whatever order the degrees are asked in.
-`GradedModule.relation_vectors`, which reads the echelon form of the
-relation span off the realization, must equal the rows of its elimination.
+`reference_realize` builds the whole relation span in a degree
+(`reference_relation_span`) and eliminates it.  With each generator's
+columns in descending ring order the leftmost pivot of an echelon row is
+its leading term in position-over-term order, largest term leading, so
+the free columns are the Groebner standard monomials and the projection of
+a free-basis monomial is its normal form; the result is mapped back to the
+ascending free-basis order.  `reference_element_action` is
+`GradedModule.element_action` on top of it.  The module must agree with it
+in every degree on the standard monomials, the labels, the dimensions, the
+normal form of every free-basis monomial and the element actions,
+whatever order the degrees are asked in.  Where the relation span is
+spanned by monomials, the module also equals the realization with
+ascending columns (leading="smallest"), the smallest term leading, which
+the module made before it kept a Groebner basis.
+`GradedModule.relation_vectors`, the echelon form of the relation span in
+ascending columns, must equal the rows of its elimination.
 """
 
 import math
@@ -15,6 +23,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localduality import graded
 from localduality.cli import Environment, corpus, parse
 from localduality.exactla import SparseMatrix, quotient_projection, rref
 from localduality.graded import GradedModule, GradedRing, Window, tor
@@ -53,14 +62,33 @@ def reference_relation_span(mod, t):
     return SparseMatrix(ring.field, len(rows), len(basis), ent)
 
 
-def reference_realize(mod, t):
-    """(free basis, projection, free columns) of degree t, by elimination."""
-    proj, free_cols = quotient_projection(reference_relation_span(mod, t))
-    return mod.free.basis_in_degree(t), proj, free_cols
+def reference_realize(mod, t, leading="largest"):
+    """(free basis, projection, free columns) of degree t, by elimination.
+
+    The relation span is eliminated with each generator's columns in
+    descending ring order (leading="largest") or in the ascending order of
+    the free basis (leading="smallest").  The free columns index the free
+    basis in ascending order, and the projection maps free-basis
+    coordinates onto them."""
+    basis = mod.free.basis_in_degree(t)
+    span = reference_relation_span(mod, t)
+    order = list(range(len(basis)))     # eliminated column j is basis[order[j]]
+    if leading == "largest":
+        order.sort(key=lambda c: (basis[c][0], -c))
+    at = {c: j for j, c in enumerate(order)}
+    proj, free = quotient_projection(SparseMatrix(
+        span.field, span.rows, span.cols,
+        {(r, at[c]): v for (r, c), v in span.entries.items()}))
+    free_cols = sorted(order[j] for j in free)
+    row_of = {c: i for i, c in enumerate(free_cols)}
+    ent = {(row_of[order[free[r]]], order[j]): v
+           for (r, j), v in proj.entries.items()}
+    return basis, SparseMatrix(span.field, len(free_cols), len(basis), ent), \
+        free_cols
 
 
-def reference_labels(mod, t):
-    basis, _, free_cols = reference_realize(mod, t)
+def reference_labels(mod, t, leading="largest"):
+    basis, _, free_cols = reference_realize(mod, t, leading)
     out = []
     for c in free_cols:
         i, m = basis[c]
@@ -70,14 +98,14 @@ def reference_labels(mod, t):
     return out
 
 
-def reference_element_action(mod, p, t):
+def reference_element_action(mod, p, t, leading="largest"):
     ring = mod.ring
     p = ring.normal_form(p)
     if not p:
-        return SparseMatrix(ring.field, 0, reference_realize(mod, t)[1].rows)
+        return SparseMatrix(ring.field, 0, reference_realize(mod, t, leading)[1].rows)
     t2 = t + ring.poly_degree(p)
-    basis, _, free_cols = reference_realize(mod, t)
-    tgt_basis, tproj, _ = reference_realize(mod, t2)
+    basis, _, free_cols = reference_realize(mod, t, leading)
+    tgt_basis, tproj, _ = reference_realize(mod, t2, leading)
     tpos = {bm: i for i, bm in enumerate(tgt_basis)}
     proj_cols = {}
     for (r, c), v in tproj.entries.items():
@@ -100,7 +128,26 @@ def same_matrix(a, b):
     return (a.rows, a.cols, a.entries) == (b.rows, b.cols, b.entries)
 
 
-def assert_same_as_reference(mod, degrees):
+def normal_forms(mod, t):
+    """{free-basis column: {basis row of M_t: coefficient}}, the module's
+    normal form of every free-basis monomial of degree t."""
+    standard = mod._gb.standard(t)
+    row_of = {bm: r for r, bm in enumerate(standard)}
+    out = {}
+    for c, bm in enumerate(mod.free.basis_in_degree(t)):
+        nf = {bm: 1} if bm in row_of else mod._gb.normal_form(bm)
+        out[c] = {row_of[key]: v for key, v in nf.items()}
+    return out
+
+
+def projection_columns(proj):
+    out = {c: {} for c in range(proj.cols)}
+    for (r, c), v in proj.entries.items():
+        out[c][r] = v
+    return out
+
+
+def assert_same_as_reference(mod, degrees, leading="largest"):
     """Ask mod for each degree in the given order, then compare everything."""
     for t in degrees:
         mod.basis_in_degree(t)
@@ -108,16 +155,14 @@ def assert_same_as_reference(mod, degrees):
     elements = [ring.gen_poly(i) for i in range(ring.n)]
     elements.append(ring.poly_mul(ring.gen_poly(0), ring.gen_poly(ring.n - 1)))
     for t in degrees:
-        basis, proj, free_cols = mod._realize(t)
-        rbasis, rproj, rfree = reference_realize(mod, t)
-        assert basis == rbasis, t
-        assert same_matrix(proj, rproj), t
-        assert free_cols == rfree, t
-        assert mod.basis_in_degree(t) == reference_labels(mod, t), t
-        assert mod.dim_in_degree(t) == len(rfree), t
+        basis, proj, free_cols = reference_realize(mod, t, leading)
+        assert mod._gb.standard(t) == [basis[c] for c in free_cols], t
+        assert mod.basis_in_degree(t) == reference_labels(mod, t, leading), t
+        assert mod.dim_in_degree(t) == len(free_cols), t
+        assert normal_forms(mod, t) == projection_columns(proj), t
         for p in elements:
             assert same_matrix(mod.element_action(p, t),
-                               reference_element_action(mod, p, t)), (t, p)
+                               reference_element_action(mod, p, t, leading)), (t, p)
 
 
 def all_ints(values):
@@ -203,7 +248,7 @@ def test_realization_matches_reference_on_drawn_modules(pres, order, rnd):
                                             perm)
 
 
-# hand-picked modules the vanishing rule must not get wrong ------------------------
+# hand-picked modules ---------------------------------------------------------------
 
 
 def weight_two_square():
@@ -230,13 +275,23 @@ def odd_generators_over_gf5():
                         [["x^2", "0"], ["e*f", "x^3"], ["0", "x*e"]])
 
 
+def ring_basis_found_later():
+    """M = R/(xz) over R = F2[x,y,z]/(xy + z^2, x^2z + y^3), whose Groebner
+    basis gains elements below its relations' degrees: asked top-down, each
+    resumed completion of M's relations pairs xz with them."""
+    ring = GradedRing(2, [("x", -1), ("y", -1), ("z", -1)],
+                      ["x*y + z^2", "x^2*z + y^3"])
+    return GradedModule(ring, [("u", 0)], [["x*z"]])
+
+
 def free_plane():
     ring = GradedRing(2, [("x", -1), ("y", -1)], [])
     return GradedModule.free_module(ring, [0, -3])
 
 
 HAND_PICKED = [weight_two_square, gap_between_generators,
-               mixed_weights_residue_field, odd_generators_over_gf5, free_plane]
+               mixed_weights_residue_field, odd_generators_over_gf5,
+               ring_basis_found_later, free_plane]
 
 
 @pytest.mark.parametrize("order", ["bottom-up", "top-down", "random"])
@@ -272,21 +327,130 @@ def test_relation_vectors_are_the_echelon_on_corpus_rings():
         assert_relation_vectors_are_the_echelon(build(), range(-12, 2))
 
 
-def test_tor_of_residue_field_builds_no_span_below_minus_one(monkeypatch):
-    """Tor(k, k) over F2[x0..x3] at floor -10 builds the relation span of k
-    in degrees 0 and -1 only: k vanishes below 0, and the resolution reads
-    the echelon form off the realization."""
-    seen = []
-    original = GradedModule._relation_span
+def test_tor_of_residue_field_reduces_nothing_below_minus_one(monkeypatch):
+    """Tor(k, k) over F2[x0..x3] at floor -10 reads relation rows and
+    computes module normal forms in degrees 0 and -1 only, and eliminates
+    nothing: k has no standard monomial below 0, the resolution reads the
+    echelon form of the relations in degrees 0 and -1 alone, and there the
+    rows of the monomial relations are their own echelon form."""
+    normal_forms, read, eliminated = [], [], []
+    nf, vectors, elim = (graded._Submodule.normal_form,
+                         GradedModule.relation_vectors, graded.rref)
 
-    def counting(self, t):
-        seen.append(t)
-        return original(self, t)
+    def counting_nf(self, key):
+        normal_forms.append(self.degrees[key[0]] - self.ring.mono_weight(key[1]))
+        return nf(self, key)
 
-    monkeypatch.setattr(GradedModule, "_relation_span", counting)
+    def counting_vectors(self, t):
+        read.append(t)
+        return vectors(self, t)
+
+    def counting_elim(m):
+        eliminated.append(m)
+        return elim(m)
+
+    monkeypatch.setattr(graded._Submodule, "normal_form", counting_nf)
+    monkeypatch.setattr(GradedModule, "relation_vectors", counting_vectors)
+    monkeypatch.setattr(graded, "rref", counting_elim)
     ring = GradedRing(2, [(f"x{i}", -1) for i in range(4)], [])
     table = tor(GradedModule.residue_field(ring), GradedModule.residue_field(ring),
                 Window(-10, 0, 0, 4))
     assert {k: v for k, v in table.items() if v} == \
         {(i, -i): math.comb(4, i) for i in range(5)}
-    assert seen and min(seen) >= -1
+    assert read and min(read) >= -1
+    assert normal_forms and min(normal_forms) >= -1
+    assert not eliminated
+
+
+# monomial presentations keep the realization with ascending columns -------------
+
+# the shapes of the benchmark's recollement workload: cyclic modules over
+# F2[x,y] and its quotients, generator in degree 0 or -1
+RECOLLEMENT_RINGS = {"R": [], "Q1": ["y^2"], "Q2": ["x^3"], "Q4": ["x^2", "y^3"]}
+RECOLLEMENT_MODULES = [("Q1", ["x^2"]), ("Q1", ["x^3"]), ("Q2", ["y^2"]),
+                       ("Q2", ["y^3"]), ("Q4", []), ("Q4", ["x^2*y"]),
+                       ("R", ["x^2", "y^2"]), ("R", ["x^2", "y^3"]),
+                       ("R", ["x^3", "y^2"]), ("R", ["x^2"]), ("R", ["y^2"])]
+# the shapes of the benchmark's Tor/Ext workload over F2[x0..x3]
+TOR_EXT_SHAPES = [[(1, 1, 0, 0), (0, 0, 2, 0), (0, 1, 0, 2)],
+                  [(2, 0, 0, 0), (0, 1, 1, 0)]]
+
+
+def recollement_modules():
+    base = GradedRing(2, [("x", -1), ("y", -1)], [], name="R")
+    rings = {name: base.quotient([base.parse(r) for r in rels], name=name)
+             for name, rels in RECOLLEMENT_RINGS.items()}
+    for name, rels in RECOLLEMENT_MODULES:
+        for degree in (0, -1):
+            yield GradedModule(rings[name], [("a", degree)], [[r] for r in rels])
+
+
+def tor_ext_modules():
+    names = [f"x{i}" for i in range(4)]
+    ring = GradedRing(2, [(n, -1) for n in names], [])
+    for shape in TOR_EXT_SHAPES:
+        for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
+            rows = [["*".join(f"{names[j]}^{m[perm[j]]}" for j in range(4)
+                              if m[perm[j]])] for m in shape]
+            yield GradedModule(ring, [("a", 0)], rows)
+    yield GradedModule.residue_field(ring)
+
+
+@pytest.mark.parametrize("leading", ["largest", "smallest"])
+def test_monomial_presentations_match_both_references(leading):
+    for mod in recollement_modules():
+        assert_same_as_reference(mod, [-3, 1, -9, -1, 0, -6, -2, -8, -4, -7, -5],
+                                 leading)
+    for mod in tor_ext_modules():
+        assert_same_as_reference(mod, [-2, 0, -6, 1, -1, -4, -3, -5], leading)
+
+
+# drawn modules over the corpus rings ---------------------------------------------
+
+
+def corpus_rings():
+    rings = [Environment(parse(entry.text)[0]).rings["R"] for entry in corpus()]
+    # the cusp: a ring relation that is not a monomial
+    rings.append(GradedRing(3, [("x", -2), ("y", -3)], ["x^3 + y^2"],
+                            name="cusp"))
+    return rings
+
+
+CORPUS_RINGS = corpus_rings()
+
+
+@st.composite
+def corpus_presentations(draw):
+    """A module over a corpus ring (odd_line: an odd generator over F3) or
+    the cusp: one to three generators, and random relation rows whose terms
+    share their parity."""
+    ring = draw(st.sampled_from(CORPUS_RINGS))
+    gen_degrees = draw(st.lists(st.integers(-4, 0), min_size=1, max_size=3))
+    gens = [(f"u{j}", d) for j, d in enumerate(gen_degrees)]
+    rels = []
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(min(gen_degrees) - 4, max(gen_degrees)))
+        parity = draw(st.integers(0, 1))
+        row = []
+        for _, dj in gens:
+            poly = {}
+            for m in ring.basis_in_degree(d - dj):
+                if sum(e for e, o in zip(m, ring.parity) if o) % 2 == parity:
+                    c = draw(st.integers(0, ring.characteristic - 1))
+                    if c:
+                        poly[m] = c
+            row.append(poly)
+        rels.append(row)
+    return ring, gens, rels
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_presentations(), st.randoms(use_true_random=False))
+def test_realization_matches_reference_on_corpus_rings(pres, rnd):
+    ring, gens, rels = pres
+    lo, hi = min(d for _, d in gens) - 6, max(d for _, d in gens) + 1
+    perm = list(range(lo, hi + 1))
+    rnd.shuffle(perm)
+    assert_same_as_reference(GradedModule(ring, gens, rels), perm)
+    assert_relation_vectors_are_the_echelon(GradedModule(ring, gens, rels),
+                                            perm)

@@ -70,7 +70,7 @@ def reference_resolution(mod, length, w):
     diffs = []
 
     def relation_vectors(t):
-        span = mod._relation_span(t)
+        span = mod.free.multiples(mod.relations, mod.row_degrees, t)
         red, pivots = rref(span)
         dense = red.to_dense()
         return [dense[i] for i in range(len(pivots))]

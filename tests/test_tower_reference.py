@@ -141,7 +141,6 @@ def test_tail_matches_whole_tower(ring, mod, ideal):
             tower = _koszul_tower(functor, res.provenance["input"], ideal, w,
                                   s_max)
             first = max(1, s_max - CONSEC)
-            assert tower.first == first
             assert len(tower.stages) == s_max - first + 1
             assert len(tower.maps) == s_max - first
             assert res.provenance["stage"] == s_max

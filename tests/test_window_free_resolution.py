@@ -1,6 +1,7 @@
 """Resolutions that no window cuts: Ext, the Ext-duality oracle and the
 kappa(p)-ranks read generators far below the window they are asked on, and
-a completion that runs away is refused with the stage it ran away in."""
+a completion that runs away is refused with the stage it ran away in (and
+the module, when its relations ran away)."""
 
 import json
 
@@ -138,4 +139,23 @@ def test_runaway_frame_names_the_stage():
     mod = GradedModule(ring, [("u", 0)], rows)
     with pytest.raises(ContractViolation,
                        match="resolution stage 2: completion runaway"):
+        minimal_free_resolution(mod, 2)
+
+
+def test_runaway_relations_name_the_module(monkeypatch):
+    # the six quadratic monomials in x, y, z have 9 S-pairs in degree -3
+    # and 6 in degree -4: with the limit lowered to 10 the module's
+    # relations complete down to -3 and are refused below, with its name
+    monkeypatch.setattr(graded, "PAIR_LIMIT", 10)
+    ring = GradedRing(2, [(n, -1) for n in "xyz"], [])
+    rows = [[f"{a}*{b}"] for i, a in enumerate("xyz") for b in "xyz"[i:]]
+    mod = GradedModule(ring, [("u", 0)], rows, name="sq")
+    assert [mod.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 3, 0, 0]
+    with pytest.raises(ContractViolation, match="^completion runaway: the "
+                       "relations of module sq exceeded 10 S-pairs$"):
+        mod.dim_in_degree(-4)
+    # a redundant quartic relation takes the first stage down to -4
+    mod = GradedModule(ring, [("u", 0)], rows + [["x^4"]], name="sq")
+    with pytest.raises(ContractViolation, match="^resolution stage 1: "
+                       "completion runaway: the relations of module sq"):
         minimal_free_resolution(mod, 2)
