@@ -176,25 +176,17 @@ class GorensteinCertificate:
 # local duality over the ambient polynomial ring -------------------------------
 
 
-def _ambient(ring: GradedRing) -> GradedRing:
-    """S, the free ring on R's generators, so that R = S/I; built once per
-    ring.  It is a polynomial ring when R has no odd generator in odd
-    characteristic."""
-    if ring._ambient is None:
-        ring._ambient = GradedRing(ring.characteristic, ring.generators, [],
-                                   name=f"S({ring.name})")
-    return ring._ambient
-
-
 def _over_ambient(mod: GradedModule) -> GradedModule:
-    """mod as an S-module: its generators, its relations, and g * e_j for
-    each relation g of R and each generator e_j."""
+    """mod as an S-module, S = ring.ambient the free ring on R's generators,
+    so that R = S/I (a polynomial ring when R has no odd generator in odd
+    characteristic): its generators, its relations, and g * e_j for each
+    relation g of R and each generator e_j."""
     ring = mod.ring
     r = len(mod.generators)
     rows = list(mod.relations) + [
         [g if k == j else {} for k in range(r)]
         for g in ring.relations for j in range(r)]
-    return GradedModule(_ambient(ring), mod.generators, rows, name=mod.name)
+    return GradedModule(ring.ambient, mod.generators, rows, name=mod.name)
 
 
 def _duality_table(mod: GradedModule, p: HomIdeal,

@@ -1,10 +1,13 @@
 """Graded rings, modules and ideals with windowed exact computations.
 
 A ring is a connected graded-commutative k-algebra presented by generators in
-strictly negative (homotopy) degrees and homogeneous relations.  Normal forms
-come from a degree-truncated Buchberger completion under weighted degrevlex;
-all module-level operations are realized degreewise as matrices over the
-prime field and delegated to exactla.
+strictly negative (homotopy) degrees and homogeneous relations.  One
+degree-bounded Buchberger completion under weighted degrevlex, _Submodule,
+serves every Groebner basis: a ring's relation ideal is the rank-one
+submodule its relations span over the free ring on its generators, and a
+module's relations and a resolution's Schreyer frames are submodules of free
+modules over the ring.  All module-level operations are realized degreewise
+as matrices over the prime field and delegated to exactla.
 """
 
 from __future__ import annotations
@@ -92,25 +95,27 @@ class GradedRing:
             if p:
                 self._check_homogeneous(p)
                 rels.append(p)
-        # odd squares vanish in odd characteristic
-        if characteristic != 2:
-            for i, g in enumerate(gens):
-                if g.odd:
-                    sq = tuple(2 if j == i else 0 for j in range(self.n))
-                    rels.append({sq: 1})
-        self.relations: List[Poly] = rels
-        # the resumable completion: its basis with the basis's leading
-        # monomials, the bound it is complete to, and the S-pairs still to do
-        self._gb: List[Poly] = list(rels)
-        self._leads: List[Mono] = [self.leading(g)[0] for g in rels]
-        self._gb_bound = -1
-        self._pending = list(itertools.combinations(range(len(rels)), 2))
+        # R = S/I for the free ring S on the same generators, whose only
+        # relations are the odd squares; I is the rank-one S-submodule the
+        # other relations span, completed as far as a caller asks.  A free
+        # ring is its own S and has no I.
+        self.ambient: GradedRing = self
+        self._ideal: Optional[_Submodule] = None
+        if rels:
+            S = self.ambient = GradedRing(characteristic, gens, [],
+                                          name=f"S({name})")
+            self._ideal = _Submodule(S, [0], [[S.normal_form(r)] for r in rels],
+                                     f"the relations of ring {name}")
+        # the leading monomials of the Groebner basis so far and its
+        # elements, append-only: the odd squares, which vanish in odd
+        # characteristic (at 2 no generator is odd), then I's elements as
+        # its completion finds them
+        self._leads: List[Mono] = [tuple(2 if j == i else 0 for j in range(self.n))
+                                   for i in range(self.n) if self.parity[i]]
+        self._gb: List[Poly] = [{sq: 1} for sq in self._leads]
+        self.relations: List[Poly] = rels + self._gb
         self._basis_cache: Dict[int, List[Mono]] = {}
-        # normal forms of the reducible monomials met by times_monomial
-        self._nf_memo: Dict[Mono, Poly] = {}
         self._krull: Optional[int] = None
-        # the free ring on the same generators (duality._ambient)
-        self._ambient: Optional["GradedRing"] = None
 
     # monomial layer --------------------------------------------------------
 
@@ -270,145 +275,72 @@ class GradedRing:
 
     # normal forms ----------------------------------------------------------
 
-    def _reduce(self, p: Poly) -> Poly:
-        """Full reduction of p modulo the completion's basis so far."""
-        f = self.field
-        work = dict(p)
-        out: Poly = {}
-        while work:
-            m = max(work, key=self.order_key)
-            c = work.pop(m)
-            for lm, g in zip(self._leads, self._gb):
-                if self.mono_divides(lm, m):
-                    break
-            else:
-                out[m] = c
-                continue
-            q = tuple(a - b for a, b in zip(m, lm))
-            sgn_prod = self.poly_mul({q: 1}, g)
-            # coefficient of m inside q*g
-            cm = sgn_prod[m]
-            factor = (c * f.inv(cm)) % self.characteristic
-            red = self.poly_scale(sgn_prod, -factor)
-            red.pop(m, None)
-            work = self.poly_add(work, red)
-        return out
-
     def complete(self, weight_bound: int) -> List[Poly]:
-        """Buchberger completion keeping everything of weight <= weight_bound.
-
-        A larger bound resumes the last completion: its basis stays, and the
-        S-pairs it deferred as too heavy are taken up again.  Relations are
-        homogeneous, so an S-polynomial and its remainder have the weight of
-        the pair's lcm, and only whole pairs are ever deferred.  Where an odd
-        square kills the lcm in one product of a pair, every such product is
-        reduced on its own.  Every pair whose lcm weighs at most the bound
-        plus the largest generator weight is taken up, so resuming appends
-        only elements heavier than the bound already reached.  The bound
-        math.inf completes the basis to a Groebner basis of the whole ideal.
-        """
-        if weight_bound <= self._gb_bound:
-            return self._gb
-        basis = self._gb
-        limit = weight_bound + max(self.weights, default=0)
-        pairs, deferred = self._pending, []
-        guard = 0
-        while pairs:
-            guard += 1
-            if guard > PAIR_LIMIT:
-                self._pending = pairs + deferred
-                raise ContractViolation(
-                    f"completion runaway: Buchberger completion up to weight "
-                    f"{weight_bound} exceeded {PAIR_LIMIT} S-pairs")
-            i, j = pairs.pop()
-            gi, gj = basis[i], basis[j]
-            lmi, lmj = self._leads[i], self._leads[j]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            if self.mono_weight(lcm) > limit:
-                deferred.append((i, j))
-                continue
-            qi = tuple(a - b for a, b in zip(lcm, lmi))
-            qj = tuple(a - b for a, b in zip(lcm, lmj))
-            pi = self.poly_mul({qi: 1}, gi)
-            pj = self.poly_mul({qj: 1}, gj)
-            ci = pi.get(lcm, 0)
-            cj = pj.get(lcm, 0)
-            if ci and cj:
-                spols = [self.poly_add(self.poly_scale(pi, cj),
-                                       self.poly_scale(pj, -ci))]
-            else:
-                # an odd square killed the lcm in a product; each such
-                # product is an element of the ideal of its own
-                spols = [p for p, c in ((pi, ci), (pj, cj)) if not c]
-            for spol in spols:
-                nf = self._reduce(spol)
-                if nf:
-                    basis.append(nf)
-                    self._leads.append(self.leading(nf)[0])
-                    pairs.extend((k, len(basis) - 1)
-                                 for k in range(len(basis) - 1))
-        self._pending = deferred
-        self._gb_bound = weight_bound
-        return basis
+        """The ring's Groebner basis, complete for every monomial of weight
+        <= weight_bound: I completed down to degree -weight_bound
+        (_Submodule.complete), after the odd squares.  The bound math.inf
+        completes it to a Groebner basis of the whole ideal."""
+        ideal = self._ideal
+        if ideal is not None:
+            ideal.complete(-weight_bound)
+            known = len(self._gb) - len(self.ambient._gb)
+            self._gb.extend(f[0] for f in ideal.basis[known:])
+            self._leads.extend(m for _, m, _ in ideal.leads[known:])
+        return self._gb
 
     def normal_form(self, p) -> Poly:
-        """Canonical representative of a homogeneous element modulo relations.
-
-        Reduces p itself and stores nothing; the products of a monomial and a
-        polynomial go through times_monomial, which reads the normal forms of
-        their monomials off the ring's memo.
-        """
+        """Canonical representative of a homogeneous element modulo
+        relations: times_monomial of the unit monomial and p, so a term with
+        an odd square is dropped."""
         if isinstance(p, str):
             p = self.parse(p)
-        if not p:
-            return {}
         self._check_homogeneous(p)
-        w = self.mono_weight(next(iter(p)))
-        self.complete(w)
-        return self._reduce(p)
+        return self.times_monomial((0,) * self.n, p)
 
     def times_monomial(self, mu: Mono, p: Poly) -> Poly:
         """normal_form(poly_mul({mu: 1}, p)) for a homogeneous p, summed from
         memoised normal forms of the product monomials: the product that
-        element actions, the Groebner bases of submodules and the spans of
-        ring multiples are built from.
+        normal forms, element actions, the Groebner bases of submodules and
+        the spans of ring multiples are built from.
 
         The normal form modulo a Groebner basis is k-linear, so the normal
         form of mu*p is the sum of sign * c * NF(mono_mul(mu, m)) over the
         terms c*m of p (mu on the left, as poly_mul takes it, so the Koszul
         signs and the vanishing odd squares are the same).
 
-        The memo stores only reducible monomials.  A ring with relations is
-        completed to the weight of mu*p first; a product monomial that no
-        leading monomial divides is then its own normal form and is not
-        stored, so a ring whose only relations are odd squares stores
-        nothing.  An entry stays valid when the completion later resumes at
-        a larger bound: resuming only appends basis elements heavier than
-        the bound already reached (see complete), and those neither divide
-        a lighter monomial nor take part in its reduction.
+        The ring's one memo is I's (_Submodule.normal_form), and it stores
+        only reducible monomials.  A ring with relations is completed to the
+        weight of mu*p first; a product monomial that no leading monomial
+        divides is then its own normal form and is not stored, so a free
+        ring stores nothing.  An entry stays valid when the completion goes
+        further: I's later basis elements lie in lower degrees, so they
+        neither divide a lighter monomial nor take part in its reduction.
 
         p is not checked for homogeneity: the caller checks it once, not
         once per product.
         """
         if not p:
             return {}
-        if self.relations:
+        ideal = self._ideal
+        if ideal is None:
+            memo, leads = {}, ()
+        else:
             self.complete(self.mono_weight(mu) + self.mono_weight(next(iter(p))))
+            memo, leads = ideal._nf_memo, self._leads
+        divides = self.mono_divides
         char = self.characteristic
-        memo, leads = self._nf_memo, self._leads
         out: Poly = {}
         for m, c in p.items():
             r = self.mono_mul(mu, m)
             if r is None:
                 continue
             sgn, prod = r
-            nf = memo.get(prod)
+            key = (0, prod)
+            nf = memo.get(key)
             if nf is None:
-                if any(self.mono_divides(lm, prod) for lm in leads):
-                    nf = memo[prod] = self._reduce({prod: 1})
-                else:
-                    nf = {prod: 1}
-            for mm, cc in nf.items():
+                nf = (ideal.normal_form(key)
+                      if any(divides(lm, prod) for lm in leads) else {key: 1})
+            for (_, mm), cc in nf.items():
                 v = (out.get(mm, 0) + sgn * c * cc) % char
                 if v:
                     out[mm] = v
@@ -758,11 +690,14 @@ class _Submodule:
     as far as the degree asked for needs, but not where the leading
     monomials are coprime: the Koszul syzygy h*e_g - g*e_h stands for such
     a pair and maps to h*e_g = 0.  Coprime pairs of two elements count.
-    Pairs are taken by degree, highest first (the normal strategy); an
-    element lies in the degree of the pair that made it, and no leading
-    term divides a monomial of a higher degree, so completing further down
-    leaves the standard monomials and normal forms found so far valid.
-    floor is the lowest degree of a pair taken.
+    Pairs are taken by degree, highest first (the normal strategy), and
+    every pair taken counts against PAIR_LIMIT; an element lies in the
+    degree of the pair that made it, and no leading term divides a monomial
+    of a higher degree, so completing further down adds elements only in
+    lower degrees and leaves the standard monomials and normal forms found
+    so far, and their memo, valid.  floor is the lowest degree of a pair
+    taken.  A ring's relation ideal is one of these, of rank one over the
+    free ring on its generators, whose basis is the odd squares.
     """
 
     def __init__(self, ring: GradedRing, degrees: Sequence[int],

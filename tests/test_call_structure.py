@@ -11,7 +11,10 @@ A matrix of ring elements is written in one place per layer: the free-side
 blocks of F (x) X by `complexes._free_blocks`, spans of ring multiples by
 `graded.FreeModule.multiples`.  Two checks run a session instead: `oracle-check` on a ring builds Gamma_m of
 the ring once, for the certificate, and compares with the table it read, and
-`bc-check` reads its source's certificate from the session.
+`bc-check` reads its source's certificate from the session.  There is one
+Buchberger loop, `graded._Submodule.complete`: a ring's relation ideal is a
+rank-one submodule over its free ring, so `graded.GradedRing` takes no
+S-pair and reduces nothing itself.
 """
 
 import ast
@@ -95,6 +98,24 @@ def test_resolutions_take_no_window():
                     f"{path.name}:{node.lineno}"
 
 
+def test_one_buchberger_loop():
+    tree = ast.parse((PACKAGE / "graded.py").read_text())
+    methods = {f"{owner.name}.{func.name}": func for owner in tree.body
+               if isinstance(owner, ast.ClassDef) for func in owner.body
+               if isinstance(func, ast.FunctionDef)}
+    functions = dict(methods, **{func.name: func for func in tree.body
+                                 if isinstance(func, ast.FunctionDef)})
+    readers = {name for name, func in functions.items()
+               for node in ast.walk(func)
+               if isinstance(node, ast.Name) and node.id == "PAIR_LIMIT"}
+    assert readers == {"_Submodule.complete"}
+    # the ring's only while loop reads tokens: no S-pair or reduction loop
+    looping = {name for name, func in methods.items()
+               if name.startswith("GradedRing.")
+               and any(isinstance(node, ast.While) for node in ast.walk(func))}
+    assert looping == {"GradedRing.parse"}
+
+
 def test_one_writer_per_layer_for_matrices_of_ring_elements():
     # complexes: the free-side blocks of free_tensor's differential and of
     # every free_tensor_map, unit maps included, come from one writer
@@ -103,9 +124,12 @@ def test_one_writer_per_layer_for_matrices_of_ring_elements():
             if c.startswith("complexes.")} == {"complexes._free_blocks"}
     # graded: spans of ring multiples come from FreeModule.multiples; a
     # module's element action and the Groebner basis of a submodule (a
-    # module's relations, a Schreyer frame) multiply on their own
+    # module's relations, a Schreyer frame, a ring's relation ideal)
+    # multiply on their own, and a ring's normal form is the product of
+    # the unit monomial and the element
     assert {c for c in callers["times_monomial"] if c.startswith("graded.")} \
-        == {"graded.multiples", "graded.element_action", "graded._times"}
+        == {"graded.multiples", "graded.element_action", "graded._times",
+            "graded.normal_form"}
     # relative: present_model's degree loop builds no module to read its
     # relation span
     source = (PACKAGE / "relative.py").read_text()

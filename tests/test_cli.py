@@ -403,12 +403,13 @@ def test_undetermined_gorenstein_reports_its_reason(tmp_path, capsys):
 
 def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
     # all 210 quadratic monomials in 20 variables: more than 20000 S-pairs
+    # down to degree -4 (down to -3 the ring answers)
     names = [f"x{i}" for i in range(20)]
     rels = ", ".join(f"{a}*{b}" for i, a in enumerate(names) for b in names[i:])
     inp = write(tmp_path, "[ring R]\nchar = 2\n"
                           f"generators = {', '.join(n + ':-1' for n in names)}\n"
                           f"relations = {rels}\n\n[run]\nhilbert R\n")
-    assert main(["--input", inp, "--window", "0:0"]) == 1
+    assert main(["--input", inp, "--window", "-4:0"]) == 1
     diags = json.loads(capsys.readouterr().out)["diagnostics"]
     assert len(diags) == 1 and diags[0]["line"] == 7
     assert diags[0]["message"].startswith("completion runaway")

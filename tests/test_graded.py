@@ -56,6 +56,39 @@ def test_odd_generator_squares_to_zero():
     assert ring.normal_form(ring.parse("a*b")) == ring.parse("a*b")
 
 
+def test_odd_square_terms_of_raw_input_vanish():
+    # a monomial with an odd square is 0 in odd characteristic, so a term
+    # of one given as a raw dict is dropped: over the free ring, over a
+    # quotient ring, in a ring's relations and in a module's relation rows
+    gens = [("a", -1, True), ("b", -2)]
+    free_ring = GradedRing(3, gens)
+    assert free_ring.normal_form({(2, 0): 1}) == {}
+    assert free_ring.normal_form({(2, 0): 1, (0, 1): 2}) == {(0, 1): 2}
+    ring = GradedRing(3, gens, ["b^3"])
+    assert ring.normal_form({(2, 1): 1, (0, 2): 1}) == {(0, 2): 1}
+    assert ring.normal_form({(2, 2): 1, (0, 3): 1}) == {}
+    # a^2 + b is the relation b
+    line = GradedRing(3, gens, [{(2, 0): 1, (0, 1): 1}])
+    assert [line.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 1, 0, 0]
+    # R/(a^2, b) is k[a]/(a^2): the first row is zero and is dropped
+    mod = GradedModule(ring, [("u", 0)], [[{(2, 0): 1}], [{(2, 0): 1, (0, 1): 1}]])
+    assert mod.relations == [[{(0, 1): 1}]]
+    assert [mod.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 1, 0, 0]
+
+
+def test_runaway_ring_relations_name_the_ring():
+    # R/m^2 over F2[x0..x19]: its 210 quadratic monomial relations have
+    # 21945 S-pairs, in degrees -3 and -4.  Pairs are taken by degree, so
+    # R answers down to -3 and is refused at -4, naming itself.
+    names = [f"x{i}" for i in range(20)]
+    ring = GradedRing(2, [(n, -1) for n in names],
+                      [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]])
+    assert [ring.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 20, 0, 0]
+    with pytest.raises(ContractViolation, match="^completion runaway: the "
+                       "relations of ring R exceeded 20000 S-pairs$"):
+        ring.dim_in_degree(-4)
+
+
 def test_krull_dim():
     line = GradedRing(2, [("x", -1)], [])
     assert line.krull_dim() == 1
@@ -207,7 +240,7 @@ def test_times_monomial_matches_normal_form_of_the_product(presented, weights, d
     # ring answers through its memo; ref, a copy of it, reduces every
     # product as poly_mul then normal_form.  The queries run light, heavy,
     # then light again, so entries stored at a low completion bound are
-    # read after the completion resumed at a higher one.
+    # read after the completion went further.
     p, gens, rels = presented
     ring, ref = GradedRing(p, gens, rels), GradedRing(p, gens, rels)
     free_ring = GradedRing(p, gens, [])
@@ -222,12 +255,15 @@ def test_times_monomial_matches_normal_form_of_the_product(presented, weights, d
         assert ring.times_monomial(mu, q) == want
         assert free_ring.times_monomial(mu, q) == \
             free_ring.normal_form(free_ring.poly_mul({mu: 1}, q))
-    # a ring without relations other than odd squares stores nothing, and
-    # every stored monomial is reducible and still has the stored form
-    assert free_ring._nf_memo == {}
-    for m, nf in ring._nf_memo.items():
+    # a ring without relations other than odd squares has no relation
+    # ideal and stores nothing; in the one memo of the ring, its ideal's,
+    # every stored monomial is reducible and has its fresh normal form
+    assert free_ring._ideal is None
+    memo = ring._ideal._nf_memo if ring._ideal is not None else {}
+    for (_, m), nf in memo.items():
         assert any(ring.mono_divides(lm, m) for lm in ring._leads)
-        assert ref.normal_form({m: 1}) == nf
+        assert GradedRing(p, gens, rels).normal_form({m: 1}) == \
+            {mm: c for (_, mm), c in nf.items()}
 
 
 def test_times_monomial_keeps_koszul_signs():
@@ -238,7 +274,7 @@ def test_times_monomial_keeps_koszul_signs():
     b, ac, abc = (0, 1, 0), ring.parse("a*c"), (1, 1, 1)
     assert ring.times_monomial(b, ac) == ring.normal_form(ring.poly_mul({b: 1}, ac)) \
         == ring.poly_scale(ring.parse("c^2"), -1)
-    assert abc in ring._nf_memo
+    assert (0, abc) in ring._ideal._nf_memo
     assert ring.times_monomial((1, 0, 0), ring.parse("a*c")) == {}
 
 
