@@ -30,8 +30,7 @@ def main() -> int:
         report, code = run(spec, seed=args.seed, default_window=w)
         dt = time.perf_counter() - t0
         res = report["results"][0] if report["results"] else {}
-        verdict = {True: "yes", False: "no", None: "undetermined"}[
-            res["verdict"]] if res else "diagnostic"
+        verdict = ("yes" if res["verdict"] else "no") if res else "diagnostic"
         rows.append((entry.name, verdict,
                      res.get("krull_dim", ""),
                      res.get("shift", ""),

@@ -427,7 +427,7 @@ class Runner:
         except ValueError:
             raise CommandError(f"bad length {kv['length']!r}, "
                                "expected an integer") from None
-        res = minimal_free_resolution(m, length)
+        res = minimal_free_resolution(m.pruned(), length)
         return {"kind": "resolution", "name": pos[0],
                 "ranks": [st.rank for st in res.stages],
                 "degrees": [list(st.gen_degrees) for st in res.stages]}
@@ -582,10 +582,7 @@ class Runner:
         out = {"kind": "gorenstein", "name": pos[0],
                "verdict": cert.verdict, "krull_dim": cert.krull_dim,
                "shift": cert.shift}
-        if cert.verdict is None:
-            # undetermined: say why, e.g. that the window is too narrow
-            out["reason"] = cert.failure["reason"]
-        elif cert.failure:
+        if cert.failure:
             out["witness"] = {f"({i},{t})": v for (i, t), v
                               in cert.failure.get("nonvanishing", {}).items()}
         return out
@@ -780,10 +777,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="write the JSON report here (default: stdout)")
     ap.add_argument("--s-max", type=int, default=None,
-                    help="tower stage cap (default: window span + 4); "
-                         "not read by lc at the maximal ideal of a ring "
-                         "with no odd generator in odd characteristic, "
-                         "which local duality computes exactly")
+                    help="tower stage cap (default: window span + 4)")
     args, w = parse_window_args(ap, argv)
     if w is None:
         return 1

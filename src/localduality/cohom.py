@@ -69,11 +69,11 @@ def local_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
                      s_max: Optional[int] = None) -> CohomologyTable:
     """H^i_p(mod)_t on w.
 
-    At a maximal ideal of a ring with no odd generator in odd
-    characteristic, by graded local duality over the polynomial ring on the
-    ring's generators: exact, unflagged, and s_max is not read.  Otherwise
-    via the stabilized torsion tower, capped at s_max stages."""
-    if p.is_maximal() and not any(mod.ring.parity):
+    At a maximal ideal, by graded local duality over the polynomial ring on
+    the ring's even generators (duality._duality_table): exact, with no
+    flag, and s_max is not read.  Elsewhere via the stabilized torsion
+    tower, capped at s_max stages."""
+    if p.is_maximal():
         from .duality import _duality_table
         return _duality_table(mod, p, w)
     return cohomology_table(gamma(mod, p, w, s_max), p)

@@ -3,9 +3,10 @@ localization, and Gorenstein certification."""
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from functools import reduce
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
 from .graded import (GradedModule, GradedRing, HomIdeal, Resolution, Window,
@@ -13,9 +14,9 @@ from .graded import (GradedModule, GradedRing, HomIdeal, Resolution, Window,
                      minimal_free_resolution, resolution_ext)
 from .complexes import (WindowedComplex, complex_element_action, homology,
                         induced_on_homology, module_slice)
-from .torsion import FunctorResult, gamma, koszul_free, telescope_invert
-from .cohom import (CohomologyTable, cohomology_table, generic_ext_ranks,
-                    local_cohomology)
+from .torsion import (FunctorResult, gamma, koszul_free, koszul_object,
+                      telescope_invert)
+from .cohom import CohomologyTable, generic_ext_ranks, local_cohomology
 
 
 # injective models -----------------------------------------------------------
@@ -165,51 +166,76 @@ def is_free_rank_one(m: WindowedComplex, nu: int,
 
 @dataclass
 class GorensteinCertificate:
+    """Whether a ring is Gorenstein (verdict, a bool: the certificate is
+    exact), with its Krull dimension, its shift when it is, and the data
+    behind the verdict."""
+
     ring_name: str
-    verdict: Optional[bool]            # None = inconclusive
+    verdict: bool
     krull_dim: int
     shift: Optional[int] = None
     witness: Dict[str, object] = field(default_factory=dict)
     failure: Dict[str, object] = field(default_factory=dict)
 
 
-# local duality over the ambient polynomial ring -------------------------------
+# local duality over the even polynomial ring ----------------------------------
 
 
-def _over_ambient(mod: GradedModule) -> GradedModule:
-    """mod as an S-module, S = ring.ambient the free ring on R's generators,
-    so that R = S/I (a polynomial ring when R has no odd generator in odd
-    characteristic): its generators, its relations, and g * e_j for each
-    relation g of R and each generator e_j."""
+def _restrict(mod: GradedModule) -> GradedModule:
+    """mod as a module over P = ring.polynomial, the polynomial ring on R's
+    even generators, on a minimal set of generators (GradedModule.pruned).
+
+    R = S/I for the free ring S = ring.ambient, and S is free over P on the
+    odd square-free monomials eps_A.  So mod over P has the generators
+    eps_A * e_j and the relations eps_A * rho for each S-relation rho (mod's
+    relations, and g * e_j for each relation g of R and each generator
+    e_j), each entry written in P-coordinates with S's Koszul signs.
+    Without an odd generator P = S, eps_A is 1 alone, and these are mod's
+    generators and relations over S."""
     ring = mod.ring
+    parity = ring.parity
+    even = [i for i, odd in enumerate(parity) if not odd]
+    eps = list(itertools.product(*[(0, 1) if odd else (0,) for odd in parity]))
+    pos = {a: k for k, a in enumerate(eps)}
     r = len(mod.generators)
-    rows = list(mod.relations) + [
-        [g if k == j else {} for k in range(r)]
-        for g in ring.relations for j in range(r)]
-    return GradedModule(ring.ambient, mod.generators, rows, name=mod.name)
+    gens = [(f"{ring.poly_str({a: 1})}*{name}" if any(a) else name,
+             d + ring.mono_degree(a)) for a in eps for name, d in mod.generators]
+    rows = []
+    for rho in list(mod.relations) + [[g if k == j else {} for k in range(r)]
+                                      for g in ring.relations for j in range(r)]:
+        for a in eps:
+            row = [{} for _ in gens]
+            for j, q in enumerate(rho):
+                # poly_mul multiplies in S: with S's signs, reducing nothing
+                for m, c in ring.poly_mul({a: 1}, q).items():
+                    b = tuple(e if odd else 0 for e, odd in zip(m, parity))
+                    row[pos[b] * r + j][tuple(m[i] for i in even)] = c
+            rows.append(row)
+    return GradedModule(ring.polynomial, gens, rows, name=mod.name).pruned()
 
 
 def _duality_table(mod: GradedModule, p: HomIdeal,
                    w: Window) -> CohomologyTable:
-    """H^i_m(mod) on w by graded local duality over S = k[x_1..x_N]
-    (Bruns-Herzog 3.6.19), read off the minimal free resolution of mod over
-    S.  R must have no odd generator in odd characteristic; p is a maximal
-    ideal of R, which has the same local cohomology as m."""
-    return _resolution_duality_table(
-        minimal_free_resolution(_over_ambient(mod), mod.ring.n + 1), p, w)
+    """H^i_m(mod) on w by graded local duality over P = k[x_1..x_N] on R's
+    even generators (Bruns-Herzog 3.6.19), read off the minimal free
+    resolution of mod over P: R is finite over P, since odd squares vanish,
+    so H^*_m(mod) is H^*_m of mod over P.  p is a maximal ideal of R, which
+    has the same local cohomology as m."""
+    return _resolution_duality_table(minimal_free_resolution(
+        _restrict(mod), mod.ring.polynomial.n + 1), p, w)
 
 
 def _resolution_duality_table(res: Resolution, p: HomIdeal,
                               w: Window) -> CohomologyTable:
-    """H^i_m(M) on w from the minimal free resolution res of M over S: S is
-    Gorenstein of dimension N with shift nu_S = sum of the generator
-    weights - N, so H^i_m(M)_t = dim Ext^{N-i}_S(M, S)_{nu_S + N - t}.  res
-    must reach stage N + 1 or end before it, as every resolution over S does
+    """H^i_m(M) on w from the minimal free resolution res of M over P: P is
+    Gorenstein of dimension N with shift nu_P = sum of the generator
+    weights - N, so H^i_m(M)_t = dim Ext^{N-i}_P(M, P)_{nu_P + N - t}.  res
+    must reach stage N + 1 or end before it, as every resolution over P does
     by stage N when N >= 1 (Hilbert's syzygy theorem).  It is window-free,
     so every entry is exact and none is flagged."""
-    S = res.ring
-    n, top = S.n, sum(S.weights)               # top = nu_S + N
-    table = resolution_ext(res, GradedModule.free_module(S, [0]),
+    P = res.ring
+    n, top = P.n, sum(P.weights)               # top = nu_P + N
+    table = resolution_ext(res, GradedModule.free_module(P, [0]),
                            Window(top - w.t_hi, top - w.t_lo, 0, n))
     return CohomologyTable({(n - j, top - t): v
                             for (j, t), v in table.items()}, {}, {
@@ -217,28 +243,64 @@ def _resolution_duality_table(res: Resolution, p: HomIdeal,
         "koszul_bound": len(p.gens)})
 
 
-def _duality_certificate(ring: GradedRing,
-                         w: Window) -> GorensteinCertificate:
-    """The certificate read off the minimal free resolution F of R over S:
-    R is Gorenstein iff it is Cohen-Macaulay, pd_S R = N - dim R
-    (Auslander-Buchsbaum), and its last Betti number is 1 (Bruns-Herzog
-    3.3.7); then nu = sum of the generator weights - dim R + the degree of
-    F's last generator.  A False verdict names pd_S R, the last Betti rank
-    and degrees, and the nonzero H^i_m(R), i != dim R, on w."""
+def _odd_kernel(ring: GradedRing, c: int, degrees: Sequence[int]) -> List[int]:
+    """The degrees of a basis of the odd generators' common kernel on
+    Tor_c^P(R, k), where P is the polynomial ring on the even generators and
+    degrees are those of Tor_c's basis.
+
+    Tor_c^P(R, k) is the Koszul homology H_c(x_even; R), and an odd
+    generator y maps its degree t to t + |y|.  Without an odd generator the
+    kernel is all of Tor_c: degrees itself, and no Koszul complex is
+    built."""
+    odd = [i for i, o in enumerate(ring.parity) if o]
+    if not odd:
+        return list(degrees)
+    K = koszul_object(GradedModule.free_module(ring, [0]),
+                      [ring.gen_poly(i) for i, o in enumerate(ring.parity)
+                       if not o], Window(min(degrees), max(degrees)))
+    out = []
+    for t in sorted(set(degrees), reverse=True):
+        maps = [induced_on_homology(K, K, c, t, t + ring.generators[i].degree,
+                                    lambda i=i: K.action(i, c, t)).transpose()
+                for i in odd]
+        out += [t] * (maps[0].rows - rank(reduce(SparseMatrix.hstack, maps)))
+    return out
+
+
+def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate:
+    """Whether R is Gorenstein, with its Krull dimension n and shift nu,
+    H^n_m(R)_t = dim R_{nu + n - t}; exact, and w only bounds the degrees of
+    a False verdict's nonvanishing H^i_m(R).
+
+    R is finite over the polynomial ring P = k[x_1..x_N] on its even
+    generators, and the verdict is read off the minimal free resolution F of
+    R over P: R is Gorenstein iff it is Cohen-Macaulay, pd_P R = c = N - n
+    (Auslander-Buchsbaum), and omega = Ext^c_P(R, P) is free of rank one
+    over R (Bruns-Herzog 3.3.7), i.e. the odd generators' common kernel on
+    Tor_c^P(R, k), dual to omega / m omega, is one line (_odd_kernel); without
+    an odd generator, the last Betti number is 1.  Then nu = the sum of the
+    even generators' weights - n + the degree of that line, which the
+    witness names as last_degree, with pd_P R.  A False verdict
+    names pd_P R, the last Betti rank and degrees, the kernel's dimension
+    (the type) when pd_P R = c, and the nonzero H^i_m(R), i != n, on w."""
     n = ring.krull_dim()
+    P = ring.polynomial
     R = GradedModule.free_module(ring, [0], name=ring.name)
-    res = minimal_free_resolution(_over_ambient(R), ring.n)
+    res = minimal_free_resolution(_restrict(R), P.n)
     pd = max(i for i, st in enumerate(res.stages) if st.rank)
     last = res.stages[pd].gen_degrees
-    if pd == ring.n - n and len(last) == 1:
+    kernel = _odd_kernel(ring, pd, last) if pd == P.n - n else None
+    if kernel is not None and len(kernel) == 1:
         return GorensteinCertificate(
-            ring.name, True, n, sum(ring.weights) - n + last[0],
-            witness={"projective_dimension": pd, "last_degree": last[0]})
+            ring.name, True, n, sum(P.weights) - n + kernel[0],
+            witness={"projective_dimension": pd, "last_degree": kernel[0]})
     lc = _resolution_duality_table(res, maximal_ideal(ring), w)
-    return GorensteinCertificate(ring.name, False, n, failure={
-        "projective_dimension": pd, "last_betti": len(last),
-        "last_degrees": list(last),
-        "nonvanishing": {k: v for k, v in lc.entries.items() if k[0] != n}})
+    failure = {"projective_dimension": pd, "last_betti": len(last),
+               "last_degrees": list(last), "nonvanishing": {
+                   k: v for k, v in lc.entries.items() if k[0] != n}}
+    if kernel is not None:
+        failure["type"] = len(kernel)
+    return GorensteinCertificate(ring.name, False, n, failure=failure)
 
 
 def _socle_comparison(g: FunctorResult, i: int, b: int, w: Window,
@@ -264,116 +326,8 @@ def _socle_comparison(g: FunctorResult, i: int, b: int, w: Window,
                            Window(*cw)), cw
 
 
-def _below_floor_possible(ring: GradedRing, hn: Dict[int, int], seen,
-                          lowest: int, lo: int, aligns) -> bool:
-    """Whether a hull with its socle b < lo, dim R_{b - t} at t, could give
-    H^n_m(R) the values hn at the unflagged degrees seen (lowest nonzero at
-    lowest).  An even generator is free when no leading monomial of R's
-    complete Groebner basis is a power of it.  For free xs of one weight e,
-    L(u) counts the standard mu of weight u that some x in xs keeps
-    standard times every x^k (no leading monomial's part off x divides mu's
-    part off x): L(u) <= dim R_{-u}, and mu -> mu * x for the first such x
-    maps into L(u + e) injectively, so hn[t] < L(t - b) rules out b and
-    every b - k*e.  Without free generators R ends at a weight top."""
-    ring.complete(math.inf)
-    leads = ring._leads
-    free = [i for i in range(ring.n) if not ring.parity[i] and
-            not any(lm[i] and sum(lm) == lm[i] for lm in leads)]
-    if not free:
-        # a standard monomial has each even exponent below that generator's
-        # power among the leading monomials, and each odd one at most 1
-        top = sum(wt if ring.parity[i] else wt * (min(
-            lm[i] for lm in leads if sum(lm) == lm[i] > 0) - 1)
-            for i, wt in enumerate(ring.weights))
-        return any(aligns(b) for b in range(lowest - top, lo))
-
-    def stable(u: int, xs) -> int:
-        return sum(any(not any(all(lm[j] <= mu[j] for j in range(ring.n)
-                                   if j != x) for lm in leads) for x in xs)
-                   for mu in ring.basis_in_degree(-u))
-
-    for e in sorted({ring.weights[i] for i in free}):
-        xs = [i for i in free if ring.weights[i] == e]
-        # b runs over the highest socle below lo in each residue class mod e
-        if all(any(hn.get(t, 0) < stable(t - b, xs) for t in seen)
-               for b in range(lo - e, lo)):
-            return False
-    return True
-
-
-def gorenstein_certificate(ring: GradedRing, w: Window) -> GorensteinCertificate:
-    """Whether R is Gorenstein, with its Krull dimension n and shift nu,
-    H^n_m(R)_t = dim R_{nu + n - t}.
-
-    Without an odd generator in odd characteristic, R = S/I over the
-    polynomial ring S on its generators, and the verdict is read off the
-    minimal free resolution of R over S (_duality_certificate): exact, never
-    None, and w only bounds the degrees of a False verdict's nonvanishing
-    H^i_m(R).  Otherwise the Koszul tower is read on w: H^*_m(R)
-    concentrated in n with H^n_m(R)_t = dim R_{nu + n - t} at every
-    unflagged t for a unique offset nu, confirmed as a module by the exact
-    shifted-hull test; undetermined when no unflagged H^n_m(R) lies in the
-    window, the offset is ambiguous or the socle leaves the comparison
-    window."""
-    if not any(ring.parity):
-        return _duality_certificate(ring, w)
-    n = ring.krull_dim()
-    mx = maximal_ideal(ring)
-    Rmod = GradedModule.free_module(ring, [0], name=ring.name)
-    g = gamma(Rmod, mx, w)
-    lc = cohomology_table(g, mx)
-
-    def certificate(verdict, shift=None, **kw) -> GorensteinCertificate:
-        return GorensteinCertificate(ring.name, verdict, n, shift, **kw)
-
-    stray = {k: v for k, v in lc.entries.items()
-             if k[0] != n and k not in lc.flags}
-    if stray:
-        return certificate(False, failure={"nonvanishing": stray})
-    hn = {t: v for (i, t), v in lc.entries.items() if i == n}
-    hn_flagged = {t for (i, t) in lc.flags if i == n}
-    if all(t in hn_flagged for t in hn):
-        return certificate(
-            None, failure={"reason": "no unflagged H^n in the window; "
-                                     "widen the window", "h_n": hn})
-    seen = [t for t in w.t_range() if t not in hn_flagged]
-
-    def aligns(b: int) -> bool:
-        return all(hn.get(t, 0) == ring.dim_in_degree(b - t) for t in seen)
-
-    # the socle, the hull's lowest degree, is at most H^n's lowest
-    lowest = min(t for t in seen if hn.get(t, 0))
-    candidates = [b - n for b in range(w.t_lo, lowest + 1) if aligns(b)]
-    below = _below_floor_possible(ring, hn, seen, lowest, w.t_lo, aligns)
-    if not candidates and not below:
-        return certificate(
-            False, failure={"h_n": hn, "reason": "no offset aligns the socle"})
-    if below or len(candidates) > 1:
-        return certificate(
-            None, failure={"reason": "ambiguous offset; widen the window",
-                           "candidates": candidates})
-    nu = candidates[0]
-    iso, cw = _socle_comparison(g, n, nu + n, w)
-    if iso is None:
-        return certificate(
-            None, failure={"reason": "socle outside the comparison window; "
-                                     "widen the window", "offset": nu})
-    if not iso:
-        return certificate(
-            False, failure={"reason": "Hilbert functions align but no "
-                                      "intertwiner", "offset": nu})
-    return certificate(
-        True, nu, witness={"h_n": hn, "comparison_window": cw})
-
-
 def _require_certified(cert: GorensteinCertificate, refusal: str) -> None:
-    """Refuse a ring its certificate does not certify Gorenstein: refusal
-    when the certificate says False, a widen-the-window diagnostic when it
-    is undetermined."""
-    if cert.verdict is None:
-        raise ContractViolation(
-            f"ring {cert.ring_name}: the Gorenstein certificate is "
-            f"undetermined on this window ({cert.failure.get('reason')})")
+    """Refuse, with refusal, a ring its certificate says is not Gorenstein."""
     if not cert.verdict:
         raise ContractViolation(refusal)
 

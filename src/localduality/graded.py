@@ -106,6 +106,13 @@ class GradedRing:
                                           name=f"S({name})")
             self._ideal = _Submodule(S, [0], [[S.normal_form(r)] for r in rels],
                                      f"the relations of ring {name}")
+        # P: the polynomial ring on the even generators, over which S is free
+        # on the odd square-free monomials; S itself without an odd generator
+        self.polynomial: GradedRing = self.ambient
+        if self._odd:
+            self.polynomial = self.ambient.polynomial if rels else GradedRing(
+                characteristic, [g for g in gens if not g.odd], [],
+                name=f"P({name})")
         # the leading monomials of the Groebner basis so far and its
         # elements, append-only: the odd squares, which vanish in odd
         # characteristic (at 2 no generator is odd), then I's elements as
@@ -451,10 +458,11 @@ class GradedRing:
         return best
 
     def quotient(self, extra_relations: Sequence[Poly], name: str = "Q") -> "GradedRing":
+        # relations ends with the odd squares, which the new ring adds itself
+        own = self.relations[:len(self.relations) - sum(self.parity)]
         return GradedRing(self.characteristic,
                           [(g.name, g.degree, g.odd) for g in self.generators],
-                          list(self.relations) + [dict(r) for r in extra_relations],
-                          name=name)
+                          own + [dict(r) for r in extra_relations], name=name)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" + ("'" if g.odd else "")
@@ -958,6 +966,40 @@ class GradedModule:
     def top_degree(self) -> int:
         return max((d for _, d in self.generators), default=0)
 
+    def pruned(self) -> "GradedModule":
+        """The same module on a minimal set of generators.
+
+        A relation row rho with a constant entry c at generator g (a unit,
+        since R_0 = k) writes g through the others: every other row sigma
+        becomes sigma - (sigma_g / c) * rho, and g and rho are dropped.
+        Once no entry is constant every relation lies in m*F, so the
+        generators are minimal.  A presentation without a constant entry is
+        returned as it is."""
+        ring = self.ring
+        one = (0,) * ring.n
+        gens, rows = list(self.generators), [list(r) for r in self.relations]
+
+        def pivot():
+            return next(((k, g) for k, row in enumerate(rows)
+                         for g, p in enumerate(row) if one in p), None)
+
+        while (hit := pivot()) is not None:
+            k, g = hit
+            rho = rows.pop(k)
+            inv = ring.field.inv(rho[g][one])
+            for row in rows:
+                if row[g]:
+                    f = ring.poly_scale(row[g], -inv)
+                    row[:] = [ring.poly_add(p, ring.normal_form(
+                        ring.poly_mul(f, q))) if q else p
+                        for p, q in zip(row, rho)]
+            for row in rows:
+                del row[g]
+            del gens[g]
+        if len(gens) == len(self.generators):
+            return self
+        return GradedModule(ring, gens, rows, name=self.name)
+
     def relation_vectors(self, t: int) -> SparseMatrix:
         """The nonzero rows of the reduced echelon form of the relation
         submodule's degree-t piece, in free.basis_in_degree(t) coordinates.
@@ -1127,8 +1169,13 @@ def _frame_floor(ring: GradedRing, free: FreeModule,
 
 
 def minimal_free_resolution(mod: GradedModule, length: int) -> Resolution:
-    """Minimal free resolution of `mod` through stage `length`, right in
-    every internal degree: no window cuts it."""
+    """Free resolution of `mod` through stage `length`, right in every
+    internal degree: no window cuts it.
+
+    Stage 0 is mod's own generators, in their order, since callers index
+    them (relative lifts each target generator's action along them); every
+    later stage is minimal.  So the resolution is minimal when mod's
+    presentation is, as `GradedModule.pruned` makes it."""
     # Stage s + 1 holds the minimal generators of the kernel of F_s -> F_{s-1}
     # (of the relation submodule for s = 0), chosen by _minimal_generators
     # from the top degree of F_s down to the lowest degree one can lie in:

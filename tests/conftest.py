@@ -25,6 +25,30 @@ def window():
     return Window(-8, 8)
 
 
+# rings with an odd generator in odd characteristic (a, b and e odd):
+# name -> (characteristic, generators, relations)
+ODD_RINGS = {
+    "F3[a',b]": (3, [("a", -1, True), ("b", -2)], []),
+    "F3[a']": (3, [("a", -1, True)], []),
+    "F3[a',b']": (3, [("a", -1, True), ("b", -1, True)], []),
+    "F3[a',b']/(ab)": (3, [("a", -1, True), ("b", -1, True)], ["a*b"]),
+    "F3[a',b]/(ab)": (3, [("a", -1, True), ("b", -2)], ["a*b"]),
+    "F3[a',b]/(a)": (3, [("a", -1, True), ("b", -2)], ["a"]),
+    "F3[a',b',x]/(ab)": (3, [("a", -1, True), ("b", -1, True), ("x", -1)],
+                         ["a*b"]),
+    "F3[a',b',x]/(ab+x^2)": (3, [("a", -1, True), ("b", -1, True),
+                                 ("x", -1)], ["a*b + x^2"]),
+    "F5[x,e',y]/(x^2e)": (5, [("x", -1), ("e", -1, True), ("y", -1)],
+                          ["x^2*e"]),
+    "F5[x,e']/(x^2)": (5, [("x", -1), ("e", -1, True)], ["x^2"]),
+}
+
+
+def odd_ring(name: str) -> GradedRing:
+    char, gens, rels = ODD_RINGS[name]
+    return GradedRing(char, gens, rels, name=name)
+
+
 def max_ideal(ring: GradedRing, name: str = "m") -> HomIdeal:
     return HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)],
                     is_prime_asserted=True, name=name)

@@ -3,7 +3,9 @@
 The socle comparison (H^i of a torsion result against the shifted injective
 hull) has one owner, `duality._socle_comparison`: it alone builds the
 homology model and runs the exact hull test, so the comparison window is
-derived in one place.  `torsion.adjunction_check` reads its left side off the
+derived in one place; the Gorenstein certificate and H^*_m at a maximal
+ideal read local duality over a polynomial ring and build no torsion tower
+at all.  `torsion.adjunction_check` reads its left side off the
 completion tower and builds no tensor product of its own.  Resolutions take
 no window: `graded.minimal_free_resolution` alone walks the degrees, down
 to the floors of its Schreyer frames, so no caller pads a floor of its own.
@@ -57,9 +59,9 @@ def test_one_function_owns_the_socle_comparison():
     callers, _ = _calls_by_function()
     assert callers["is_shifted_hull"] == {"duality._socle_comparison"}
     assert callers["homology_model"] == {"duality._socle_comparison"}
+    # the certificate reads no torsion tower, so it compares no socle
     assert callers["_socle_comparison"] == {
-        "duality.gorenstein_certificate", "duality.absolute_gorenstein_check",
-        "relative.theorem_bc_check"}
+        "duality.absolute_gorenstein_check", "relative.theorem_bc_check"}
 
 
 def test_adjunction_check_builds_no_tower_of_its_own():
@@ -182,6 +184,25 @@ def test_oracle_check_on_the_ring_builds_one_torsion_tower(monkeypatch):
     report, code = run(spec, default_window=Window(-4, 4))
     assert code == 0 and report["results"][0]["verdict"] is True
     assert len(calls) == 1
+
+
+def test_certificate_and_maximal_local_cohomology_build_no_tower(monkeypatch):
+    # F3[a', b], a odd: local duality over F3[b] serves a ring with an odd
+    # generator as it serves every other ring
+    import localduality.torsion as torsion
+    from localduality.cohom import local_cohomology
+    from localduality.duality import gorenstein_certificate
+    from localduality.graded import GradedModule, Window, maximal_ideal
+    from conftest import odd_ring
+    calls = _record_calls(monkeypatch, torsion, "gamma", lambda a: a[0])
+    ring = odd_ring("F3[a',b]")
+    w = Window(-4, 4)
+    cert = gorenstein_certificate(ring, w)
+    assert (cert.verdict, cert.krull_dim, cert.shift) == (True, 1, 0)
+    mod = GradedModule(ring, [("u", 0)], [["b"]], name="R/(b)")
+    table = local_cohomology(mod, maximal_ideal(ring), w)
+    assert table.entries == {(0, 0): 1, (0, -1): 1} and not table.flags
+    assert calls == []
 
 
 BC_CHECK_AFTER_GORENSTEIN = """\

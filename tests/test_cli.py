@@ -386,19 +386,31 @@ def test_huge_characteristic_is_diagnostic(tmp_path, capsys):
     assert "2^31" in diags[0]["message"]
 
 
-def test_undetermined_gorenstein_reports_its_reason(tmp_path, capsys):
-    # at (0, 0) no unflagged H^1 of F3[a', b], a odd, lies in the window: the
-    # Koszul tower certifies that ring, so the verdict is null, and the
-    # report says why instead of an empty witness; F2[x0] is certified off
-    # its resolution over itself, which no window cuts
+def test_gorenstein_of_an_odd_ring_reads_no_window(tmp_path, capsys):
+    # at (0, 0) the H^1_m of F3[a', b], a odd, lies above the window; the
+    # certificate reads local duality over F3[b], which no window cuts, as
+    # F2[x0]'s reads it over F2[x0]
     inp = write(tmp_path, "[ring T]\nchar = 3\ngenerators = a:-1:odd, b:-2\n"
                           "[ring P]\nchar = 2\ngenerators = x0:-1\n"
                           "[run]\ngorenstein T\ngorenstein P\n")
     assert main(["--input", inp, "--window", "0:0"]) == 0
     odd, even = json.loads(capsys.readouterr().out)["results"]
-    assert odd["verdict"] is None and "witness" not in odd
-    assert odd["reason"] == "no unflagged H^n in the window; widen the window"
-    assert (even["verdict"], even["krull_dim"], even["shift"]) == (True, 1, 0)
+    for res in (odd, even):
+        assert (res["verdict"], res["krull_dim"], res["shift"]) == (True, 1, 0)
+        assert "witness" not in res and "reason" not in res
+
+
+def test_resolve_reads_a_minimal_presentation(tmp_path, capsys):
+    # <u:0, v:-1 | x*u + v> is free on u: v = -x*u, so the resolution has
+    # one generator and no relation, though the presentation has two and one
+    inp = write(tmp_path, "[ring R]\nchar = 2\ngenerators = x:-1, y:-1\n"
+                          "[module M]\nring = R\ngenerators = u:0, v:-1\n"
+                          "relation = x | 1\n"
+                          "[run]\nresolve M length=3\nhilbert M\n")
+    assert main(["--input", inp, "--window", "-3:0"]) == 0
+    res, hilbert = json.loads(capsys.readouterr().out)["results"]
+    assert (res["ranks"], res["degrees"]) == ([1, 0, 0, 0], [[0], [], [], []])
+    assert [r["dim"] for r in hilbert["table"]] == [4, 3, 2, 1]
 
 
 def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
@@ -415,7 +427,9 @@ def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
     assert diags[0]["message"].startswith("completion runaway")
 
 
-def test_script_prints_an_undetermined_certificate_as_undetermined():
+def test_script_prints_every_corpus_verdict():
+    # at (0, 0), too narrow to hold any corpus ring's H^n_m, the script
+    # prints each ring's own verdict, as the certificates read no window
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run([sys.executable,
@@ -425,13 +439,9 @@ def test_script_prints_an_undetermined_certificate_as_undetermined():
     assert done.returncode == 0, done.stderr
     printed = {line.split()[0]: line.split()[1]
                for line in done.stdout.splitlines()[1:]}
-    words = {True: "yes", False: "no", None: "undetermined"}
-    want = {}
-    for entry in corpus():
-        rep, _ = run(parse(entry.text)[0], default_window=Window(0, 0))
-        want[entry.name] = words[rep["results"][0]["verdict"]]
-    assert printed == want
-    assert "undetermined" in want.values()
+    words = {True: "yes", False: "no"}
+    assert printed == {entry.name: words[entry.gorenstein]
+                       for entry in corpus()}
 
 
 # corpus -----------------------------------------------------------------------

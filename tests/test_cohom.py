@@ -12,7 +12,7 @@ from localduality.cohom import (cech_cohomology, cech_les_balance,
                                 local_cohomology, local_homology,
                                 oracle_agreement, torsionness_check)
 from localduality.torsion import gamma
-from conftest import free, max_ideal
+from conftest import ODD_RINGS, free, max_ideal, odd_ring
 
 
 def test_line_h1(poly_line, window):
@@ -145,26 +145,42 @@ def test_tower_reports_no_top_cohomology_of_a_power_of_a_variable():
                 if k[0] == 2 and k not in t.flags}
 
 
-EVEN_RINGS = [(e.name, ring) for e in corpus()
-              if not any((ring := Environment(parse(e.text)[0]).ring("R")).parity)]
+RINGS = [(e.name, Environment(parse(e.text)[0]).ring("R")) for e in corpus()] \
+    + [(name, odd_ring(name)) for name in ODD_RINGS]
 
 
 @st.composite
-def cyclic_modules(draw):
-    """A cyclic module over a corpus ring without odd generators: generator
-    in degree 0 or -1, up to two standard monomials of degree -2 or -3 as
-    relations."""
-    name, ring = draw(st.sampled_from(EVEN_RINGS))
-    monos = [m for t in (-2, -3) for m in ring.basis_in_degree(t)]
-    rels = draw(st.lists(st.sampled_from(monos), max_size=2, unique=True)) \
-        if monos else []
-    return GradedModule(ring, [("a", -draw(st.integers(0, 1)))],
-                        [[{m: 1}] for m in rels],
-                        name=f"{name}/{[ring.poly_str({m: 1}) for m in rels]}")
+def small_modules(draw):
+    """A module over a corpus ring or a ring with an odd generator: one or
+    two generators in degree 0 or -1 and up to two relations, each a
+    standard monomial of degree -1 to -3 at one generator.  Two generators
+    may also be linked by u_g = -mu * u_o for mu even (a constant where
+    their degrees agree), a relation with a constant entry, which the
+    restriction to the even polynomial ring prunes."""
+    name, ring = draw(st.sampled_from(RINGS))
+    degrees = draw(st.lists(st.integers(-1, 0), min_size=1, max_size=2))
+    r = len(degrees)
+    rows = []
+    monos = [m for t in (-1, -2, -3) for m in ring.basis_in_degree(t)]
+    for _ in range(draw(st.integers(0, 2)) if monos else 0):
+        row = [{} for _ in range(r)]
+        row[draw(st.integers(0, r - 1))] = {draw(st.sampled_from(monos)): 1}
+        rows.append(row)
+    if r == 2 and draw(st.booleans()):
+        g = min(range(2), key=degrees.__getitem__)
+        mus = [m for m in ring.basis_in_degree(degrees[g] - degrees[1 - g])
+               if not sum(e for e, odd in zip(m, ring.parity) if odd) % 2]
+        if mus:
+            row = [{}, {}]
+            row[g], row[1 - g] = {(0,) * ring.n: 1}, {draw(st.sampled_from(mus)): 1}
+            rows.append(row)
+    return GradedModule(ring, [(f"u{j}", d) for j, d in enumerate(degrees)],
+                        rows, name=f"{name}<{degrees}|"
+                        f"{[[ring.poly_str(p) for p in row] for row in rows]}>")
 
 
-@settings(max_examples=40, deadline=None)
-@given(cyclic_modules())
+@settings(max_examples=60, deadline=None)
+@given(small_modules())
 def test_duality_table_agrees_with_every_unflagged_tower_entry(mod):
     w = Window(-6, 6)
     m = max_ideal(mod.ring)

@@ -8,13 +8,13 @@ from localduality.exactla import ContractViolation
 from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window)
 from localduality.complexes import module_complex, homology
 from localduality.cohom import grothendieck_oracle
-from localduality.duality import (GorensteinCertificate,
+from localduality.duality import (GorensteinCertificate, _restrict,
                                   absolute_gorenstein_check, brown_comenetz,
                                   dual_localize, gorenstein_certificate,
                                   injective_hull, maximal_ideal,
                                   orthogonality_check, twist_check)
 from localduality.relative import RingMap, theorem_bc_check
-from conftest import free, max_ideal
+from conftest import free, max_ideal, odd_ring
 
 
 # Gorenstein certificates ------------------------------------------------------
@@ -113,12 +113,10 @@ def test_false_certificate_resolves_the_ring_once(name, monkeypatch):
 
 
 def test_certificates_of_even_rings_read_no_window():
-    # every window with -4 <= t_lo <= 2 and span <= 4 gives a ring without
-    # an odd generator its one verdict, Krull dimension and shift
+    # every window with -4 <= t_lo <= 2 and span <= 4 gives every corpus
+    # ring, odd_line included, its one verdict, Krull dimension and shift
     for entry in corpus():
         ring = Environment(parse(entry.text)[0]).ring("R")
-        if any(ring.parity):
-            continue
         want = gorenstein_certificate(ring, Window(-8, 8))
         assert want.verdict is entry.gorenstein, entry.name
         for lo in range(-4, 3):
@@ -144,10 +142,10 @@ def test_a_narrow_window_does_not_refute_a_gorenstein_ring(name, lo, hi):
     assert entry.gorenstein
     ring = Environment(parse(entry.text)[0]).ring("R")
     cert = gorenstein_certificate(ring, Window(lo, hi))
-    assert cert.verdict is not False, cert.failure
-    if cert.verdict is None:
-        assert cert.failure["reason"].endswith("widen the window")
-    elif entry.shift is not None:
+    assert cert.verdict is True, cert.failure
+    want = gorenstein_certificate(ring, Window(-8, 8))
+    assert (cert.krull_dim, cert.shift) == (want.krull_dim, want.shift)
+    if entry.shift is not None:
         assert cert.shift == entry.shift
 
 
@@ -165,13 +163,65 @@ def test_a_narrow_window_reads_no_wrong_shift():
         assert gorenstein_certificate(ring, Window(0, hi)).verdict is not True
 
 
-def test_undetermined_certificate_is_refused_apart_from_false():
-    # only a ring with an odd generator in odd characteristic is certified
-    # on the Koszul tower, and at (0, 0) its H^1_m lies above the window
-    line = GradedRing(3, [("a", -1, True), ("b", -2)], [], name="F3[a',b]")
+# each ring of conftest.ODD_RINGS with its verdict, Krull dimension, shift
+# and, for a False verdict, the obstruction: pd over the even polynomial ring
+# off c = N - dim R, or the type (the odd generators' common kernel on
+# Tor_c) off 1.  Each agrees with the Koszul tower's shifted-hull
+# certificate at (-8, 8).
+ODD_VERDICTS = [
+    ("F3[a',b]", True, 1, 0, {}),
+    ("F3[a']", True, 0, -1, {}),
+    ("F3[a',b']", True, 0, -2, {}),
+    ("F3[a',b']/(ab)", False, 0, None, {"projective_dimension": 0,
+                                        "type": 2}),
+    ("F3[a',b]/(ab)", False, 1, None, {"projective_dimension": 1}),
+    # the relation a and eps_ab = 0 make a generator of R over P redundant:
+    # unpruned, it reads pd 1 and calls F3[b] not Gorenstein
+    ("F3[a',b]/(a)", True, 1, 1, {}),
+    ("F3[a',b',x]/(ab)", False, 1, None, {"projective_dimension": 0,
+                                          "type": 2}),
+    ("F3[a',b',x]/(ab+x^2)", True, 0, -3, {}),
+    ("F5[x,e',y]/(x^2e)", False, 2, None, {"projective_dimension": 1}),
+    ("F5[x,e']/(x^2)", True, 0, -2, {}),
+]
+
+
+@pytest.mark.parametrize("name,verdict,dim,shift,failure", ODD_VERDICTS,
+                         ids=[v[0] for v in ODD_VERDICTS])
+def test_certificates_of_rings_with_an_odd_generator(name, verdict, dim,
+                                                     shift, failure):
+    ring = odd_ring(name)
+    for w in (Window(-8, 8), Window(0, 0)):
+        cert = gorenstein_certificate(ring, w)
+        assert (cert.verdict, cert.krull_dim, cert.shift) == \
+            (verdict, dim, shift)
+        assert {k: cert.failure[k] for k in failure} == failure
+        assert ("type" in cert.failure) == ("type" in failure)
+
+
+def test_restriction_keeps_koszul_signs():
+    # in S, b * (a*x + c*y) = -a*b*x + b*c*y: the row eps_b * rho of R over
+    # F3[x, y] carries both signs
+    ring = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -1, True),
+                          ("x", -1), ("y", -1)], ["a*x + c*y"])
+    mod = _restrict(free(ring))
+    P = ring.polynomial
+    assert [g.name for g in P.generators] == ["x", "y"]
+    rows = [{mod.generators[j][0]: P.poly_str(p) for j, p in enumerate(row)
+             if p} for row in mod.relations]
+    assert {"a*b*e0": "2*x", "b*c*e0": "y"} in rows
+    assert {"a*e0": "x", "c*e0": "y"} in rows
+
+
+def test_a_false_certificate_is_refused():
+    # F3[a', b], a odd, at (0, 0), where its H^1_m lies above the window:
+    # the certificate reads no window, so every caller takes it, and each
+    # refuses a certificate that says False
+    line = odd_ring("F3[a',b]")
     w = Window(0, 0)
-    undetermined = gorenstein_certificate(line, w)
-    assert undetermined.verdict is None
+    cert = gorenstein_certificate(line, w)
+    assert (cert.verdict, cert.krull_dim, cert.shift) == (True, 1, 0)
+    assert cert.witness == {"projective_dimension": 0, "last_degree": -1}
     false = GorensteinCertificate(line.name, False, 1)
     generic = HomIdeal(line, ["a"], is_prime_asserted=True, name="(a)")
     m = max_ideal(line)
@@ -185,10 +235,10 @@ def test_undetermined_certificate_is_refused_apart_from_false():
         "theorem_bc_check": lambda c: theorem_bc_check(
             RingMap.identity(line), m, w, c),
     }
+    assert calls["dual_localize"](cert)["ranks"] == {1: 1}
+    assert calls["grothendieck_oracle"](cert).entries == {}
     for name, call in calls.items():
-        with pytest.raises(ContractViolation, match="undetermined.*widen"):
-            call(undetermined)
-        with pytest.raises(ContractViolation) as refused:
+        with pytest.raises(ContractViolation, match="Gorenstein") as refused:
             call(false)
         assert "undetermined" not in str(refused.value), name
 

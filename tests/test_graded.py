@@ -56,6 +56,16 @@ def test_odd_generator_squares_to_zero():
     assert ring.normal_form(ring.parse("a*b")) == ring.parse("a*b")
 
 
+def test_quotient_carries_each_odd_square_once():
+    # relations ends with the odd squares, which the quotient adds itself
+    ring = GradedRing(3, [("a", -1, True), ("b", -2)], ["b^3"], name="T")
+    q = ring.quotient([ring.parse("b^2")], name="Q")
+    a2, b2, b3 = {(2, 0): 1}, ring.parse("b^2"), ring.parse("b^3")
+    assert q.relations == [b3, b2, a2]
+    assert repr(q) == "GradedRing(F3[a:-1', b:-2], 3 relations)"
+    assert [q.dim_in_degree(t) for t in range(0, -6, -1)] == [1, 1, 1, 1, 0, 0]
+
+
 def test_odd_square_terms_of_raw_input_vanish():
     # a monomial with an odd square is 0 in odd characteristic, so a term
     # of one given as a raw dict is dropped: over the free ring, over a
@@ -352,6 +362,35 @@ def test_koszul_resolution_of_residue_field(poly_plane):
     assert [st.rank for st in res.stages] == [1, 2, 1, 0]
     assert sorted(res.stages[1].gen_degrees) == [-1, -1]
     assert res.stages[2].gen_degrees == [-2]
+
+
+def test_pruned_presentation_is_minimal(poly_plane):
+    # <u:0, v:-1, w:-2 | x*u + v, y*v + w, x*w> is F2[x,y]/(x^2*y) on u:
+    # each constant entry writes a generator through the others, and the
+    # rows left lie in m*F
+    mod = GradedModule(poly_plane, [("u", 0), ("v", -1), ("w", -2)],
+                       [["x", "1", ""], ["", "y", "1"], ["", "", "x"]])
+    assert [st.rank for st in minimal_free_resolution(mod, 2).stages] == \
+        [3, 3, 0]
+    small = mod.pruned()
+    assert small.generators == [("u", 0)]
+    assert small.relations == [[poly_plane.parse("x^2*y")]]
+    assert [st.rank for st in minimal_free_resolution(small, 2).stages] == \
+        [1, 1, 0]
+    assert all(small.dim_in_degree(t) == mod.dim_in_degree(t)
+               for t in range(0, -6, -1))
+    assert small.pruned() is small
+
+
+def test_pruning_keeps_signs():
+    # over F3[x,y], x*u + v = 0 writes v = -x*u, so y*v + y*w becomes
+    # -x*y*u + y*w
+    ring = GradedRing(3, [("x", -1), ("y", -1)], [], name="F3[x,y]")
+    mod = GradedModule(ring, [("u", 0), ("v", -1), ("w", -1)],
+                       [["x", "1", ""], ["", "y", "y"]])
+    small = mod.pruned()
+    assert small.generators == [("u", 0), ("w", -1)]
+    assert small.relations == [[ring.parse("2*x*y"), ring.parse("y")]]
 
 
 def test_resolution_is_a_complex(hypersurface, window):
