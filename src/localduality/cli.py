@@ -592,7 +592,8 @@ class Runner:
         ring = self.env.ring(pos[0])
         p = self.env.ideal(pos[1])
         rep = absolute_gorenstein_check(ring, p, w, self.env.certificate(ring, w))
-        return {"kind": "abs-gorenstein", "verdict": bool(rep["verdict"]),
+        # None (undetermined: the comparison window is empty) stays null
+        return {"kind": "abs-gorenstein", "verdict": rep["verdict"],
                 "mode": rep["mode"], "shift": rep["shift"],
                 "dimension": rep["dimension"]}
 

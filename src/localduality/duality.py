@@ -4,6 +4,7 @@ localization, and Gorenstein certification."""
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -214,6 +215,21 @@ def _restrict(mod: GradedModule) -> GradedModule:
     return GradedModule(ring.polynomial, gens, rows, name=mod.name).pruned()
 
 
+_RESOLUTIONS: "weakref.WeakKeyDictionary[GradedModule, Resolution]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _polynomial_resolution(mod: GradedModule) -> Resolution:
+    """The minimal free resolution of mod over P = ring.polynomial
+    (_restrict) through stage N + 1, built once per module: local duality
+    and the torsion functors' stage floor both read it."""
+    res = _RESOLUTIONS.get(mod)
+    if res is None:
+        res = _RESOLUTIONS[mod] = minimal_free_resolution(
+            _restrict(mod), mod.ring.polynomial.n + 1)
+    return res
+
+
 def _duality_table(mod: GradedModule, p: HomIdeal,
                    w: Window) -> CohomologyTable:
     """H^i_m(mod) on w by graded local duality over P = k[x_1..x_N] on R's
@@ -221,8 +237,7 @@ def _duality_table(mod: GradedModule, p: HomIdeal,
     resolution of mod over P: R is finite over P, since odd squares vanish,
     so H^*_m(mod) is H^*_m of mod over P.  p is a maximal ideal of R, which
     has the same local cohomology as m."""
-    return _resolution_duality_table(minimal_free_resolution(
-        _restrict(mod), mod.ring.polynomial.n + 1), p, w)
+    return _resolution_duality_table(_polynomial_resolution(mod), p, w)
 
 
 def _resolution_duality_table(res: Resolution, p: HomIdeal,

@@ -3,21 +3,31 @@ completion, cotorsion) with the Tate construction and fracture checks.
 
 The torsion functor is realized as the directed colimit of duals of Koszul
 objects tensored with the input; the completion functor as the inverse limit
-of the Koszul tower itself.  Both are computed bidegree by bidegree with
-stabilization detection: a bidegree is declared stable when three
-consecutive tower maps induce isomorphisms on homology there, up to a hard
-stage cap s_max.  Stage s depends on no other stage, so only the tail that
-certification reads is built: stages max(1, s_max - 3) .. s_max and the
-maps between them, numbered as in the whole tower 1 .. s_max.  Every stage
-below the model stage s_max is realized only on the degrees certification
-reads, t from the window's floor to its top, with no generator actions when
-that cuts it below its own top.  Uncertified bidegrees are flagged, never
-silently reported.
+of the Koszul tower itself.  Stage s of either tower depends on no other
+stage, so a functor builds only the stages it reads.
+
+At the ideal of the ring's even generators, for a module (or the complex
+_materialize made of one), one stage is proven exact: with F the minimal
+free resolution of the module over the polynomial ring P on those
+generators, stage s gives H^i at degree t once s reaches s*(i, t), read off
+the generator degrees of two terms of F (_stage_floor).  Gamma and Lambda
+then build the single stage min(s_max, s*), and flag exactly the bidegrees
+where it falls short of s*(i, t).
+
+Everywhere else (complexes, an odd generator in the ideal, other ideals)
+the tail rule applies: a bidegree is declared stable when the last three
+tower maps induce isomorphisms on homology there, up to the stage cap
+s_max, and only stages max(1, s_max - 3) .. s_max and the maps between them
+are built.  Every stage below the model stage s_max is realized only on
+the degrees certification reads, t from the window's floor to its top, with
+no generator actions when that cuts it below its own top.  Uncertified
+bidegrees are flagged, never silently reported.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -32,14 +42,14 @@ from .complexes import (BiDeg, ComplexMap, FreeComplex, WindowedComplex,
 
 @dataclass
 class Tower:
-    """The certified tail of a Koszul tower: stages[i] is stage
-    max(1, s_max - CONSEC) + i (the power of the Koszul object), the last
-    one s_max; maps[i] joins stages[i] and stages[i + 1], and unit joins
-    the last stage and the input.  direction "colim": maps go stage
-    s -> s+1 and unit to the input; "lim": reversed.
-    Only the last stage, the model, is realized in full; the others, and
-    the maps, only up to the window's top, and a stage cut there carries
-    no generator actions."""
+    """Consecutive stages of a Koszul tower: stages[i] is stage first + i
+    (the power of the Koszul object), the last one the model; maps[i] joins
+    stages[i] and stages[i + 1], and unit joins the model and the input.
+    direction "colim": maps go stage s -> s+1 and unit to the input; "lim":
+    reversed.  The proven stage is one stage and no map; the tail rule's
+    tail is stages max(1, s_max - CONSEC) .. s_max.  Only the model is
+    realized in full; the others, and the maps, only up to the window's
+    top, and a stage cut there carries no generator actions."""
 
     stages: List[WindowedComplex]
     maps: List[ComplexMap]
@@ -49,7 +59,13 @@ class Tower:
 
 @dataclass
 class FunctorResult:
-    """A functor value: chain model, homotopy table, and provenance."""
+    """A functor value: chain model, homotopy table, and provenance.
+
+    The table and flags cover the window.  Callers also read the model
+    above it (the Koszul object of p tensored with a cone over it, the Tate
+    cone, the fracture square), so a proven stage is chosen to be exact at
+    every t from the window's floor up to w.t_hi plus the Koszul reach, the
+    sum of the weights of the ideal's generators."""
 
     model: WindowedComplex
     homotopy: Dict[BiDeg, int]
@@ -233,10 +249,18 @@ def _ideal_data(p: HomIdeal):
     return p.gens, sum(-p.ring.poly_degree(g) for g in p.gens)
 
 
+# the module behind each complex _materialize built, so that Lambda of
+# Gamma's input (tate, check_recollement) still reads the module's stage floor
+_SOURCES: "weakref.WeakKeyDictionary[WindowedComplex, GradedModule]" = \
+    weakref.WeakKeyDictionary()
+
+
 def _materialize(m, w: Window, floor: int) -> WindowedComplex:
     if isinstance(m, GradedModule):
         top = m.top_degree
-        return module_complex(m, Window(min(floor, top), max(top, w.t_hi)))
+        X = module_complex(m, Window(min(floor, top), max(top, w.t_hi)))
+        _SOURCES[X] = m
+        return X
     return m
 
 
@@ -244,19 +268,71 @@ def default_s_max(w: Window) -> int:
     return w.span + 4
 
 
+def _stage_floor(functor: str, m, p: HomIdeal,
+                 w: Window) -> Optional[Dict[BiDeg, int]]:
+    """The least stage s*(s, t) that gives the homology of Gamma ("gamma")
+    or Lambda ("completion") of m at the ideal p exactly, for each
+    homological degree s of the model and each t from w.t_lo up to w.t_hi
+    plus the Koszul reach; None unless m is a module, or a complex
+    _materialize made of one, and p is generated by exactly the ring's even
+    generators.
+
+    Let F be the minimal free resolution of m over the polynomial ring P on
+    those generators (duality._polynomial_resolution), with weights w_i and
+    sum W.  Each column of Kos(x^s)^dual (x) F has cohomology only in the
+    top Koszul degree, H^N(x^s; F_j), which injects into H^N_m(F_j) with
+    the image spanned by the x^-a, 1 <= a_i <= s; on a generator of degree
+    d it is onto in degree t once s >= A(t - d), where
+    A(u) = max_i floor((u - W + w_i) / w_i) bounds every a_i of degree u
+    (Bruns-Herzog 3.5).  A map of complexes injective at every term and
+    bijective at terms j and j + 1 is an isomorphism on H_j, so the stage
+    gives H^i_m(m)_t, homological degree -i, once
+    s >= s*(-i, t) = max(1, A(t - d)) over the generators d of F_{N-i} and
+    F_{N-i+1}.  For Lambda, P(d) -> P/(x^s)(d) is bijective
+    in degree t once s > floor((d - t) / w_min), and a map surjective at
+    every term and bijective at terms i and i - 1 is an isomorphism on H_i:
+    s*(i, t) = 1 + max floor((d - t) / w_min) over F_i and F_{i-1}, at
+    least 1.  No map between stages is read."""
+    mod = m if isinstance(m, GradedModule) else _SOURCES.get(m)
+    ring = p.ring
+    even = [ring.gen_poly(i) for i, odd in enumerate(ring.parity) if not odd]
+    if mod is None or sorted(sorted(g.items()) for g in p.gens) != \
+            sorted(sorted(g.items()) for g in even):
+        return None
+    from .duality import _polynomial_resolution
+    res = _polynomial_resolution(mod)
+    P = res.ring
+    n, weights, top = P.n, P.weights, sum(P.weights)
+
+    def degrees(*js):
+        return [d for j in js if 0 <= j < len(res.stages)
+                for d in res.stages[j].gen_degrees]
+
+    floor: Dict[BiDeg, int] = {}
+    for i in range(n + 1):
+        for t in range(w.t_lo, w.t_hi + top + 1):
+            if functor == "gamma":
+                need = [(t - d - top + wi) // wi
+                        for d in degrees(n - i, n - i + 1) for wi in weights]
+                floor[(-i, t)] = max([1] + need)
+            else:
+                need = [1 + (d - t) // min(weights) for d in degrees(i, i - 1)]
+                floor[(i, t)] = max([1] + need)
+    return floor
+
+
 def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
-                  s_max: int) -> Tower:
-    """The stages max(1, s_max - CONSEC) .. s_max of the Gamma ("gamma")
-    tower dual Kos(p^s) (x) X or the Lambda ("completion") tower
-    Kos(p^s) (x) X of the materialized input X, joined by the
-    (product-of-elements, identity) map of Koszul objects.  Stages below
-    s_max are realized on t from w.t_lo to w.t_hi only, the degrees
-    _homology_tower reads; one that this cuts below its top carries no
-    generator actions, and its window ends at w.t_hi (unknown above, not
-    zero).  The maps between stages are built on those layouts.  The model
-    stage s_max is realized in full.  The unit map joins the last stage and
-    X, which is R (x) X: it is the free-side map between stage 0's one
-    generator, of degree 0, and R's."""
+                  first: int, last: int) -> Tower:
+    """The stages first .. last of the Gamma ("gamma") tower
+    dual Kos(p^s) (x) X or the Lambda ("completion") tower Kos(p^s) (x) X
+    of the materialized input X, joined by the (product-of-elements,
+    identity) map of Koszul objects.  Stages below last are realized on t
+    from w.t_lo to w.t_hi only, the degrees _homology_tower reads; one that
+    this cuts below its top carries no generator actions, and its window
+    ends at w.t_hi (unknown above, not zero).  The maps between stages are
+    built on those layouts.  The model stage last is realized in full.  The
+    unit map joins the last stage and X, which is R (x) X: it is the
+    free-side map between stage 0's one generator, of degree 0, and R's."""
     colim = functor == "gamma"
     koszul = dual_koszul_free if colim else koszul_free
     comps = _subset_chain_map(p.ring, p.gens, dual=colim)
@@ -268,11 +344,10 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     layouts = []
     frees: List[FreeComplex] = []
     maps: List[ComplexMap] = []
-    first = max(1, s_max - CONSEC)
     try:
-        for s in range(first, s_max + 1):
+        for s in range(first, last + 1):
             F = koszul(p.ring, p.gens, s)
-            C, L = free_tensor(F, X, w.t_lo, None if s == s_max else w.t_hi)
+            C, L = free_tensor(F, X, w.t_lo, None if s == last else w.t_hi)
             frees.append(F)
             stages.append(C)
             layouts.append(L)
@@ -297,11 +372,15 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
 
 def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
                    s_max: Optional[int]) -> FunctorResult:
-    """Gamma ("gamma") or Lambda ("completion") as a stabilized Koszul tower.
+    """Gamma ("gamma") or Lambda ("completion") as a Koszul tower.
 
     Gamma is the directed colimit of dual Kos(p^s) (x) m, whose generators
     sit up to s * weight above m, so m is materialized that much deeper;
-    Lambda is the inverse limit of Kos(p^s) (x) m.
+    Lambda is the inverse limit of Kos(p^s) (x) m.  Where _stage_floor
+    proves a stage, the one stage min(s_max, max s*) is built and its
+    homology on w is the table, flagged where it falls short of s*(s, t);
+    elsewhere the tail of stages up to s_max is certified by
+    _homology_tower.
     """
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
@@ -314,13 +393,21 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
             "functor": functor, "ideal": p.name, "stage": 0},
             to_input=ident, from_input=ident)
     colim = functor == "gamma"
-    floor = w.t_lo - s_max * total_weight - 1 if colim else w.t_lo - 1
-    X = _materialize(m, w, floor)
-    tower = _koszul_tower(functor, X, p, w, s_max)
-    table, flags = _homology_tower(tower.stages, tower.maps, tower.direction,
-                                   w)
+    s_star = _stage_floor(functor, m, p, w)
+    stage = s_max if s_star is None else min(s_max, max(s_star.values()))
+    X = _materialize(m, w, w.t_lo - stage * total_weight - 1 if colim
+                     else w.t_lo - 1)
+    if s_star is None:
+        tower = _koszul_tower(functor, X, p, w, max(1, s_max - CONSEC), s_max)
+        table, flags = _homology_tower(tower.stages, tower.maps,
+                                       tower.direction, w)
+    else:
+        tower = _koszul_tower(functor, X, p, w, stage, stage)
+        table = homology(tower.stages[-1], w)
+        flags = {key for key, need in s_star.items()
+                 if key[1] <= w.t_hi and stage < need}
     res = FunctorResult(tower.stages[-1], table, flags,
-                        {"functor": functor, "ideal": p.name, "stage": s_max,
+                        {"functor": functor, "ideal": p.name, "stage": stage,
                          "input": X})
     if colim:
         res.to_input = tower.unit

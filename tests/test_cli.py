@@ -400,6 +400,21 @@ def test_gorenstein_of_an_odd_ring_reads_no_window(tmp_path, capsys):
         assert "witness" not in res and "reason" not in res
 
 
+def test_undetermined_absolute_gorenstein_verdict_is_null(tmp_path, capsys):
+    # F2[x] is Gorenstein with shift 0, so H^1_m(F2[x]) is the hull with its
+    # socle in degree 1, above the window (0, 0): the comparison is
+    # undetermined, and the report says null, not false
+    inp = write(tmp_path, "[ring R]\nchar = 2\ngenerators = x:-1\n"
+                          "[ideal m]\nring = R\ngenerators = x\n"
+                          "[run]\ngorenstein R\nabs-gorenstein R m\n")
+    assert main(["--input", inp, "--window", "0:0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cert, absolute = report["results"]
+    assert cert["verdict"] is True
+    assert absolute["kind"] == "abs-gorenstein" and absolute["verdict"] is None
+    assert report["verdicts"][-1]["verdict"] is None
+
+
 def test_resolve_reads_a_minimal_presentation(tmp_path, capsys):
     # <u:0, v:-1 | x*u + v> is free on u: v = -x*u, so the resolution has
     # one generator and no relation, though the presentation has two and one

@@ -135,8 +135,6 @@ def test_local_cohomology_of_a_power_of_a_variable(e):
     assert (t.entries, t.flags) == (want, {})
 
 
-@pytest.mark.xfail(strict=True, reason="the tower certifies H^2 of "
-                   "R/(x^e) from three isomorphisms for e >= s_max")
 def test_tower_reports_no_top_cohomology_of_a_power_of_a_variable():
     M = x_power(16)
     m = max_ideal(M.ring)

@@ -140,10 +140,10 @@ def test_powers_that_do_not_compose_are_none():
 
 
 def test_tower_products_grow_slower_than_the_power(monkeypatch):
-    """Products made by Gamma_m F2[x,y] at (-8, 8): the prefix chain makes
-    s products per degree in the first stage, 1491 at s_max 20 and 4251 at
-    40 (ratio 2.85); aligned blocks make one per degree and a chain per
-    boundary."""
+    """Products made by the tail of Gamma_m F2[x,y] at (-8, 8): the prefix
+    chain makes s products per degree in the first stage, 1491 at s_max 20
+    and 4251 at 40 (ratio 2.85); aligned blocks make one per degree and a
+    chain per boundary."""
     ring = GradedRing(2, [("x", -1), ("y", -1)], [], name="F2[x,y]")
     R = GradedModule.free_module(ring, [0])
     calls = []
@@ -156,8 +156,12 @@ def test_tower_products_grow_slower_than_the_power(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "matmul", counted)
     monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
     counts = []
+    w = Window(-8, 8)
     for s_max in (20, 40):
+        # R as a complex, deep enough for stage s_max: the tail rule, whose
+        # stages reach the power s_max (a module would get its one stage)
+        X = module_complex(R, Window(w.t_lo - 2 * s_max - 1, w.t_hi))
         calls.clear()
-        gamma(R, maximal_ideal(ring), Window(-8, 8), s_max)
+        gamma(X, maximal_ideal(ring), w, s_max)
         counts.append(len(calls))
     assert counts[1] < 1.7 * counts[0], counts

@@ -325,8 +325,9 @@ def test_homology_tower_matches_box_loop(mod, functor):
     w = Window(-4, 3)
     for s_max in (None, 2, 1):
         res = functor(mod, p, w, s_max=s_max)
+        stage = res.provenance["stage"]
         tower = _koszul_tower(functor.__name__, res.provenance["input"], p, w,
-                              res.provenance["stage"])
+                              max(1, stage - CONSEC), stage)
         stages, maps = tower.stages, tower.maps
         _same_tower_values(stages, maps, tower.direction, w)
         # the last map alone (tail < CONSEC) and the last stage alone
@@ -353,9 +354,21 @@ def test_hspace_at_zero_bidegree_is_homology_space():
 # no homology work off the support --------------------------------------------
 
 
+def _module_as_complex(mod, w):
+    """mod materialized deep enough for the tower of stages up to the
+    window's default cap: a complex, so the functors run the tail rule on
+    it rather than the stage floor of a module."""
+    s_max = torsion.default_s_max(w)
+    weight = sum(-mod.ring.poly_degree(g) for g in max_ideal(mod.ring).gens)
+    return module_complex(mod, Window(w.t_lo - s_max * weight - 1,
+                                      max(w.t_hi, mod.top_degree)))
+
+
 def test_gamma_of_finite_length_module_skips_zero_bidegrees(monkeypatch):
     ring = _rings()[0]
     mod = GradedModule(ring, [("u", 0)], [["x^2"], ["y^2"]], name="fl")
+    w = Window(-5, 3)
+    X = _module_as_complex(mod, w)
     spaces, induced = [], []
     real_space = complexes.homology_space
     real_induced = torsion.induced_on_homology
@@ -370,10 +383,10 @@ def test_gamma_of_finite_length_module_skips_zero_bidegrees(monkeypatch):
 
     monkeypatch.setattr(complexes, "homology_space", recording_space)
     monkeypatch.setattr(torsion, "induced_on_homology", recording_induced)
-    w = Window(-5, 3)
-    res = gamma(mod, max_ideal(ring), w)
+    res = gamma(X, max_ideal(ring), w)
+    stage = res.provenance["stage"]
     tower = _koszul_tower("gamma", res.provenance["input"], max_ideal(ring), w,
-                          res.provenance["stage"])
+                          max(1, stage - CONSEC), stage)
     tail = tower.stages[len(tower.stages) - 1 - min(CONSEC, len(tower.maps)):]
     support = set().union(*(c.dims for c in tail))
     box = {(s, t) for s in range(min(c.s_min for c in tower.stages),
@@ -388,7 +401,8 @@ def test_gamma_of_finite_length_module_skips_zero_bidegrees(monkeypatch):
 def test_tower_reads_no_stage_but_the_model_above_the_window(monkeypatch):
     """The stages below the model are realized only up to w.t_hi, so
     _homology_tower must ask none of them, nor any tower map, for a
-    homology space or a component above it."""
+    homology space or a component above it.  The modules enter as
+    complexes, on which the functors run the tail rule."""
     ring = _rings()[0]
     mods = [GradedModule(ring, [("u", 0)], [["x^2"], ["y^2"]], name="fl"),
             GradedModule(ring, [("u", 0)], [["x^2"]], name="line")]
@@ -410,9 +424,10 @@ def test_tower_reads_no_stage_but_the_model_above_the_window(monkeypatch):
     for mod in mods:
         for functor, w in ((gamma, Window(-5, 3)),
                            (completion, Window(-6, -2))):
-            res = functor(mod, p, w)
+            res = functor(_module_as_complex(mod, w), p, w)
+            stage = res.provenance["stage"]
             tower = _koszul_tower(functor.__name__, res.provenance["input"],
-                                  p, w, res.provenance["stage"])
+                                  p, w, max(1, stage - CONSEC), stage)
             cut = tower.stages[:-1]
             assert cut and tower.maps
             assert any(c.t_top > w.t_hi for c in cut)

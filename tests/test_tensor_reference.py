@@ -3,8 +3,9 @@
 `reference_tensor` is the windowed (x) windowed product that `twist_check`
 and `theorem_bc_check` took before they read Gamma_p R (x) J off the torsion
 tower on J (Gamma_p is smashing): each bidegree is the quotient of the k-tensor
-products by the balancing relations.  On the window, its homology on
-Gamma_p R and J must equal the homology of Gamma_p J.
+products by the balancing relations.  On the window, its homology on a
+stage of Gamma_p R and J must equal the homology of the same stage of
+Gamma_p J.
 """
 
 from typing import Dict, List, Tuple
@@ -15,7 +16,8 @@ from localduality.complexes import (BiDeg, WindowedComplex, _inclusion,
                                     homology, module_complex)
 from localduality.exactla import SparseMatrix, quotient_projection
 from localduality.graded import GradedModule, GradedRing, Window
-from localduality.torsion import gamma
+from localduality.torsion import (_ideal_data, _koszul_tower, _materialize,
+                                  gamma)
 from conftest import max_ideal
 
 
@@ -199,9 +201,16 @@ def _modules(ring):
 def test_torsion_tower_on_j_matches_gamma_r_tensor_j(ring):
     w = Window(-5, 3)
     m = max_ideal(ring)
-    g = gamma(GradedModule.free_module(ring, [0], name="R"), m, w)
+    weight = _ideal_data(m)[1]
+    R = GradedModule.free_module(ring, [0], name="R")
     for J in _modules(ring):
-        floor_j = w.t_lo - max(0, g.model.t_top - w.t_lo) - 1
+        # the two sides at one common stage, the one gamma builds for J:
+        # dual Kos(p^s) (x) R (x) J = dual Kos(p^s) (x) J at every stage s
+        gJ = gamma(J, m, w)
+        s = gJ.provenance["stage"]
+        X = _materialize(R, w, w.t_lo - s * weight - 1)
+        model = _koszul_tower("gamma", X, m, w, s, s).stages[-1]
+        floor_j = w.t_lo - max(0, model.t_top - w.t_lo) - 1
         Jc = module_complex(J, Window(floor_j, max(w.t_hi, J.top_degree)))
-        want = homology(reference_tensor(g.model, Jc), w)
-        assert homology(gamma(J, m, w).model, w) == want, J.name
+        want = homology(reference_tensor(model, Jc), w)
+        assert homology(gJ.model, w) == want, J.name

@@ -4,11 +4,13 @@
 certified tail: every stage 1..s_max is realized in full, up to its top and
 with generator actions, and joined to the next, and the whole tower is
 handed to `_homology_tower`.  The tail-only tower (`torsion._koszul_tower`
-on the functor's materialized input) must give the same homotopy, flags,
-model and maps to and from the input.  Its stages below the model are the
-reference stages cut to t <= w.t_hi, with no actions and a window that ends
-at the cut, and its maps are the reference maps on that range; every map it
-builds must be a chain map.  The unit map
+on the functor's input) must give the same homotopy, flags, model and maps
+to and from the input.  Its stages below the model are the reference stages
+cut to t <= w.t_hi, with no actions and a window that ends at the cut, and
+its maps are the reference maps on that range; every map it builds must be
+a chain map.  The tail rule is what the functors run on a complex that is
+not a module, so the inputs are Koszul objects M // g of corpus modules.
+The unit map
 is written by `free_tensor_map`; `projection_to_unit` and
 `inclusion_of_unit` are the hand-written unit maps it replaced, kept here
 as its reference, and the tower leaves no monomial action memoised on its
@@ -24,7 +26,8 @@ from localduality.graded import GradedModule, HomIdeal, Window
 from localduality.torsion import (CONSEC, _homology_tower, _ideal_data,
                                   _koszul_tower, _materialize,
                                   _subset_chain_map, completion,
-                                  dual_koszul_free, gamma, koszul_free)
+                                  dual_koszul_free, gamma, koszul_free,
+                                  koszul_object)
 
 
 def projection_to_unit(F, C, L, X):
@@ -91,6 +94,10 @@ def reference_tower(functor, m, p, w, s_max):
     return table, flags, stages, maps, edge
 
 
+W = Window(-3, 3)
+S_MAX = 5
+
+
 def _corpus_cases():
     for entry in corpus():
         spec, _ = parse(entry.text)
@@ -98,11 +105,14 @@ def _corpus_cases():
         ideal = HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)],
                          is_prime_asserted=True, name="m")
         g0 = ring.gen_poly(0)
+        # deep enough for every gamma stage up to S_MAX
+        deep = Window(W.t_lo - S_MAX * _ideal_data(ideal)[1] - 1, W.t_hi)
         for mod in (GradedModule.free_module(ring, [0], name="R"),
                     GradedModule.residue_field(ring),
                     GradedModule(ring, [("u", 0)], [[ring.poly_mul(g0, g0) or g0]],
                                  name="cyclic")):
-            yield pytest.param(ring, mod, ideal, id=f"{entry.name}-{mod.name}")
+            X = koszul_object(mod, [g0], deep)
+            yield pytest.param(ring, X, ideal, id=f"{entry.name}-{mod.name}")
 
 
 def _same_complex(a, b):
@@ -130,17 +140,17 @@ def _same_cut_complex(a, b, t_hi):
     assert (a.s_min, a.s_max, a.t_top) == (b.s_min, b.s_max, b.t_top)
 
 
-@pytest.mark.parametrize("ring,mod,ideal", list(_corpus_cases()))
-def test_tail_matches_whole_tower(ring, mod, ideal):
-    w = Window(-3, 3)
+@pytest.mark.parametrize("ring,inp,ideal", list(_corpus_cases()))
+def test_tail_matches_whole_tower(ring, inp, ideal):
+    w = W
     for functor, run in (("gamma", gamma), ("completion", completion)):
-        for s_max in range(1, 6):
-            res = run(mod, ideal, w, s_max=s_max)
+        for s_max in range(1, S_MAX + 1):
+            res = run(inp, ideal, w, s_max=s_max)
             table, flags, stages, maps, edge = reference_tower(
-                functor, mod, ideal, w, s_max)
-            tower = _koszul_tower(functor, res.provenance["input"], ideal, w,
-                                  s_max)
+                functor, inp, ideal, w, s_max)
             first = max(1, s_max - CONSEC)
+            tower = _koszul_tower(functor, res.provenance["input"], ideal, w,
+                                  first, s_max)
             assert len(tower.stages) == s_max - first + 1
             assert len(tower.maps) == s_max - first
             assert res.provenance["stage"] == s_max
