@@ -6,21 +6,28 @@ objects tensored with the input; the completion functor as the inverse limit
 of the Koszul tower itself.  Stage s of either tower depends on no other
 stage, so a functor builds only the stages it reads.
 
-At the ideal of the ring's even generators, for a module (or the complex
-_materialize made of one), one stage is proven exact: with F the minimal
-free resolution of the module over the polynomial ring P on those
-generators, stage s gives H^i at degree t once s reaches s*(i, t), read off
-the generator degrees of two terms of F (_stage_floor).  Gamma and Lambda
-then build the single stage min(s_max, s*), and flag exactly the bidegrees
-where it falls short of s*(i, t).
+At the ideal of the ring's even generators one stage is proven exact for a
+module, and for a complex with a registered shape: a finite filtration whose
+subquotients are shifted copies of one module (_SHAPES; _materialize, the
+model stages, the cones of localize_away and delta and the Hom complex of
+adjunction_check register theirs).  With F the minimal free resolution of
+the module over the polynomial ring P on those generators, stage s gives
+H_b at degree t once s reaches s*(b, t), read off the generator degrees of
+two terms of F and the shape's pieces (_stage_floor).  Gamma and Lambda of
+a module, or of a complex of one piece, then build the single stage
+min(s_max, s*), and flag exactly the bidegrees where it falls short of
+s*(b, t); a complex of several pieces gets the single stage s* when that is
+at most s_max, flagged only below the stage's valid floor.
 
-Everywhere else (complexes, an odd generator in the ideal, other ideals)
-the tail rule applies: a bidegree is declared stable when the last three
-tower maps induce isomorphisms on homology there, up to the stage cap
-s_max, and only stages max(1, s_max - 3) .. s_max and the maps between them
-are built.  Every stage below the model stage s_max is realized only on
-the degrees certification reads, t from the window's floor to its top, with
-no generator actions when that cuts it below its own top.  Uncertified
+Everywhere else (a complex of several pieces whose s* passes s_max, such as
+Delta of a Gamma model; a complex with no registered shape; an odd
+generator in the ideal; other ideals) the tail rule applies: a bidegree is
+declared stable when the last three tower maps induce isomorphisms on
+homology there, up to the stage cap s_max, and only stages
+max(1, s_max - 3) .. s_max and the maps between them are built.  Every
+stage below the model stage s_max is realized only on the degrees
+certification reads, t from the window's floor to its top, with no
+generator actions when that cuts it below its own top.  Uncertified
 bidegrees are flagged, never silently reported.
 """
 
@@ -65,7 +72,11 @@ class FunctorResult:
     above it (the Koszul object of p tensored with a cone over it, the Tate
     cone, the fracture square), so a proven stage is chosen to be exact at
     every t from the window's floor up to w.t_hi plus the Koszul reach, the
-    sum of the weights of the ideal's generators."""
+    sum of the weights of the ideal's generators.  Provenance "stage" is
+    the stage the model is: the proven stage, or s_max under the tail rule.
+    The model of a shaped input is registered with its own shape, the
+    Koszul generators times the input's pieces, so a second functor applied
+    to it, or to a cone over it, reads its stage floor too."""
 
     model: WindowedComplex
     homotopy: Dict[BiDeg, int]
@@ -249,17 +260,40 @@ def _ideal_data(p: HomIdeal):
     return p.gens, sum(-p.ring.poly_degree(g) for g in p.gens)
 
 
-# the module behind each complex _materialize built, so that Lambda of
-# Gamma's input (tate, check_recollement) still reads the module's stage floor
-_SOURCES: "weakref.WeakKeyDictionary[WindowedComplex, GradedModule]" = \
+# complex -> (m, pieces): the complex has a finite filtration whose
+# subquotients are the shifted copies Sigma^j m(d) of the one module m, one
+# (j, d) in pieces for each (with repeats); Sigma^j shifts the homological
+# degree by j and m(d)_t = m_(t - d).  The stage floor reads it.
+_SHAPES: "weakref.WeakKeyDictionary[WindowedComplex, Tuple[GradedModule, Tuple[BiDeg, ...]]]" = \
     weakref.WeakKeyDictionary()
+
+
+def _shape(m) -> Optional[Tuple[GradedModule, Tuple[BiDeg, ...]]]:
+    """m's module and pieces: a module is its one piece (0, 0); a complex
+    has the shape registered for it, or None."""
+    if isinstance(m, GradedModule):
+        return m, ((0, 0),)
+    return _SHAPES.get(m)
+
+
+def _register_cone(C: WindowedComplex, f: ComplexMap,
+                   s_shift: int = 0) -> None:
+    """Record the shape of C = cone(f) shifted by s_shift: the target's
+    pieces and the source's one degree up.  f joins a functor's model and
+    its input, so both have shapes over one module or the input has none."""
+    src, tgt = _shape(f.source), _shape(f.target)
+    if src is None or tgt is None:
+        return
+    _SHAPES[C] = (src[0], tuple(sorted(
+        [(j + 1 + s_shift, d) for j, d in src[1]] +
+        [(j + s_shift, d) for j, d in tgt[1]])))
 
 
 def _materialize(m, w: Window, floor: int) -> WindowedComplex:
     if isinstance(m, GradedModule):
         top = m.top_degree
         X = module_complex(m, Window(min(floor, top), max(top, w.t_hi)))
-        _SOURCES[X] = m
+        _SHAPES[X] = _shape(m)
         return X
     return m
 
@@ -270,54 +304,82 @@ def default_s_max(w: Window) -> int:
 
 def _stage_floor(functor: str, m, p: HomIdeal,
                  w: Window) -> Optional[Dict[BiDeg, int]]:
-    """The least stage s*(s, t) that gives the homology of Gamma ("gamma")
+    """The least stage s*(b, t) that gives the homology of Gamma ("gamma")
     or Lambda ("completion") of m at the ideal p exactly, for each
-    homological degree s of the model and each t from w.t_lo up to w.t_hi
-    plus the Koszul reach; None unless m is a module, or a complex
-    _materialize made of one, and p is generated by exactly the ring's even
-    generators.
+    homological degree b of the model and each t from w.t_lo up to w.t_hi
+    plus the Koszul reach; None unless m is a module or a complex with a
+    registered shape (_SHAPES), and p is generated by exactly the ring's
+    even generators.
 
-    Let F be the minimal free resolution of m over the polynomial ring P on
-    those generators (duality._polynomial_resolution), with weights w_i and
-    sum W.  Each column of Kos(x^s)^dual (x) F has cohomology only in the
-    top Koszul degree, H^N(x^s; F_j), which injects into H^N_m(F_j) with
-    the image spanned by the x^-a, 1 <= a_i <= s; on a generator of degree
-    d it is onto in degree t once s >= A(t - d), where
+    Let F be the minimal free resolution of the module over the polynomial
+    ring P on those generators (duality._polynomial_resolution), with
+    weights w_i and sum W.  Each column of Kos(x^s)^dual (x) F has
+    cohomology only in the top Koszul degree, H^N(x^s; F_j), which injects
+    into H^N_m(F_j) with the image spanned by the x^-a, 1 <= a_i <= s; on a
+    generator of degree d it is onto in degree t once s >= A(t - d), where
     A(u) = max_i floor((u - W + w_i) / w_i) bounds every a_i of degree u
     (Bruns-Herzog 3.5).  A map of complexes injective at every term and
     bijective at terms j and j + 1 is an isomorphism on H_j, so the stage
     gives H^i_m(m)_t, homological degree -i, once
     s >= s*(-i, t) = max(1, A(t - d)) over the generators d of F_{N-i} and
-    F_{N-i+1}.  For Lambda, P(d) -> P/(x^s)(d) is bijective
-    in degree t once s > floor((d - t) / w_min), and a map surjective at
-    every term and bijective at terms i and i - 1 is an isomorphism on H_i:
-    s*(i, t) = 1 + max floor((d - t) / w_min) over F_i and F_{i-1}, at
-    least 1.  No map between stages is read."""
-    mod = m if isinstance(m, GradedModule) else _SOURCES.get(m)
+    F_{N-i+1}: the lowest of them decides.  For Lambda, P(d) -> P/(x^s)(d)
+    is bijective in degree t once s > floor((d - t) / w_min), and a map
+    surjective at every term and bijective at terms i and i - 1 is an
+    isomorphism on H_i: s*(i, t) = 1 + max floor((d - t) / w_min) over F_i
+    and F_{i-1}, the highest of them deciding, at least 1.  Outside the
+    homological degrees where the module's stages live, both sides vanish
+    and s* is 1.
+
+    A complex of one piece Sigma^j m(d) is that copy of m, so its s*(b, t)
+    is the module's s*(b - j, t - d).  For several pieces, Kos(x^s)^dual
+    (x) - and Kos(x^s) (x) - are exact and the comparison of stage s with
+    the limit is natural, so the cone of that comparison is filtered by the
+    cones on the pieces.  The cone on a piece has no H_c at t once the
+    stage is exact for m at (c - j, t - d) and (c - j - 1, t - d), and the
+    complex's stage is exact at (b, t) when its cone has no H_b and no
+    H_{b+1} at t: s*(b, t) is the largest module s*(a, t - d) over the
+    pieces and a in {b - j - 1, b - j, b - j + 1}.  No map between stages
+    is read."""
+    shape = _shape(m)
     ring = p.ring
     even = [ring.gen_poly(i) for i, odd in enumerate(ring.parity) if not odd]
-    if mod is None or sorted(sorted(g.items()) for g in p.gens) != \
+    if shape is None or sorted(sorted(g.items()) for g in p.gens) != \
             sorted(sorted(g.items()) for g in even):
         return None
+    mod, pieces = shape
     from .duality import _polynomial_resolution
     res = _polynomial_resolution(mod)
     P = res.ring
     n, weights, top = P.n, P.weights, sum(P.weights)
+    colim = functor == "gamma"
 
-    def degrees(*js):
-        return [d for j in js if 0 <= j < len(res.stages)
-                for d in res.stages[j].gen_degrees]
+    # per homological degree a of the module's stages, the generator degree
+    # of the two terms of F that decides s*: the lowest for Gamma, the highest
+    # for Lambda
+    extreme: Dict[int, int] = {}
+    for a in (range(-n, 1) if colim else range(n + 1)):
+        degs = [d for j in ((n + a, n + a + 1) if colim else (a, a - 1))
+                if 0 <= j < len(res.stages) for d in res.stages[j].gen_degrees]
+        if degs:
+            extreme[a] = min(degs) if colim else max(degs)
 
+    def module_floor(a: int, u: int) -> int:
+        d = extreme.get(a)
+        if d is None:
+            return 1
+        if colim:
+            return max([1] + [(u - d - top + wi) // wi for wi in weights])
+        return max(1, 1 + (d - u) // min(weights))
+
+    s_lo, s_hi = (0, 0) if isinstance(m, GradedModule) else (m.s_min, m.s_max)
+    near = (0,) if len(pieces) == 1 else (-1, 0, 1)
+    distinct = set(pieces)
     floor: Dict[BiDeg, int] = {}
-    for i in range(n + 1):
+    b_range = range(s_lo - n, s_hi + 1) if colim else range(s_lo, s_hi + n + 1)
+    for b in b_range:
         for t in range(w.t_lo, w.t_hi + top + 1):
-            if functor == "gamma":
-                need = [(t - d - top + wi) // wi
-                        for d in degrees(n - i, n - i + 1) for wi in weights]
-                floor[(-i, t)] = max([1] + need)
-            else:
-                need = [1 + (d - t) // min(weights) for d in degrees(i, i - 1)]
-                floor[(i, t)] = max([1] + need)
+            floor[(b, t)] = max(module_floor(b - j + e, t - d)
+                                for j, d in distinct for e in near)
     return floor
 
 
@@ -367,6 +429,13 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     finally:
         # X outlives the tower as the functor's input
         X.clear_monomial_actions()
+    shape = _shape(X)
+    if shape is not None:
+        # the model's filtration by Koszul degree has the subquotients
+        # Sigma^k X(e), one per generator of degree e of F_k
+        _SHAPES[stages[-1]] = (shape[0], tuple(sorted(
+            (k + j, e + d) for k, f in frees[-1].stages.items()
+            for e in f.gen_degrees for j, d in shape[1])))
     return Tower(stages, maps, "colim" if colim else "lim", unit)
 
 
@@ -378,9 +447,10 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
     sit up to s * weight above m, so m is materialized that much deeper;
     Lambda is the inverse limit of Kos(p^s) (x) m.  Where _stage_floor
     proves a stage, the one stage min(s_max, max s*) is built and its
-    homology on w is the table, flagged where it falls short of s*(s, t);
-    elsewhere the tail of stages up to s_max is certified by
-    _homology_tower.
+    homology on w is the table, flagged where it falls short of s*(s, t)
+    or lies below the stage's valid floor; a complex of several pieces
+    takes it only when max s* <= s_max.  Elsewhere the tail of stages up
+    to s_max is certified by _homology_tower.
     """
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
@@ -394,6 +464,12 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
             to_input=ident, from_input=ident)
     colim = functor == "gamma"
     s_star = _stage_floor(functor, m, p, w)
+    if s_star is not None and len(_shape(m)[1]) > 1 and \
+            max(s_star.values()) > s_max:
+        # past the cap, a complex of several pieces keeps the tail rule: the
+        # stage s_max would flag every bidegree short of s*, where the tail
+        # certifies
+        s_star = None
     stage = s_max if s_star is None else min(s_max, max(s_star.values()))
     X = _materialize(m, w, w.t_lo - stage * total_weight - 1 if colim
                      else w.t_lo - 1)
@@ -403,9 +479,13 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
                                        tower.direction, w)
     else:
         tower = _koszul_tower(functor, X, p, w, stage, stage)
-        table = homology(tower.stages[-1], w)
+        model = tower.stages[-1]
+        table = homology(model, w)
         flags = {key for key, need in s_star.items()
                  if key[1] <= w.t_hi and stage < need}
+        # below the stage's valid floor a complex input was too shallow
+        flags |= {(s, t) for s in range(model.s_min, model.s_max + 1)
+                  for t in range(w.t_lo, min(model.window.t_lo, w.t_hi + 1))}
     res = FunctorResult(tower.stages[-1], table, flags,
                         {"functor": functor, "ideal": p.name, "stage": stage,
                          "input": X})
@@ -434,6 +514,7 @@ def localize_away(m, p: HomIdeal, w: Window,
     """L_V m = cone(Gamma_V m -> m)."""
     g = gamma_res or gamma(m, p, w, s_max)
     model = cone(g.to_input)
+    _register_cone(model, g.to_input)
     table = homology(model, w)
     return FunctorResult(model, table, set(g.flags),
                          {"functor": "localize_away",
@@ -446,6 +527,7 @@ def delta(m, p: HomIdeal, w: Window,
     """Delta^V m = fiber(m -> Lambda^V m) = shift(cone, -1)."""
     lam = completion(m, p, w, s_max)
     model = shift(cone(lam.from_input), -1)
+    _register_cone(model, lam.from_input, -1)
     table = homology(model, w)
     return FunctorResult(model, table, set(lam.flags),
                          {"functor": "delta",
@@ -477,7 +559,8 @@ def tate(m, p: HomIdeal, w: Window,
                          set(g.flags) | set(lam.flags),
                          {"functor": "tate",
                           "ideal": g.provenance.get("ideal"),
-                          "stage": s_max})
+                          "stage": max(g.provenance["stage"],
+                                       lam.provenance["stage"])})
 
 
 def _tate_model(g: FunctorResult, lam: FunctorResult) -> WindowedComplex:
@@ -647,7 +730,7 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     deepest = -min((d for f in res.stages for d in f.gen_degrees), default=0)
 
     hom_w = Window(w.t_lo, w.t_hi + s_max * total_weight + deepest + 1)
-    left = completion(F.hom_into(m2, hom_w, validate=False), p, w, s_max)
+    left = completion(_resolution_hom(F, m2, hom_w), p, w, s_max)
 
     # right side; the dual resolution generators raise the tensor floor, so
     # complete over a window deep enough that the product still covers w
@@ -659,6 +742,17 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
             if w.t_lo <= k[1] <= w.t_hi and safe_s_lo <= k[0] <= len(elems)
             and k not in left.flags}
     return all(left.homotopy.get(k, 0) == right.get(k, 0) for k in keys)
+
+
+def _resolution_hom(F: FreeComplex, m2: GradedModule,
+                    w: Window) -> WindowedComplex:
+    """Hom(F, m') for a free complex F, realized on w, with its shape: one
+    piece m'(-e), in homological degree -k, per generator of F_k of degree
+    e."""
+    hom = F.hom_into(m2, w, validate=False)
+    _SHAPES[hom] = (m2, tuple(sorted((-k, -e) for k, f in F.stages.items()
+                                     for e in f.gen_degrees)))
+    return hom
 
 
 def fracture_check(m, p: HomIdeal, w: Window,

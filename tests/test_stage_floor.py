@@ -6,7 +6,16 @@ generators, and Gamma and Lambda build the one stage min(s_max, s*): no
 tail, no map between stages.  Its unflagged entries must equal local
 duality (`duality._duality_table`) for Gamma and M in H_0 for Lambda, and
 the bound is tight: the stage just below s* differs.
+
+A complex filtered by shifted copies of one module (its shape) gets one
+stage too.  The complexes `check_recollement` feeds a second functor are
+checked against independent answers: Gamma of the Gamma model is local
+duality, Gamma of the L model vanishes, Lambda of Hom(F, M) is what the
+tail rule certifies, and two stages more change nothing.  Complexes with no
+shape, as the tail-rule reference tests build them, keep the tail rule.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +23,17 @@ from hypothesis import given, settings, strategies as st
 from localduality import torsion
 from localduality.cli import Environment, corpus, parse
 from localduality.cohom import cohomology_table
-from localduality.complexes import homology
+from localduality.complexes import homology, module_complex, resolution_complex
 from localduality.duality import _duality_table, absolute_gorenstein_check
-from localduality.graded import GradedModule, GradedRing, Window
-from localduality.torsion import (_ideal_data, _koszul_tower, _materialize,
-                                  _stage_floor, completion, dual_koszul_free,
-                                  gamma, koszul_free)
+from localduality.graded import (GradedModule, GradedRing, Window,
+                                 minimal_free_resolution)
+from localduality.torsion import (ADJUNCTION_LENGTH, CONSEC, _homology_tower,
+                                  _ideal_data, _koszul_tower, _materialize,
+                                  _resolution_hom, _stage_floor,
+                                  check_recollement, completion,
+                                  default_s_max, dual_koszul_free,
+                                  extended_window, gamma, koszul_free,
+                                  koszul_object, localize_away, tate)
 from conftest import max_ideal
 
 EVEN_RINGS = [(e.name, ring) for e in corpus()
@@ -142,3 +156,182 @@ def test_absolute_gorenstein_check_realizes_one_stage(monkeypatch):
     assert rep["verdict"] is True and rep["shift"] == 0
     # one Koszul stage; the one map is the unit, none joins two stages
     assert len(tensors) == 1 and len(maps) == 1
+
+
+def test_tate_names_the_larger_stage_it_built():
+    mod = GradedModule(PLANE, [("u", 0)], [["x^2"]], name="P/(x^2)")
+    m = max_ideal(PLANE)
+    w = Window(-6, 6)
+    stages = [f(mod, m, w).provenance["stage"] for f in (gamma, completion)]
+    assert stages[0] != stages[1]
+    assert tate(mod, m, w).provenance["stage"] == max(stages)
+
+
+# shaped complexes ------------------------------------------------------------
+
+SHAPED_RINGS = [PLANE, PLANE.quotient([PLANE.parse("y^2")], name="Q1"),
+                PLANE.quotient([PLANE.parse("x^2"), PLANE.parse("y^3")],
+                               name="Q4"),
+                PLANE.quotient([PLANE.parse("x*y")], name="F2[x,y]/(xy)")]
+
+
+def _seeded_cyclic_modules():
+    """Two cyclic modules per ring, seeded: the generator in degree 0 or
+    -1, up to two monomial relations of degree -2 or -3."""
+    rng = random.Random(27)
+    monos = ["x^2", "x*y", "y^2", "x^3", "y^3", "x^2*y"]
+    for ring in SHAPED_RINGS:
+        for _ in range(2):
+            rels = [[r] for r in sorted(rng.sample(monos, rng.randint(0, 2)))
+                    if ring.normal_form(ring.parse(r))]
+            degree = -rng.randint(0, 1)
+            yield GradedModule(ring, [("u", degree)], rels,
+                               name=f"{ring.name}<{degree}|{rels}>")
+
+
+def _one_stage(functor, Y, m, w, res, s_max):
+    """res, the functor's value on Y, is the single proven stage s*, at
+    most the cap s_max: no tail was built."""
+    floor = _stage_floor(functor, Y, m, w)
+    assert floor is not None
+    assert res.provenance["stage"] == max(floor.values()) <= s_max
+
+
+def _unflagged(table, flags):
+    return {k: v for k, v in table.items() if k not in flags and v}
+
+
+def _same_two_stages_on(functor, Y, m, w, res, flags):
+    """Stage s* + 2 of Y's tower has res's homology off flags."""
+    s = res.provenance["stage"] + 2
+    C = _koszul_tower(functor, Y, m, w, s, s).stages[-1]
+    assert C.window.t_lo <= w.t_lo
+    assert _unflagged(homology(C, w), flags) == _unflagged(res.homotopy, flags)
+
+
+@pytest.mark.parametrize("w", [Window(-6, 6), Window(-4, 3)], ids=repr)
+@pytest.mark.parametrize("mod", list(_seeded_cyclic_modules()),
+                         ids=lambda mod: mod.name)
+def test_shaped_complexes_of_the_recollement_check(mod, w):
+    m = max_ideal(mod.ring)
+    s_max = default_s_max(w)
+    # the floor check_recollement gives Gamma, two stages deeper so that
+    # stage s* + 2 of the second functor is realized on all of w
+    g = gamma(mod, m, extended_window(w, m, s_max + 2), s_max)
+    L = localize_away(mod, m, g.provenance["input"].window, s_max,
+                      gamma_res=g)
+
+    # Gamma of the Gamma model is Gamma: local duality
+    gg = gamma(g.model, m, w, s_max)
+    _one_stage("gamma", g.model, m, w, gg, s_max)
+    flags = gg.flags | g.flags
+    exact = {(-i, t): v for (i, t), v in
+             _duality_table(mod, m, w).entries.items()}
+    assert _unflagged(gg.homotopy, flags) == _unflagged(exact, flags)
+    _same_two_stages_on("gamma", g.model, m, w, gg, flags)
+
+    # Gamma of L = cone(Gamma M -> M) vanishes
+    gl = gamma(L.model, m, w, s_max)
+    _one_stage("gamma", L.model, m, w, gl, s_max)
+    flags = gl.flags | g.flags
+    assert not _unflagged(gl.homotopy, flags)
+    _same_two_stages_on("gamma", L.model, m, w, gl, flags)
+
+    # Lambda of Hom(F, M), F a free resolution of M, as adjunction_check
+    # builds it: the tail rule agrees wherever it certifies.  Its deep
+    # pieces can need a stage past the default cap, where check_recollement
+    # keeps the tail rule, so the cap here is raised to s*
+    res = minimal_free_resolution(mod, ADJUNCTION_LENGTH)
+    deepest = -min(d for f in res.stages for d in f.gen_degrees)
+    hom = _resolution_hom(resolution_complex(res), mod, Window(
+        w.t_lo, w.t_hi + s_max * _ideal_data(m)[1] + deepest + 1))
+    cap = max([s_max, *_stage_floor("completion", hom, m, w).values()])
+    left = completion(hom, m, w, cap)
+    _one_stage("completion", hom, m, w, left, cap)
+    tower = _koszul_tower("completion", hom, m, w, max(1, cap - CONSEC), cap)
+    table, tail_flags = _homology_tower(tower.stages, tower.maps,
+                                        tower.direction, w)
+    flags = left.flags | tail_flags
+    assert _unflagged(left.homotopy, flags) == _unflagged(table, flags)
+    _same_two_stages_on("completion", hom, m, w, left, left.flags)
+
+
+def test_a_shallow_complex_is_flagged_below_the_stage_floor():
+    """Gamma of a Gamma model realized too shallow for a second stage: that
+    stage is known only from higher up, and every degree below is flagged;
+    the rest is local duality."""
+    mod = GradedModule(PLANE, [("u", 0)], [["x^2"]], name="P/(x^2)")
+    m = max_ideal(PLANE)
+    w = Window(-6, 6)
+    g = gamma(mod, m, Window(w.t_lo - 8, w.t_hi))
+    gg = gamma(g.model, m, w)
+    floor = gg.model.window.t_lo
+    assert w.t_lo < floor <= w.t_hi
+    assert {(s, t) for s in range(gg.model.s_min, gg.model.s_max + 1)
+            for t in range(w.t_lo, floor)} <= gg.flags
+    exact = {(-i, t): v for (i, t), v in
+             _duality_table(mod, m, w).entries.items()}
+    assert _unflagged(gg.homotopy, gg.flags) == \
+        _unflagged(exact, gg.flags)
+
+
+def _record_towers(monkeypatch):
+    """The (functor, first, last) of every Koszul tower built, and the
+    number of tail-rule certifications."""
+    towers, tails = [], []
+    real_tower, real_tail = torsion._koszul_tower, torsion._homology_tower
+
+    def tower(functor, X, p, w, first, last):
+        towers.append((functor, first, last))
+        return real_tower(functor, X, p, w, first, last)
+
+    def tail(*args):
+        tails.append(1)
+        return real_tail(*args)
+
+    monkeypatch.setattr(torsion, "_koszul_tower", tower)
+    monkeypatch.setattr(torsion, "_homology_tower", tail)
+    return towers, tails
+
+
+def test_recollement_certifies_one_tail(monkeypatch):
+    """One check_recollement on F2[x,y]/(x^2) certifies one tail, that of
+    Delta of the Gamma model, whose s* passes the cap; every other tower
+    is one stage."""
+    towers, tails = _record_towers(monkeypatch)
+    mod = GradedModule(PLANE, [("u", 0)], [["x^2"]], name="P/(x^2)")
+    w = Window(-6, 6)
+    assert check_recollement(mod, max_ideal(PLANE), w)["all"]
+    s_max = default_s_max(w)
+    assert len(tails) == 1
+    assert [t for t in towers if t[1] != t[2]] == \
+        [("completion", s_max - CONSEC, s_max)]
+
+
+def _bare_inputs():
+    """Complexes built the way the tail-rule reference tests build them:
+    a module_complex (test_support_reference, test_power_reference) and a
+    Koszul object (test_tower_reference)."""
+    from test_support_reference import _module_as_complex
+    w = Window(-5, 3)
+    mod = GradedModule(PLANE, [("u", 0)], [["x^2"], ["y^2"]], name="fl")
+    yield pytest.param(_module_as_complex(mod, w), w, id="support")
+    w = Window(-8, 8)
+    R = GradedModule.free_module(PLANE, [0])
+    yield pytest.param(module_complex(R, Window(w.t_lo - 2 * 20 - 1, w.t_hi)),
+                       w, id="power")
+    w = Window(-3, 3)
+    yield pytest.param(koszul_object(R, [PLANE.gen_poly(0)],
+                                     Window(w.t_lo - 5 * 2 - 1, w.t_hi)),
+                       w, id="tower")
+
+
+@pytest.mark.parametrize("X,w", list(_bare_inputs()))
+def test_complexes_with_no_shape_keep_the_tail_rule(X, w, monkeypatch):
+    m = max_ideal(PLANE)
+    assert torsion._shape(X) is None
+    assert _stage_floor("gamma", X, m, w) is None
+    towers, tails = _record_towers(monkeypatch)
+    for functor in (gamma, completion):
+        assert functor(X, m, w).provenance["stage"] == default_s_max(w)
+    assert len(tails) == 2 and all(t[1] < t[2] for t in towers)
