@@ -234,6 +234,10 @@ def module_slice(ring: GradedRing, dims: Dict[int, int],
     matrix of generator g from degree t, asked only where both degrees are
     nonzero.  Every module on a window is kept this way, so its monomial
     actions come from the complex's memo and its dual from brown_comenetz.
+    For a presented module (module_complex) the action is
+    GradedModule.generator_action, read off the module's Groebner
+    staircase one lookup per column; every Tor, Ext, resolution-duality
+    table and tower input realizes its module's actions here.
     """
     dims = {t: d for t, d in dims.items() if d}
     actions = {}

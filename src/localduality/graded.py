@@ -698,14 +698,17 @@ class _Submodule:
     as far as the degree asked for needs, but not where the leading
     monomials are coprime: the Koszul syzygy h*e_g - g*e_h stands for such
     a pair and maps to h*e_g = 0.  Coprime pairs of two elements count.
-    Pairs are taken by degree, highest first (the normal strategy), and
-    every pair taken counts against PAIR_LIMIT; an element lies in the
+    Pairs are taken by degree, highest first (the normal strategy).  A pair
+    of two one-term elements reduces nothing, since the multiples of its
+    lcm cancel; every other pair reaches a reduction and counts against
+    PAIR_LIMIT, so the guard counts work, not pairs.  An element lies in the
     degree of the pair that made it, and no leading term divides a monomial
     of a higher degree, so completing further down adds elements only in
     lower degrees and leaves the standard monomials and normal forms found
-    so far, and their memo, valid.  floor is the lowest degree of a pair
-    taken.  A ring's relation ideal is one of these, of rank one over the
-    free ring on its generators, whose basis is the odd squares.
+    so far, their positions and their memo, valid.  floor is the lowest
+    degree of a pair taken, skipped or not.  A ring's relation ideal is one
+    of these, of rank one over the free ring on its generators, whose basis
+    is the odd squares.
     """
 
     def __init__(self, ring: GradedRing, degrees: Sequence[int],
@@ -723,6 +726,7 @@ class _Submodule:
         self._ring_paired = 0           # ring basis elements paired with every element
         self._taken = 0
         self._standard: Dict[int, List[Tuple[int, Mono]]] = {}
+        self._positions: Dict[int, Dict[Tuple[int, Mono], int]] = {}
         self._nf_memo: Dict[Tuple[int, Mono], Dict[Tuple[int, Mono], int]] = {}
 
     def _times(self, mu: Mono, f: List[Poly]) -> List[Poly]:
@@ -792,11 +796,6 @@ class _Submodule:
             degree = max(pairs)
             if degree < t:
                 break
-            if self._taken >= PAIR_LIMIT:
-                raise ContractViolation(
-                    f"completion runaway: {self.what} exceeded {PAIR_LIMIT} "
-                    f"S-pairs")
-            self._taken += 1
             i, j = pairs[degree].pop()
             if not pairs[degree]:
                 del pairs[degree]
@@ -804,6 +803,11 @@ class _Submodule:
             if self._monomial[i] and (self._monomial[j] if j >= 0 else
                                       len(ring._gb[-1 - j]) == 1):
                 continue        # the two multiples of the lcm cancel
+            if self._taken >= PAIR_LIMIT:
+                raise ContractViolation(
+                    f"completion runaway: {self.what} exceeded {PAIR_LIMIT} "
+                    f"S-pairs")
+            self._taken += 1
             k, mi, ci = self.leads[i]
             mj = self.leads[j][1] if j >= 0 else ring._leads[-1 - j]
             lcm = tuple(map(max, mi, mj))
@@ -837,10 +841,22 @@ class _Submodule:
             self._standard[t] = out
         return out
 
+    def positions(self, t: int) -> Dict[Tuple[int, Mono], int]:
+        """{standard monomial of degree t: its index in standard(t)},
+        memoised: the rows an element action writes into."""
+        out = self._positions.get(t)
+        if out is None:
+            out = self._positions[t] = {bm: r for r, bm in
+                                        enumerate(self.standard(t))}
+        return out
+
     def normal_form(self, key: Tuple[int, Mono]) -> Dict[Tuple[int, Mono], int]:
         """{standard monomial: coefficient} of the module monomial key =
         (position, ring standard monomial), memoised.  The basis must be
-        complete down to key's degree (standard does that)."""
+        complete down to key's degree (standard does that).  Terms are
+        reduced largest first; a work list of one term needs no comparison.
+        Element actions ask for it only off the staircase of a basis with an
+        element of more than one term."""
         memo = self._nf_memo
         nf = memo.get(key)
         if nf is not None:
@@ -859,7 +875,8 @@ class _Submodule:
         work = {key: 1}
         out: Dict[Tuple[int, Mono], int] = {}
         while work:
-            top = max(work, key=lambda km: (-km[0], order(km[1])))
+            top = next(iter(work)) if len(work) == 1 else \
+                max(work, key=lambda km: (-km[0], order(km[1])))
             c = work.pop(top)
             known = memo.get(top)
             if known is not None:
@@ -1010,7 +1027,7 @@ class GradedModule:
         echelon form is unique.  Where M_t = 0 it is the identity.
         """
         gb = self._gb
-        standard = set(gb.standard(t))
+        standard = gb.positions(t)
         basis = self.free.basis_in_degree(t)
         pos = {bm: c for c, bm in enumerate(basis)}
         p = self.ring.characteristic
@@ -1038,11 +1055,19 @@ class GradedModule:
         return out
 
     def element_action(self, p, t: int) -> SparseMatrix:
-        """Matrix of multiplication by homogeneous element p: deg t -> t + |p|.
+        """Matrix of multiplication by homogeneous element p: deg t -> t + |p|,
+        read off the staircase of the module's Groebner basis.
 
-        Column j is the normal form of p times the j-th standard monomial:
-        its product terms that are standard stand for themselves, the
-        others are read off the memoised module normal forms.
+        Column j is p times the j-th standard monomial, summed over the
+        terms of p.  Each term's product with it is one mono_mul (the
+        Koszul sign included, an odd square dropped) and one lookup in the
+        target degree's positions (_Submodule.positions): a standard
+        product is its own row.  A product off the staircase is first
+        reduced by the ring when a leading monomial of the ring's ideal
+        divides it (times_monomial, off the ring's normal-form memo); a
+        term of that reduction off the staircase is zero when every basis
+        element has one term, since a one-term element divides it, and is
+        read off the memoised module normal form otherwise.
         """
         ring = self.ring
         if isinstance(p, str):
@@ -1052,24 +1077,43 @@ class GradedModule:
             return SparseMatrix(ring.field, 0, self.dim_in_degree(t))
         gb = self._gb
         source = gb.standard(t)
-        target = gb.standard(t + ring.poly_degree(p))
-        tpos = {bm: r for r, bm in enumerate(target)}
+        t2 = t + ring.poly_degree(p)
+        tpos = gb.positions(t2)
+        monomial = all(gb._monomial)
+        quotient = ring._ideal is not None
+        mono_mul = ring.mono_mul
+        char = ring.characteristic
         ent = {}
         for j, (i, m) in enumerate(source):
             col: Dict[int, int] = {}
-            for mm, cc in ring.times_monomial(m, p).items():
-                r = tpos.get((i, mm))
-                if r is not None:
-                    col[r] = col.get(r, 0) + cc
+            for mono, c in p.items():
+                r = mono_mul(m, mono)
+                if r is None:
                     continue
-                for key, v in gb.normal_form((i, mm)).items():
-                    r = tpos[key]
-                    col[r] = col.get(r, 0) + cc * v
-            for r in sorted(col):
-                v = col[r] % ring.characteristic
+                sgn, prod = r
+                row = tpos.get((i, prod))
+                if row is not None:
+                    col[row] = col.get(row, 0) + sgn * c
+                    continue
+                if quotient:
+                    reduced = ring.times_monomial(m, {mono: c})
+                elif monomial:
+                    continue
+                else:
+                    reduced = {prod: sgn * c}
+                for mm, cc in reduced.items():
+                    row = tpos.get((i, mm))
+                    if row is not None:
+                        col[row] = col.get(row, 0) + cc
+                    elif not monomial:
+                        for key, v in gb.normal_form((i, mm)).items():
+                            row = tpos[key]
+                            col[row] = col.get(row, 0) + cc * v
+            for row in sorted(col):
+                v = col[row] % char
                 if v:
-                    ent[(r, j)] = v
-        return SparseMatrix._trusted(ring.field, len(target), len(source), ent)
+                    ent[(row, j)] = v
+        return SparseMatrix._trusted(ring.field, len(tpos), len(source), ent)
 
     def generator_action(self, gi: int, t: int) -> SparseMatrix:
         return self.element_action(self.ring.gen_poly(gi), t)

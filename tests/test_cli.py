@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from localduality import graded
 from localduality.cli import Runner, corpus, main, parse, parse_window_args, run
 from localduality.graded import Window
 
@@ -428,18 +429,27 @@ def test_resolve_reads_a_minimal_presentation(tmp_path, capsys):
     assert [r["dim"] for r in hilbert["table"]] == [4, 3, 2, 1]
 
 
-def test_completion_runaway_is_line_diagnostic(tmp_path, capsys):
-    # all 210 quadratic monomials in 20 variables: more than 20000 S-pairs
-    # down to degree -4 (down to -3 the ring answers)
+def test_completion_runaway_is_line_diagnostic(tmp_path, capsys, monkeypatch):
+    # all 210 quadratic monomials in 20 variables: 21945 S-pairs, none of
+    # which reduces anything, so R answers down to -4; T's two relations
+    # need 13 reductions down to -12, more than the lowered limit of 10
+    monkeypatch.setattr(graded, "PAIR_LIMIT", 10)
     names = [f"x{i}" for i in range(20)]
     rels = ", ".join(f"{a}*{b}" for i, a in enumerate(names) for b in names[i:])
     inp = write(tmp_path, "[ring R]\nchar = 2\n"
                           f"generators = {', '.join(n + ':-1' for n in names)}\n"
-                          f"relations = {rels}\n\n[run]\nhilbert R\n")
-    assert main(["--input", inp, "--window", "-4:0"]) == 1
-    diags = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert len(diags) == 1 and diags[0]["line"] == 7
-    assert diags[0]["message"].startswith("completion runaway")
+                          f"relations = {rels}\n\n"
+                          "[ring T]\nchar = 2\ngenerators = x:-1, y:-1, z:-1\n"
+                          "relations = x^3*y^2 + x*y*z^3, x*y^3*z + y^4*z\n\n"
+                          "[run]\nhilbert R\nhilbert T\n")
+    assert main(["--input", inp, "--window", "-12:0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    [hilbert] = report["results"]
+    assert [(r["t"], r["dim"]) for r in hilbert["table"]] == [(-1, 20), (0, 1)]
+    diags = report["diagnostics"]
+    assert len(diags) == 1 and diags[0]["line"] == 13
+    assert diags[0]["message"] == ("completion runaway: the relations of "
+                                   "ring T exceeded 10 S-pairs")
 
 
 def test_script_prints_every_corpus_verdict():

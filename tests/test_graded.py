@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from localduality import graded
 from localduality.cli import Environment, corpus, parse
 from localduality.exactla import ContractViolation
 from localduality.complexes import module_complex
@@ -86,17 +87,36 @@ def test_odd_square_terms_of_raw_input_vanish():
     assert [mod.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 1, 0, 0]
 
 
-def test_runaway_ring_relations_name_the_ring():
+# two relations over F2[x,y,z] whose Groebner basis gains four elements in
+# degrees -7 ... -10; 15 of its S-pairs reach a reduction, the first in
+# degree -7, 9 down to -11 and 13 down to -12
+RUNAWAY_RELATIONS = ["x^3*y^2 + x*y*z^3", "x*y^3*z + y^4*z"]
+
+
+def test_runaway_ring_relations_name_the_ring(monkeypatch):
+    # with the limit lowered to 10 reductions the ring answers down to
+    # -11 and is refused at -12, naming itself.  The relations are y times
+    # two coprime quartics, so dim R_t = C(t+2, 2) - dim J_(t-1) for the
+    # complete intersection J of the quartics: 78 - 50 at t = -11
+    monkeypatch.setattr(graded, "PAIR_LIMIT", 10)
+    ring = GradedRing(2, [(n, -1) for n in "xyz"], RUNAWAY_RELATIONS)
+    assert [ring.dim_in_degree(t) for t in range(0, -6, -1)] == \
+        [1, 3, 6, 10, 15, 19]
+    assert ring.dim_in_degree(-11) == 28
+    with pytest.raises(ContractViolation, match="^completion runaway: the "
+                       "relations of ring R exceeded 10 S-pairs$"):
+        ring.dim_in_degree(-12)
+
+
+def test_pairs_that_reduce_nothing_do_not_count():
     # R/m^2 over F2[x0..x19]: its 210 quadratic monomial relations have
-    # 21945 S-pairs, in degrees -3 and -4.  Pairs are taken by degree, so
-    # R answers down to -3 and is refused at -4, naming itself.
+    # 21945 S-pairs, more than PAIR_LIMIT, in degrees -3 and -4, and none
+    # reaches a reduction, so R answers in degree -4 too
     names = [f"x{i}" for i in range(20)]
     ring = GradedRing(2, [(n, -1) for n in names],
                       [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]])
-    assert [ring.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 20, 0, 0]
-    with pytest.raises(ContractViolation, match="^completion runaway: the "
-                       "relations of ring R exceeded 20000 S-pairs$"):
-        ring.dim_in_degree(-4)
+    assert [ring.dim_in_degree(t) for t in (0, -1, -2, -3, -4)] == [1, 20, 0, 0, 0]
+    assert ring._ideal._taken == 0
 
 
 def test_krull_dim():

@@ -15,7 +15,10 @@ spanned by monomials, the module also equals the realization with
 ascending columns (leading="smallest"), the smallest term leading, which
 the module made before it kept a Groebner basis.
 `GradedModule.relation_vectors`, the echelon form of the relation span in
-ascending columns, must equal the rows of its elimination.
+ascending columns, must equal the rows of its elimination.  The generator
+actions of `module_complex` and the actions of drawn ring elements must
+equal the reference entry for entry, and a module whose Groebner basis has
+only one-term elements is realized without a module normal form.
 """
 
 import math
@@ -25,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from localduality import graded
 from localduality.cli import Environment, corpus, parse
+from localduality.complexes import module_complex
 from localduality.exactla import SparseMatrix, quotient_projection, rref
 from localduality.graded import GradedModule, GradedRing, Window, tor
 
@@ -454,3 +458,91 @@ def test_realization_matches_reference_on_corpus_rings(pres, rnd):
     assert_same_as_reference(GradedModule(ring, gens, rels), perm)
     assert_relation_vectors_are_the_echelon(GradedModule(ring, gens, rels),
                                             perm)
+
+
+# realized actions ----------------------------------------------------------------
+
+
+@st.composite
+def ring_elements(draw, ring):
+    """A homogeneous element of degree -1 ... -4 with random coefficients,
+    its terms of either parity."""
+    degree = draw(st.integers(-4, -1))
+    poly = {}
+    for m in ring.basis_in_degree(degree):
+        c = draw(st.integers(0, ring.characteristic - 1))
+        if c:
+            poly[m] = c
+    return poly
+
+
+def assert_actions_match_reference(mod, lo, hi, degrees):
+    """The generator actions of module_complex(mod) on (lo, hi), built
+    after mod was asked for the given degrees, equal the reference."""
+    for t in degrees:
+        mod.basis_in_degree(t)
+    X = module_complex(mod, Window(lo, hi))
+    ring = mod.ring
+    for g, gen in enumerate(ring.generators):
+        for t in degrees:
+            if t + gen.degree >= lo:
+                assert same_matrix(X.action(g, 0, t), reference_element_action(
+                    mod, ring.gen_poly(g), t)), (g, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(presentations(), corpus_presentations()), st.data(),
+       st.randoms(use_true_random=False))
+def test_realized_actions_match_reference_on_drawn_modules(pres, data, rnd):
+    ring, gens, rels = pres
+    lo, hi = min(d for _, d in gens) - 6, max(d for _, d in gens) + 1
+    perm = list(range(lo, hi + 1))
+    rnd.shuffle(perm)
+    assert_actions_match_reference(GradedModule(ring, gens, rels), lo, hi, perm)
+    mod = GradedModule(ring, gens, rels)
+    for p in [data.draw(ring_elements(ring)) for _ in range(2)]:
+        for t in perm:
+            assert same_matrix(mod.element_action(p, t),
+                               reference_element_action(mod, p, t)), (t, p)
+
+
+def count_module_normal_forms(monkeypatch):
+    """The list of module normal forms asked for from here on, each named by
+    the submodule asked."""
+    calls = []
+    nf = graded._Submodule.normal_form
+
+    def counting(self, key):
+        calls.append(self.what)
+        return nf(self, key)
+
+    monkeypatch.setattr(graded._Submodule, "normal_form", counting)
+    return calls
+
+
+def test_monomial_relations_realize_without_a_normal_form(monkeypatch):
+    # F2[x0..x3]/(x0^2, x1*x2): every basis element has one term, so a
+    # product off the staircase is zero and no column reads a normal form
+    calls = count_module_normal_forms(monkeypatch)
+    ring = GradedRing(2, [(f"x{i}", -1) for i in range(4)], [])
+    mod = GradedModule(ring, [("a", 0)], [["x0^2"], ["x1*x2"]])
+    X = module_complex(mod, Window(-16, 0))
+    assert X.dims[(0, -16)] == mod.dim_in_degree(-16) > 0
+    assert len(X.actions) == 4 * 16
+    assert not calls
+
+
+def test_quotient_rings_and_long_relations_match_reference(monkeypatch):
+    # a monomial basis over a quotient ring reads the ring's normal forms;
+    # a relation of two terms, over GF(5) with odd generators, the module's
+    perm = [-3, 1, -12, -5, 0, -1, -8, -2, -10, -4, -6, -11, -7, -9]
+    calls = count_module_normal_forms(monkeypatch)
+    mod = ring_basis_found_later()
+    assert_actions_match_reference(mod, -12, 1, perm)
+    assert all(mod._gb._monomial)
+    assert set(calls) == {"the relations of ring R"}
+    calls.clear()
+    mod = odd_generators_over_gf5()
+    assert_actions_match_reference(mod, -12, 1, perm)
+    assert not all(mod._gb._monomial)
+    assert "the relations of module M" in calls

@@ -131,32 +131,38 @@ def test_runaway_completion_names_the_stage(tmp_path, capsys, monkeypatch):
     assert diag["message"].startswith("resolution stage 2: completion runaway")
 
 
-def test_runaway_frame_names_the_stage():
-    # the square of the maximal ideal of 20 variables: its 210 generators
-    # have 21945 pairs, more than a frame may take
-    names = [f"x{i}" for i in range(20)]
-    ring = GradedRing(2, [(n, -1) for n in names], [])
-    rows = [[f"{a}*{b}"] for i, a in enumerate(names) for b in names[i:]]
-    mod = GradedModule(ring, [("u", 0)], rows)
-    with pytest.raises(ContractViolation,
-                       match="resolution stage 2: completion runaway"):
+# two relations over F2[x,y,z] in degree -5 whose Groebner basis gains four
+# elements in degrees -7 ... -10: 15 of its S-pairs reach a reduction, 9
+# down to degree -11 and 13 down to -12
+RUNAWAY_ROWS = [["x^3*y^2 + x*y*z^3"], ["x*y^3*z + y^4*z"]]
+
+
+def test_runaway_frame_names_the_stage(monkeypatch):
+    # with the limit lowered to 10 reductions the first stage reads the
+    # relations down to -5 and reduces nothing, and the Schreyer frame of
+    # the second, which needs the whole basis, is refused
+    monkeypatch.setattr(graded, "PAIR_LIMIT", 10)
+    ring = GradedRing(2, [(n, -1) for n in "xyz"], [])
+    mod = GradedModule(ring, [("u", 0)], RUNAWAY_ROWS)
+    with pytest.raises(ContractViolation, match="^resolution stage 2: "
+                       "completion runaway: the Schreyer frame exceeded 10 "
+                       "S-pairs$"):
         minimal_free_resolution(mod, 2)
 
 
 def test_runaway_relations_name_the_module(monkeypatch):
-    # the six quadratic monomials in x, y, z have 9 S-pairs in degree -3
-    # and 6 in degree -4: with the limit lowered to 10 the module's
-    # relations complete down to -3 and are refused below, with its name
+    # with the limit lowered to 10 reductions the module's relations
+    # complete down to -11 and are refused below, with its name
     monkeypatch.setattr(graded, "PAIR_LIMIT", 10)
     ring = GradedRing(2, [(n, -1) for n in "xyz"], [])
-    rows = [[f"{a}*{b}"] for i, a in enumerate("xyz") for b in "xyz"[i:]]
-    mod = GradedModule(ring, [("u", 0)], rows, name="sq")
-    assert [mod.dim_in_degree(t) for t in (0, -1, -2, -3)] == [1, 3, 0, 0]
+    mod = GradedModule(ring, [("u", 0)], RUNAWAY_ROWS, name="N")
+    assert [mod.dim_in_degree(t) for t in (0, -1, -4, -5)] == [1, 3, 15, 19]
+    mod.dim_in_degree(-11)
     with pytest.raises(ContractViolation, match="^completion runaway: the "
-                       "relations of module sq exceeded 10 S-pairs$"):
-        mod.dim_in_degree(-4)
-    # a redundant quartic relation takes the first stage down to -4
-    mod = GradedModule(ring, [("u", 0)], rows + [["x^4"]], name="sq")
+                       "relations of module N exceeded 10 S-pairs$"):
+        mod.dim_in_degree(-12)
+    # a relation in degree -12 takes the first stage down to -12
+    mod = GradedModule(ring, [("u", 0)], RUNAWAY_ROWS + [["x^12"]], name="N")
     with pytest.raises(ContractViolation, match="^resolution stage 1: "
-                       "completion runaway: the relations of module sq"):
+                       "completion runaway: the relations of module N"):
         minimal_free_resolution(mod, 2)
