@@ -17,16 +17,18 @@ two terms of F and the shape's pieces (_stage_floor).  Gamma and Lambda of
 a module, or of a complex of one piece, then build the single stage
 min(s_max, s*), and flag exactly the bidegrees where it falls short of
 s*(b, t); a complex of several pieces gets the single stage s* when that is
-at most s_max, flagged only below the stage's valid floor.
+at most s_max, flagged only below the stage's valid floor.  Lambda of a
+proven Gamma model of a module m (_GAMMA_MODELS) builds m's own Lambda
+stage: Kos(x^s) (x) L m is acyclic, so the model's stage s is Kos(x^s) (x) m
+wherever the model is exact for Gamma m in the degrees the stage reads.
 
-Everywhere else (a complex of several pieces whose s* passes s_max, such as
-Delta of a Gamma model; a complex with no registered shape; an odd
-generator in the ideal; other ideals) the tail rule applies: a bidegree is
-declared stable when the last three tower maps induce isomorphisms on
-homology there, up to the stage cap s_max, and only stages
-max(1, s_max - 3) .. s_max and the maps between them are built.  Every
-stage below the model stage s_max is realized only on the degrees
-certification reads, t from the window's floor to its top, with no
+Everywhere else (a complex of several pieces whose s* passes s_max; a
+complex with no registered shape; an odd generator in the ideal; other
+ideals) the tail rule applies: a bidegree is declared stable when the last
+three tower maps induce isomorphisms on homology there, up to the stage cap
+s_max, and only stages max(1, s_max - 3) .. s_max and the maps between them
+are built.  Every stage below the model stage s_max is realized only on the
+degrees certification reads, t from the window's floor to its top, with no
 generator actions when that cuts it below its own top.  Uncertified
 bidegrees are flagged, never silently reported.
 """
@@ -76,7 +78,9 @@ class FunctorResult:
     the stage the model is: the proven stage, or s_max under the tail rule.
     The model of a shaped input is registered with its own shape, the
     Koszul generators times the input's pieces, so a second functor applied
-    to it, or to a cone over it, reads its stage floor too."""
+    to it, or to a cone over it, reads its stage floor too; a proven Gamma
+    model of a module is also registered with its ceiling, and Lambda of it
+    reads the module's own stage floor."""
 
     model: WindowedComplex
     homotopy: Dict[BiDeg, int]
@@ -268,6 +272,14 @@ _SHAPES: "weakref.WeakKeyDictionary[WindowedComplex, Tuple[GradedModule, Tuple[B
     weakref.WeakKeyDictionary()
 
 
+# proven Gamma model -> (m, ceiling): the model is the proven stage of
+# Gamma of the module m, and its homology is H(Gamma m) at every t from its
+# window's floor up to the ceiling.  Lambda of the model reads m's own stage
+# floor (_tower_functor).
+_GAMMA_MODELS: "weakref.WeakKeyDictionary[WindowedComplex, Tuple[GradedModule, int]]" = \
+    weakref.WeakKeyDictionary()
+
+
 def _shape(m) -> Optional[Tuple[GradedModule, Tuple[BiDeg, ...]]]:
     """m's module and pieces: a module is its one piece (0, 0); a complex
     has the shape registered for it, or None."""
@@ -339,7 +351,12 @@ def _stage_floor(functor: str, m, p: HomIdeal,
     complex's stage is exact at (b, t) when its cone has no H_b and no
     H_{b+1} at t: s*(b, t) is the largest module s*(a, t - d) over the
     pieces and a in {b - j - 1, b - j, b - j + 1}.  No map between stages
-    is read."""
+    is read.
+
+    Lambda of a proven Gamma model of a module m is Lambda of m below the
+    model's ceiling (_tower_functor), so _tower_functor passes m here, not
+    the model, whose Koszul pieces sit up to its stage times W above m and
+    would ask for a stage far past s_max."""
     shape = _shape(m)
     ring = p.ring
     even = [ring.gen_poly(i) for i, odd in enumerate(ring.parity) if not odd]
@@ -451,6 +468,21 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
     or lies below the stage's valid floor; a complex of several pieces
     takes it only when max s* <= s_max.  Elsewhere the tail of stages up
     to s_max is certified by _homology_tower.
+
+    The proven Gamma model G of a module m is registered with its ceiling
+    (_GAMMA_MODELS): G is H(Gamma m) at every t from its window's floor up
+    to the last degree before the stage falls short of some s*(b, t).
+    Lambda of G takes m's own stage floor, with no tail.  The proof: stage
+    s, Kos(x^s) (x) G, reads G at t only in the degrees [t, t + s * W], W
+    the total weight, as Kos(x^s) is filtered by the shifted copies of R on
+    its generators.  Where G is exact for Gamma m in all of those degrees,
+    G -> Gamma m is a quasi-isomorphism there, so at t Kos(x^s) (x) G ~
+    Kos(x^s) (x) Gamma m; and Kos(x^s) (x) Gamma m -> Kos(x^s) (x) m is a
+    quasi-isomorphism for every s, since Kos(x^s) (x) L m is acyclic
+    (Dwyer-Greenlees 2002), compatibly with the units.  So stage s gives
+    H(Lambda Gamma m) = H(Lambda m) at (b, t) once s >= s*_m(b, t).  A
+    bidegree whose reads pass G's ceiling is flagged, never reported
+    unflagged.
     """
     s_max = s_max or default_s_max(w)
     elems, total_weight = _ideal_data(p)
@@ -463,13 +495,17 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
             "functor": functor, "ideal": p.name, "stage": 0},
             to_input=ident, from_input=ident)
     colim = functor == "gamma"
-    s_star = _stage_floor(functor, m, p, w)
-    if s_star is not None and len(_shape(m)[1]) > 1 and \
-            max(s_star.values()) > s_max:
-        # past the cap, a complex of several pieces keeps the tail rule: the
-        # stage s_max would flag every bidegree short of s*, where the tail
-        # certifies
-        s_star = None
+    gamma_model = None if colim else _GAMMA_MODELS.get(m)
+    if gamma_model is not None:
+        s_star = _stage_floor(functor, gamma_model[0], p, w)
+    else:
+        s_star = _stage_floor(functor, m, p, w)
+        if s_star is not None and len(_shape(m)[1]) > 1 and \
+                max(s_star.values()) > s_max:
+            # past the cap, a complex of several pieces keeps the tail rule:
+            # the stage s_max would flag every bidegree short of s*, where
+            # the tail certifies
+            s_star = None
     stage = s_max if s_star is None else min(s_max, max(s_star.values()))
     X = _materialize(m, w, w.t_lo - stage * total_weight - 1 if colim
                      else w.t_lo - 1)
@@ -486,6 +522,18 @@ def _tower_functor(functor: str, m, p: HomIdeal, w: Window,
         # below the stage's valid floor a complex input was too shallow
         flags |= {(s, t) for s in range(model.s_min, model.s_max + 1)
                   for t in range(w.t_lo, min(model.window.t_lo, w.t_hi + 1))}
+        if gamma_model is not None:
+            # stage s at t reads the Gamma model up to t + s * total_weight,
+            # which must not pass the model's ceiling
+            above = gamma_model[1] - stage * total_weight
+            flags |= {(s, t) for s in range(model.s_min, model.s_max + 1)
+                      for t in range(max(w.t_lo, above + 1), w.t_hi + 1)}
+        elif colim and isinstance(m, GradedModule):
+            # the model is H(Gamma m) below the lowest degree a stage falls
+            # short in; s_star covers t up to w.t_hi + total_weight
+            _GAMMA_MODELS[model] = (m, min(
+                [t for (_, t), need in s_star.items() if stage < need],
+                default=w.t_hi + total_weight + 1) - 1)
     res = FunctorResult(tower.stages[-1], table, flags,
                         {"functor": functor, "ideal": p.name, "stage": stage,
                          "input": X})
@@ -644,7 +692,10 @@ def check_recollement(m, p: HomIdeal, w: Window,
     witnesses: a truncated torsion model absorbs a second tower application,
     so e.g. ΛΓ ≃ Λ is certified by acyclicity of Kos(p) ⊗ L-model (which
     makes every completion-tower stage of Γm -> m a quasi-isomorphism)
-    rather than by completing the torsion model directly.
+    rather than by completing the torsion model directly.  The Tate
+    identity does complete the torsion model: for a module m at the ideal
+    of the even generators, Kos(x^s) (x) L m is acyclic for every s, so Delta
+    of the proven Gamma model is m's own proven Lambda stage, with no tail.
 
     m should be a GradedModule for the adjunction check, which takes m for
     both of its arguments (the first is resolved to a free complex).
@@ -679,15 +730,23 @@ def check_recollement(m, p: HomIdeal, w: Window,
     # The Tate identity: the composite localization-of-completion equals
     # Sigma Delta Gamma.  The left side is the cone over Gamma m -> Lambda m
     # (never a naive functor composition on truncated models); the right
-    # side applies Delta to the Gamma model, which is legitimate because
-    # that model is genuinely torsion, so its completion tower is honest.
+    # side applies Delta to the Gamma model.  For a module m that model is
+    # proven, and Kos(x^s) (x) L m is acyclic for every s, so the model's
+    # Lambda stage s is Kos(x^s) (x) m wherever the model is exact in the
+    # degrees [t, t + s * tw] the stage reads: Delta builds m's own Lambda
+    # stage, with no tail (see _tower_functor).
     tmodel = _tate_model(g, lam)
     ttable = homology(tmodel, w)
     # completing a torsion model needs ceiling room (divisibility reaches
     # upward), dual to gamma needing floor room, so recompute Gamma on a
-    # ceiling-extended window before taking its fiber into the completion
+    # ceiling-extended window before taking its fiber into the completion:
+    # its stage s reads the model up to s * tw above the window, s the
+    # module's own Lambda stage or, under the tail rule, s_max
     _, tw = _ideal_data(p)
-    w_big = Window(w.t_lo, w.t_hi + s_max * tw + 1)
+    floor = _stage_floor("completion", m, p, w) \
+        if isinstance(m, GradedModule) else None
+    s_lam = s_max if floor is None else min(s_max, max(floor.values()))
+    w_big = Window(w.t_lo, w.t_hi + s_lam * tw + 1)
     g_big = gamma(m, p, w_big, default_s_max(w_big))
     dg = delta(g_big.model, p, w, s_max)
     sdg_table = homology(shift(dg.model, 1), w)
@@ -730,7 +789,12 @@ def adjunction_check(m: GradedModule, m2: GradedModule,
     deepest = -min((d for f in res.stages for d in f.gen_degrees), default=0)
 
     hom_w = Window(w.t_lo, w.t_hi + s_max * total_weight + deepest + 1)
-    left = completion(_resolution_hom(F, m2, hom_w), p, w, s_max)
+    hom = _resolution_hom(F, m2, hom_w)
+    # Hom(F, m') is realized to its top, so its completion takes its own
+    # proven stage s* even past s_max
+    floor = _stage_floor("completion", hom, p, w)
+    left = completion(hom, p, w, s_max if floor is None
+                      else max(s_max, *floor.values()))
 
     # right side; the dual resolution generators raise the tensor floor, so
     # complete over a window deep enough that the product still covers w

@@ -11,8 +11,11 @@ A complex filtered by shifted copies of one module (its shape) gets one
 stage too.  The complexes `check_recollement` feeds a second functor are
 checked against independent answers: Gamma of the Gamma model is local
 duality, Gamma of the L model vanishes, Lambda of Hom(F, M) is what the
-tail rule certifies, and two stages more change nothing.  Complexes with no
-shape, as the tail-rule reference tests build them, keep the tail rule.
+tail rule certifies, and two stages more change nothing.  Lambda of a
+proven Gamma model builds the module's own Lambda stage: its Delta equals
+Delta built three stages higher, and a model whose ceiling is too low is
+flagged where its reads pass it.  Complexes with no shape, as the tail-rule
+reference tests build them, keep the tail rule.
 """
 
 import random
@@ -23,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 from localduality import torsion
 from localduality.cli import Environment, corpus, parse
 from localduality.cohom import cohomology_table
-from localduality.complexes import homology, module_complex, resolution_complex
+from localduality.complexes import (cone, homology, module_complex,
+                                    resolution_complex, shift)
 from localduality.duality import _duality_table, absolute_gorenstein_check
 from localduality.graded import (GradedModule, GradedRing, Window,
                                  minimal_free_resolution)
@@ -31,7 +35,7 @@ from localduality.torsion import (ADJUNCTION_LENGTH, CONSEC, _homology_tower,
                                   _ideal_data, _koszul_tower, _materialize,
                                   _resolution_hom, _stage_floor,
                                   check_recollement, completion,
-                                  default_s_max, dual_koszul_free,
+                                  default_s_max, delta, dual_koszul_free,
                                   extended_window, gamma, koszul_free,
                                   koszul_object, localize_away, tate)
 from conftest import max_ideal
@@ -239,8 +243,8 @@ def test_shaped_complexes_of_the_recollement_check(mod, w):
 
     # Lambda of Hom(F, M), F a free resolution of M, as adjunction_check
     # builds it: the tail rule agrees wherever it certifies.  Its deep
-    # pieces can need a stage past the default cap, where check_recollement
-    # keeps the tail rule, so the cap here is raised to s*
+    # pieces can need a stage past the default cap, so the cap is raised to
+    # s*, as adjunction_check raises it
     res = minimal_free_resolution(mod, ADJUNCTION_LENGTH)
     deepest = -min(d for f in res.stages for d in f.gen_degrees)
     hom = _resolution_hom(resolution_complex(res), mod, Window(
@@ -276,13 +280,14 @@ def test_a_shallow_complex_is_flagged_below_the_stage_floor():
 
 
 def _record_towers(monkeypatch):
-    """The (functor, first, last) of every Koszul tower built, and the
-    number of tail-rule certifications."""
+    """The (functor, first, last, whether the input is a proven Gamma
+    model) of every Koszul tower built, and the number of tail-rule
+    certifications."""
     towers, tails = [], []
     real_tower, real_tail = torsion._koszul_tower, torsion._homology_tower
 
     def tower(functor, X, p, w, first, last):
-        towers.append((functor, first, last))
+        towers.append((functor, first, last, X in torsion._GAMMA_MODELS))
         return real_tower(functor, X, p, w, first, last)
 
     def tail(*args):
@@ -294,18 +299,86 @@ def _record_towers(monkeypatch):
     return towers, tails
 
 
-def test_recollement_certifies_one_tail(monkeypatch):
-    """One check_recollement on F2[x,y]/(x^2) certifies one tail, that of
-    Delta of the Gamma model, whose s* passes the cap; every other tower
-    is one stage."""
+def test_recollement_certifies_no_tail(monkeypatch):
+    """One check_recollement on F2[x,y]/(x^2) certifies no tail: every
+    tower is one stage, and Delta of the Gamma model builds the module's
+    own Lambda stage."""
     towers, tails = _record_towers(monkeypatch)
     mod = GradedModule(PLANE, [("u", 0)], [["x^2"]], name="P/(x^2)")
+    m = max_ideal(PLANE)
     w = Window(-6, 6)
-    assert check_recollement(mod, max_ideal(PLANE), w)["all"]
-    s_max = default_s_max(w)
-    assert len(tails) == 1
-    assert [t for t in towers if t[1] != t[2]] == \
-        [("completion", s_max - CONSEC, s_max)]
+    assert check_recollement(mod, m, w)["all"]
+    assert not tails and all(t[1] == t[2] for t in towers)
+    s_lam = max(_stage_floor("completion", mod, m, w).values())
+    assert s_lam == 7
+    assert [t[1:3] for t in towers if t[0] == "completion" and t[3]] == \
+        [(s_lam, s_lam)]
+    # the Gamma model it reads is built on (-6, 6 + 7 * 2 + 1)
+    assert max(t[2] for t in towers) == 24
+
+
+# Delta of the Gamma model ----------------------------------------------------
+
+
+def _delta_at(G, m, w, s):
+    """Delta of G from stage s of its Lambda tower alone, nothing flagged."""
+    unit = _koszul_tower("completion", G, m, w, s, s).unit
+    return homology(shift(cone(unit), -1), w)
+
+
+@pytest.mark.parametrize("w", [Window(-6, 6), Window(-4, 3)], ids=repr)
+@pytest.mark.parametrize("mod", list(_seeded_cyclic_modules()),
+                         ids=lambda mod: mod.name)
+def test_delta_of_the_gamma_model_is_one_proven_stage(mod, w):
+    """Lambda of a proven Gamma model builds the module's own Lambda stage
+    s: it is the module's completion (Lambda Gamma = Lambda), and Delta
+    there equals Delta built directly at stage s + 3."""
+    m = max_ideal(mod.ring)
+    s = max(_stage_floor("completion", mod, m, w).values())
+    # a ceiling that stage s + 3 reads exactly too
+    g = gamma(mod, m, Window(w.t_lo, w.t_hi + (s + 3) * _ideal_data(m)[1] + 1))
+    lam = completion(g.model, m, w)
+    assert lam.provenance["stage"] == s and not lam.flags
+    own = completion(mod, m, w)
+    assert not own.flags and lam.homotopy == own.homotopy
+    dg = delta(g.model, m, w)
+    assert dg.provenance["stage"] == s and not dg.flags
+    assert dg.homotopy == _delta_at(g.model, m, w, s + 3)
+
+
+@pytest.mark.parametrize("w", [Window(-6, 6), Window(-4, 3)], ids=repr)
+@pytest.mark.parametrize("mod", list(_seeded_cyclic_modules()),
+                         ids=lambda mod: mod.name)
+def test_a_gamma_model_with_a_low_ceiling_is_flagged(mod, w):
+    """A Gamma model built on the window alone, or capped four stages short,
+    is exact only up to a ceiling below what Lambda's stage s reads: Delta
+    flags every bidegree whose reads pass it, and agrees with Delta of an
+    exact model everywhere else."""
+    m = max_ideal(mod.ring)
+    s = max(_stage_floor("completion", mod, m, w).values())
+    tw = _ideal_data(m)[1]
+    w_big = Window(w.t_lo, w.t_hi + s * tw + 1)
+    g = gamma(mod, m, w_big)
+    want = _delta_at(g.model, m, w, s)
+    for low in (gamma(mod, m, w),
+                gamma(mod, m, w_big, g.provenance["stage"] - 4)):
+        ceiling = torsion._GAMMA_MODELS[low.model][1]
+        assert ceiling < w.t_hi + s * tw
+        dg = delta(low.model, m, w)
+        assert dg.flags
+        assert not {(b, t) for b, t in dg.flags if t + s * tw <= ceiling}
+        assert _unflagged(dg.homotopy, dg.flags) == _unflagged(want, dg.flags)
+
+
+@pytest.mark.parametrize("w", [Window(-6, 6), Window(-4, 3)], ids=repr)
+@pytest.mark.parametrize("mod", list(_seeded_cyclic_modules()),
+                         ids=lambda mod: mod.name)
+def test_recollement_of_seeded_modules_builds_one_stage(mod, w, monkeypatch):
+    """Every tower check_recollement builds is one stage, the adjunction
+    check's Lambda(Hom(F, M)) too where its s* passes the cap."""
+    towers, tails = _record_towers(monkeypatch)
+    assert check_recollement(mod, max_ideal(mod.ring), w)["all"]
+    assert not tails and all(t[1] == t[2] for t in towers)
 
 
 def _bare_inputs():
