@@ -13,6 +13,11 @@ WindowedComplex is the generic degreewise form: one k-vector space per
 bidegree (s, t), differentials lowering s by one, and ring-generator action
 matrices.  Homological degree s is bounded on both sides; internal degree t
 vanishes above a known top and is only known down to the window floor.
+The differentials are built with the complex; each generator action is
+built when it is first read (free_tensor, cone, shift, module_slice and
+duality.brown_comenetz give a builder, not a dict), since most readers ask
+for a few of them and homology for none.  A complex cut below its top
+carries no actions.
 Monomial actions on a windowed complex are memoised on it, each built from
 the action of its prefix, or for a pure power from pieces that start or end
 at aligned block boundaries; a Koszul tower ages the memo of its input stage
@@ -29,6 +34,8 @@ from .exactla import (ContractViolation, SparseMatrix, kernel_rows,
 from .graded import FreeModule, GradedModule, GradedRing, Mono, Poly, Window
 
 BiDeg = Tuple[int, int]
+# an action not yet built (None is a built zero)
+_UNBUILT = object()
 
 
 # the length, in steps of a generator's degree, of the aligned blocks that
@@ -61,19 +68,30 @@ class WindowedComplex:
     """Degreewise realized complex over a graded ring.
 
     dims[(s, t)] gives the k-dimension; diffs[(s, t)] maps (s, t) -> (s-1, t);
-    actions[(g, s, t)] maps (s, t) -> (s, t + deg_g).  Values at t outside
-    the window are unknown, except above t_top, where they are genuinely
-    zero.
+    the action of generator g from (s, t) maps (s, t) -> (s, t + deg_g).
+    Values at t outside the window are unknown, except above t_top, where
+    they are genuinely zero.
+
+    The actions are given either as a dict {(g, s, t): matrix} or as a
+    builder (g, s, t) -> matrix or None, asked only at nonzero bidegrees
+    (s, t).  action and nonzero_action build a matrix on its first read and
+    memoise it; the actions view builds every one that is left.  A complex
+    cut below its top is given no actions.
     """
 
     def __init__(self, ring: GradedRing, dims: Dict[BiDeg, int],
                  diffs: Dict[BiDeg, SparseMatrix],
-                 actions: Dict[Tuple[int, int, int], SparseMatrix],
+                 actions: Union[Dict[Tuple[int, int, int], SparseMatrix],
+                                Callable[[int, int, int], Optional[SparseMatrix]]],
                  s_min: int, s_max: int, t_top: int, window: Window):
         self.ring = ring
         self.dims = {k: v for k, v in dims.items() if v}
         self.diffs = {k: m for k, m in diffs.items() if m.entries}
-        self.actions = {k: m for k, m in actions.items() if m.entries}
+        # the builder, None once every action is in _actions; a built zero
+        # is kept as None
+        self._build = actions if callable(actions) else None
+        self._actions: Dict[Tuple[int, int, int], Optional[SparseMatrix]] = \
+            {} if self._build else {k: m for k, m in actions.items() if m.entries}
         self.s_min = s_min
         self.s_max = s_max
         self.t_top = t_top
@@ -93,13 +111,42 @@ class WindowedComplex:
                                       self.dim(s, t), {})
         return m
 
+    def nonzero_action(self, g: int, s: int, t: int) -> Optional[SparseMatrix]:
+        """The action of generator g from (s, t), built on its first read,
+        or None when it is zero."""
+        key = (g, s, t)
+        m = self._actions.get(key, _UNBUILT)
+        if m is _UNBUILT:
+            if self._build is None or (s, t) not in self.dims:
+                return None
+            m = self._build(g, s, t)
+            if m is not None and not m.entries:
+                m = None
+            self._actions[key] = m
+        return m
+
     def action(self, g: int, s: int, t: int) -> SparseMatrix:
-        m = self.actions.get((g, s, t))
+        m = self.nonzero_action(g, s, t)
         if m is None:
             dg = self.ring.generators[g].degree
             m = SparseMatrix._trusted(self.ring.field, self.dim(s, t + dg),
                                       self.dim(s, t), {})
         return m
+
+    @property
+    def actions(self) -> Dict[Tuple[int, int, int], SparseMatrix]:
+        """Every nonzero action, keyed (g, s, t) in sorted (s, t), then g
+        order; the ones not read yet are built now, and the builder is
+        dropped."""
+        if self._build is not None:
+            built = {}
+            for s, t in sorted(self.dims):
+                for g in range(len(self.ring.generators)):
+                    m = self.nonzero_action(g, s, t)
+                    if m is not None:
+                        built[(g, s, t)] = m
+            self._build, self._actions = None, built
+        return self._actions
 
     def hspace(self, s: int, t: int):
         """homology_space(self, s, t), computed once per bidegree; a zero
@@ -148,8 +195,10 @@ class WindowedComplex:
                         j = k - 1
             if j == k - 1:
                 rest = mono[:last] + (j,) + mono[last + 1:]
-                a = self.action(last, s, t + self.ring.mono_degree(rest))
-                if any(rest):
+                a = self.nonzero_action(last, s, t + self.ring.mono_degree(rest))
+                if a is None:
+                    m = None
+                elif any(rest):
                     m = self.monomial_action(rest, s, t)
                     m = a @ m if m is not None and a.cols == m.rows else None
                 else:
@@ -232,21 +281,22 @@ def module_slice(ring: GradedRing, dims: Dict[int, int],
 
     dims[t] is the dimension in degree t, for t in w; action(g, t) is the
     matrix of generator g from degree t, asked only where both degrees are
-    nonzero.  Every module on a window is kept this way, so its monomial
-    actions come from the complex's memo and its dual from brown_comenetz.
-    For a presented module (module_complex) the action is
-    GradedModule.generator_action, read off the module's Groebner
-    staircase one lookup per column; every Tor, Ext, resolution-duality
-    table and tower input realizes its module's actions here.
+    nonzero, and only when the complex's action is first read.  Every
+    module on a window is kept this way, so its monomial actions come from
+    the complex's memo and its dual from brown_comenetz.  For a presented
+    module (module_complex) the action is GradedModule.generator_action,
+    read off the module's Groebner staircase one lookup per column; every
+    Tor, Ext, resolution-duality table and tower input realizes its
+    module's actions here.
     """
     dims = {t: d for t, d in dims.items() if d}
-    actions = {}
-    for g, gen in enumerate(ring.generators):
-        for t in dims:
-            if t + gen.degree in dims:
-                actions[(g, 0, t)] = action(g, t)
+    gens = ring.generators
+
+    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
+        return action(g, t) if t + gens[g].degree in dims else None
+
     return WindowedComplex(ring, {(0, t): d for t, d in dims.items()}, {},
-                           actions, 0, 0, t_top, w)
+                           build, 0, 0, t_top, w)
 
 
 def module_complex(mod: GradedModule, w: Window) -> WindowedComplex:
@@ -257,16 +307,20 @@ def module_complex(mod: GradedModule, w: Window) -> WindowedComplex:
 
 
 def shift(c: WindowedComplex, s_shift: int, t_shift: int = 0) -> WindowedComplex:
-    """Suspension: shift(c)_{s,t} = c_{s - s_shift, t - t_shift}, sign (-1)^s_shift."""
+    """Suspension: shift(c)_{s,t} = c_{s - s_shift, t - t_shift}, sign
+    (-1)^s_shift on the differentials; each action is c's, read when the
+    shifted one is first read."""
     sgn = c.ring.field.neg(1) if s_shift % 2 else 1
     dims = {(s + s_shift, t + t_shift): v for (s, t), v in c.dims.items()}
     diffs = {(s + s_shift, t + t_shift): (m.scale(sgn) if s_shift % 2 else m)
              for (s, t), m in c.diffs.items()}
-    actions = {(g, s + s_shift, t + t_shift): m
-               for (g, s, t), m in c.actions.items()}
+
+    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
+        return c.nonzero_action(g, s - s_shift, t - t_shift)
+
     w = Window(c.window.t_lo + t_shift, c.window.t_hi + t_shift,
                c.window.s_lo, c.window.s_hi)
-    return WindowedComplex(c.ring, dims, diffs, actions,
+    return WindowedComplex(c.ring, dims, diffs, build,
                            c.s_min + s_shift, c.s_max + s_shift,
                            c.t_top + t_shift, w)
 
@@ -292,19 +346,23 @@ def cone(f: ComplexMap) -> WindowedComplex:
     for (s, t), v in B.dims.items():
         dims[(s, t)] = dims.get((s, t), 0) + v
     diffs: Dict[BiDeg, SparseMatrix] = {}
-    actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
     s_lo = min(A.s_min + 1, B.s_min)
     s_hi = max(A.s_max + 1, B.s_max)
     adim, bdim = A.dims, B.dims
-    # each block of d and of the actions starts at a nonzero bidegree of A
-    # or B, so only the support of the cone is visited
+    gens = ring.generators
+
+    def inside(s: int, t: int) -> bool:
+        return s_lo <= s <= s_hi and w.t_lo <= t <= top
+
+    # each block of d starts at a nonzero bidegree of A or B, so only the
+    # support of the cone is visited
     for s, t in sorted(dims):
-        if not (s_lo <= s <= s_hi and w.t_lo <= t <= top):
+        if not inside(s, t):
             continue
         da, db = adim.get((s - 1, t), 0), bdim.get((s, t), 0)
         ta, tb = adim.get((s - 2, t), 0), bdim.get((s - 1, t), 0)
         # every entry is an engine entry or its negative, and the three
-        # blocks of d and the two blocks of each action do not overlap
+        # blocks of d do not overlap
         ent: Dict[Tuple[int, int], int] = {}
         dA = A.diffs.get((s - 1, t))
         if dA is not None:
@@ -320,22 +378,27 @@ def cone(f: ComplexMap) -> WindowedComplex:
                 ent[(ta + i, da + j)] = v
         if ent:
             diffs[(s, t)] = SparseMatrix._trusted(fld, ta + tb, da + db, ent)
-        for g, gen in enumerate(ring.generators):
-            aA = A.actions.get((g, s - 1, t))
-            aB = B.actions.get((g, s, t))
-            if aA is None and aB is None:
-                continue
-            t2 = t + gen.degree
-            da2 = adim.get((s - 1, t2), 0)
-            aent: Dict[Tuple[int, int], int] = {}
-            if aA is not None:
-                aent.update(aA.entries)
-            if aB is not None:
-                for (i, j), v in aB.entries.items():
-                    aent[(da2 + i, da + j)] = v
-            actions[(g, s, t)] = SparseMatrix._trusted(
-                fld, da2 + bdim.get((s, t2), 0), da + db, aent)
-    return WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, top, w)
+
+    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
+        # the two blocks of an action do not overlap
+        if not inside(s, t):
+            return None
+        aA = A.nonzero_action(g, s - 1, t)
+        aB = B.nonzero_action(g, s, t)
+        if aA is None and aB is None:
+            return None
+        t2 = t + gens[g].degree
+        da, da2 = adim.get((s - 1, t), 0), adim.get((s - 1, t2), 0)
+        aent: Dict[Tuple[int, int], int] = {}
+        if aA is not None:
+            aent.update(aA.entries)
+        if aB is not None:
+            for (i, j), v in aB.entries.items():
+                aent[(da2 + i, da + j)] = v
+        return SparseMatrix._trusted(
+            fld, da2 + bdim.get((s, t2), 0), da + bdim.get((s, t), 0), aent)
+
+    return WindowedComplex(ring, dims, diffs, build, s_lo, s_hi, top, w)
 
 
 def direct_sum(a: WindowedComplex, b: WindowedComplex) -> WindowedComplex:
@@ -385,15 +448,28 @@ def homology_space(c: WindowedComplex, s: int, t: int):
 
 
 def homology(c: WindowedComplex, w: Optional[Window] = None) -> Dict[BiDeg, int]:
-    """dim H_{s,t} over known bidegrees (only fully determined ones reported)."""
+    """dim H_{s,t} over known bidegrees (only fully determined ones reported).
+
+    dim H_{s,t} = dim - rank d_{s,t} - rank d_{s+1,t}; each differential is
+    ranked once, for both bidegrees it touches, and a bidegree with no
+    differential has rank 0 with no elimination."""
     w = w or c.window
     out: Dict[BiDeg, int] = {}
+    ranks: Dict[BiDeg, int] = {}
+
+    def rank_at(s: int, t: int) -> int:
+        r = ranks.get((s, t))
+        if r is None:
+            m = c.diffs.get((s, t))
+            r = ranks[(s, t)] = 0 if m is None else rank(m)
+        return r
+
     for s in range(c.s_min, c.s_max + 1):
         for t in range(max(w.t_lo, c.window.t_lo), min(w.t_hi, c.window.t_hi) + 1):
             d = c.dim(s, t)
             if d == 0:
                 continue
-            h = d - rank(c.diff(s, t)) - rank(c.diff(s + 1, t))
+            h = d - rank_at(s, t) - rank_at(s + 1, t)
             if h:
                 out[(s, t)] = h
     return out
@@ -616,8 +692,6 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
     positions = _positions(layout)
     free_diffs = {sigma: _by_source(F.diff_entries(sigma)) for sigma in F.stages}
     diffs: Dict[BiDeg, SparseMatrix] = {}
-    actions: Dict[Tuple[int, int, int], SparseMatrix] = {}
-    acting = list(enumerate(ring.generators)) if hi == t_top else []
     for (s, t), parts in layout.items():
         tpos = positions.get((s - 1, t))
         if tpos is not None:
@@ -638,24 +712,32 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
             if ent:
                 diffs[(s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s - 1, t), 0), dims.get((s, t), 0), ent)
-        for g, gen in acting:
-            tpos = positions.get((s, t + gen.degree))
-            if tpos is None:
+    gens = ring.generators
+
+    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
+        # block (sigma, b) of the action is X's action from the bidegree
+        # that block comes from
+        tpos = positions.get((s, t + gens[g].degree))
+        if tpos is None:
+            return None
+        ent: Dict[Tuple[int, int], int] = {}
+        for sigma, b, off, d in layout[(s, t)]:
+            pos = tpos.get((sigma, b))
+            if pos is None:
                 continue
-            ent = {}
-            for sigma, b, off, d in parts:
-                act = X.actions.get((g, s - sigma, t - F.stages[sigma].gen_degrees[b]))
-                pos = tpos.get((sigma, b))
-                if act is None or pos is None:
-                    continue
-                toff = pos[0]
-                ent.update({(toff + r, off + c): v
-                            for (r, c), v in act.entries.items()})
-            if ent:
-                actions[(g, s, t)] = SparseMatrix._trusted(
-                    fld, dims.get((s, t + gen.degree), 0), dims.get((s, t), 0), ent)
-    C = WindowedComplex(ring, dims, diffs, actions, s_lo, s_hi, t_top,
-                        Window(lo, hi))
+            act = X.nonzero_action(g, s - sigma, t - F.stages[sigma].gen_degrees[b])
+            if act is None:
+                continue
+            toff = pos[0]
+            ent.update({(toff + r, off + c): v
+                        for (r, c), v in act.entries.items()})
+        if not ent:
+            return None
+        return SparseMatrix._trusted(fld, dims[(s, t + gens[g].degree)],
+                                     dims[(s, t)], ent)
+
+    C = WindowedComplex(ring, dims, diffs, build if hi == t_top else {},
+                        s_lo, s_hi, t_top, Window(lo, hi))
     return C, layout
 
 

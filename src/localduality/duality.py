@@ -52,7 +52,8 @@ def injective_hull(p: HomIdeal, w: Window) -> InjectiveModel:
 
 def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
     """Degreewise k-linear dual complex with transposed differentials and
-    actions; an involution on homology tables within the window."""
+    actions, each action transposed when it is first read; an involution on
+    homology tables within the window."""
     ring = m.ring
     dims = {(-s, -t): d for (s, t), d in m.dims.items()
             if w.t_lo <= -t <= w.t_hi}
@@ -61,17 +62,15 @@ def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
         d = m.diff(-s + 1, -t)
         if d.entries:
             diffs[(s, t)] = d.transpose()
-    actions = {}
-    for gi, g in enumerate(ring.generators):
-        for (s, t) in dims:
-            src = (-s, -t - g.degree)
-            if m.dims.get(src):
-                act = m.action(gi, -s, -t - g.degree)
-                if act.entries:
-                    actions[(gi, s, t)] = act.transpose()
+    gens = ring.generators
+
+    def build(gi: int, s: int, t: int) -> Optional[SparseMatrix]:
+        act = m.nonzero_action(gi, -s, -t - gens[gi].degree)
+        return None if act is None else act.transpose()
+
     dual_w = Window(w.t_lo, w.t_hi)
     s_vals = [s for (s, _t) in dims] or [0]
-    return WindowedComplex(ring, dims, diffs, actions,
+    return WindowedComplex(ring, dims, diffs, build,
                            min(s_vals), max(s_vals),
                            -m.window.t_lo, dual_w)
 

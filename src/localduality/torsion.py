@@ -353,6 +353,14 @@ def _stage_floor(functor: str, m, p: HomIdeal,
     pieces and a in {b - j - 1, b - j, b - j + 1}.  No map between stages
     is read.
 
+    The maximum is taken in closed form.  The module's s*(a, u) depends on
+    u only through u - D_a, for D_a the deciding generator degree of a, and
+    rises with it for Gamma and falls with it for Lambda (A and the floor
+    quotient are monotone).  So at each b one degree decides every t: c_b,
+    the least (Gamma) or the greatest (Lambda) d + D_(b-j+e) over the
+    pieces (j, d) and the e that are read, and s*(b, t) is the module
+    formula at t - c_b; it is 1 when no D_(b-j+e) exists.
+
     Lambda of a proven Gamma model of a module m is Lambda of m below the
     model's ceiling (_tower_functor), so _tower_functor passes m here, not
     the model, whose Koszul pieces sit up to its stage times W above m and
@@ -380,23 +388,26 @@ def _stage_floor(functor: str, m, p: HomIdeal,
         if degs:
             extreme[a] = min(degs) if colim else max(degs)
 
-    def module_floor(a: int, u: int) -> int:
-        d = extreme.get(a)
-        if d is None:
-            return 1
+    wmin = min(weights)
+
+    def module_floor(x: int) -> int:
+        """The module's s* at a degree x above the deciding generator."""
         if colim:
-            return max([1] + [(u - d - top + wi) // wi for wi in weights])
-        return max(1, 1 + (d - u) // min(weights))
+            return max([1] + [(x - top + wi) // wi for wi in weights])
+        return max(1, 1 + (-x) // wmin)
 
     s_lo, s_hi = (0, 0) if isinstance(m, GradedModule) else (m.s_min, m.s_max)
     near = (0,) if len(pieces) == 1 else (-1, 0, 1)
     distinct = set(pieces)
+    pick = min if colim else max
     floor: Dict[BiDeg, int] = {}
     b_range = range(s_lo - n, s_hi + 1) if colim else range(s_lo, s_hi + n + 1)
+    t_range = range(w.t_lo, w.t_hi + top + 1)
     for b in b_range:
-        for t in range(w.t_lo, w.t_hi + top + 1):
-            floor[(b, t)] = max(module_floor(b - j + e, t - d)
-                                for j, d in distinct for e in near)
+        c = pick((d + extreme[b - j + e] for j, d in distinct for e in near
+                  if b - j + e in extreme), default=None)
+        for t in t_range:
+            floor[(b, t)] = 1 if c is None else module_floor(t - c)
     return floor
 
 

@@ -16,7 +16,9 @@ the ring once, for the certificate, and compares with the table it read, and
 `bc-check` reads its source's certificate from the session.  There is one
 Buchberger loop, `graded._Submodule.complete`: a ring's relation ideal is a
 rank-one submodule over its free ring, so `graded.GradedRing` takes no
-S-pair and reduces nothing itself.
+S-pair and reduces nothing itself.  A complex's generator actions are built
+when first read; only `WindowedComplex.validate` reads the view that builds
+them all.
 """
 
 import ast
@@ -144,6 +146,25 @@ def test_one_writer_per_layer_for_matrices_of_ring_elements():
              and "GradedModule" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None))]
     assert not built, built
+
+
+def test_only_validate_builds_every_action():
+    # a WindowedComplex builds each generator action when it is first read;
+    # its actions view builds them all, so only validate may read it
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = f"{owner}.{node.name}"
+            if isinstance(node, ast.Attribute) and node.attr == "actions":
+                readers.add(owner)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(tree, path.stem)
+    assert readers == {"complexes.WindowedComplex.validate"}
 
 
 ORACLE_ON_THE_RING = """\
