@@ -120,26 +120,6 @@ def cech_cohomology(mod: GradedModule, p: HomIdeal, w: Window,
         "koszul_bound": max(bound, lc.max_index())})
 
 
-def cech_les_balance(mod: GradedModule, p: HomIdeal, w: Window) -> bool:
-    """Alternating-sum identity of M, H^*_p, CH^* in every internal degree."""
-    lc = local_cohomology(mod, p, w)
-    ch = cech_cohomology(mod, p, w)
-    hf = hilbert_function(mod, w)
-    flagged_t = {t for (_i, t) in list(lc.flags) + list(ch.flags)}
-    for t in w.t_range():
-        if t in flagged_t:
-            continue
-        euler_h = sum(((-1) ** i) * v for (i, tt), v in lc.entries.items()
-                      if tt == t)
-        euler_c = sum(((-1) ** i) * v for (i, tt), v in ch.entries.items()
-                      if tt == t)
-        # LES Gamma -> id -> L: chi(CH) = chi(M) - chi(H) with
-        # cohomological signs: CH^0 - CH^1 + ... = M - (H^0 - H^1 + ...)
-        if euler_c != hf.get(t, 0) - euler_h:
-            return False
-    return True
-
-
 def _parts(m: Union[GradedModule, Sequence[Tuple[GradedModule, int]]]
            ) -> List[Tuple[GradedModule, int]]:
     if isinstance(m, GradedModule):
@@ -233,13 +213,6 @@ def torsionness_check(mod: GradedModule, p: HomIdeal, w: Window,
                 unchecked += 1
     return {"verdict": None if unchecked else True, "checked": checked,
             "unchecked": unchecked}
-
-
-def grothendieck_vanishing(table: CohomologyTable,
-                           krull_dim: int) -> bool:
-    """H^i = 0 for i above the Krull dimension (unflagged entries)."""
-    return all(i <= krull_dim or (i, t) in table.flags
-               for (i, t) in table.entries)
 
 
 def grothendieck_oracle(mod: GradedModule, w: Window,

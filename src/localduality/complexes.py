@@ -10,19 +10,20 @@ and Ext(M, N) are the homology of resolution (x) N and of Hom(resolution, N)
 nested instead, F (x) (G (x) X), and Koszul complexes multiply by
 concatenating their elements.
 WindowedComplex is the generic degreewise form: one k-vector space per
-bidegree (s, t), differentials lowering s by one, and ring-generator action
+bidegree (s, t), differentials lowering s by one, and monomial action
 matrices.  Homological degree s is bounded on both sides; internal degree t
 vanishes above a known top and is only known down to the window floor.
-The differentials are built with the complex; each generator action is
-built when it is first read (free_tensor, cone, shift, module_slice and
-duality.brown_comenetz give a builder, not a dict), since most readers ask
-for a few of them and homology for none.  A complex cut below its top
-carries no actions.
-Monomial actions on a windowed complex are memoised on it, each built from
-the action of its prefix, or for a pure power from pieces that start or end
-at aligned block boundaries; a Koszul tower ages the memo of its input stage
-by stage and clears it when the tower is built, so the memo does not live as
-long as the tower's result.
+The differentials are built with the complex; each monomial action is
+built when it is first read and memoised on the complex, since most readers
+ask for a few of them and homology for none.  Each complex builds x^a from
+its parts: a module off its Groebner staircase, F (x) X from X's own x^a in
+every block, a cone from its two sides, a shift and a dual from the complex
+they come from.  Only actions given per generator are chained, in index
+order (generator_chain).  The actions of its parts that a builder reads
+are kept in the memo of the complex being read, not in the parts' own
+(part_action), and a Koszul tower clears its input's memo when it is
+built, so the input's memo does not live as long as the tower's result.
+A complex cut below its top carries no actions.
 """
 
 from __future__ import annotations
@@ -38,68 +39,54 @@ BiDeg = Tuple[int, int]
 _UNBUILT = object()
 
 
-# the length, in steps of a generator's degree, of the aligned blocks that
-# split its pure powers (see _power_split)
-BLOCK = 16
-
-
-def _power_split(d: int, k: int, t: int) -> int:
-    """The power j of the first factor when x^k from degree t, for x of
-    degree d and k >= 2, is built as x^(k - j) after x^j.
-
-    A degree is a boundary when it is a multiple of BLOCK * d.  A power
-    that starts at a boundary grows as a prefix (j = k - 1), and so does one
-    that meets no boundary; one whose first boundary is its end grows as a
-    suffix (j = 1); one that crosses a boundary splits at the first
-    (0 < j < k).  The pieces are then powers that start or end at a
-    boundary, shared by every start degree in the block and by every power.
-    """
-    if t % d:
-        return k - 1
-    r = -(t // d) % BLOCK
-    if r == 0:
-        return k - 1
-    if r == k:
-        return 1
-    return r if r < k else k - 1
-
-
 class WindowedComplex:
     """Degreewise realized complex over a graded ring.
 
     dims[(s, t)] gives the k-dimension; diffs[(s, t)] maps (s, t) -> (s-1, t);
-    the action of generator g from (s, t) maps (s, t) -> (s, t + deg_g).
+    the action of a monomial x^a from (s, t) maps (s, t) -> (s, t + |a|).
     Values at t outside the window are unknown, except above t_top, where
     they are genuinely zero.
 
-    The actions are given either as a dict {(g, s, t): matrix} or as a
-    builder (g, s, t) -> matrix or None, asked only at nonzero bidegrees
-    (s, t).  action and nonzero_action build a matrix on its first read and
-    memoise it; the actions view builds every one that is left.  A complex
-    cut below its top is given no actions.
+    The actions are given as a monomial builder (mono, s, t, kept) ->
+    matrix or None, asked only for a nonzero monomial at a nonzero bidegree
+    (s, t), which reads the actions of the complexes it is made from with
+    part_action(..., kept); or as a dict {(g, s, t): matrix} of generator
+    actions, whose monomials generator_chain builds.  monomial_action
+    builds a matrix on its first read and memoises it, with the parts'
+    actions its builder read; clear_monomial_actions drops both.  A
+    generator's action is the action of its unit monomial, and the actions
+    view builds every generator action.  A complex cut below its top is
+    given None: it has no actions.
     """
 
     def __init__(self, ring: GradedRing, dims: Dict[BiDeg, int],
                  diffs: Dict[BiDeg, SparseMatrix],
-                 actions: Union[Dict[Tuple[int, int, int], SparseMatrix],
-                                Callable[[int, int, int], Optional[SparseMatrix]]],
+                 actions: Union[None, Dict[Tuple[int, int, int], SparseMatrix],
+                                Callable[[Mono, int, int, Dict],
+                                         Optional[SparseMatrix]]],
                  s_min: int, s_max: int, t_top: int, window: Window):
         self.ring = ring
         self.dims = {k: v for k, v in dims.items() if v}
         self.diffs = {k: m for k, m in diffs.items() if m.entries}
-        # the builder, None once every action is in _actions; a built zero
-        # is kept as None
-        self._build = actions if callable(actions) else None
-        self._actions: Dict[Tuple[int, int, int], Optional[SparseMatrix]] = \
-            {} if self._build else {k: m for k, m in actions.items() if m.entries}
+        self._build = actions
+        if isinstance(actions, dict):
+            gens = {k: m for k, m in actions.items() if m.entries}
+
+            def chain(mono: Mono, s: int, t: int,
+                      kept: Dict) -> Optional[SparseMatrix]:
+                return generator_chain(
+                    self, lambda g, s, t: gens.get((g, s, t)), mono, s, t)
+            self._build = chain
         self.s_min = s_min
         self.s_max = s_max
         self.t_top = t_top
         self.window = window
         self._hspaces: Dict[BiDeg, Tuple] = {}
-        # monomial actions of the current and of the previous age
+        # monomial actions built so far; a built zero is kept as None
         self._monomials: Dict[Tuple[Mono, int, int], Optional[SparseMatrix]] = {}
-        self._monomials_old: Dict[Tuple[Mono, int, int], Optional[SparseMatrix]] = {}
+        # the actions of its parts that its builder read, keyed
+        # (id(part), mono, s, t); the builder keeps every part alive
+        self._parts: Dict[Tuple[int, Mono, int, int], Optional[SparseMatrix]] = {}
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
@@ -114,16 +101,8 @@ class WindowedComplex:
     def nonzero_action(self, g: int, s: int, t: int) -> Optional[SparseMatrix]:
         """The action of generator g from (s, t), built on its first read,
         or None when it is zero."""
-        key = (g, s, t)
-        m = self._actions.get(key, _UNBUILT)
-        if m is _UNBUILT:
-            if self._build is None or (s, t) not in self.dims:
-                return None
-            m = self._build(g, s, t)
-            if m is not None and not m.entries:
-                m = None
-            self._actions[key] = m
-        return m
+        return self.monomial_action(
+            tuple(int(i == g) for i in range(self.ring.n)), s, t)
 
     def action(self, g: int, s: int, t: int) -> SparseMatrix:
         m = self.nonzero_action(g, s, t)
@@ -135,18 +114,15 @@ class WindowedComplex:
 
     @property
     def actions(self) -> Dict[Tuple[int, int, int], SparseMatrix]:
-        """Every nonzero action, keyed (g, s, t) in sorted (s, t), then g
-        order; the ones not read yet are built now, and the builder is
-        dropped."""
-        if self._build is not None:
-            built = {}
-            for s, t in sorted(self.dims):
-                for g in range(len(self.ring.generators)):
-                    m = self.nonzero_action(g, s, t)
-                    if m is not None:
-                        built[(g, s, t)] = m
-            self._build, self._actions = None, built
-        return self._actions
+        """Every nonzero generator action, keyed (g, s, t) in sorted (s, t),
+        then g order; the ones not read yet are built now."""
+        built = {}
+        for s, t in sorted(self.dims):
+            for g in range(self.ring.n):
+                m = self.nonzero_action(g, s, t)
+                if m is not None:
+                    built[(g, s, t)] = m
+        return built
 
     def hspace(self, s: int, t: int):
         """homology_space(self, s, t), computed once per bidegree; a zero
@@ -160,71 +136,44 @@ class WindowedComplex:
         return h
 
     def monomial_action(self, mono: Mono, s: int, t: int) -> Optional[SparseMatrix]:
-        """Multiplication by a monomial from (s, t), or None when it is zero
-        or the generator actions along the way do not compose.
-
-        The generators are applied in index order, so the action of mono is
-        the action of its last generator after the action of the prefix.  A
-        pure power x^k of one generator is split at the aligned blocks of
-        _power_split instead, so that its pieces are shared by every start
-        degree and by every power.  Each result is memoised, and one used in
-        the previous age is kept.  A zero piece makes the product zero, so
-        zero is kept as None.
-        """
+        """Multiplication by a monomial from (s, t), built on its first read
+        and memoised, or None when it is zero or, for generator actions
+        given as a dict, the factors do not compose."""
         key = (mono, s, t)
-        if key in self._monomials:
-            return self._monomials[key]
-        if key in self._monomials_old:
-            m = self._monomials_old[key]
-        elif not any(mono):
-            m = SparseMatrix.identity(self.ring.field, self.dim(s, t))
-        else:
-            last = max(i for i, e in enumerate(mono) if e)
-            k = mono[last]
-            j = k - 1
-            if k > 1 and not any(mono[:last]):
-                dg = self.ring.generators[last].degree
-                j = _power_split(dg, k, t)
-                if j < k - 1:
-                    first = self.monomial_action(
-                        mono[:last] + (j,) + mono[last + 1:], s, t)
-                    if first is not None and first.rows != self.dim(s, t + j * dg):
-                        # stored actions that disagree with the dimension at
-                        # the split: the prefix chain decides whether they
-                        # compose
-                        j = k - 1
-            if j == k - 1:
-                rest = mono[:last] + (j,) + mono[last + 1:]
-                a = self.nonzero_action(last, s, t + self.ring.mono_degree(rest))
-                if a is None:
-                    m = None
-                elif any(rest):
-                    m = self.monomial_action(rest, s, t)
-                    m = a @ m if m is not None and a.cols == m.rows else None
-                else:
-                    # a after the identity is a itself
-                    m = a if a.cols == self.dim(s, t) else None
-            elif first is None:
-                m = None
-            else:
-                # x^(k - j) from the degree x^j reaches, after x^j
-                top = self.monomial_action(
-                    mono[:last] + (k - j,) + mono[last + 1:], s, t + j * dg)
-                m = top @ first if top is not None and top.cols == first.rows \
-                    else None
-        if m is not None and not m.entries:
-            m = None
-        self._monomials[key] = m
+        m = self._monomials.get(key, _UNBUILT)
+        if m is _UNBUILT:
+            if (s, t) not in self.dims:
+                return None
+            m = self._monomials[key] = self._built(mono, s, t, self._parts)
         return m
 
-    def age_monomial_actions(self):
-        """Start a new age of the memo, dropping the monomial actions not used
-        in the age just ended."""
-        self._monomials_old, self._monomials = self._monomials, {}
+    def part_action(self, mono: Mono, s: int, t: int,
+                    kept: Dict) -> Optional[SparseMatrix]:
+        """monomial_action for the builder of a complex made from this one:
+        the memoised matrix when there is one, else the one kept in kept,
+        the reading complex's memo of its parts, where it is built on its
+        first read.  This memo is left as it was."""
+        m = self._monomials.get((mono, s, t), _UNBUILT)
+        if m is _UNBUILT:
+            key = (id(self), mono, s, t)
+            m = kept.get(key, _UNBUILT)
+            if m is _UNBUILT:
+                m = kept[key] = self._built(mono, s, t, kept) \
+                    if (s, t) in self.dims else None
+        return m
+
+    def _built(self, mono: Mono, s: int, t: int,
+               kept: Dict) -> Optional[SparseMatrix]:
+        """The action of mono from the nonzero bidegree (s, t), built now;
+        the parts it reads are kept in kept."""
+        if not any(mono):
+            return SparseMatrix.identity(self.ring.field, self.dims[(s, t)])
+        m = None if self._build is None else self._build(mono, s, t, kept)
+        return m if m is not None and m.entries else None
 
     def clear_monomial_actions(self):
-        """Drop every memoised monomial action."""
-        self._monomials_old, self._monomials = {}, {}
+        """Drop every memoised monomial action, and those of its parts."""
+        self._monomials, self._parts = {}, {}
 
     def validate(self):
         for (s, t), m in self.diffs.items():
@@ -273,27 +222,45 @@ class ComplexMap:
                 raise ContractViolation(f"not a chain map at ({s}, {t})")
 
 
+def generator_chain(c: WindowedComplex,
+                    gen: Callable[[int, int, int], Optional[SparseMatrix]],
+                    mono: Mono, s: int, t: int) -> Optional[SparseMatrix]:
+    """x^mono from (s, t) on c, for actions given per generator by
+    gen(g, s, t) -> matrix or None: the action of its last generator after
+    c's memoised action of the prefix, so the generators apply in index
+    order.  None when a factor is zero or the factors do not compose."""
+    last = max(i for i, e in enumerate(mono) if e)
+    rest = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+    a = gen(last, s, t + c.ring.mono_degree(rest))
+    if a is None:
+        return None
+    if not any(rest):
+        return a if a.cols == c.dim(s, t) else None
+    m = c.monomial_action(rest, s, t)
+    return a @ m if m is not None and a.cols == m.rows else None
+
+
 def module_slice(ring: GradedRing, dims: Dict[int, int],
-                 action: Callable[[int, int], SparseMatrix], w: Window,
-                 t_top: int) -> WindowedComplex:
+                 action: Callable[[Mono, int], Optional[SparseMatrix]],
+                 w: Window, t_top: int) -> WindowedComplex:
     """A module known degreewise on w as a complex concentrated in
     homological degree 0.
 
-    dims[t] is the dimension in degree t, for t in w; action(g, t) is the
-    matrix of generator g from degree t, asked only where both degrees are
-    nonzero, and only when the complex's action is first read.  Every
+    dims[t] is the dimension in degree t, for t in w; action(mono, t) is
+    the matrix of the monomial from degree t, asked only where both degrees
+    are nonzero, and only when the complex's action is first read.  Every
     module on a window is kept this way, so its monomial actions come from
     the complex's memo and its dual from brown_comenetz.  For a presented
-    module (module_complex) the action is GradedModule.generator_action,
-    read off the module's Groebner staircase one lookup per column; every
-    Tor, Ext, resolution-duality table and tower input realizes its
-    module's actions here.
+    module (module_complex) the action is GradedModule.element_action of
+    the monomial, read off the module's Groebner staircase one lookup per
+    column; every Tor, Ext, resolution-duality table and tower input
+    realizes its module's actions here.
     """
     dims = {t: d for t, d in dims.items() if d}
-    gens = ring.generators
 
-    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
-        return action(g, t) if t + gens[g].degree in dims else None
+    def build(mono: Mono, s: int, t: int,
+              kept: Dict) -> Optional[SparseMatrix]:
+        return action(mono, t) if t + ring.mono_degree(mono) in dims else None
 
     return WindowedComplex(ring, {(0, t): d for t, d in dims.items()}, {},
                            build, 0, 0, t_top, w)
@@ -302,7 +269,8 @@ def module_slice(ring: GradedRing, dims: Dict[int, int],
 def module_complex(mod: GradedModule, w: Window) -> WindowedComplex:
     """A module viewed as a complex concentrated in homological degree 0."""
     dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
-    return module_slice(mod.ring, dims, mod.generator_action, w,
+    return module_slice(mod.ring, dims,
+                        lambda mono, t: mod.element_action({mono: 1}, t), w,
                         mod.top_degree)
 
 
@@ -315,8 +283,9 @@ def shift(c: WindowedComplex, s_shift: int, t_shift: int = 0) -> WindowedComplex
     diffs = {(s + s_shift, t + t_shift): (m.scale(sgn) if s_shift % 2 else m)
              for (s, t), m in c.diffs.items()}
 
-    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
-        return c.nonzero_action(g, s - s_shift, t - t_shift)
+    def build(mono: Mono, s: int, t: int,
+              kept: Dict) -> Optional[SparseMatrix]:
+        return c.part_action(mono, s - s_shift, t - t_shift, kept)
 
     w = Window(c.window.t_lo + t_shift, c.window.t_hi + t_shift,
                c.window.s_lo, c.window.s_hi)
@@ -349,7 +318,6 @@ def cone(f: ComplexMap) -> WindowedComplex:
     s_lo = min(A.s_min + 1, B.s_min)
     s_hi = max(A.s_max + 1, B.s_max)
     adim, bdim = A.dims, B.dims
-    gens = ring.generators
 
     def inside(s: int, t: int) -> bool:
         return s_lo <= s <= s_hi and w.t_lo <= t <= top
@@ -379,15 +347,20 @@ def cone(f: ComplexMap) -> WindowedComplex:
         if ent:
             diffs[(s, t)] = SparseMatrix._trusted(fld, ta + tb, da + db, ent)
 
-    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
-        # the two blocks of an action do not overlap
-        if not inside(s, t):
+    def build(mono: Mono, s: int, t: int,
+              kept: Dict) -> Optional[SparseMatrix]:
+        # a generator acts from the region the differentials cover, and x^a
+        # from where each of its factors, applied in index order, does:
+        # degrees are negative, so the last factor's source is the lowest.
+        # The two blocks of an action do not overlap
+        t2 = t + ring.mono_degree(mono)
+        last = max(i for i, e in enumerate(mono) if e)
+        if not (inside(s, t) and inside(s, t2 - ring.generators[last].degree)):
             return None
-        aA = A.nonzero_action(g, s - 1, t)
-        aB = B.nonzero_action(g, s, t)
+        aA = A.part_action(mono, s - 1, t, kept)
+        aB = B.part_action(mono, s, t, kept)
         if aA is None and aB is None:
             return None
-        t2 = t + gens[g].degree
         da, da2 = adim.get((s - 1, t), 0), adim.get((s - 1, t2), 0)
         aent: Dict[Tuple[int, int], int] = {}
         if aA is not None:
@@ -654,7 +627,7 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
     for each nonzero bidegree.  The valid floor is X's floor plus the largest
     free generator degree, raised to t_floor.  A complex cut below its top
     is read for its homology only: its window ends at the cut, above which
-    it is unknown, not zero, and it carries no generator actions.
+    it is unknown, not zero, and it carries no actions.
     """
     ring = F.ring
     fld = ring.field
@@ -712,12 +685,13 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
             if ent:
                 diffs[(s, t)] = SparseMatrix._trusted(
                     fld, dims.get((s - 1, t), 0), dims.get((s, t), 0), ent)
-    gens = ring.generators
 
-    def build(g: int, s: int, t: int) -> Optional[SparseMatrix]:
+    def build(mono: Mono, s: int, t: int,
+              kept: Dict) -> Optional[SparseMatrix]:
         # block (sigma, b) of the action is X's action from the bidegree
         # that block comes from
-        tpos = positions.get((s, t + gens[g].degree))
+        t2 = t + ring.mono_degree(mono)
+        tpos = positions.get((s, t2))
         if tpos is None:
             return None
         ent: Dict[Tuple[int, int], int] = {}
@@ -725,7 +699,8 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
             pos = tpos.get((sigma, b))
             if pos is None:
                 continue
-            act = X.nonzero_action(g, s - sigma, t - F.stages[sigma].gen_degrees[b])
+            act = X.part_action(mono, s - sigma,
+                                t - F.stages[sigma].gen_degrees[b], kept)
             if act is None:
                 continue
             toff = pos[0]
@@ -733,10 +708,9 @@ def free_tensor(F: FreeComplex, X: WindowedComplex, t_floor: int,
                         for (r, c), v in act.entries.items()})
         if not ent:
             return None
-        return SparseMatrix._trusted(fld, dims[(s, t + gens[g].degree)],
-                                     dims[(s, t)], ent)
+        return SparseMatrix._trusted(fld, dims[(s, t2)], dims[(s, t)], ent)
 
-    C = WindowedComplex(ring, dims, diffs, build if hi == t_top else {},
+    C = WindowedComplex(ring, dims, diffs, build if hi == t_top else None,
                         s_lo, s_hi, t_top, Window(lo, hi))
     return C, layout
 

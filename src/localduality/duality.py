@@ -10,8 +10,8 @@ from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactla import ContractViolation, SparseMatrix, rank
-from .graded import (GradedModule, GradedRing, HomIdeal, Resolution, Window,
-                     dual_hilbert_function, maximal_ideal,
+from .graded import (GradedModule, GradedRing, HomIdeal, Mono, Resolution,
+                     Window, dual_hilbert_function, maximal_ideal,
                      minimal_free_resolution, resolution_ext)
 from .complexes import (WindowedComplex, complex_element_action, homology,
                         induced_on_homology, module_slice)
@@ -52,8 +52,8 @@ def injective_hull(p: HomIdeal, w: Window) -> InjectiveModel:
 
 def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
     """Degreewise k-linear dual complex with transposed differentials and
-    actions, each action transposed when it is first read; an involution on
-    homology tables within the window."""
+    actions, each monomial action transposed from m's when it is first
+    read; an involution on homology tables within the window."""
     ring = m.ring
     dims = {(-s, -t): d for (s, t), d in m.dims.items()
             if w.t_lo <= -t <= w.t_hi}
@@ -62,11 +62,20 @@ def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
         d = m.diff(-s + 1, -t)
         if d.entries:
             diffs[(s, t)] = d.transpose()
-    gens = ring.generators
+    minus = ring.field.neg(1)
 
-    def build(gi: int, s: int, t: int) -> Optional[SparseMatrix]:
-        act = m.nonzero_action(gi, -s, -t - gens[gi].degree)
-        return None if act is None else act.transpose()
+    def build(mono: Mono, s: int, t: int,
+              kept: Dict) -> Optional[SparseMatrix]:
+        # the dual is zero outside w
+        t2 = t + ring.mono_degree(mono)
+        act = m.part_action(mono, -s, -t2, kept) if (s, t2) in dims else None
+        if act is None:
+            return None
+        # the transpose applies m's factors in reverse order: reversing k
+        # distinct odd factors signs the product by (-1)^(k(k-1)/2)
+        k = sum(e for e, odd in zip(mono, ring.parity) if odd)
+        return act.transpose().scale(minus) if k * (k - 1) // 2 % 2 \
+            else act.transpose()
 
     dual_w = Window(w.t_lo, w.t_hi)
     s_vals = [s for (s, _t) in dims] or [0]
@@ -79,15 +88,14 @@ def brown_comenetz(m: WindowedComplex, w: Window) -> WindowedComplex:
 
 
 def homology_model(model: WindowedComplex, s: int, w: Window) -> WindowedComplex:
-    """The homology of one homological block with the induced generator
+    """The homology of one homological block with the induced monomial
     actions, as a module in s = 0."""
     ring = model.ring
 
-    def act(gi: int, t: int) -> SparseMatrix:
-        q = ring.gen_poly(gi)
+    def act(mono: Mono, t: int) -> SparseMatrix:
         return induced_on_homology(
-            model, model, s, t, t + ring.generators[gi].degree,
-            lambda: complex_element_action(model, q, s, t))
+            model, model, s, t, t + ring.mono_degree(mono),
+            lambda: complex_element_action(model, {mono: 1}, s, t))
 
     dims = {t: model.hspace(s, t)[1].rows for t in w.t_range()}
     return module_slice(ring, dims, act, w, model.t_top)

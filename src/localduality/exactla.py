@@ -318,15 +318,6 @@ def kernel_rows(m: SparseMatrix) -> Tuple[SparseMatrix, List[int]]:
     return SparseMatrix._trusted(m.field, len(free), m.cols, ent), free
 
 
-def kernel_basis(m: SparseMatrix) -> List[List[int]]:
-    """Basis of the right kernel, one vector per non-pivot column.
-
-    Vectors are returned in increasing free-column order; always
-    len == cols - rank(m).
-    """
-    return kernel_rows(m)[0].to_dense()
-
-
 def solve(m: SparseMatrix, b: List[object]) -> Optional[List[int]]:
     """Some x with m @ x = b, or None when the system is inconsistent."""
     f = m.field

@@ -11,8 +11,9 @@ from .exactla import (ContractViolation, SparseMatrix, extend_basis,
 from .graded import (FreeModule, GradedModule, GradedRing, HomIdeal, Mono,
                      Poly, Window, dual_hilbert_function, hilbert_function,
                      minimal_free_resolution, tor)
-from .complexes import (WindowedComplex, homology, induced_on_homology,
-                        module_slice, resolution_complex)
+from .complexes import (WindowedComplex, generator_chain, homology,
+                        induced_on_homology, module_slice,
+                        resolution_complex)
 from .torsion import gamma
 from .duality import (GorensteinCertificate, _require_certified,
                       _socle_comparison, dual_localize, gorenstein_certificate,
@@ -201,11 +202,9 @@ def restrict(f: RingMap, mod: GradedModule, w: Window,
     """Restriction of scalars f^*: the target module viewed over the source."""
     if mod.ring is not f.target and mod.ring.name != f.target.name:
         raise ContractViolation("module is not over the target ring")
-    R = f.source
-    pushed = [f.push(R.gen_poly(gi)) for gi in range(R.n)]
     dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
-    model = module_slice(R, dims,
-                         lambda gi, t: mod.element_action(pushed[gi], t),
+    model = module_slice(f.source, dims,
+                         lambda mono, t: mod.element_action(f.push({mono: 1}), t),
                          w, mod.top_degree)
     return present_model(model, w, name=name or f"res_{mod.name}")
 
@@ -436,11 +435,12 @@ def _omega_homology_model(f: RingMap, wC: WindowedComplex,
                           mus: List[List[Dict[Tuple[int, int], Poly]]],
                           stage: int, w: Window) -> WindowedComplex:
     """Target-module structure on the concentrated homology of omega_f, as
-    a module in s = 0."""
+    a module in s = 0.  The lifted multiplications mus act per target
+    generator, so a monomial is their chain (generator_chain)."""
     R, S = f.source, f.target
     j0 = -stage
 
-    def act(j: int, t: int) -> SparseMatrix:
+    def act(j: int, _s: int, t: int) -> SparseMatrix:
         dj = S.generators[j].degree
         mu = mus[j][j0] if j0 < len(mus[j]) else {}
         return induced_on_homology(
@@ -448,53 +448,24 @@ def _omega_homology_model(f: RingMap, wC: WindowedComplex,
             lambda: _dual_action_matrix(R, dual_free, mu, t, dj))
 
     dims = {t: wC.hspace(stage, t)[1].rows for t in w.t_range()}
-    return module_slice(S, dims, act, w, wC.t_top)
+    model = module_slice(
+        S, dims, lambda mono, t: generator_chain(model, act, mono, 0, t), w,
+        wC.t_top)
+    return model
 
 
 # coinduction -----------------------------------------------------------------
 
 
-def coinduce_table(f: RingMap, x: GradedModule, w: Window,
-                   compactness: Optional[Dict[str, object]] = None
-                   ) -> Dict[Tuple[int, int], int]:
+def coinduce_table(f: RingMap, x: GradedModule,
+                   w: Window) -> Dict[Tuple[int, int], int]:
     """Homology table of Hom over the source of the target into x."""
-    if compactness is None:
-        compactness = compactness_certificate(f, w)
+    compactness = compactness_certificate(f, w)
     if not compactness["certified"]:
         raise ContractViolation("compactness not certified")
     res = compactness["resolution"]
     Fc = resolution_complex(res)
     return dict(homology(Fc.hom_into(x, w), w))
-
-
-def grothendieck_neeman_check(f: RingMap, x: GradedModule,
-                              w: Window) -> Dict[str, object]:
-    """Coinduction of x against extension of scalars twisted by omega_f."""
-    compactness = compactness_certificate(f, w)
-    omega = dualizing_module(f, w, compactness=compactness)
-    if not omega.invertible or omega.module is None:
-        raise ContractViolation("omega_f is not certified invertible")
-    guard = compactness["restricted"].guard
-    lhs = coinduce_table(f, x, w, compactness=compactness)
-    j0 = -omega.stage
-    a = omega.gen_degree
-    fx = induce(f, x)
-    tt = tor(fx, omega.module, w)
-    lo = w.t_lo + guard + max(a, 0)
-    lhs_tot: Dict[int, int] = {}
-    for (s, t), v in lhs.items():
-        n = s + t
-        if lo <= n <= w.t_hi:
-            lhs_tot[n] = lhs_tot.get(n, 0) + v
-    rhs_tot: Dict[int, int] = {}
-    for (p, t), v in tt.items():
-        n = t - p - j0
-        if lo <= n <= w.t_hi:
-            rhs_tot[n] = rhs_tot.get(n, 0) + v
-    verdict = all(lhs_tot.get(n, 0) == rhs_tot.get(n, 0)
-                  for n in range(lo, w.t_hi + 1))
-    return {"verdict": verdict, "lhs": lhs_tot, "rhs": rhs_tot,
-            "range": (lo, w.t_hi)}
 
 
 # coinduction splitting -------------------------------------------------------

@@ -58,7 +58,7 @@ class Tower:
     reversed.  The proven stage is one stage and no map; the tail rule's
     tail is stages max(1, s_max - CONSEC) .. s_max.  Only the model is
     realized in full; the others, and the maps, only up to the window's
-    top, and a stage cut there carries no generator actions."""
+    top, and a stage cut there carries no actions."""
 
     stages: List[WindowedComplex]
     maps: List[ComplexMap]
@@ -418,7 +418,7 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
     of the materialized input X, joined by the (product-of-elements,
     identity) map of Koszul objects.  Stages below last are realized on t
     from w.t_lo to w.t_hi only, the degrees _homology_tower reads; one that
-    this cuts below its top carries no generator actions, and its window
+    this cuts below its top carries no actions, and its window
     ends at w.t_hi (unknown above, not zero).  The maps between stages are
     built on those layouts.  The model stage last is realized in full.  The
     unit map joins the last stage and X, which is R (x) X: it is the
@@ -445,9 +445,6 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
                 maps.append(free_tensor_map(frees[src], comps, X,
                                             stages[src], layouts[src],
                                             stages[tgt], layouts[tgt]))
-            # stage s + 1 builds each a^(s+1) from stage s's a^s and reuses
-            # the map's products; actions stage s did not use are dropped
-            X.age_monomial_actions()
         if colim:
             unit = free_tensor_map(frees[-1], unit_comps, X, stages[-1],
                                    layouts[-1], X, unit_layout)
@@ -455,7 +452,9 @@ def _koszul_tower(functor: str, X: WindowedComplex, p: HomIdeal, w: Window,
             unit = free_tensor_map(FreeComplex.unit(p.ring), unit_comps, X,
                                    X, unit_layout, stages[-1], layouts[-1])
     finally:
-        # X outlives the tower as the functor's input
+        # the differentials and the maps read the powers x^s off X's memo;
+        # X outlives the tower as the functor's input, and the stages keep
+        # the actions of X they read in their own memos
         X.clear_monomial_actions()
     shape = _shape(X)
     if shape is not None:

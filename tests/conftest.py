@@ -1,6 +1,7 @@
 import pytest
 
-from localduality.exactla import ContractViolation, SparseMatrix, rref
+from localduality.exactla import (ContractViolation, SparseMatrix,
+                                  kernel_rows, rref)
 from localduality.graded import GradedModule, GradedRing, HomIdeal, Window
 
 
@@ -94,3 +95,12 @@ def solve_matrix(m, b):
             # row i corresponds to pivot column pivots[i]
             ent[(pivots[i], j - m.cols)] = v
     return SparseMatrix._trusted(m.field, m.cols, b.cols, ent)
+
+
+def kernel_basis(m: SparseMatrix):
+    """Basis of the right kernel, one vector per non-pivot column.
+
+    Vectors are returned in increasing free-column order; always
+    len == cols - rank(m).
+    """
+    return kernel_rows(m)[0].to_dense()

@@ -49,7 +49,6 @@ def reference_left(Y, p, w, s_max):
         for s in range(1, s_max + 1):
             H, _ = free_tensor(koszul_free(p.ring, p.gens, s), Y,
                                t_floor=w.t_lo)
-            Y.age_monomial_actions()
             tab = homology(H, w)
             if prev is not None and tab == prev:
                 run += 1

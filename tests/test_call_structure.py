@@ -16,9 +16,11 @@ the ring once, for the certificate, and compares with the table it read, and
 `bc-check` reads its source's certificate from the session.  There is one
 Buchberger loop, `graded._Submodule.complete`: a ring's relation ideal is a
 rank-one submodule over its free ring, so `graded.GradedRing` takes no
-S-pair and reduces nothing itself.  A complex's generator actions are built
-when first read; only `WindowedComplex.validate` reads the view that builds
-them all.
+S-pair and reduces nothing itself.  A complex's actions are built when
+first read; only `WindowedComplex.validate` reads the view that builds
+them all.  Every complex passes a monomial builder that reads x^a off its
+parts, so the only matrix product on the monomial path is the chain of
+actions given per generator, `complexes.generator_chain`.
 """
 
 import ast
@@ -165,6 +167,64 @@ def test_only_validate_builds_every_action():
 
         visit(tree, path.stem)
     assert readers == {"complexes.WindowedComplex.validate"}
+
+
+def _multiplies(node):
+    """Whether node's syntax holds a matrix product, @ or matmul."""
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+               or isinstance(n, ast.Attribute) and n.attr == "matmul"
+               for n in ast.walk(node))
+
+
+def test_monomial_actions_are_built_from_parts_without_products():
+    # each WindowedComplex(...) and module_slice(...) in the package passes
+    # a function for its actions (a nested builder or a lambda), or None for
+    # a complex cut below its top, and none of them, nor the memo's readers,
+    # multiplies matrices
+    positions = {"WindowedComplex": 3, "module_slice": 2}
+    builders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in [f for node in tree.body for f in (
+                node.body if isinstance(node, ast.ClassDef) else [node])
+                if isinstance(f, ast.FunctionDef)]:
+            nested = {f.name: f for f in ast.walk(func)
+                      if isinstance(f, ast.FunctionDef) and f is not func}
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and
+                        getattr(node.func, "id", None) in positions):
+                    continue
+                arg = node.args[positions[node.func.id]]
+                where = f"{path.name}:{node.lineno}"
+                if isinstance(arg, ast.IfExp):
+                    # a complex cut below its top is given no actions
+                    assert isinstance(arg.orelse, ast.Constant) and \
+                        arg.orelse.value is None, where
+                    arg = arg.body
+                if isinstance(arg, ast.Name):
+                    # a builder is defined in the function that passes it
+                    assert arg.id in nested, where
+                    arg = nested[arg.id]
+                assert isinstance(arg, (ast.FunctionDef, ast.Lambda)), where
+                assert not _multiplies(arg), where
+                builders.append(where)
+    # module_slice, shift, cone, free_tensor, brown_comenetz, and the
+    # actions handed to module_slice
+    assert len(builders) >= 9, builders
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    functions = {f.name: f for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)}
+    for name in ("monomial_action", "part_action", "_built"):
+        assert not _multiplies(functions[name]), name
+    # the one function that both reads a monomial action and multiplies
+    callers, _ = _calls_by_function()
+    multiplying = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef) and _multiplies(f):
+                multiplying.add(f"{path.stem}.{f.name}")
+    readers = callers["monomial_action"] | callers["part_action"]
+    assert readers & multiplying == {"complexes.generator_chain"}
 
 
 ORACLE_ON_THE_RING = """\

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from localduality.exactla import (GF, ContractViolation, SparseMatrix,
-                                  extend_basis, kernel_basis, kernel_rows,
+                                  extend_basis, kernel_rows,
                                   quotient_projection, rank, rref, solve)
-from conftest import python_rref, solve_matrix
+from conftest import kernel_basis, python_rref, solve_matrix
 
 
 def dense(field, rows):

@@ -1,9 +1,10 @@
-"""Generator actions are built when first read, and ranks are computed once.
+"""Actions are built when first read, and ranks are computed once.
 
-A WindowedComplex takes its actions as a builder: `action` and
-`nonzero_action` build one matrix on its first read and memoise it, and the
-`actions` view builds the ones left.  Tor and Ext read only differentials,
-so they build no action of the complex they realize.  The references below
+A WindowedComplex takes its actions as a monomial builder: `monomial_action`
+builds one matrix on its first read and memoises it, a generator's action
+(`action`, `nonzero_action`) is the action of its unit monomial, and the
+`actions` view builds every generator action.  Tor and Ext read only
+differentials, so they build no action of the complex they realize.  The references below
 are the eager loops `shift` and `module_slice` ran before; after a few lazy
 reads, the view must hold the same matrices.  `free_tensor` and `cone` are
 compared with their eager loops in test_support_reference.py.  The last
@@ -59,6 +60,16 @@ def _koszul_stage():
                        module_complex(mod, Window(-9, 2)), t_floor=-6)[0]
 
 
+def _unit(ring, g):
+    return tuple(int(i == g) for i in range(ring.n))
+
+
+def _memo_key(c, key):
+    """The memo's key of the generator action keyed (g, s, t)."""
+    g, s, t = key
+    return (_unit(c.ring, g), s, t)
+
+
 def _identity(c):
     return ComplexMap(c, c, {k: SparseMatrix.identity(c.ring.field, d)
                              for k, d in c.dims.items()})
@@ -79,12 +90,12 @@ def test_reading_one_action_builds_only_that_one(name):
     assert len(want) > 1
     for key in (list(want)[-1], list(want)[0]):
         c = LAZY[name]()
-        assert not c._actions
+        assert not c._monomials
         assert c.action(*key) == want[key]
-        assert list(c._actions) == [key]
+        assert list(c._monomials) == [_memo_key(c, key)]
         # a second read is the memoised matrix
         assert c.nonzero_action(*key) is c.action(*key)
-        assert list(c._actions) == [key]
+        assert list(c._monomials) == [_memo_key(c, key)]
 
 
 @pytest.mark.parametrize("name", sorted(LAZY))
@@ -98,7 +109,7 @@ def test_a_zero_action_reads_as_none_and_as_a_zero_matrix(name):
     assert not z.entries and z.cols == c.dim(s, t)
     # a bidegree that is zero builds nothing
     assert c.nonzero_action(0, c.s_max + 5, t) is None
-    assert (0, c.s_max + 5, t) not in c._actions
+    assert _memo_key(c, (0, c.s_max + 5, t)) not in c._monomials
 
 
 def test_shift_view_after_lazy_reads_is_the_eager_loop():
@@ -110,8 +121,9 @@ def test_shift_view_after_lazy_reads_is_the_eager_loop():
     actions = got.actions
     assert list(actions) == list(want) == _sorted_keys(want)
     assert actions == want
-    # every action is built, and the builder is gone
-    assert got._build is None and actions is got.actions
+    # every action is built and memoised: a second view reads the memo
+    assert all(got.nonzero_action(*key) is m for key, m in actions.items())
+    assert got.actions == actions
 
 
 @pytest.mark.parametrize("mod", list(_seeded_cyclic_modules()),
@@ -122,7 +134,8 @@ def test_module_slice_view_after_lazy_reads_is_the_eager_loop(mod):
     w = Window(-6, 2)
     dims = {t: mod.dim_in_degree(t) for t in w.t_range()}
     want = reference_module_slice(mod.ring, dims, mod.generator_action)
-    got = module_slice(mod.ring, dims, mod.generator_action, w,
+    got = module_slice(mod.ring, dims,
+                       lambda mono, t: mod.element_action({mono: 1}, t), w,
                        mod.top_degree)
     for key in list(want)[::-2]:
         got.action(*key)
@@ -153,7 +166,7 @@ def test_tor_and_ext_build_no_action_of_the_complex(monkeypatch):
     ext(M, k, ext_w)
     ext(M, N, ext_w)
     assert len(realized) == 5
-    assert all(c._build is not None and not c._actions for c in realized)
+    assert all(c._build is not None and not c._monomials for c in realized)
 
 
 # homology ranks each differential once -----------------------------------------

@@ -19,9 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from localduality.complexes import module_complex, shift
 from localduality.duality import (brown_comenetz, is_free_rank_one,
                                   is_shifted_hull)
-from localduality.exactla import SparseMatrix, kernel_basis, rank
+from localduality.exactla import SparseMatrix, rank
 from localduality.graded import (GradedModule, GradedRing, Window,
                                  dual_hilbert_function)
+from conftest import kernel_basis
 
 
 # reference -------------------------------------------------------------------

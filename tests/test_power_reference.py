@@ -1,28 +1,35 @@
-"""Differential test of pure-power monomial actions against the prefix chain.
+"""Differential test of monomial actions against the prefix chain.
 
-`WindowedComplex.monomial_action` builds a power x^k of one generator from
-pieces that start or end at aligned block boundaries.  `chain_action` is the
-rule every monomial followed before: the action of the last generator after
-the action of the prefix, one product per step.  Both must give the same
-matrix, and None at the same places: where the power is zero and where the
-stored actions do not compose.  With the pieces shared, the first stage of
-a tower costs about what a later one does, which a count of matrix products
-pins without timing anything.
+Each complex builds x^a from its parts: a module off its Groebner
+staircase, F (x) X from X's own x^a in every block, a cone from its two
+sides, a shift and a Brown-Comenetz dual from the complex they come from,
+and the homology model as the induced map of x^a on the complex.
+`chain_action` is the rule every monomial followed before: the action of
+the last generator after the action of the prefix, one product per step,
+read off the generator actions alone.  Both must give the same matrix, and
+None at the same places: where the monomial is zero and where the stored
+actions do not compose.  Over F3[a', b', c] the product a'b' pins the sign
+the dual gives a monomial with two odd factors.
 """
 
+import itertools
 import random
 
 import pytest
 
-from localduality.complexes import (BLOCK, WindowedComplex, free_tensor,
-                                    module_complex)
+from localduality.complexes import (WindowedComplex, free_tensor, homology,
+                                    module_complex, shift)
+from localduality.duality import brown_comenetz, homology_model
 from localduality.exactla import SparseMatrix
-from localduality.graded import GradedModule, GradedRing, Window, maximal_ideal
-from localduality.torsion import dual_koszul_free, gamma, koszul_free
+from localduality.graded import (GradedModule, GradedRing, HomIdeal, Window,
+                                 maximal_ideal)
+from localduality.torsion import (dual_koszul_free, gamma, koszul_free,
+                                  localize_away)
 
 
-def chain_action(X, mono, s, t, memo):
-    """x^mono from (s, t) as the prefix chain, memoised in memo."""
+def chain_action(gens, X, mono, s, t, memo):
+    """x^mono from (s, t) as the prefix chain of the generator actions
+    gens {(g, s, t): matrix}, memoised in memo."""
     key = (mono, s, t)
     if key in memo:
         return memo[key]
@@ -32,9 +39,11 @@ def chain_action(X, mono, s, t, memo):
     else:
         last = max(i for i, e in enumerate(mono) if e)
         rest = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
-        a = X.action(last, s, t + ring.mono_degree(rest))
-        if any(rest):
-            m = chain_action(X, rest, s, t, memo)
+        a = gens.get((last, s, t + ring.mono_degree(rest)))
+        if a is None:
+            m = None
+        elif any(rest):
+            m = chain_action(gens, X, rest, s, t, memo)
             m = a @ m if m is not None and a.cols == m.rows else None
         else:
             m = a if a.cols == X.dim(s, t) else None
@@ -44,7 +53,9 @@ def chain_action(X, mono, s, t, memo):
     return m
 
 
-KS = range(1, 2 * BLOCK + 2)
+# pure powers up to x^33, and every mixed monomial of exponents up to 3
+KS = range(1, 34)
+MIXED = range(4)
 
 
 def _rings():
@@ -52,10 +63,19 @@ def _rings():
     fat = plane.quotient([plane.parse("x^3"), plane.parse("y^2")],
                          name="F2[x,y]/(x^3,y^2)")
     hyp = plane.quotient([plane.parse("x*y")], name="F2[x,y]/(xy)")
-    # odd generators square to zero; c's blocks are 2 * BLOCK degrees long
+    # odd generators square to zero
     odd = GradedRing(3, [("a", -1, True), ("b", -1, True), ("c", -2)], [],
                      name="F3[a',b',c]")
     return plane, fat, hyp, odd
+
+
+def _modules(ring):
+    g0, g1 = ring.gen_poly(0), ring.gen_poly(1)
+    # u spans degrees 0 and -1 at most, v starts at -6: zero in between
+    return [GradedModule.free_module(ring, [0], name="R"),
+            GradedModule(ring, [("u", 0), ("v", -6)],
+                         [[ring.poly_mul(g0, g0) or g0, {}], [g1, {}]],
+                         name="gap")]
 
 
 def _cases():
@@ -64,69 +84,102 @@ def _cases():
     # degrees of the gap module
     for ring, w in ((plane, Window(-40, 0)), (fat, Window(-12, 0)),
                     (hyp, Window(-40, 0)), (odd, Window(-70, 0))):
-        g0, g1 = ring.gen_poly(0), ring.gen_poly(1)
-        # u spans degrees 0 and -1 at most, v starts at -6: zero in between
-        mods = [GradedModule.free_module(ring, [0], name="R"),
-                GradedModule(ring, [("u", 0), ("v", -6)],
-                             [[ring.poly_mul(g0, g0) or g0, {}], [g1, {}]],
-                             name="gap")]
-        for mod in mods:
-            yield pytest.param(module_complex(mod, w), id=f"{ring.name}-{mod.name}")
+        for mod in _modules(ring):
+            yield pytest.param(lambda mod=mod, w=w: module_complex(mod, w),
+                               id=f"{ring.name}-{mod.name}")
     # free_tensor outputs, whose actions sit at s != 0
     for ring, power in ((plane, 2), (odd, 1)):
         elems = [ring.gen_poly(i) for i in range(ring.n)]
-        X = module_complex(GradedModule.free_module(ring, [0]), Window(-44, 0))
-        for name, F in (("kos", koszul_free(ring, elems, power)),
-                        ("dkos", dual_koszul_free(ring, elems, power))):
-            C, _ = free_tensor(F, X, t_floor=-36)
-            yield pytest.param(C, id=f"{ring.name}-{name}{power}")
+        for name, koszul in (("kos", koszul_free), ("dkos", dual_koszul_free)):
+            def tensor(ring=ring, F=koszul(ring, elems, power)):
+                X = module_complex(GradedModule.free_module(ring, [0]),
+                                   Window(-44, 0))
+                return free_tensor(F, X, t_floor=-36)[0]
+            yield pytest.param(tensor, id=f"{ring.name}-{name}{power}")
+    # the functors' models over every ring, at the ideal of its even
+    # generators: L = cone(Gamma m -> m), its shift, the dual of Gamma m and
+    # of the module, and the homology of Gamma m with its induced actions
+    w = Window(-4, 4)
+    for ring in (plane, fat, hyp, odd):
+        p = HomIdeal(ring, [ring.gen_poly(i) for i in range(ring.n)
+                            if not ring.parity[i]], name="p")
+        for mod in _modules(ring):
+            name = f"{ring.name}-{mod.name}"
+            yield pytest.param(
+                lambda mod=mod, p=p: localize_away(mod, p, w, 4).model,
+                id=f"{name}-cone")
+            yield pytest.param(
+                lambda mod=mod, p=p: shift(localize_away(mod, p, w, 4).model,
+                                           1, -1), id=f"{name}-shift")
+            yield pytest.param(
+                lambda mod=mod, p=p: brown_comenetz(gamma(mod, p, w, 4).model,
+                                                    w), id=f"{name}-dual-gamma")
+            yield pytest.param(
+                lambda mod=mod: brown_comenetz(
+                    module_complex(mod, Window(-8, 0)), Window(0, 8)),
+                id=f"{name}-dual")
+            yield pytest.param(
+                lambda mod=mod, p=p: _homology_of_gamma(mod, p, w),
+                id=f"{name}-homology")
+
+
+def _homology_of_gamma(mod, p, w):
+    """The homology model of Gamma m at its largest homological degree."""
+    model = gamma(mod, p, w, 4).model
+    size = {}
+    for (s, t), d in homology(model, w).items():
+        size[s] = size.get(s, 0) + d
+    return homology_model(model, max(size, key=lambda s: (size[s], s)), w)
+
+
+def _monomials(ring):
+    """Every pure power in KS and every mixed monomial in MIXED."""
+    pure = [tuple(k if i == g else 0 for i in range(ring.n))
+            for g in range(ring.n) for k in KS]
+    mixed = [m for m in itertools.product(MIXED, repeat=ring.n)
+             if sum(1 for e in m if e) > 1]
+    return pure + mixed
 
 
 def _queries(X):
-    """Every pure power k in KS of every generator from every nonzero
-    bidegree, in a seeded order."""
-    out = [(g, k, s, t) for (s, t) in X.dims for g in range(X.ring.n) for k in KS]
+    """Every monomial of _monomials from every nonzero bidegree, in a
+    seeded order."""
+    ring = X.ring
+    out = [(mono, s, t) for (s, t) in X.dims for mono in _monomials(ring)]
     random.Random(repr(X)).shuffle(out)
     return out
 
 
-def _mono(ring, g, k):
-    return tuple(k if i == g else 0 for i in range(ring.n))
-
-
-@pytest.mark.parametrize("X", list(_cases()))
-def test_pure_powers_match_the_prefix_chain(X):
-    ring = X.ring
+@pytest.mark.parametrize("build", list(_cases()))
+def test_monomials_match_the_prefix_chain(build):
+    X = build()
+    gens = X.actions
     memo = {}
     queries = _queries(X)
-    third = len(queries) // 3
     found = 0
-    # a third per age of X's memo, then all again: pieces of the ages before
-    # are read back as a tower's next stage reads them
-    for age, part in enumerate((queries[:third], queries[third:2 * third],
-                                queries[2 * third:], queries)):
-        for g, k, s, t in part:
-            mono = _mono(ring, g, k)
+    # read every query, then read them again after the memo is cleared
+    for rnd in range(2):
+        for mono, s, t in queries:
             got = X.monomial_action(mono, s, t)
-            assert got == chain_action(X, mono, s, t, memo), (mono, s, t, age)
+            assert got == chain_action(gens, X, mono, s, t, memo), \
+                (mono, s, t, rnd)
             found += got is not None
-        X.age_monomial_actions()
+        X.clear_monomial_actions()
     assert found
 
 
 def test_powers_that_do_not_compose_are_none():
     """Stored actions that agree with each other but not with the dimension
-    at -BLOCK - 3: the chain compares the dimension only where it starts,
-    so a power is None from there and goes through from above, and a split
-    at that degree must not decide otherwise."""
+    at -19: the chain compares the dimension only where it starts, so a
+    power is None from there and goes through from above."""
     ring = GradedRing(2, [("x", -1), ("y", -1)], [], name="F2[x,y]")
     fld = ring.field
-    n = 3 * BLOCK
+    n = 48
     dims = {(0, -t): 1 for t in range(n + 1)}
-    dims[(0, -BLOCK - 3)] = 2
+    dims[(0, -19)] = 2
     actions = {(0, 0, -t): SparseMatrix(fld, 1, 1, {(0, 0): 1})
                for t in range(n)}
-    # x from -BLOCK - 3 has one column on a 2-dimensional space
+    # x from -19 has one column on a 2-dimensional space
     X = WindowedComplex(ring, dims, {}, actions, 0, 0, 0, Window(-n, 0))
     memo = {}
     nones = 0
@@ -134,7 +187,7 @@ def test_powers_that_do_not_compose_are_none():
         for k in KS:
             mono = (k, 0)
             got = X.monomial_action(mono, 0, t)
-            assert got == chain_action(X, mono, 0, t, memo), (k, t)
+            assert got == chain_action(actions, X, mono, 0, t, memo), (k, t)
             nones += got is None
     assert nones
 
@@ -142,8 +195,8 @@ def test_powers_that_do_not_compose_are_none():
 def test_tower_products_grow_slower_than_the_power(monkeypatch):
     """Products made by the tail of Gamma_m F2[x,y] at (-8, 8): the prefix
     chain makes s products per degree in the first stage, 1491 at s_max 20
-    and 4251 at 40 (ratio 2.85); aligned blocks make one per degree and a
-    chain per boundary."""
+    and 4251 at 40 (ratio 2.85); read off the staircase and copied into
+    blocks, a power makes no product at all."""
     ring = GradedRing(2, [("x", -1), ("y", -1)], [], name="F2[x,y]")
     R = GradedModule.free_module(ring, [0])
     calls = []

@@ -20,13 +20,13 @@ from localduality.complexes import (FreeComplex, WindowedComplex,
                                     complex_element_action, free_tensor, homology_space,
                                     induced_on_homology, module_complex,
                                     resolution_complex)
-from localduality.exactla import SparseMatrix, kernel_basis, quotient_projection
+from localduality.exactla import SparseMatrix, quotient_projection
 from localduality.graded import (FreeModule, GradedModule, GradedRing,
                                  HomIdeal, Window, minimal_free_resolution)
 from localduality.torsion import (_ideal_data, _koszul_tower, _materialize,
                                   completion, dual_koszul_free, gamma,
                                   koszul_free)
-from conftest import solve_matrix
+from conftest import kernel_basis, solve_matrix
 
 
 # references --------------------------------------------------------------------
@@ -278,14 +278,14 @@ def test_memoised_element_action_matches_reference(ring, X):
         if p or rng.random() < 0.1:
             queries.append((p, rng.randint(X.s_min, X.s_max), rng.choice(ts)))
     nonzero = 0
-    # repeat the queries within an age and across ages of the memo
-    for age in range(3):
+    # repeat the queries off the memo, and again after the memo is cleared
+    for rnd in range(3):
         for p, s, t in rng.sample(queries, len(queries)) + queries:
             got = complex_element_action(X, p, s, t)
             assert got == reference_element_action(X, p, s, t, ring)
             nonzero += bool(got.entries)
-        if age == 1:
-            X.age_monomial_actions()
+        if rnd == 1:
+            X.clear_monomial_actions()
     assert nonzero
 
 

@@ -8,9 +8,9 @@ from localduality.graded import GradedModule, GradedRing, HomIdeal, Window, tor
 from localduality.relative import (RingMap, coinduce_table,
                                    coinduction_split_check,
                                    compactness_certificate, dualizing_module,
-                                   grothendieck_neeman_check, induce,
-                                   present_model, restrict, target_module,
-                                   theorem_bc_check, transitivity_check)
+                                   induce, present_model, restrict,
+                                   target_module, theorem_bc_check,
+                                   transitivity_check)
 from localduality.duality import maximal_ideal
 from conftest import free, max_ideal
 
@@ -195,6 +195,35 @@ def test_coinduce_of_source_free(finite_flat, window):
     # Hom_R(S, R) = Sigma^1 S as an R-module: rank 2 over R per pair of degrees
     assert stable
     assert all(s == 0 for (s, _t) in stable)
+
+
+def grothendieck_neeman_check(f, x, w):
+    """Coinduction of x against extension of scalars twisted by omega_f."""
+    compactness = compactness_certificate(f, w)
+    omega = dualizing_module(f, w, compactness=compactness)
+    if not omega.invertible or omega.module is None:
+        raise ContractViolation("omega_f is not certified invertible")
+    guard = compactness["restricted"].guard
+    lhs = coinduce_table(f, x, w)
+    j0 = -omega.stage
+    a = omega.gen_degree
+    fx = induce(f, x)
+    tt = tor(fx, omega.module, w)
+    lo = w.t_lo + guard + max(a, 0)
+    lhs_tot = {}
+    for (s, t), v in lhs.items():
+        n = s + t
+        if lo <= n <= w.t_hi:
+            lhs_tot[n] = lhs_tot.get(n, 0) + v
+    rhs_tot = {}
+    for (p, t), v in tt.items():
+        n = t - p - j0
+        if lo <= n <= w.t_hi:
+            rhs_tot[n] = rhs_tot.get(n, 0) + v
+    verdict = all(lhs_tot.get(n, 0) == rhs_tot.get(n, 0)
+                  for n in range(lo, w.t_hi + 1))
+    return {"verdict": verdict, "lhs": lhs_tot, "rhs": rhs_tot,
+            "range": (lo, w.t_hi)}
 
 
 def test_grothendieck_neeman(finite_flat, window):

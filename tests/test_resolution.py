@@ -8,9 +8,10 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from localduality.cli import Environment, corpus, parse
-from localduality.exactla import SparseMatrix, kernel_basis, rank, rref
+from localduality.exactla import SparseMatrix, rank, rref
 from localduality.graded import (FreeModule, GradedModule, GradedRing, Window,
                                  minimal_free_resolution, poly_matrix_realize)
+from conftest import kernel_basis
 
 
 # reference: the list-based generator choice, kept verbatim but for the

@@ -109,7 +109,7 @@ def test_tower_clears_memoised_actions_of_its_input(poly_plane, functor,
     clear = WindowedComplex.clear_monomial_actions
 
     def recording_clear(self):
-        cleared.append(len(self._monomials) + len(self._monomials_old))
+        cleared.append(len(self._monomials))
         clear(self)
 
     monkeypatch.setattr(WindowedComplex, "clear_monomial_actions", recording_clear)
@@ -117,7 +117,7 @@ def test_tower_clears_memoised_actions_of_its_input(poly_plane, functor,
     res = functor(mod, max_ideal(poly_plane), Window(-4, 4))
     X = res.provenance["input"]
     assert cleared and cleared[-1] > 0
-    assert not X._monomials and not X._monomials_old
+    assert not X._monomials
 
 
 # property suites ------------------------------------------------------------
